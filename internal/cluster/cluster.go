@@ -468,7 +468,7 @@ func (c *Cluster) Handler() http.Handler {
 	mux.HandleFunc("POST "+proto.RealtimePath, func(w http.ResponseWriter, r *http.Request) {
 		var n proto.RealtimeNotification
 		if err := httpx.ReadJSON(r, &n); err != nil {
-			httpx.WriteError(w, http.StatusBadRequest, err.Error())
+			httpx.WriteBodyError(w, err)
 			return
 		}
 		for _, hint := range n.Data {
@@ -480,7 +480,7 @@ func (c *Cluster) Handler() http.Handler {
 		mux.HandleFunc("POST "+proto.PushPath, func(w http.ResponseWriter, r *http.Request) {
 			var b proto.PushBatch
 			if err := httpx.ReadJSON(r, &b); err != nil {
-				httpx.WriteError(w, http.StatusBadRequest, err.Error())
+				httpx.WriteBodyError(w, err)
 				return
 			}
 			resp := c.PushDeliveries(b.Data)

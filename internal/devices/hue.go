@@ -179,7 +179,7 @@ func (h *HueHub) Handler() http.Handler {
 		}
 		var change StateChange
 		if err := httpx.ReadJSON(r, &change); err != nil {
-			httpx.WriteError(w, http.StatusBadRequest, err.Error())
+			httpx.WriteBodyError(w, err)
 			return
 		}
 		if err := h.SetLampState(r.PathValue("id"), change); err != nil {

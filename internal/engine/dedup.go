@@ -46,6 +46,14 @@ func (r *dedupRing) Add(id string) bool {
 	return true
 }
 
+// Has reports whether id is remembered, without recording it. It takes
+// the ID as it sits in a response body so the poll path can ask before
+// it builds the event: the lookup allocates nothing.
+func (r *dedupRing) Has(id []byte) bool {
+	_, ok := r.seen[string(id)]
+	return ok
+}
+
 // Len returns the number of remembered IDs.
 func (r *dedupRing) Len() int { return len(r.buf) }
 

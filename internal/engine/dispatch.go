@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/httpx"
@@ -22,10 +24,11 @@ import (
 // provenance rides on the action/skip events' AppletID.
 //
 // members and prep are the worker's snapshot, taken under the shard
-// lock; the subscription's scratch buffers (response, fresh slice,
-// ranges) are owned by this worker for the duration — a subscription is
-// never polled concurrently — so the steady-state empty poll allocates
-// nothing.
+// lock; the subscription's scratch buffers (fresh slice, ranges) are
+// owned by this worker for the duration — a subscription is never
+// polled concurrently. The response itself is never held as a value:
+// a pooled pollDecoder scans it in the HTTP client's read buffer and
+// builds only the events some member has not seen (see collectFresh).
 //
 // The first return value reports whether the poll itself succeeded (a
 // 200 with a decodable body); the worker feeds it to the backoff/
@@ -46,12 +49,13 @@ func (e *Engine) pollSubscription(sub *subscription, hintAt time.Time, members [
 		e.fanout.Observe(float64(len(members)))
 	}
 
-	resp := &sub.resp
-	resp.Data = resp.Data[:0]
+	sub.fresh, sub.ranges = sub.fresh[:0], sub.ranges[:0]
+	dec := pollDecoders.Get().(*pollDecoder)
+	dec.sub, dec.members = sub, members
 	var status int
 	var err error
 	if prep != nil {
-		status, err = e.client.DoPrepared(prep, resp)
+		status, err = e.client.DoPrepared(prep, dec)
 	} else {
 		// Fallback for triggers whose base URL failed to parse into a
 		// prototype at install time.
@@ -67,11 +71,13 @@ func (e *Engine) pollSubscription(sub *subscription, hintAt time.Time, members [
 			req.Limit = &limit
 		}
 		status, err = e.client.DoJSON("POST",
-			proto.TriggerURL(a.Trigger.BaseURL, a.Trigger.Slug), req, resp,
+			proto.TriggerURL(a.Trigger.BaseURL, a.Trigger.Slug), req, dec,
 			httpx.WithHeader(proto.ServiceKeyHeader, a.Trigger.ServiceKey),
 			httpx.WithHeader("Authorization", "Bearer "+a.Trigger.UserToken),
 		)
 	}
+	dec.release()
+	pollDecoders.Put(dec)
 	if err != nil || status != http.StatusOK {
 		// status 0 means no attempt ever got an HTTP response (pure
 		// transport failure); anything else is the endpoint answering
@@ -93,26 +99,9 @@ func (e *Engine) pollSubscription(sub *subscription, hintAt time.Time, members [
 		return false, 0
 	}
 
-	// The wire order is newest first; each member executes its unseen
-	// events oldest first so actions replay the trigger order. The dedup
-	// rings are owned by this worker — members cannot be polled through
-	// another subscription, and a removed member's ring is never touched
-	// again after this poll.
-	fresh := sub.fresh[:0]
-	ranges := sub.ranges[:0]
-	for _, ra := range members {
-		start := len(fresh)
-		for i := len(resp.Data) - 1; i >= 0; i-- {
-			ev := resp.Data[i]
-			if ev.Meta.ID == "" || !ra.dedup.Add(ev.Meta.ID) {
-				continue
-			}
-			fresh = append(fresh, ev)
-		}
-		ranges = append(ranges, memberRange{ra: ra, start: start, end: len(fresh)})
-	}
-	sub.fresh = fresh
-	sub.ranges = ranges
+	// The decoder left each member's unseen events in sub.fresh, member
+	// by member (empty when the 200 carried no body).
+	fresh, ranges := sub.fresh, sub.ranges
 	newEvents := 0
 	if len(ranges) > 0 {
 		newEvents = ranges[0].end - ranges[0].start
@@ -141,29 +130,182 @@ func (e *Engine) pollSubscription(sub *subscription, hintAt time.Time, members [
 	return true, newEvents
 }
 
+// pollDecoder is the response target of one trigger poll: an
+// httpx.BodyDecoder that scans the body where the client read it and
+// does the subscription's dedup before anything is materialised. It
+// carries no state between polls — it is pooled, not resident — beyond
+// the scanner's scratch and its interned ingredient keys.
+type pollDecoder struct {
+	scan proto.EventScan
+	// built caches event i of the scan once some member needed it, so a
+	// coalesced subscription builds each event at most once.
+	built   []proto.TriggerEvent
+	sub     *subscription
+	members []*runningApplet
+}
+
+var pollDecoders = sync.Pool{New: func() any { return new(pollDecoder) }}
+
+// maxPooledBuilt bounds the build cache a decoder keeps between polls;
+// a protocol-sized response holds at most proto.DefaultLimit events.
+const maxPooledBuilt = 4 * proto.DefaultLimit
+
+// release readies the decoder for its pool: no references to the poll
+// it served, no outsized scratch from a hostile body.
+func (d *pollDecoder) release() {
+	d.sub, d.members = nil, nil
+	d.scan.Release()
+	if cap(d.built) > maxPooledBuilt {
+		d.built = nil
+	}
+}
+
+// DecodeBody validates the whole response first — a malformed body
+// fails the attempt with the rings untouched — and only then, for the
+// 200 that makes the poll a success, feeds the dedup rings.
+func (d *pollDecoder) DecodeBody(status int, body []byte) error {
+	if err := d.scan.ScanPollResponse(body); err != nil {
+		return err
+	}
+	if status == http.StatusOK {
+		d.collectFresh()
+	}
+	return nil
+}
+
+// collectFresh is the dedup half of a poll, run over the scanned spans:
+// the wire order is newest first, and each member takes its unseen
+// events oldest first so actions replay the trigger order. It is the
+// loop the engine always ran — Add every event's ID to every member's
+// ring, keep what was new — except that an event is built (map, strings)
+// only when some ring reports its ID missing; for the re-served majority
+// the ID bytes in the body are looked up and nothing is allocated. Add
+// on a remembered ID never changed a ring, so skipping it changes
+// nothing, evictions included. The dedup rings are owned by this worker
+// — members cannot be polled through another subscription, and a
+// removed member's ring is never touched again after this poll.
+func (d *pollDecoder) collectFresh() {
+	sub, scan := d.sub, &d.scan
+	n := scan.Len()
+	if cap(d.built) < n {
+		d.built = make([]proto.TriggerEvent, n)
+	}
+	built := d.built[:n]
+	fresh, ranges := sub.fresh[:0], sub.ranges[:0]
+	for _, ra := range d.members {
+		start := len(fresh)
+		for i := n - 1; i >= 0; i-- {
+			id := scan.ID(i)
+			if len(id) == 0 || ra.dedup.Has(id) {
+				continue
+			}
+			ev := &built[i]
+			if ev.Ingredients == nil {
+				*ev = scan.Event(i)
+			}
+			ra.dedup.Add(ev.Meta.ID)
+			fresh = append(fresh, *ev)
+		}
+		ranges = append(ranges, memberRange{ra: ra, start: start, end: len(fresh)})
+	}
+	clear(built)
+	sub.fresh, sub.ranges = fresh, ranges
+}
+
+// actionEndpoint is what every execution of one action shares: the
+// parsed URL and the service-key header value. Cached engine-wide by
+// (base URL, slug, key) — a handful per partner service, not one per
+// applet.
+type actionEndpoint struct {
+	url *url.URL
+	key []string
+}
+
+type actionKey struct{ baseURL, slug, serviceKey string }
+
+// maxActionEndpoints bounds the endpoint cache; past it, endpoints are
+// parsed per execution rather than remembered.
+const maxActionEndpoints = 4096
+
+func (e *Engine) actionEndpoint(ref *ServiceRef) (*actionEndpoint, error) {
+	k := actionKey{ref.BaseURL, ref.Slug, ref.ServiceKey}
+	e.epMu.RLock()
+	ep := e.endpoints[k]
+	e.epMu.RUnlock()
+	if ep != nil {
+		return ep, nil
+	}
+	raw := proto.ActionURL(ref.BaseURL, ref.Slug)
+	u, err := url.Parse(raw)
+	if err != nil {
+		return nil, fmt.Errorf("POST %s: %w", raw, err)
+	}
+	ep = &actionEndpoint{url: u, key: []string{ref.ServiceKey}}
+	e.epMu.Lock()
+	if len(e.endpoints) < maxActionEndpoints {
+		if e.endpoints == nil {
+			e.endpoints = make(map[actionKey]*actionEndpoint)
+		}
+		e.endpoints[k] = ep
+	}
+	e.epMu.Unlock()
+	return ep, nil
+}
+
+// Header values shared by every action request; read-only, like the
+// header maps httpx.Prepared shares.
+var (
+	serviceKeyHeader = http.CanonicalHeaderKey(proto.ServiceKeyHeader)
+	jsonContentType  = []string{"application/json; charset=utf-8"}
+	acceptJSON       = []string{"application/json"}
+)
+
+// actionScratch holds what one action execution renders into.
+type actionScratch struct {
+	enc  proto.ActionEncoder
+	prep httpx.Prepared
+}
+
+var actionScratches = sync.Pool{New: func() any { return new(actionScratch) }}
+
+// actionBody renders the ActionRequest for a executing on an event
+// with the given ingredients — {{ingredient}} placeholders resolved —
+// byte for byte what json.Encoder wrote for the request struct.
+func actionBody(sc *actionScratch, a *Applet, ingredients map[string]string) []byte {
+	return sc.enc.Encode(a.Action.Fields, func(dst []byte, tmpl string) []byte {
+		return appendExpanded(dst, tmpl, ingredients)
+	}, a.UserID, a.ID)
+}
+
+// actionAck is the response target of an action request. The engine
+// never reads the acknowledgement, but a 200 whose body is not an
+// ActionResponse is still a failed (and retried) action.
+type actionAck struct{}
+
+func (actionAck) DecodeBody(_ int, body []byte) error { return proto.ValidateActionResponse(body) }
+
 // dispatchAction POSTs one action execution, resolving {{ingredient}}
 // placeholders in the action fields from the trigger event.
 func (e *Engine) dispatchAction(ra *runningApplet, ev proto.TriggerEvent, execID uint64) {
 	a := &ra.def
-	fields := make(map[string]string, len(a.Action.Fields))
-	for k, v := range a.Action.Fields {
-		fields[k] = expandIngredients(v, ev.Ingredients)
-	}
-	req := proto.ActionRequest{
-		ActionFields: fields,
-		User:         proto.UserInfo{ID: a.UserID},
-		Source:       proto.Source{ID: a.ID},
-	}
 	eventTime := ev.Meta.Time()
 	sh := ra.sub.shard
 	e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: a.ID, ExecID: execID, EventID: ev.Meta.ID, EventTime: eventTime})
 
-	var ack proto.ActionResponse
-	status, err := e.client.DoJSON("POST",
-		proto.ActionURL(a.Action.BaseURL, a.Action.Slug), req, &ack,
-		httpx.WithHeader(proto.ServiceKeyHeader, a.Action.ServiceKey),
-		httpx.WithHeader("Authorization", "Bearer "+a.Action.UserToken),
-	)
+	var status int
+	ep, err := e.actionEndpoint(&a.Action)
+	if err == nil {
+		sc := actionScratches.Get().(*actionScratch)
+		sc.prep = httpx.PreparedFrom("POST", ep.url, http.Header{
+			"Content-Type":   jsonContentType,
+			"Accept":         acceptJSON,
+			serviceKeyHeader: ep.key,
+			"Authorization":  {"Bearer " + a.Action.UserToken},
+		}, actionBody(sc, a, ev.Ingredients))
+		status, err = e.client.DoPrepared(&sc.prep, actionAck{})
+		sc.prep = httpx.Prepared{}
+		actionScratches.Put(sc)
+	}
 	if err != nil || status != http.StatusOK {
 		if status == 0 {
 			sh.counters.actionErrTransport.Add(1)
@@ -202,28 +344,22 @@ func (e *Engine) deleteUpstream(sub *subscription) {
 	}
 }
 
-// expandIngredients substitutes {{key}} placeholders with trigger event
-// ingredients; unknown keys expand to the empty string, mirroring
-// IFTTT's lenient template behaviour.
-func expandIngredients(tmpl string, ingredients map[string]string) string {
-	if !strings.Contains(tmpl, "{{") {
-		return tmpl
-	}
-	var b strings.Builder
+// appendExpanded appends tmpl with its {{key}} placeholders replaced by
+// trigger event ingredients; unknown keys expand to the empty string,
+// mirroring IFTTT's lenient template behaviour.
+func appendExpanded(dst []byte, tmpl string, ingredients map[string]string) []byte {
 	for {
 		open := strings.Index(tmpl, "{{")
 		if open < 0 {
-			b.WriteString(tmpl)
-			return b.String()
+			return append(dst, tmpl...)
 		}
 		end := strings.Index(tmpl[open:], "}}")
 		if end < 0 {
-			b.WriteString(tmpl)
-			return b.String()
+			return append(dst, tmpl...)
 		}
-		b.WriteString(tmpl[:open])
+		dst = append(dst, tmpl[:open]...)
 		key := strings.TrimSpace(tmpl[open+2 : open+end])
-		b.WriteString(ingredients[key])
+		dst = append(dst, ingredients[key]...)
 		tmpl = tmpl[open+end+2:]
 	}
 }
@@ -273,7 +409,7 @@ func (e *Engine) Handler() http.Handler {
 func (e *Engine) handleRealtime(w http.ResponseWriter, r *http.Request) {
 	var n proto.RealtimeNotification
 	if err := httpx.ReadJSON(r, &n); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, err.Error())
+		httpx.WriteBodyError(w, err)
 		return
 	}
 	for _, hint := range n.Data {

@@ -382,6 +382,11 @@ type Engine struct {
 	retiredQ []string
 	retCap   int
 
+	// endpoints caches what the executions of one action share (parsed
+	// URL, service-key header value); see actionEndpoint.
+	epMu      sync.RWMutex
+	endpoints map[actionKey]*actionEndpoint
+
 	shards  []*shard
 	stopped atomic.Bool
 	// delMu serializes Stop against the spawn of upstream-DELETE actors

@@ -46,7 +46,7 @@ type pushItem struct {
 func (e *Engine) handlePush(w http.ResponseWriter, r *http.Request) {
 	var batch proto.PushBatch
 	if err := httpx.ReadJSON(r, &batch); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, err.Error())
+		httpx.WriteBodyError(w, err)
 		return
 	}
 	resp := e.PushDeliveries(batch.Data)

@@ -86,7 +86,6 @@ type subscription struct {
 
 	// Worker-owned scratch, reused across polls so the steady-state poll
 	// path allocates nothing for the common empty-result case.
-	resp   proto.TriggerPollResponse
 	fresh  []proto.TriggerEvent
 	ranges []memberRange
 	snap   []*runningApplet

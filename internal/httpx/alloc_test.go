@@ -52,6 +52,15 @@ func TestDoJSONAllocsBounded(t *testing.T) {
 	}
 }
 
+// rawTarget is a BodyDecoder that only looks at the body, like the
+// engine's poll and action targets.
+type rawTarget struct{ n int }
+
+func (r *rawTarget) DecodeBody(_ int, body []byte) error {
+	r.n = len(body)
+	return nil
+}
+
 func TestDoPreparedAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -61,18 +70,20 @@ func TestDoPreparedAllocsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewClient(memDoer{body: `{"data":[]}`}, simtime.NewReal(), 0)
-	var out struct {
-		Data []struct{} `json:"data"`
-	}
+	var out rawTarget
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := c.DoPrepared(p, &out); err != nil {
-			t.Fatal(err)
+		if _, err := c.DoPrepared(p, &out); err != nil || out.n == 0 {
+			t.Fatal(err, out.n)
 		}
 	})
-	// The prototype path builds only the per-request shell: request
-	// struct, body reader, response scaffolding — ~13 allocs. Marshal,
-	// URL parse and header canonicalization are paid once at NewPrepared.
-	if allocs > 15 {
-		t.Errorf("DoPrepared allocs/op = %.1f, want ≤ 15 (prototype path regressed?)", allocs)
+	// The prototype path builds only the per-request shell — request
+	// struct, body reader, GetBody closure: 3 allocations — and hands the
+	// pooled read buffer to the BodyDecoder; memDoer's canned response
+	// accounts for the other 4. Marshal, URL parse and header
+	// canonicalization are paid once at NewPrepared, and nothing is
+	// decoded through reflection. Measured 7, bound +2.
+	t.Logf("DoPrepared: %.1f allocs/op", allocs)
+	if allocs > 9 {
+		t.Errorf("DoPrepared allocs/op = %.1f, want ≤ 9 (prototype path regressed?)", allocs)
 	}
 }

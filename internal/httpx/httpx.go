@@ -25,17 +25,47 @@ import (
 // response carrying 50 trigger events is a few hundred KiB at most).
 const MaxBodyBytes = 4 << 20
 
-// ReadJSON decodes the request body into v, rejecting bodies over
-// MaxBodyBytes and trailing garbage.
-func ReadJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, MaxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode body: %w", err)
+// ErrBodyTooLarge reports a request or response body over MaxBodyBytes.
+var ErrBodyTooLarge = errors.New("body exceeds 4 MiB")
+
+// readBody drains r into buf, refusing more than MaxBodyBytes: it reads
+// one byte past the limit so an oversized body is reported as such
+// instead of being cut short and failing later as malformed JSON.
+func readBody(buf *scratchBuf, r io.Reader) error {
+	buf.limit = io.LimitedReader{R: r, N: MaxBodyBytes + 1}
+	_, err := buf.ReadFrom(&buf.limit)
+	buf.limit.R = nil
+	if err != nil {
+		return err
 	}
-	if dec.More() {
-		return errors.New("decode body: trailing data")
+	if buf.Len() > MaxBodyBytes {
+		return ErrBodyTooLarge
 	}
 	return nil
+}
+
+// ReadJSON decodes the request body into v, rejecting bodies over
+// MaxBodyBytes (ErrBodyTooLarge) and trailing garbage.
+func ReadJSON(r *http.Request, v any) error {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := readBody(buf, r.Body); err != nil {
+		return fmt.Errorf("read body: %w", err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		return fmt.Errorf("decode body: %w", err)
+	}
+	return nil
+}
+
+// WriteBodyError answers a request whose body ReadJSON refused: 413 for
+// an oversized body, 400 for anything else.
+func WriteBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, ErrBodyTooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, status, err.Error())
 }
 
 // WriteJSON encodes v with the given status code.
@@ -80,18 +110,25 @@ type Doer interface {
 // reads. The engine's poll hot path issues one request per subscription
 // per gap; without pooling every poll allocates a marshal buffer and a
 // response read buffer that live for microseconds.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var bufPool = sync.Pool{New: func() any { return new(scratchBuf) }}
+
+// scratchBuf is a pooled buffer that carries its own body-size limiter,
+// so reading a body through it allocates nothing.
+type scratchBuf struct {
+	bytes.Buffer
+	limit io.LimitedReader
+}
 
 // optReqPool recycles the throwaway request that carries RequestOpts
 // during NewPrepared — bulk prototype construction (one per engine
 // subscription) would otherwise allocate one per call.
 var optReqPool = sync.Pool{New: func() any { return new(http.Request) }}
 
-func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
+func getBuf() *scratchBuf { return bufPool.Get().(*scratchBuf) }
 
 // putBuf returns a buffer to the pool unless it grew abnormally large
 // (one oversized response must not pin a megabyte buffer forever).
-func putBuf(b *bytes.Buffer) {
+func putBuf(b *scratchBuf) {
 	if b.Cap() > 1<<20 {
 		return
 	}
@@ -236,19 +273,39 @@ func (c *Client) doOnce(method, url string, payload []byte, out any, opts []Requ
 	return readJSONResponse(resp, out)
 }
 
+// BodyDecoder is a response target (the out of DoJSON and DoPrepared)
+// that decodes the raw body itself instead of going through
+// encoding/json. DecodeBody runs once per attempt that yields a 2xx
+// response with a body; body is the client's pooled read buffer, valid
+// only during the call. Every call starts the target over — a retry's
+// body replaces, never extends, what an earlier attempt decoded — and an
+// error fails the attempt exactly as a JSON decode error does: it is
+// retried, and the next attempt may succeed without a body to decode,
+// so a failed DecodeBody must leave nothing behind.
+type BodyDecoder interface {
+	DecodeBody(status int, body []byte) error
+}
+
 // readJSONResponse drains the response through a pooled buffer and
-// decodes successful bodies into out. json.Unmarshal copies everything
-// it keeps, so the buffer can be recycled immediately.
+// decodes successful bodies into out. Neither json.Unmarshal nor a
+// BodyDecoder keeps a reference into the buffer, so it can be recycled
+// immediately.
 func readJSONResponse(resp *http.Response, out any) (int, error) {
 	defer resp.Body.Close()
 	buf := getBuf()
 	defer putBuf(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, MaxBodyBytes)); err != nil {
+	if err := readBody(buf, resp.Body); err != nil {
 		return 0, fmt.Errorf("read response: %w", err)
 	}
 	data := buf.Bytes()
 	if out != nil && resp.StatusCode < 300 && len(data) > 0 {
-		if err := json.Unmarshal(data, out); err != nil {
+		var err error
+		if bd, ok := out.(BodyDecoder); ok {
+			err = bd.DecodeBody(resp.StatusCode, data)
+		} else {
+			err = json.Unmarshal(data, out)
+		}
+		if err != nil {
 			return resp.StatusCode, fmt.Errorf("decode response: %w", err)
 		}
 	}
@@ -323,6 +380,16 @@ func NewPrepared(method, rawURL string, body any, opts ...RequestOpt) (*Prepared
 	return &Prepared{method: method, url: u, host: u.Host, header: h, body: payload}, nil
 }
 
+// PreparedFrom assembles a prototype from parts the caller already
+// holds — a parsed URL, a header with canonical keys, an encoded JSON
+// body — without parsing, marshalling or canonicalising anything. The
+// engine's action path builds one per execution around a cached URL and
+// a body rendered into its own buffer; all three parts are read-only
+// until the DoPrepared call that sends them returns.
+func PreparedFrom(method string, u *url.URL, header http.Header, body []byte) Prepared {
+	return Prepared{method: method, url: u, host: u.Host, header: header, body: body}
+}
+
 // Shared prototype headers for option-free Prepared requests. Read-only
 // by the same contract as Prepared.header itself: the transport writes
 // headers to the wire but never mutates them.
@@ -361,6 +428,18 @@ func (c *Client) DoPrepared(p *Prepared, out any) (int, error) {
 	return lastStatus, fmt.Errorf("%s %s: %w", p.method, p.url, lastErr)
 }
 
+// bodyReader is a request body over bytes the prototype owns: reader and
+// no-op closer in one allocation.
+type bodyReader struct{ bytes.Reader }
+
+func (*bodyReader) Close() error { return nil }
+
+func newBodyReader(b []byte) *bodyReader {
+	r := new(bodyReader)
+	r.Reset(b)
+	return r
+}
+
 func (c *Client) doPreparedOnce(p *Prepared, out any) (int, error) {
 	req := &http.Request{
 		Method:     p.method,
@@ -372,11 +451,9 @@ func (c *Client) doPreparedOnce(p *Prepared, out any) (int, error) {
 		Host:       p.host,
 	}
 	if p.body != nil {
-		req.Body = io.NopCloser(bytes.NewReader(p.body))
+		req.Body = newBodyReader(p.body)
 		req.ContentLength = int64(len(p.body))
-		req.GetBody = func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(p.body)), nil
-		}
+		req.GetBody = func() (io.ReadCloser, error) { return newBodyReader(p.body), nil }
 	}
 	resp, err := c.doer.Do(req)
 	if err != nil {

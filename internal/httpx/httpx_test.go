@@ -1,9 +1,12 @@
 package httpx
 
 import (
+	"errors"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -267,5 +270,109 @@ func TestPreparedDecodeError(t *testing.T) {
 func TestNewPreparedRejectsBadURL(t *testing.T) {
 	if _, err := NewPrepared("GET", "http://bad url with spaces/%zz", nil); err == nil {
 		t.Fatal("unparseable URL accepted")
+	}
+}
+
+// Bodies over MaxBodyBytes are refused by name, in both directions:
+// they used to be cut at the limit and surface as "unexpected EOF".
+
+func TestReadJSONRejectsOversizedBody(t *testing.T) {
+	atLimit := `{"name":"` + strings.Repeat("a", MaxBodyBytes-len(`{"name":""}`)) + `"}`
+	var p payload
+	if err := ReadJSON(httptest.NewRequest("POST", "/", strings.NewReader(atLimit)), &p); err != nil {
+		t.Fatalf("body of exactly MaxBodyBytes rejected: %v", err)
+	}
+	r := httptest.NewRequest("POST", "/", strings.NewReader(atLimit+" "))
+	err := ReadJSON(r, &p)
+	if !errors.Is(err, ErrBodyTooLarge) {
+		t.Fatalf("oversized body: err = %v, want ErrBodyTooLarge", err)
+	}
+	rec := httptest.NewRecorder()
+	WriteBodyError(rec, err)
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "body exceeds 4 MiB") {
+		t.Errorf("oversized body answered %d %s, want 413 naming the limit", rec.Code, rec.Body)
+	}
+	rec = httptest.NewRecorder()
+	WriteBodyError(rec, ReadJSON(httptest.NewRequest("POST", "/", strings.NewReader(`{`)), &p))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("malformed body answered %d, want 400", rec.Code)
+	}
+}
+
+func TestClientRejectsOversizedResponse(t *testing.T) {
+	c := NewClient(memDoer{body: `{"name":"` + strings.Repeat("a", MaxBodyBytes) + `"}`}, simtime.NewReal(), 0)
+	var out payload
+	_, err := c.DoJSON("GET", "http://svc.sim/big", nil, &out)
+	if !errors.Is(err, ErrBodyTooLarge) {
+		t.Fatalf("oversized response: err = %v, want ErrBodyTooLarge", err)
+	}
+}
+
+// statusDoer answers each request with the next scripted response.
+type statusDoer struct {
+	script []memResponse
+	calls  int
+}
+
+type memResponse struct {
+	status int
+	body   string
+}
+
+func (d *statusDoer) Do(req *http.Request) (*http.Response, error) {
+	r := d.script[d.calls]
+	d.calls++
+	return &http.Response{StatusCode: r.status, Body: io.NopCloser(strings.NewReader(r.body))}, nil
+}
+
+// recordingTarget is a BodyDecoder that refuses bodies starting "bad".
+type recordingTarget struct {
+	status []int
+	bodies []string
+}
+
+func (r *recordingTarget) DecodeBody(status int, body []byte) error {
+	r.status = append(r.status, status)
+	r.bodies = append(r.bodies, string(body))
+	if strings.HasPrefix(string(body), "bad") {
+		return errors.New("refused")
+	}
+	return nil
+}
+
+func TestBodyDecoderReceivesRawBodyPerAttempt(t *testing.T) {
+	p, err := NewPrepared("POST", "http://svc.sim/v1/t", payload{Name: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 5xx is retried without consulting the target; a refused 2xx body
+	// is retried like a JSON decode error; the accepted one ends the call.
+	d := &statusDoer{script: []memResponse{{503, "ignored"}, {200, "bad body"}, {201, "not json at all"}}}
+	c := NewClient(d, simtime.NewReal(), 3)
+	c.backoff = func(int) time.Duration { return 0 }
+	var out recordingTarget
+	status, err := c.DoPrepared(p, &out)
+	if err != nil || status != 201 || d.calls != 3 {
+		t.Fatalf("status=%d err=%v calls=%d, want 201 after 3 attempts", status, err, d.calls)
+	}
+	if want := []string{"bad body", "not json at all"}; !reflect.DeepEqual(out.bodies, want) || !reflect.DeepEqual(out.status, []int{200, 201}) {
+		t.Errorf("target saw bodies %q with statuses %v, want %q", out.bodies, out.status, want)
+	}
+	// Nothing to decode: an empty 200 and a 404 leave the target alone.
+	d = &statusDoer{script: []memResponse{{200, ""}, {404, "no"}}}
+	c = NewClient(d, simtime.NewReal(), 0)
+	out = recordingTarget{}
+	for _, want := range []int{200, 404} {
+		if status, err := c.DoJSON("GET", "http://svc.sim/x", nil, &out); err != nil || status != want {
+			t.Fatalf("status=%d err=%v, want %d", status, err, want)
+		}
+	}
+	if len(out.bodies) != 0 {
+		t.Errorf("target consulted for %q", out.bodies)
+	}
+	// A refusal on the last attempt surfaces as the call's error.
+	d = &statusDoer{script: []memResponse{{200, "bad"}}}
+	if status, err := NewClient(d, simtime.NewReal(), 0).DoPrepared(p, &out); err == nil || status != 200 {
+		t.Errorf("status=%d err=%v, want the refusal reported with its 200", status, err)
 	}
 }

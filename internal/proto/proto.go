@@ -20,11 +20,7 @@
 //	POST   /v1/notifications
 package proto
 
-import (
-	"encoding/json"
-	"fmt"
-	"time"
-)
+import "time"
 
 // Header names used by the protocol.
 const (
@@ -109,54 +105,12 @@ func (m EventMeta) Time() time.Time {
 
 // TriggerEvent is one buffered occurrence of a trigger. On the wire its
 // ingredients appear as top-level keys next to "meta", so the type
-// implements custom JSON (de)serialization.
+// implements custom JSON (de)serialization (encode.go, codec.go).
 type TriggerEvent struct {
 	// Ingredients are the trigger's output fields (e.g. lit light
 	// name, email subject). Keys must not collide with "meta".
 	Ingredients map[string]string
 	Meta        EventMeta
-}
-
-// MarshalJSON flattens ingredients beside the meta object, matching the
-// real protocol's event encoding.
-func (e TriggerEvent) MarshalJSON() ([]byte, error) {
-	obj := make(map[string]any, len(e.Ingredients)+1)
-	for k, v := range e.Ingredients {
-		if k == "meta" {
-			return nil, fmt.Errorf("proto: ingredient key %q is reserved", k)
-		}
-		obj[k] = v
-	}
-	obj["meta"] = e.Meta
-	return json.Marshal(obj)
-}
-
-// UnmarshalJSON splits the flat wire object back into ingredients and
-// meta.
-func (e *TriggerEvent) UnmarshalJSON(data []byte) error {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	metaRaw, ok := raw["meta"]
-	if !ok {
-		return fmt.Errorf("proto: trigger event missing meta")
-	}
-	if err := json.Unmarshal(metaRaw, &e.Meta); err != nil {
-		return fmt.Errorf("proto: bad event meta: %w", err)
-	}
-	delete(raw, "meta")
-	e.Ingredients = make(map[string]string, len(raw))
-	for k, v := range raw {
-		var s string
-		if err := json.Unmarshal(v, &s); err != nil {
-			// Tolerate non-string ingredients by re-encoding them
-			// verbatim; real services occasionally send numbers.
-			s = string(v)
-		}
-		e.Ingredients[k] = s
-	}
-	return nil
 }
 
 // TriggerPollResponse is the service's answer to a poll: buffered events,

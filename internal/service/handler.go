@@ -133,7 +133,7 @@ func (s *Service) handleTriggerPoll(w http.ResponseWriter, r *http.Request) {
 
 	var req proto.TriggerPollRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, err.Error())
+		httpx.WriteBodyError(w, err)
 		return
 	}
 	if req.TriggerIdentity == "" {
@@ -207,7 +207,7 @@ func (s *Service) handleAction(w http.ResponseWriter, r *http.Request) {
 
 	var req proto.ActionRequest
 	if err := httpx.ReadJSON(r, &req); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, err.Error())
+		httpx.WriteBodyError(w, err)
 		return
 	}
 	if err := spec.Execute(req.ActionFields, req.User); err != nil {
