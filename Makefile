@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench verify report
+.PHONY: build test race flake bench verify report
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Flake hunt: the concurrency-heavy packages twenty times over under
+# -race (the engine alone is ~15 min of that, hence the timeout). A test
+# that fails here once is a bug in the system or in the claim it makes;
+# CI runs this nightly.
+flake:
+	$(GO) test -race -count=20 -timeout 60m ./internal/simtime ./internal/engine ./internal/durable ./internal/cluster ./internal/ingest
 
 # Short pass over the engine-scale benchmarks (scheduler regressions).
 bench:

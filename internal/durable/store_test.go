@@ -264,7 +264,11 @@ func TestStoreCrashRecovery(t *testing.T) {
 // the same crash image twice into same-seeded engines and everything —
 // recovered state, poll schedules, dispatch traces, budget admission —
 // is bit-identical; and the recovered membership matches an independent
-// naive fold of the raw WAL.
+// naive fold of the raw WAL. The recovered engines run one shard with
+// one worker: with more, shards reach the shared budget bucket at the
+// same simulated instant and the Go scheduler picks the winner, so the
+// timeline (not the outcome) differs between runs — see DESIGN.md,
+// "Determinism".
 func TestStoreRecoveryDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	r1 := newStoreRig(t, dir, 21, nil, nil)
@@ -291,6 +295,7 @@ func TestStoreRecoveryDeterministic(t *testing.T) {
 	run := func(d string) (*storeRig, map[string]bool, string, string, string) {
 		r := newStoreRig(t, d, 21, func(cfg *engine.Config) {
 			cfg.PollBudgetQPS = 2 // exercise admission state in the comparison
+			cfg.Shards, cfg.ShardWorkers = 1, 1
 		}, nil)
 		recovered, retired := r.store.RecoveredState()
 		recJSON, _ := json.Marshal(struct {

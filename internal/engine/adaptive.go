@@ -275,6 +275,17 @@ func (a *admission) reserve(service string, now time.Time) time.Duration {
 	return time.Duration(-b.tokens / a.qps * float64(time.Second))
 }
 
+// refund returns the token of a reservation whose poll will never
+// start (the subscription was retired after admission). The grant and
+// deferral counters keep the admission they recorded.
+func (a *admission) refund(service string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if b := a.buckets[service]; b != nil {
+		b.tokens = math.Min(b.tokens+1, a.burst)
+	}
+}
+
 // stalled reports whether the budget has been fully deferring for at
 // least window: an unbroken deferral streak of that length that is
 // still live (a deferral within the last window). The duration is how

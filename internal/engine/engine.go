@@ -342,6 +342,7 @@ const DefaultTraceBuffer = 4096
 // for the subscription model.
 type Engine struct {
 	clock     simtime.Clock
+	epoch     time.Time // origin of the scheduler's integer time axis (scheduler.go)
 	client    *httpx.Client
 	poll      PollPolicy
 	realtime  map[string]bool
@@ -528,6 +529,7 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		clock:     cfg.Clock,
+		epoch:     cfg.Clock.Now(),
 		client:    httpx.NewClient(cfg.Doer, cfg.Clock, 1),
 		poll:      poll,
 		realtime:  cfg.RealtimeServices,

@@ -22,9 +22,9 @@ import (
 // ID, so applets of one user watching the same trigger share one
 // upstream poll whose fresh events fan out to every member.
 //
-// The mutable scheduling fields (members, entry, polling, removed,
-// hintAt, prep, leadID) are guarded by the owning shard's mutex. rng
-// and the scratch fields are touched only by the single actor that has
+// The mutable scheduling fields (members, due, seq, heapPos, polling,
+// removed, hintAt, prep, leadID) are guarded by the owning shard's
+// mutex. rng and the scratch fields are touched only by the actor that has
 // the subscription in flight: polling is the execution-ownership flag —
 // set by a poll worker or by the push ingress consumer (ingress.go)
 // under the shard lock before dispatching, cleared (after draining
@@ -41,7 +41,13 @@ type subscription struct {
 	// prototype's Source; it is the oldest surviving member.
 	leadID  string
 	members []*runningApplet
-	entry   *pollEntry // pending poll, nil while in flight
+	// The pending poll, in place (there is at most one, so the shard's
+	// heap orders the subscriptions themselves): due in ns since the
+	// engine's epoch, seq the FIFO tie-break, heapPos the heap index + 1
+	// (0 while none is pending: in flight, queued ready, or retired).
+	due     int64
+	seq     uint64
+	heapPos int
 	polling bool
 	removed bool
 	// hintAt records when a realtime poke rescheduled the pending poll;
@@ -137,14 +143,15 @@ func (sub *subscription) rebuildPrepLocked(e *Engine) {
 }
 
 // shard owns a partition of the poll subscriptions: the identity index
-// used for hint routing, a timer min-heap of pending polls, and the
-// pump/worker actors that drain it. All shard state is guarded by mu;
-// the counters are atomics updated lock-free on the poll hot path and
-// merged by Engine.Stats.
+// used for hint routing, a min-heap of pending polls with one clock
+// timer on its head, and the worker actors that timer starts. All shard
+// state is guarded by mu; the counters are atomics updated lock-free on
+// the poll hot path and merged by Engine.Stats.
 type shard struct {
-	e     *Engine
-	id    int
-	alarm simtime.Alarm
+	e      *Engine
+	id     int
+	timer  simtime.Timer // runs fire; Reset/Stop only under mu
+	workFn func()        // s.work, bound once so starting a worker allocates nothing
 
 	mu  sync.Mutex
 	rng *stats.RNG // shard-split stream; per-subscription streams split off it
@@ -157,9 +164,8 @@ type shard struct {
 	// ready queues due subscriptions awaiting a free worker.
 	ready     []*subscription
 	readyHead int
-	inflight  int  // worker actors currently running
-	pumpOn    bool // a pump actor is live (invariant: heap non-empty ⇒ pumpOn)
-	pumpAt    time.Time
+	inflight  int   // worker actors currently running
+	timerAt   int64 // the deadline timer is armed for (invariant: heap[0].due, or unarmed)
 	stopped   bool
 
 	// ingress is the shard's bounded push-delivery queue (ingress.go),
@@ -204,13 +210,16 @@ type shardCounters struct {
 }
 
 func newShard(e *Engine, id int, rng *stats.RNG) *shard {
-	return &shard{
-		e:     e,
-		id:    id,
-		alarm: e.clock.NewAlarm(),
-		rng:   rng,
-		subs:  make(map[string]*subscription),
+	s := &shard{
+		e:       e,
+		id:      id,
+		rng:     rng,
+		subs:    make(map[string]*subscription),
+		timerAt: unarmed,
 	}
+	s.timer = e.clock.NewTimer(s.fire)
+	s.workFn = s.work
+	return s
 }
 
 // shardFor maps a scheduling key (applet ID, or subscription key under
@@ -281,14 +290,7 @@ func (s *shard) leaveLocked(ra *runningApplet) (last bool) {
 			s.e.breakerOpen.Add(-1)
 		}
 		delete(s.subs, sub.key)
-		if en := sub.entry; en != nil {
-			s.heap.remove(en)
-			sub.entry = nil
-			// Let the pump re-evaluate: if this was the last pending poll
-			// it exits, releasing its clock timer so a simulation can
-			// quiesce.
-			s.alarm.Wake()
-		}
+		s.unscheduleLocked(sub)
 		return true
 	}
 	if ra.def.ID == sub.leadID {
@@ -310,11 +312,12 @@ func (s *shard) byIdentity(identity string) (sub *subscription, firstID string, 
 	return sub, sub.members[0].def.ID, len(sub.members)
 }
 
-// stop marks the shard stopped and wakes the pump so it exits. Pending
-// polls are abandoned; in-flight polls finish their current round.
+// stop marks the shard stopped and disarms its timer, so nothing of
+// the shard stays pending on the clock. Pending polls are abandoned;
+// in-flight polls finish their current round.
 func (s *shard) stop() {
 	s.mu.Lock()
 	s.stopped = true
+	s.armLocked()
 	s.mu.Unlock()
-	s.alarm.Wake()
 }

@@ -237,11 +237,7 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 		e.breakerOpen.Add(-1)
 	}
 	delete(sh.subs, key)
-	if en := sub.entry; en != nil {
-		sh.heap.remove(en)
-		sub.entry = nil
-		sh.alarm.Wake()
-	}
+	sh.unscheduleLocked(sub)
 	sh.mu.Unlock()
 
 	// Unindex the members engine-side (lock order: e.mu is never taken

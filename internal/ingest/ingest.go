@@ -92,10 +92,17 @@ func (q *Queue[T]) Offer(v T) bool {
 	}
 	// The depth counter enforces the exact configured bound (the ring
 	// itself is rounded up to a power of two, so it never fills first).
-	if q.depth.Add(1) > q.capacity {
-		q.depth.Add(-1)
-		q.rejected.Add(1)
-		return false
+	// Claim the slot with a CAS rather than add-then-undo, so that
+	// concurrent producers at the bound never push Depth past it.
+	for {
+		d := q.depth.Load()
+		if d >= q.capacity {
+			q.rejected.Add(1)
+			return false
+		}
+		if q.depth.CompareAndSwap(d, d+1) {
+			break
+		}
 	}
 	if !q.ring.Publish(v) {
 		q.depth.Add(-1)

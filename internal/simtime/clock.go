@@ -14,12 +14,18 @@
 // Rules for simulated mode:
 //
 //   - Every goroutine that participates in simulated time must be started
-//     through Clock.Go, Clock.AfterFunc, or be the function passed to
-//     SimClock.Run.
+//     through Clock.Go, Clock.AfterFunc, a Timer, or be the function
+//     passed to SimClock.Run.
 //   - Actors must block only through clock primitives (Sleep, Gate.Wait,
 //     SleepOrStop). Blocking on a bare channel that is fed by another
 //     actor at a later virtual instant deadlocks the simulation; use a
 //     Gate instead.
+//
+// An actor is a function, not a goroutine: while a Run is active the
+// simulated clock parks a finished actor's goroutine and hands it the
+// next function to start, so short-lived actors run on warm stacks. A
+// parked goroutine counts neither as an actor nor as runnable, and is
+// released when Run returns; outside Run nothing is parked.
 //
 // RealClock has no such restrictions; all primitives degrade to their
 // time and sync counterparts.
@@ -56,9 +62,9 @@ type Clock interface {
 	// stopped first. It returns true when the full duration elapsed.
 	SleepOrStop(s Stopper, d time.Duration) bool
 
-	// NewAlarm returns a reusable timed wake-up for a single waiting
-	// actor, the primitive behind timer-heap scheduling loops.
-	NewAlarm() Alarm
+	// NewTimer returns an unarmed re-armable timer that runs f as a new
+	// actor each time it comes due.
+	NewTimer(f func()) Timer
 
 	// Since returns the time elapsed since t.
 	Since(t time.Time) time.Duration
@@ -85,25 +91,21 @@ type Gate interface {
 	Opened() bool
 }
 
-// Alarm is a reusable timed wait, built for scheduler loops that sleep
-// until the head of a timer heap and must be woken when an earlier
-// deadline is inserted. Unlike Stopper it is not one-shot: the same
-// alarm is re-armed by every WaitUntil call.
-//
-// At most one actor may be waiting at a time. Wake has token semantics:
-// waking an alarm nobody is waiting on is remembered and cancels the
-// next WaitUntil immediately, so a scheduler that publishes its sleep
-// target, releases its lock, and then waits cannot lose a wake-up that
-// races into the gap.
-type Alarm interface {
-	// WaitUntil blocks the calling actor until the absolute instant t,
-	// returning true when the deadline was reached and false when Wake
-	// cut the wait short (or a wake token was already pending).
-	WaitUntil(t time.Time) bool
-	// Wake wakes the current waiter, or arms a token that cancels the
-	// next WaitUntil. It never blocks and may be called from any
-	// goroutine. Multiple Wakes coalesce into one token.
-	Wake()
+// Timer is a re-armable AfterFunc: every time it comes due, the function
+// it was created with runs as a new actor. It is the primitive behind
+// timer-heap scheduling: a scheduler keeps one Timer on the head of its
+// heap and moves it with Reset, so nothing is allocated per deadline.
+// The caller serialises Reset and Stop (a scheduler calls both under
+// its own lock); the fired function runs outside that, like any actor.
+type Timer interface {
+	// Reset arms the timer for the absolute instant t, replacing any
+	// deadline still pending. An instant that is not in the future
+	// fires as soon as the clock can run it.
+	Reset(t time.Time)
+	// Stop disarms the timer and reports whether a deadline was
+	// pending. A stopped timer holds nothing of the clock: it does not
+	// keep a simulation from quiescing or RealClock.Wait from returning.
+	Stop() bool
 }
 
 // Stopper is a cancellation source for SleepOrStop. It is analogous to a

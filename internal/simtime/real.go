@@ -39,27 +39,9 @@ func (c *RealClock) Go(f func()) {
 
 // AfterFunc runs f on a new goroutine after d.
 func (c *RealClock) AfterFunc(d time.Duration, f func()) Handle {
-	c.wg.Add(1)
-	var once sync.Once
-	done := func() { once.Do(c.wg.Done) }
-	t := time.AfterFunc(d, func() {
-		defer done()
-		f()
-	})
-	return realHandle{t: t, done: done}
-}
-
-type realHandle struct {
-	t    *time.Timer
-	done func()
-}
-
-func (h realHandle) Stop() bool {
-	stopped := h.t.Stop()
-	if stopped {
-		h.done()
-	}
-	return stopped
+	t := c.NewTimer(f)
+	t.Reset(time.Now().Add(d))
+	return t
 }
 
 // Wait blocks until every goroutine started via Go or AfterFunc has
@@ -89,42 +71,38 @@ func (g *realGate) Opened() bool {
 	}
 }
 
-// NewAlarm returns a channel-backed reusable timed wake-up.
-func (c *RealClock) NewAlarm() Alarm {
-	return &realAlarm{ch: make(chan struct{}, 1)}
+// NewTimer returns an unarmed timer over one time.AfterFunc timer that
+// Reset moves; a pending deadline counts as a goroutine Wait joins.
+func (c *RealClock) NewTimer(f func()) Timer {
+	return &realTimer{c: c, f: f}
 }
 
-type realAlarm struct {
-	ch chan struct{} // capacity 1: a buffered send is the wake token
+type realTimer struct {
+	c *RealClock
+	f func()
+	t *time.Timer // created by the first Reset
 }
 
-// WaitUntil sleeps until t, returning early with false on Wake.
-func (a *realAlarm) WaitUntil(t time.Time) bool {
-	select {
-	case <-a.ch:
+func (rt *realTimer) run() {
+	defer rt.c.wg.Done()
+	rt.f()
+}
+
+func (rt *realTimer) Reset(at time.Time) {
+	rt.c.wg.Add(1)
+	if rt.t == nil {
+		rt.t = time.AfterFunc(time.Until(at), rt.run)
+	} else if rt.t.Reset(time.Until(at)) {
+		rt.c.wg.Done() // the pending firing was moved, not added
+	}
+}
+
+func (rt *realTimer) Stop() bool {
+	if rt.t == nil || !rt.t.Stop() {
 		return false
-	default:
 	}
-	d := time.Until(t)
-	if d <= 0 {
-		return true
-	}
-	tm := time.NewTimer(d)
-	defer tm.Stop()
-	select {
-	case <-tm.C:
-		return true
-	case <-a.ch:
-		return false
-	}
-}
-
-// Wake wakes the waiter or arms the token; extra Wakes coalesce.
-func (a *realAlarm) Wake() {
-	select {
-	case a.ch <- struct{}{}:
-	default:
-	}
+	rt.c.wg.Done()
+	return true
 }
 
 // NewStopper returns a channel-backed cancellation source.

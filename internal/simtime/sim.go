@@ -18,21 +18,29 @@ import (
 // See the package comment for the actor discipline that simulated code
 // must follow.
 type SimClock struct {
+	start    time.Time
+	now      atomic.Int64 // ns since start; written under mu, read lock-free by Now()
 	mu       sync.Mutex
-	now      time.Time
-	nowCache atomic.Pointer[time.Time] // mirrors now; lock-free reads for Now()
-	actors   int                       // live actor goroutines
-	runnable int                       // actors not blocked in a clock primitive
+	actors   int // live actors
+	runnable int // actors not blocked in a clock primitive
 	timers   timerHeap
 	seq      uint64
 	quiesce  chan struct{} // closed when actors==0 and no timers remain
 	deadlock string        // non-empty once the simulation has deadlocked
+	// idle holds the goroutines of finished actors, parked until the next
+	// spawn (warmest stack last). Non-empty only while a Run is active.
+	idle     []chan func()
+	sleepers sync.Pool // *sleeper
 }
+
+// maxIdle bounds the parked goroutines, so that a burst of short actors
+// (thousands of upstream DELETEs after a mass removal) does not stay
+// resident until Run returns; past it a finished actor's goroutine ends.
+const maxIdle = 128
 
 // NewSim returns a virtual clock whose time starts at start.
 func NewSim(start time.Time) *SimClock {
-	c := &SimClock{now: start}
-	c.nowCache.Store(&start)
+	c := &SimClock{start: start}
 	if stallDebug {
 		go c.stallWatch()
 	}
@@ -45,21 +53,21 @@ func NewSim(start time.Time) *SimClock {
 var stallDebug = os.Getenv("SIMTIME_STALL_DEBUG") != ""
 
 func (c *SimClock) stallWatch() {
-	var lastNow time.Time
+	var lastNow int64
 	var lastSeq uint64
 	for {
 		time.Sleep(15 * time.Second)
 		c.mu.Lock()
-		stuck := c.now.Equal(lastNow) && c.seq == lastSeq && c.actors > 0
-		lastNow, lastSeq = c.now, c.seq
+		stuck := c.now.Load() == lastNow && c.seq == lastSeq && c.actors > 0
+		lastNow, lastSeq = c.now.Load(), c.seq
 		if stuck {
 			next := "none"
 			if len(c.timers) > 0 {
-				next = c.timers[0].when.Format(time.RFC3339Nano)
+				next = c.start.Add(time.Duration(c.timers[0].when)).Format(time.RFC3339Nano)
 			}
 			fmt.Fprintf(os.Stderr,
 				"simtime: STALL now=%s actors=%d runnable=%d timers=%d next=%s deadlock=%q\n",
-				c.now.Format(time.RFC3339Nano), c.actors, c.runnable, len(c.timers), next, c.deadlock)
+				c.Now().Format(time.RFC3339Nano), c.actors, c.runnable, len(c.timers), next, c.deadlock)
 		}
 		c.mu.Unlock()
 	}
@@ -75,9 +83,7 @@ func NewSimDefault() *SimClock { return NewSim(DefaultStart) }
 // Now returns the current virtual time. It is lock-free: hot paths
 // (e.g. per-event trace timestamping) call it under contention that
 // would otherwise serialize on the simulation mutex.
-func (c *SimClock) Now() time.Time {
-	return *c.nowCache.Load()
-}
+func (c *SimClock) Now() time.Time { return c.start.Add(time.Duration(c.now.Load())) }
 
 // Since returns the virtual time elapsed since t.
 func (c *SimClock) Since(t time.Time) time.Duration {
@@ -127,40 +133,72 @@ func (c *SimClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	ch := make(chan struct{})
+	s, _ := c.sleepers.Get().(*sleeper)
+	if s == nil {
+		s = &sleeper{c: c, ch: make(chan struct{}, 1)}
+		s.t.fire = s.wake
+	}
 	c.mu.Lock()
-	c.addTimerLocked(d, func() {
-		c.runnable++
-		close(ch)
-	})
+	c.armLocked(&s.t, c.now.Load()+int64(d))
 	c.blockLocked()
 	c.mu.Unlock()
-	<-ch
+	<-s.ch
+	c.sleepers.Put(s)
+}
+
+// sleeper is one Sleep's timer node and wake channel, recycled through
+// SimClock.sleepers so a steady-state Sleep allocates nothing.
+type sleeper struct {
+	c  *SimClock
+	t  simTimer
+	ch chan struct{} // capacity 1: the wake token
+}
+
+func (s *sleeper) wake() {
+	s.c.runnable++
+	s.ch <- struct{}{}
 }
 
 // AfterFunc schedules f to run as a new actor once d of virtual time has
 // elapsed.
 func (c *SimClock) AfterFunc(d time.Duration, f func()) Handle {
-	c.mu.Lock()
-	t := c.addTimerLocked(d, func() {
-		c.spawnLocked(f)
-	})
-	c.mu.Unlock()
-	return &simHandle{c: c, t: t}
+	t := c.NewTimer(f)
+	t.Reset(c.Now().Add(d))
+	return t
 }
 
-type simHandle struct {
+// NewTimer returns an unarmed timer whose one heap node every Reset
+// re-uses.
+func (c *SimClock) NewTimer(f func()) Timer {
+	ft := &simFuncTimer{c: c, f: f}
+	ft.t.fire = ft.spawn
+	return ft
+}
+
+// simFuncTimer spawns f as an actor whenever its node comes due.
+type simFuncTimer struct {
 	c *SimClock
-	t *simTimer
+	f func()
+	t simTimer
 }
 
-func (h *simHandle) Stop() bool {
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	if h.t.idx < 0 {
+func (ft *simFuncTimer) spawn() { ft.c.spawnLocked(ft.f) }
+
+func (ft *simFuncTimer) Reset(at time.Time) {
+	c := ft.c
+	c.mu.Lock()
+	c.armLocked(&ft.t, int64(at.Sub(c.start)))
+	c.mu.Unlock()
+}
+
+func (ft *simFuncTimer) Stop() bool {
+	c := ft.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ft.t.pos == 0 {
 		return false
 	}
-	heap.Remove(&h.c.timers, h.t.idx)
+	heap.Remove(&c.timers, ft.t.pos-1)
 	return true
 }
 
@@ -203,70 +241,6 @@ func (g *simGate) Opened() bool {
 	return g.opened
 }
 
-// NewAlarm returns a reusable timed wake-up bound to this clock.
-func (c *SimClock) NewAlarm() Alarm { return &simAlarm{c: c} }
-
-type simAlarm struct {
-	c       *SimClock
-	pending bool         // a Wake arrived with no waiter
-	waiter  *alarmWaiter // the current WaitUntil, if any
-}
-
-type alarmWaiter struct {
-	t     *simTimer
-	ch    chan struct{}
-	fired bool // deadline reached (vs woken early)
-}
-
-// WaitUntil blocks the calling actor until virtual time t or an early
-// Wake.
-func (a *simAlarm) WaitUntil(t time.Time) bool {
-	c := a.c
-	c.mu.Lock()
-	if a.pending {
-		a.pending = false
-		c.mu.Unlock()
-		return false
-	}
-	if a.waiter != nil {
-		c.mu.Unlock()
-		panic("simtime: concurrent Alarm.WaitUntil")
-	}
-	if !t.After(c.now) {
-		c.mu.Unlock()
-		return true
-	}
-	w := &alarmWaiter{ch: make(chan struct{})}
-	w.t = c.addTimerAtLocked(t, func() {
-		c.runnable++
-		w.fired = true
-		a.waiter = nil
-		close(w.ch)
-	})
-	a.waiter = w
-	c.blockLocked()
-	c.mu.Unlock()
-	<-w.ch
-	return w.fired
-}
-
-// Wake wakes the waiting actor or arms a token for the next wait.
-func (a *simAlarm) Wake() {
-	c := a.c
-	c.mu.Lock()
-	if w := a.waiter; w != nil {
-		a.waiter = nil
-		if w.t.idx >= 0 {
-			heap.Remove(&c.timers, w.t.idx)
-		}
-		c.runnable++
-		close(w.ch)
-	} else {
-		a.pending = true
-	}
-	c.mu.Unlock()
-}
-
 // NewStopper returns a cancellation source bound to this clock.
 func (c *SimClock) NewStopper() Stopper { return &simStopper{c: c} }
 
@@ -277,7 +251,7 @@ type simStopper struct {
 }
 
 type stopWaiter struct {
-	t      *simTimer
+	t      simTimer
 	ch     chan struct{}
 	result *bool
 }
@@ -287,8 +261,8 @@ func (s *simStopper) Stop() {
 	if !s.stopped {
 		s.stopped = true
 		for _, w := range s.waiters {
-			if w.t.idx >= 0 {
-				heap.Remove(&s.c.timers, w.t.idx)
+			if w.t.pos > 0 {
+				heap.Remove(&s.c.timers, w.t.pos-1)
 			}
 			*w.result = false
 			s.c.runnable++
@@ -324,11 +298,12 @@ func (c *SimClock) SleepOrStop(st Stopper, d time.Duration) bool {
 	result := true
 	ch := make(chan struct{})
 	w := &stopWaiter{ch: ch, result: &result}
-	w.t = c.addTimerLocked(d, func() {
+	w.t.fire = func() {
 		c.runnable++
 		s.unwatchLocked(w)
 		close(ch)
-	})
+	}
+	c.armLocked(&w.t, c.now.Load()+int64(d))
 	s.waiters = append(s.waiters, w)
 	c.blockLocked()
 	c.mu.Unlock()
@@ -349,28 +324,67 @@ func (s *simStopper) unwatchLocked(w *stopWaiter) {
 
 // --- internals -------------------------------------------------------
 
-// spawnLocked starts f as a tracked actor. Caller holds mu.
+// spawnLocked starts f as a tracked actor, on a parked goroutine when
+// there is one. Caller holds mu.
 func (c *SimClock) spawnLocked(f func()) {
 	c.actors++
 	c.runnable++
-	go func() {
-		defer c.exit()
-		f()
-	}()
+	if n := len(c.idle) - 1; n >= 0 {
+		k := c.idle[n]
+		c.idle = c.idle[:n]
+		k <- f
+		return
+	}
+	go c.carry(f)
 }
 
-// exit records the end of an actor and, if it was the last runnable one,
-// advances time so blocked peers can make progress.
-func (c *SimClock) exit() {
-	c.mu.Lock()
-	c.actors--
-	c.runnable--
-	c.maybeAdvanceLocked()
-	if c.actors == 0 && len(c.timers) == 0 && c.quiesce != nil {
-		close(c.quiesce)
-		c.quiesce = nil
+// carry is the body of every actor goroutine: it runs f, then every
+// function handed to it while parked, until the end of the Run closes k.
+func (c *SimClock) carry(f func()) {
+	k := make(chan func(), 1) // holds at most the one hand-off to a parked carry
+	for ok := true; ok; f, ok = <-k {
+		if !c.runActor(f, k) {
+			return
+		}
 	}
-	c.mu.Unlock()
+}
+
+// runActor runs f as an actor and records its end: if it was the last
+// runnable one, time advances so blocked peers can make progress. The
+// accounting sits in a defer so that an f ending in runtime.Goexit
+// (t.FailNow) is still counted out; only an f that returned parks its
+// goroutine on k, and it parks before time advances so that a timer
+// fired by this very exit finds it.
+func (c *SimClock) runActor(f func(), k chan func()) (parked bool) {
+	returned := false
+	defer func() {
+		c.mu.Lock()
+		c.actors--
+		c.runnable--
+		if returned && c.quiesce != nil && len(c.idle) < maxIdle {
+			c.idle = append(c.idle, k)
+			parked = true
+		}
+		c.maybeAdvanceLocked()
+		if c.actors == 0 && len(c.timers) == 0 && c.quiesce != nil {
+			c.endRunLocked() // quiesced: nothing left to run or to wait for
+		}
+		c.mu.Unlock()
+	}()
+	f()
+	returned = true
+	return
+}
+
+// endRunLocked wakes Run and releases every parked goroutine, so none
+// outlives the Run that pooled it.
+func (c *SimClock) endRunLocked() {
+	close(c.quiesce)
+	c.quiesce = nil
+	for _, k := range c.idle {
+		close(k)
+	}
+	c.idle = nil
 }
 
 // blockLocked marks the calling actor as blocked and advances virtual
@@ -388,8 +402,15 @@ func (c *SimClock) blockLocked() {
 // active Run call then panics in its caller with a diagnostic. The
 // deadlocked actors are left parked, as there is no safe way to unwind
 // them.
+//
+// Time stands still while no Run is active: the population is still
+// being assembled (or handed over between Runs) from outside the
+// simulation, so an actor that blocks then — whether or not timers are
+// pending — is waiting for setup to continue, and must neither start
+// the simulation early nor count as deadlocked. The check re-arms on
+// the next block or exit once Run has started.
 func (c *SimClock) maybeAdvanceLocked() {
-	if c.deadlock != "" {
+	if c.deadlock != "" || c.quiesce == nil {
 		return
 	}
 	for c.runnable == 0 {
@@ -397,53 +418,39 @@ func (c *SimClock) maybeAdvanceLocked() {
 			if c.actors == 0 {
 				return
 			}
-			if c.quiesce == nil {
-				// No Run is active: the population is still being
-				// assembled (or handed over between Runs) from outside
-				// the simulation, so actors parked on gates with no
-				// pending timers are waiting for setup to continue, not
-				// deadlocked. The check re-arms on the next block or
-				// exit once Run has started.
-				return
-			}
 			c.deadlock = fmt.Sprintf(
 				"simtime: deadlock — %d actor(s) blocked with no pending timers at %s",
-				c.actors, c.now.Format(time.RFC3339Nano))
-			if c.quiesce != nil {
-				close(c.quiesce)
-				c.quiesce = nil
-			}
+				c.actors, c.Now().Format(time.RFC3339Nano))
+			c.endRunLocked()
 			return
 		}
 		t := heap.Pop(&c.timers).(*simTimer)
-		if t.when.After(c.now) {
-			c.now = t.when
-			now := t.when
-			c.nowCache.Store(&now)
+		if t.when > c.now.Load() {
+			c.now.Store(t.when)
 		}
 		t.fire()
 	}
 }
 
-// addTimerLocked registers fire to be invoked (with mu held) at now+d.
-func (c *SimClock) addTimerLocked(d time.Duration, fire func()) *simTimer {
-	return c.addTimerAtLocked(c.now.Add(d), fire)
-}
-
-// addTimerAtLocked registers fire to be invoked (with mu held) at the
-// absolute virtual instant when.
-func (c *SimClock) addTimerAtLocked(when time.Time, fire func()) *simTimer {
+// armLocked queues t to fire at when (ns since start), moving it if it
+// is already pending. Every arming takes a fresh seq, so equal
+// deadlines fire in the order they were armed.
+func (c *SimClock) armLocked(t *simTimer, when int64) {
 	c.seq++
-	t := &simTimer{when: when, seq: c.seq, fire: fire}
-	heap.Push(&c.timers, t)
-	return t
+	t.when, t.seq = when, c.seq
+	if t.pos > 0 {
+		heap.Fix(&c.timers, t.pos-1)
+	} else {
+		heap.Push(&c.timers, t)
+	}
 }
 
+// simTimer is a timer-heap node, embedded in whatever waits on it.
 type simTimer struct {
-	when time.Time
+	when int64  // ns since the clock's start
 	seq  uint64 // FIFO tie-break for equal deadlines
 	fire func() // invoked with the clock mutex held; must not block
-	idx  int    // heap index, -1 once popped/removed
+	pos  int    // heap index + 1; 0 while not in the heap
 }
 
 type timerHeap []*simTimer
@@ -451,22 +458,22 @@ type timerHeap []*simTimer
 func (h timerHeap) Len() int { return len(h) }
 
 func (h timerHeap) Less(i, j int) bool {
-	if !h[i].when.Equal(h[j].when) {
-		return h[i].when.Before(h[j].when)
+	if h[i].when != h[j].when {
+		return h[i].when < h[j].when
 	}
 	return h[i].seq < h[j].seq
 }
 
 func (h timerHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+	h[i].pos = i + 1
+	h[j].pos = j + 1
 }
 
 func (h *timerHeap) Push(x any) {
 	t := x.(*simTimer)
-	t.idx = len(*h)
 	*h = append(*h, t)
+	t.pos = len(*h)
 }
 
 func (h *timerHeap) Pop() any {
@@ -474,7 +481,7 @@ func (h *timerHeap) Pop() any {
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
-	t.idx = -1
+	t.pos = 0
 	*h = old[:n-1]
 	return t
 }

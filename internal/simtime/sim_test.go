@@ -315,12 +315,3 @@ func TestSimSequentialRuns(t *testing.T) {
 		t.Fatalf("after 3 runs elapsed %v, want 3h", got)
 	}
 }
-
-func BenchmarkSimSleepEventThroughput(b *testing.B) {
-	c := NewSimDefault()
-	c.Run(func() {
-		for i := 0; i < b.N; i++ {
-			c.Sleep(time.Minute)
-		}
-	})
-}

@@ -15,6 +15,15 @@ go build ./...
 echo '== go test -race ./...'
 go test -race ./...
 
+# A slice of `make flake` (the whole of it is nightly CI): the clock the
+# scheduler stands on, the timer-driven hand-off tests, and the recovery
+# determinism test that was tier-1's flake until it was pinned to one
+# shard x one worker (DESIGN.md, "Scheduler architecture", Determinism).
+echo '== flake pass: simtime, scheduler hand-off, recovery determinism (-race, repeated)'
+go test -race -count=20 ./internal/simtime
+go test -race -count=20 -run 'TestSchedulerActorsPerDuePoll|TestPollHeapRandomised|TestLeaveLastPendingPollQuiesces|TestRemovedAfterAdmissionRefundsBudget' ./internal/engine
+go test -race -count=50 -run 'TestStoreRecoveryDeterministic' ./internal/durable
+
 # The kill-and-rebalance soak is the cluster tier's handoff invariant
 # (no applet+event pair executes twice, none lost) under -race with
 # polls, pushes, node death, and snapshot migration racing. It already
@@ -48,8 +57,21 @@ go test -run '^$' -fuzz '^FuzzPushBatchDecode$' -fuzztime=10s ./internal/proto/
 # and to within ten objects under one P. Pinned, the instrument repeats
 # to 0.1 % and the test checks the engine again; concurrency is the race
 # suite's to cover. Numbers: EXPERIMENTS.md, "Smoke-test repeatability".
+#
+# TestSeedReproduces runs first, in a process of its own, and gates like
+# the rest. Pinning removes the spread between Ps; what is left is where
+# the window's edges fall in the spans the one P holds, up to +-350
+# objects. Same-seed runs allocate the same objects in the same order,
+# so in a fresh process the edges fall alike and the counter repeats to
+# 0.05 % (13.492-13.493 then 13.485-13.487 allocs/op, 0 failures in 82
+# runs). After the real-clock smoke workloads have left the spans at a
+# wall-clock-dependent fill they do not, and +-350 is 2.5 % of the 25 K
+# objects a smoke-size poll_hot window allocates since PR 13 (it was
+# 0.5 % of 73 K): in the suite's order the 1 % band trips one run in
+# four, on the counter, not on the engine (EXPERIMENTS.md, PR 13).
 echo '== benchmark smoke test (go -C bench test ./...)'
-GOMAXPROCS=1 GOGC=off go -C bench test ./...
+GOMAXPROCS=1 GOGC=off go -C bench test -run '^TestSeedReproduces$' ./...
+GOMAXPROCS=1 GOGC=off go -C bench test -skip '^TestSeedReproduces$' ./...
 
 echo '== engine scale benchmarks (short)'
 go test -run '^$' -bench 'EngineScaleInstall|EngineScale100K|HintRouting|EngineEventThroughput|EngineChaosResilience' \
