@@ -273,7 +273,7 @@ func pollsByMarker(e *Engine, marker string) int64 {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		for _, sub := range sh.subs {
-			if sub.trigger.Fields["n"] == marker {
+			if sub.members[0].triggerFields["n"] == marker {
 				n += sub.pollCount
 			}
 		}

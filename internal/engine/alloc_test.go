@@ -153,6 +153,17 @@ func allocRig(t *testing.T, d *cannedDoer, conds ...Condition) (*Engine, *runnin
 	return e, e.applets["a1"]
 }
 
+// pollOnce polls sub the way a shard worker does, minus the scheduling.
+func pollOnce(e *Engine, sub *subscription) (ok bool, fresh int) {
+	sub.shard.mu.Lock()
+	dec := borrowDecoder(sub)
+	auth, body := sub.blob[:sub.authLen], sub.blob[sub.authLen:]
+	sub.shard.mu.Unlock()
+	ok, fresh = e.pollSubscription(dec, time.Time{}, auth, body)
+	dec.release()
+	return ok, fresh
+}
+
 func benchEvent(b []byte, seq int) []byte {
 	b = append(b, `{"eid":"1234.`...)
 	b = strconv.AppendInt(b, int64(seq), 10)
@@ -163,9 +174,10 @@ func benchEvent(b []byte, seq int) []byte {
 
 // TestPollOneFreshOfTwentyAllocs is the hot-poll steady state the wire
 // codec exists for: a service re-serving its 20-event buffer, of which
-// the applet has executed 19. The 19 must cost nothing; the bound is the
-// measured cost of the request shell plus building the one fresh event
-// (its condition then skips the action, which has its own guard), + 2.
+// the applet has executed 19. The 19 must cost nothing, and neither does
+// the request (pooled scratch); the bound is the measured cost of the
+// Doer's response plus building the one fresh event (its condition then
+// skips the action, which has its own guard), 7, + 2.
 func TestPollOneFreshOfTwentyAllocs(t *testing.T) {
 	const runs = 200
 	d := &cannedDoer{}
@@ -183,26 +195,27 @@ func TestPollOneFreshOfTwentyAllocs(t *testing.T) {
 	for seq := 0; seq < 19; seq++ {
 		ra.dedup.Add("1234." + strconv.Itoa(seq))
 	}
-	members := []*runningApplet{ra}
 	poll := func() {
-		if ok, fresh := e.pollSubscription(ra.sub, time.Time{}, members, ra.sub.prep); !ok || fresh != 1 {
+		if ok, fresh := pollOnce(e, ra.sub); !ok || fresh != 1 {
 			t.Fatalf("poll ok=%v fresh=%d, want one fresh event", ok, fresh)
 		}
 	}
 	poll() // warm the pools and the intern table
 	allocs := testing.AllocsPerRun(runs, poll)
 	t.Logf("20-event poll, 19 remembered: %.1f allocs/op", allocs)
-	if allocs > 12 {
-		t.Errorf("20-event poll with 19 remembered allocates %.1f/op, want <= 12", allocs)
+	if allocs > 9 {
+		t.Errorf("20-event poll with 19 remembered allocates %.1f/op, want <= 9", allocs)
 	}
 	if st := e.Stats(); st.ConditionSkips != runs+2 || st.ActionsOK != 0 {
 		t.Errorf("stats %+v: every poll should have surfaced exactly one (skipped) event", st)
 	}
 }
 
-// TestDispatchActionAllocs bounds one action execution: body rendered
-// into pooled scratch, cached endpoint, header and request shell, ack
-// checked without decoding. Measured + 2.
+// TestDispatchActionAllocs bounds one action execution: credential and
+// body rendered into pooled scratch and copied out as one string, the
+// request assembled in pooled scratch around the interned endpoint, ack
+// checked without decoding; the other two are the Doer's response.
+// Measured 3, + 2.
 func TestDispatchActionAllocs(t *testing.T) {
 	d := &cannedDoer{ack: []byte(`{"data":[{"id":"ok"}]}`)}
 	e, ra := allocRig(t, d)
@@ -210,11 +223,12 @@ func TestDispatchActionAllocs(t *testing.T) {
 		Ingredients: map[string]string{"eid": "1234.5", "at": "1490400000000000000"},
 		Meta:        proto.EventMeta{ID: "1234.5", Timestamp: 1490400000},
 	}
-	e.dispatchAction(ra, ev, 1)
-	allocs := testing.AllocsPerRun(200, func() { e.dispatchAction(ra, ev, 1) })
+	dec := new(pollDecoder)
+	e.dispatchAction(dec, ra, ev, 1)
+	allocs := testing.AllocsPerRun(200, func() { e.dispatchAction(dec, ra, ev, 1) })
 	t.Logf("dispatchAction: %.1f allocs/op", allocs)
-	if allocs > 11 {
-		t.Errorf("dispatchAction allocates %.1f/op, want <= 11", allocs)
+	if allocs > 5 {
+		t.Errorf("dispatchAction allocates %.1f/op, want <= 5", allocs)
 	}
 	if st := e.Stats(); st.ActionsOK != 202 || st.ActionsFailed != 0 {
 		t.Errorf("stats %+v: every dispatch should have been acknowledged", st)

@@ -1,11 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/httpx"
@@ -23,12 +20,12 @@ import (
 // the execution shares one freshly drawn ExecID, and per-applet
 // provenance rides on the action/skip events' AppletID.
 //
-// members and prep are the worker's snapshot, taken under the shard
-// lock; the subscription's scratch buffers (fresh slice, ranges) are
-// owned by this worker for the duration — a subscription is never
-// polled concurrently. The response itself is never held as a value:
-// a pooled pollDecoder scans it in the HTTP client's read buffer and
-// builds only the events some member has not seen (see collectFresh).
+// dec carries the worker's snapshot of the subscription, taken under the
+// shard lock together with auth and body (the two halves of sub.blob),
+// and is the poll's response target: the response is never held as a
+// value, the decoder scans it in the HTTP client's read buffer and
+// builds only the events some member has not seen (see collectFresh). A
+// subscription is never polled concurrently.
 //
 // The first return value reports whether the poll itself succeeded (a
 // 200 with a decodable body); the worker feeds it to the backoff/
@@ -37,11 +34,12 @@ import (
 // of events new to the subscription — the lead member's fresh events,
 // so late joiners replaying their backlog do not inflate it — which
 // the worker feeds to the adaptive EWMA.
-func (e *Engine) pollSubscription(sub *subscription, hintAt time.Time, members []*runningApplet, prep *httpx.Prepared) (bool, int) {
+func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body string) (bool, int) {
+	sub, members := dec.sub, dec.members
 	sh := sub.shard
-	leadID := members[0].def.ID
+	leadID := members[0].id
 	execID := e.execSeq.Add(1)
-	e.emit(sh, TraceEvent{Kind: TracePollSent, AppletID: leadID, Service: sub.trigger.Service, ExecID: execID, HintAt: hintAt})
+	e.emit(sh, TraceEvent{Kind: TracePollSent, AppletID: leadID, Service: sub.ep.ref.Service, ExecID: execID, HintAt: hintAt})
 	if n := len(members) - 1; n > 0 {
 		sh.counters.pollsCoalesced.Add(int64(n))
 	}
@@ -49,35 +47,7 @@ func (e *Engine) pollSubscription(sub *subscription, hintAt time.Time, members [
 		e.fanout.Observe(float64(len(members)))
 	}
 
-	sub.fresh, sub.ranges = sub.fresh[:0], sub.ranges[:0]
-	dec := pollDecoders.Get().(*pollDecoder)
-	dec.sub, dec.members = sub, members
-	var status int
-	var err error
-	if prep != nil {
-		status, err = e.client.DoPrepared(prep, dec)
-	} else {
-		// Fallback for triggers whose base URL failed to parse into a
-		// prototype at install time.
-		a := &members[0].def
-		req := proto.TriggerPollRequest{
-			TriggerIdentity: sub.key,
-			TriggerFields:   a.Trigger.Fields,
-			User:            proto.UserInfo{ID: a.UserID},
-			Source:          proto.Source{ID: a.ID},
-		}
-		if e.pollLimit > 0 {
-			limit := e.pollLimit
-			req.Limit = &limit
-		}
-		status, err = e.client.DoJSON("POST",
-			proto.TriggerURL(a.Trigger.BaseURL, a.Trigger.Slug), req, dec,
-			httpx.WithHeader(proto.ServiceKeyHeader, a.Trigger.ServiceKey),
-			httpx.WithHeader("Authorization", "Bearer "+a.Trigger.UserToken),
-		)
-	}
-	dec.release()
-	pollDecoders.Put(dec)
+	status, err := e.client.DoEndpoint(sub.ep.req, auth, body, dec)
 	if err != nil || status != http.StatusOK {
 		// status 0 means no attempt ever got an HTTP response (pure
 		// transport failure); anything else is the endpoint answering
@@ -99,65 +69,110 @@ func (e *Engine) pollSubscription(sub *subscription, hintAt time.Time, members [
 		return false, 0
 	}
 
-	// The decoder left each member's unseen events in sub.fresh, member
-	// by member (empty when the 200 carried no body).
-	fresh, ranges := sub.fresh, sub.ranges
+	// The decoder holds each member's unseen events, member by member
+	// (none when the 200 carried no body).
 	newEvents := 0
-	if len(ranges) > 0 {
-		newEvents = ranges[0].end - ranges[0].start
+	if len(dec.ranges) > 0 {
+		newEvents = dec.ranges[0].end - dec.ranges[0].start
 	}
-
 	// Checkpoint the dedup delta before any action dispatches: after a
 	// crash these events replay as already-seen, so an action issued
 	// below can never be issued again by the recovered engine.
-	if e.journal != nil && len(fresh) > 0 {
-		e.journalCheckpoint(sub, fresh, ranges)
+	if e.journal != nil && len(dec.fresh) > 0 {
+		e.journalCheckpoint(dec)
 	}
-	e.emit(sh, TraceEvent{Kind: TracePollResult, AppletID: leadID, ExecID: execID, N: len(fresh)})
-	if len(fresh) > 0 && e.dispatch > 0 {
-		e.clock.Sleep(e.dispatch)
-	}
-	for _, mr := range ranges {
-		a := &mr.ra.def
-		for _, ev := range fresh[mr.start:mr.end] {
-			if !conditionsAllow(a.Conditions, e.clock.Now(), ev.Ingredients) {
-				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: a.ID, ExecID: execID, EventID: ev.Meta.ID})
-				continue
-			}
-			e.dispatchAction(mr.ra, ev, execID)
-		}
-	}
+	e.emit(sh, TraceEvent{Kind: TracePollResult, AppletID: leadID, ExecID: execID, N: len(dec.fresh)})
+	e.dispatchFresh(dec, execID)
 	return true, newEvents
 }
 
-// pollDecoder is the response target of one trigger poll: an
-// httpx.BodyDecoder that scans the body where the client read it and
-// does the subscription's dedup before anything is materialised. It
-// carries no state between polls — it is pooled, not resident — beyond
-// the scanner's scratch and its interned ingredient keys.
+// dispatchFresh is the last part of an execution, poll or push alike:
+// the engine's dispatch delay, then for every member its fresh events in
+// order through conditions and the action path.
+func (e *Engine) dispatchFresh(dec *pollDecoder, execID uint64) {
+	fresh := dec.fresh
+	if len(fresh) == 0 {
+		return
+	}
+	if e.dispatch > 0 {
+		e.clock.Sleep(e.dispatch)
+	}
+	sh := dec.sub.shard
+	for _, mr := range dec.ranges {
+		for _, ev := range fresh[mr.start:mr.end] {
+			if !conditionsAllow(mr.ra.conditions, e.clock.Now(), ev.Ingredients) {
+				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: execID, EventID: ev.Meta.ID})
+				continue
+			}
+			e.dispatchAction(dec, mr.ra, ev, execID)
+		}
+	}
+}
+
+// pollDecoder is what one execution works in. For a poll it is the
+// response target: an httpx.BodyDecoder that scans the body where the
+// client read it and does the subscription's dedup before anything is
+// materialised. Poll or push, it holds the owner's membership snapshot
+// and the fresh events on their way to dispatch. Pooled, not resident:
+// between executions it keeps capacity and interned ingredient keys.
 type pollDecoder struct {
 	scan proto.EventScan
 	// built caches event i of the scan once some member needed it, so a
 	// coalesced subscription builds each event at most once.
-	built   []proto.TriggerEvent
+	built []proto.TriggerEvent
+	// The execution's subject, snapshotted under the shard lock.
 	sub     *subscription
 	members []*runningApplet
+	// fresh holds every member's unseen events back to back; ranges marks
+	// each member's share.
+	fresh  []proto.TriggerEvent
+	ranges []memberRange
+	// enc and buf are what each action request is rendered in.
+	enc proto.ActionEncoder
+	buf []byte
 }
 
-var pollDecoders = sync.Pool{New: func() any { return new(pollDecoder) }}
+// What a decoder keeps between executions is bounded: the event buffers
+// (a protocol-sized response holds at most proto.DefaultLimit events) and
+// the action-request buffer.
+const (
+	maxPooledBuilt = 4 * proto.DefaultLimit
+	maxPooledBody  = 64 << 10
+)
 
-// maxPooledBuilt bounds the build cache a decoder keeps between polls;
-// a protocol-sized response holds at most proto.DefaultLimit events.
-const maxPooledBuilt = 4 * proto.DefaultLimit
+// borrowDecoder takes a decoder for an execution of sub, with the
+// membership as it stands. Caller holds s.mu and has set sub.polling.
+func borrowDecoder(sub *subscription) *pollDecoder {
+	d := sub.shard.e.decoders.Get().(*pollDecoder)
+	d.sub, d.members = sub, append(d.members[:0], sub.members...)
+	return d
+}
 
-// release readies the decoder for its pool: no references to the poll
-// it served, no outsized scratch from a hostile body.
+// resetFresh empties the fresh-event buffer, dropping what it referenced.
+func (d *pollDecoder) resetFresh() {
+	clear(d.fresh)
+	clear(d.ranges)
+	d.fresh, d.ranges = d.fresh[:0], d.ranges[:0]
+}
+
+// release returns the decoder to its pool: no references to the
+// execution it served, no outsized scratch from a hostile body.
 func (d *pollDecoder) release() {
-	d.sub, d.members = nil, nil
+	e := d.sub.shard.e
+	d.resetFresh()
+	clear(d.members[:cap(d.members)])
+	d.sub = nil
 	d.scan.Release()
 	if cap(d.built) > maxPooledBuilt {
 		d.built = nil
 	}
+	if cap(d.fresh) > maxPooledBuilt {
+		d.fresh = nil
+	}
+	if cap(d.buf) > maxPooledBody {
+		d.buf, d.enc = nil, proto.ActionEncoder{}
+	}
+	e.decoders.Put(d)
 }
 
 // DecodeBody validates the whole response first — a malformed body
@@ -185,13 +200,14 @@ func (d *pollDecoder) DecodeBody(status int, body []byte) error {
 // — members cannot be polled through another subscription, and a
 // removed member's ring is never touched again after this poll.
 func (d *pollDecoder) collectFresh() {
-	sub, scan := d.sub, &d.scan
+	scan := &d.scan
 	n := scan.Len()
 	if cap(d.built) < n {
 		d.built = make([]proto.TriggerEvent, n)
 	}
 	built := d.built[:n]
-	fresh, ranges := sub.fresh[:0], sub.ranges[:0]
+	d.resetFresh()
+	fresh, ranges := d.fresh, d.ranges
 	for _, ra := range d.members {
 		start := len(fresh)
 		for i := n - 1; i >= 0; i-- {
@@ -209,72 +225,22 @@ func (d *pollDecoder) collectFresh() {
 		ranges = append(ranges, memberRange{ra: ra, start: start, end: len(fresh)})
 	}
 	clear(built)
-	sub.fresh, sub.ranges = fresh, ranges
+	d.fresh, d.ranges = fresh, ranges
 }
 
-// actionEndpoint is what every execution of one action shares: the
-// parsed URL and the service-key header value. Cached engine-wide by
-// (base URL, slug, key) — a handful per partner service, not one per
-// applet.
-type actionEndpoint struct {
-	url *url.URL
-	key []string
-}
-
-type actionKey struct{ baseURL, slug, serviceKey string }
-
-// maxActionEndpoints bounds the endpoint cache; past it, endpoints are
-// parsed per execution rather than remembered.
-const maxActionEndpoints = 4096
-
-func (e *Engine) actionEndpoint(ref *ServiceRef) (*actionEndpoint, error) {
-	k := actionKey{ref.BaseURL, ref.Slug, ref.ServiceKey}
-	e.epMu.RLock()
-	ep := e.endpoints[k]
-	e.epMu.RUnlock()
-	if ep != nil {
-		return ep, nil
-	}
-	raw := proto.ActionURL(ref.BaseURL, ref.Slug)
-	u, err := url.Parse(raw)
-	if err != nil {
-		return nil, fmt.Errorf("POST %s: %w", raw, err)
-	}
-	ep = &actionEndpoint{url: u, key: []string{ref.ServiceKey}}
-	e.epMu.Lock()
-	if len(e.endpoints) < maxActionEndpoints {
-		if e.endpoints == nil {
-			e.endpoints = make(map[actionKey]*actionEndpoint)
-		}
-		e.endpoints[k] = ep
-	}
-	e.epMu.Unlock()
-	return ep, nil
-}
-
-// Header values shared by every action request; read-only, like the
-// header maps httpx.Prepared shares.
-var (
-	serviceKeyHeader = http.CanonicalHeaderKey(proto.ServiceKeyHeader)
-	jsonContentType  = []string{"application/json; charset=utf-8"}
-	acceptJSON       = []string{"application/json"}
-)
-
-// actionScratch holds what one action execution renders into.
-type actionScratch struct {
-	enc  proto.ActionEncoder
-	prep httpx.Prepared
-}
-
-var actionScratches = sync.Pool{New: func() any { return new(actionScratch) }}
-
-// actionBody renders the ActionRequest for a executing on an event
-// with the given ingredients — {{ingredient}} placeholders resolved —
-// byte for byte what json.Encoder wrote for the request struct.
-func actionBody(sc *actionScratch, a *Applet, ingredients map[string]string) []byte {
-	return sc.enc.Encode(a.Action.Fields, func(dst []byte, tmpl string) []byte {
+// actionRequest renders what an action request carries beyond its
+// endpoint, in one string: ra's bearer credential, then the ActionRequest
+// for ra executing on an event with the given ingredients —
+// {{ingredient}} placeholders resolved — as json.Encoder wrote it.
+func (d *pollDecoder) actionRequest(ra *runningApplet, ingredients map[string]string) (auth, body string) {
+	b := append(append(d.buf[:0], "Bearer "...), ra.actionToken...)
+	n := len(b)
+	b = d.enc.Append(b, ra.actionFields, func(dst []byte, tmpl string) []byte {
 		return appendExpanded(dst, tmpl, ingredients)
-	}, a.UserID, a.ID)
+	}, ra.user, ra.id)
+	d.buf = b
+	s := string(b)
+	return s[:n], s[n:]
 }
 
 // actionAck is the response target of an action request. The engine
@@ -286,26 +252,13 @@ func (actionAck) DecodeBody(_ int, body []byte) error { return proto.ValidateAct
 
 // dispatchAction POSTs one action execution, resolving {{ingredient}}
 // placeholders in the action fields from the trigger event.
-func (e *Engine) dispatchAction(ra *runningApplet, ev proto.TriggerEvent, execID uint64) {
-	a := &ra.def
+func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev proto.TriggerEvent, execID uint64) {
 	eventTime := ev.Meta.Time()
 	sh := ra.sub.shard
-	e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: a.ID, ExecID: execID, EventID: ev.Meta.ID, EventTime: eventTime})
+	e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID, EventTime: eventTime})
 
-	var status int
-	ep, err := e.actionEndpoint(&a.Action)
-	if err == nil {
-		sc := actionScratches.Get().(*actionScratch)
-		sc.prep = httpx.PreparedFrom("POST", ep.url, http.Header{
-			"Content-Type":   jsonContentType,
-			"Accept":         acceptJSON,
-			serviceKeyHeader: ep.key,
-			"Authorization":  {"Bearer " + a.Action.UserToken},
-		}, actionBody(sc, a, ev.Ingredients))
-		status, err = e.client.DoPrepared(&sc.prep, actionAck{})
-		sc.prep = httpx.Prepared{}
-		actionScratches.Put(sc)
-	}
+	auth, body := dec.actionRequest(ra, ev.Ingredients)
+	status, err := e.client.DoEndpoint(ra.action.req, auth, body, actionAck{})
 	if err != nil || status != http.StatusOK {
 		if status == 0 {
 			sh.counters.actionErrTransport.Add(1)
@@ -316,13 +269,13 @@ func (e *Engine) dispatchAction(ra *runningApplet, ev proto.TriggerEvent, execID
 		if err != nil {
 			msg = err.Error()
 		}
-		e.emit(sh, TraceEvent{Kind: TraceActionFailed, AppletID: a.ID, ExecID: execID, EventID: ev.Meta.ID, Err: msg})
+		e.emit(sh, TraceEvent{Kind: TraceActionFailed, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID, Err: msg})
 		if e.log != nil {
-			e.log.Warn("action failed", "applet", a.ID, "err", msg)
+			e.log.Warn("action failed", "applet", ra.id, "err", msg)
 		}
 		return
 	}
-	e.emit(sh, TraceEvent{Kind: TraceActionAcked, AppletID: a.ID, ExecID: execID, EventID: ev.Meta.ID})
+	e.emit(sh, TraceEvent{Kind: TraceActionAcked, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID})
 }
 
 // deleteUpstream tells the trigger service a subscription is gone (the
@@ -335,10 +288,10 @@ func (e *Engine) deleteUpstream(sub *subscription) {
 		// is about to be discarded anyway.
 		return
 	}
-	url := fmt.Sprintf("%s%s%s/trigger_identity/%s",
-		sub.trigger.BaseURL, proto.TriggersPath, sub.trigger.Slug, sub.key)
+	ref := &sub.ep.ref
+	url := proto.TriggerURL(ref.BaseURL, ref.Slug) + "/trigger_identity/" + sub.key
 	status, err := e.client.DoJSON("DELETE", url, nil, nil,
-		httpx.WithHeader(proto.ServiceKeyHeader, sub.trigger.ServiceKey))
+		httpx.WithHeader(proto.ServiceKeyHeader, ref.ServiceKey))
 	if (err != nil || status >= 300) && e.log != nil {
 		e.log.Warn("subscription delete failed", "identity", sub.key, "status", status, "err", err)
 	}
@@ -428,13 +381,9 @@ func (e *Engine) ApplyHint(hint proto.RealtimeHint) {
 	var nApplets int
 	switch {
 	case hint.TriggerIdentity != "":
-		for _, sh := range e.shards {
-			if sub, first, members := sh.byIdentity(hint.TriggerIdentity); sub != nil {
-				targets = append(targets, sub)
-				firstID = first
-				nApplets = members
-				break
-			}
+		var sub *subscription
+		if sub, firstID, nApplets = e.byIdentity(hint.TriggerIdentity); sub != nil {
+			targets = append(targets, sub)
 		}
 	case hint.UserID != "":
 		// A user-scoped hint covers every applet of that user.
@@ -446,7 +395,7 @@ func (e *Engine) ApplyHint(hint proto.RealtimeHint) {
 	}
 	e.emit(nil, ev)
 	for _, sub := range targets {
-		if e.realtime == nil || !e.realtime[sub.trigger.Service] {
+		if e.realtime == nil || !e.realtime[sub.ep.ref.Service] {
 			continue // hint ignored
 		}
 		sub := sub
@@ -497,7 +446,7 @@ func (e *Engine) pokeSubscription(sub *subscription) {
 		// would let the next EWMA update decay the spike across the
 		// whole pre-hint silence, erasing it.
 		sub.rate = ap.boost
-		sub.rateAt = e.clock.Now()
+		sub.rateAt = e.sinceEpoch(e.clock.Now())
 	}
 	sh.pokeLocked(sub, e.clock.Now())
 	sh.mu.Unlock()

@@ -22,10 +22,9 @@ package engine
 
 import (
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,10 +73,8 @@ type Applet struct {
 // configuration, so distinct applets — even with identical triggers —
 // poll distinct subscriptions, as the paper observed.
 func (a *Applet) TriggerIdentity() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s", a.ID, a.Trigger.BaseURL, a.Trigger.Slug)
-	a.hashTriggerFields(h)
-	return fmt.Sprintf("ti-%016x", h.Sum64())
+	h := fnvJoin(fnvJoin(fnvOffset64, 0, a.ID), '|', a.Trigger.BaseURL, a.Trigger.Slug)
+	return identity("ti-", a.hashTriggerFields(h))
 }
 
 // CoalescedTriggerIdentity is the subscription key used when poll
@@ -88,24 +85,57 @@ func (a *Applet) TriggerIdentity() string {
 // user*, and coalescing across credentials would leak one user's events
 // into another's applets.
 func (a *Applet) CoalescedTriggerIdentity() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%s|%s|%s", a.Trigger.Service, a.Trigger.BaseURL,
+	h := fnvJoin(fnvJoin(fnvOffset64, 0, a.Trigger.Service), '|', a.Trigger.BaseURL,
 		a.Trigger.Slug, a.Trigger.ServiceKey, a.UserID, a.Trigger.UserToken)
-	a.hashTriggerFields(h)
-	return fmt.Sprintf("ci-%016x", h.Sum64())
+	return identity("ci-", a.hashTriggerFields(h))
+}
+
+// Identities are FNV-64a over the parts joined by '|', then "|k=v" per
+// trigger field, hashed in place. They are on the wire, in WAL records
+// and in snapshots, so the bytes hashed may never change.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvJoin folds each part into h, sep (unless 0) before it.
+func fnvJoin(h uint64, sep byte, parts ...string) uint64 {
+	for _, p := range parts {
+		if sep != 0 {
+			h = (h ^ uint64(sep)) * fnvPrime64
+		}
+		for i := 0; i < len(p); i++ {
+			h = (h ^ uint64(p[i])) * fnvPrime64
+		}
+	}
+	return h
 }
 
 // hashTriggerFields folds the trigger's field map into h in sorted key
 // order, so identity hashes are stable across map iteration order.
-func (a *Applet) hashTriggerFields(h interface{ Write([]byte) (int, error) }) {
-	keys := make([]string, 0, len(a.Trigger.Fields))
+func (a *Applet) hashTriggerFields(h uint64) uint64 {
+	var arr [8]string
+	keys := arr[:0]
 	for k := range a.Trigger.Fields {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		fmt.Fprintf(h, "|%s=%s", k, a.Trigger.Fields[k])
+		h = fnvJoin(fnvJoin(h, '|', k), '=', a.Trigger.Fields[k])
 	}
+	return h
+}
+
+// identity is prefix followed by h as sixteen hex digits.
+func identity(prefix string, h uint64) string {
+	const hex = "0123456789abcdef"
+	var b [19]byte
+	n := copy(b[:], prefix)
+	for i := n + 15; i >= n; i-- {
+		b[i] = hex[h&0xf]
+		h >>= 4
+	}
+	return string(b[:n+16])
 }
 
 // TraceKind labels engine trace events.
@@ -383,10 +413,14 @@ type Engine struct {
 	retiredQ []string
 	retCap   int
 
-	// endpoints caches what the executions of one action share (parsed
-	// URL, service-key header value); see actionEndpoint.
-	epMu      sync.RWMutex
-	endpoints map[actionKey]*actionEndpoint
+	// endpoints interns what every request to one trigger or action
+	// shares (endpoint.go); epMu is a leaf lock.
+	epMu      sync.Mutex
+	endpoints map[endpointKey]*endpoint
+	// decoders pools execution scratch (pollDecoder), per engine so that
+	// a new engine starts with none; behind a pointer because the runtime
+	// keeps a used Pool reachable for two collections.
+	decoders *sync.Pool
 
 	shards  []*shard
 	stopped atomic.Bool
@@ -486,13 +520,39 @@ type Stats struct {
 
 // runningApplet is one installed applet's execution state. Scheduling
 // lives on the subscription it belongs to; the applet keeps what cannot
-// be shared — its definition and its dedup window. sub is set once at
-// install (under the shard lock) and immutable after; dedup is touched
-// only by the single worker polling the subscription.
+// be shared — its dedup window and its definition, minus the strings on
+// the two interned endpoints (applet rebuilds the public form). sub is
+// set once at install (under the shard lock) and immutable after; dedup
+// is touched only by the single worker polling the subscription.
 type runningApplet struct {
-	def   Applet
-	sub   *subscription
-	dedup dedupRing
+	id, name, user              string
+	trigger, action             *endpoint
+	triggerToken, actionToken   string
+	triggerFields, actionFields map[string]string
+	conditions                  []Condition
+	sub                         *subscription
+	dedup                       dedupRing
+}
+
+func (e *Engine) newRunningApplet(a *Applet, dedup dedupRing) *runningApplet {
+	return &runningApplet{
+		id: a.ID, name: a.Name, user: a.UserID,
+		trigger: e.endpointFor(&a.Trigger, false), action: e.endpointFor(&a.Action, true),
+		triggerToken: a.Trigger.UserToken, actionToken: a.Action.UserToken,
+		triggerFields: a.Trigger.Fields, actionFields: a.Action.Fields,
+		conditions: a.Conditions,
+		dedup:      dedup,
+	}
+}
+
+// applet is the definition ra was installed from.
+func (ra *runningApplet) applet() Applet {
+	return Applet{
+		ID: ra.id, Name: ra.name, UserID: ra.user,
+		Trigger:    ra.trigger.serviceRef(ra.triggerFields, ra.triggerToken),
+		Action:     ra.action.serviceRef(ra.actionFields, ra.actionToken),
+		Conditions: ra.conditions,
+	}
 }
 
 // New creates an engine. It panics if required config is missing.
@@ -543,6 +603,8 @@ func New(cfg Config) *Engine {
 		coalesce:  cfg.Coalesce,
 		applets:   make(map[string]*runningApplet),
 		byUser:    make(map[string]map[string]*runningApplet),
+		endpoints: make(map[endpointKey]*endpoint),
+		decoders:  &sync.Pool{New: func() any { return new(pollDecoder) }},
 		journal:   cfg.Journal,
 	}
 	switch {
@@ -783,7 +845,7 @@ func (e *Engine) Install(a Applet) error {
 	if a.ID == "" {
 		return fmt.Errorf("engine: applet ID required")
 	}
-	ra := &runningApplet{def: a, dedup: newDedupRing(e.dedupCap)}
+	ra := e.newRunningApplet(&a, newDedupRing(e.dedupCap))
 	key := e.subscriptionKey(&a)
 	// Without coalescing, subscriptions shard by applet ID — the exact
 	// placement (and therefore RNG stream assignment) of the
@@ -862,10 +924,10 @@ func (e *Engine) Remove(id string) {
 		}
 	}
 	delete(e.applets, id)
-	if u := e.byUser[ra.def.UserID]; u != nil {
+	if u := e.byUser[ra.user]; u != nil {
 		delete(u, id)
 		if len(u) == 0 {
-			delete(e.byUser, ra.def.UserID)
+			delete(e.byUser, ra.user)
 		}
 	}
 	sub := ra.sub
@@ -878,7 +940,8 @@ func (e *Engine) Remove(id string) {
 	// hand retention to the owner's release path instead of snapshotting
 	// a ring that is mid-write.
 	if sub.polling {
-		sub.retire = append(sub.retire, ra)
+		p := sub.park()
+		p.retire = append(p.retire, ra)
 	} else {
 		e.retainDedup(ra)
 	}

@@ -18,7 +18,7 @@
 // polling flag is claimed (under the shard lock) before dispatching, so
 // a push execution and a poll never run concurrently for one
 // subscription. Deliveries that find the flag taken park on
-// sub.pushPending and the current owner drains them before releasing —
+// sub.parked and the current owner drains them before releasing —
 // nothing accepted into a queue is ever silently lost.
 package engine
 
@@ -76,13 +76,7 @@ func (e *Engine) PushDeliveries(ds []proto.PushDelivery) proto.PushResponse {
 			resp.Rejected += len(d.Events)
 			continue
 		}
-		var sub *subscription
-		for _, sh := range e.shards {
-			if s, _, _ := sh.byIdentity(d.TriggerIdentity); s != nil {
-				sub = s
-				break
-			}
-		}
+		sub, _, _ := e.byIdentity(d.TriggerIdentity)
 		if sub == nil {
 			resp.Unmatched += len(d.Events)
 			continue
@@ -133,8 +127,8 @@ func (s *shard) deliverPush(batch []pushItem) {
 }
 
 // execPush claims the subscription and dispatches one push delivery,
-// then drains whatever parked on pushPending meanwhile. Runs on the
-// shard's single ingress consumer.
+// then drains whatever parked meanwhile. Runs on the shard's single
+// ingress consumer.
 func (s *shard) execPush(sub *subscription, events []proto.TriggerEvent, at time.Time) {
 	s.mu.Lock()
 	if sub.removed || s.stopped {
@@ -144,46 +138,53 @@ func (s *shard) execPush(sub *subscription, events []proto.TriggerEvent, at time
 	if sub.polling {
 		// A poll worker (or an earlier push still draining) owns the
 		// subscription; park the delivery for the owner to drain.
-		sub.pushPending = append(sub.pushPending, pendingPush{events: events, at: at})
+		p := sub.park()
+		p.push = append(p.push, pendingPush{events: events, at: at})
 		s.mu.Unlock()
 		return
 	}
 	sub.polling = true
-	members := append(sub.snap[:0], sub.members...)
+	dec := borrowDecoder(sub)
 	s.mu.Unlock()
 
-	s.e.dispatchPush(sub, members, events, at)
+	s.e.dispatchPush(dec, events, at)
 
 	s.mu.Lock()
-	sub.snap = members
-	s.drainPushPendingLocked(sub)
+	s.drainPushPendingLocked(dec)
+	dec.release()
 	s.mu.Unlock()
 }
 
-// drainPushPendingLocked dispatches every delivery parked on sub while
-// the caller owned it, then releases the polling flag. Caller holds
-// s.mu and owns sub (sub.polling == true); the lock is dropped around
-// each dispatch round. Both release paths — poll worker and push
-// consumer — funnel through here so the flag can never leak set.
-func (s *shard) drainPushPendingLocked(sub *subscription) {
-	for len(sub.pushPending) > 0 && !sub.removed && !s.stopped {
-		pend := sub.pushPending
-		sub.pushPending = nil
-		members := append(sub.snap[:0], sub.members...)
+// drainPushPendingLocked dispatches every delivery parked on dec's
+// subscription while the caller owned it, then releases the polling
+// flag. Caller holds s.mu and owns the subscription (sub.polling ==
+// true); the lock is dropped around each dispatch round. Both release
+// paths — poll worker and push consumer — funnel through here so the
+// flag can never leak set.
+func (s *shard) drainPushPendingLocked(dec *pollDecoder) {
+	sub := dec.sub
+	for sub.parked != nil && len(sub.parked.push) > 0 && !sub.removed && !s.stopped {
+		pend := sub.parked.push
+		sub.parked.push = nil
+		dec.members = append(dec.members[:0], sub.members...)
 		s.mu.Unlock()
 		for _, p := range pend {
-			s.e.dispatchPush(sub, members, p.events, p.at)
+			s.e.dispatchPush(dec, p.events, p.at)
 		}
 		s.mu.Lock()
-		sub.snap = members
 	}
-	// Members removed while this execution owned the subscription have
-	// final rings now: retain their dedup windows for reinstallation
-	// before anyone else can claim the flag.
-	for _, ra := range sub.retire {
-		s.e.retainDedup(ra)
+	if p := sub.parked; p != nil {
+		// Members removed while this execution owned the subscription
+		// have final rings now: retain their dedup windows for
+		// reinstallation before anyone else can claim the flag.
+		for _, ra := range p.retire {
+			s.e.retainDedup(ra)
+		}
+		p.retire = nil
+		if len(p.push) == 0 { // else left for a detach to carry away
+			sub.parked = nil
+		}
 	}
-	sub.retire = nil
 	sub.polling = false
 }
 
@@ -192,16 +193,14 @@ func (s *shard) drainPushPendingLocked(sub *subscription) {
 // against the same rings the poll path uses (exactly-once across
 // paths), the engine's dispatch delay, conditions, and the shared
 // action path. events arrive oldest first, so unlike the poll wire no
-// reversal is needed. The caller owns the subscription, so the scratch
-// buffers are safe to reuse.
-func (e *Engine) dispatchPush(sub *subscription, members []*runningApplet, events []proto.TriggerEvent, at time.Time) {
-	sh := sub.shard
-	leadID := members[0].def.ID
+// reversal is needed. The caller owns the subscription dec carries.
+func (e *Engine) dispatchPush(dec *pollDecoder, events []proto.TriggerEvent, at time.Time) {
+	sub := dec.sub
 	execID := e.execSeq.Add(1)
 
-	fresh := sub.fresh[:0]
-	ranges := sub.ranges[:0]
-	for _, ra := range members {
+	dec.resetFresh()
+	fresh, ranges := dec.fresh, dec.ranges
+	for _, ra := range dec.members {
 		start := len(fresh)
 		for _, ev := range events {
 			if ev.Meta.ID == "" || !ra.dedup.Add(ev.Meta.ID) {
@@ -211,11 +210,10 @@ func (e *Engine) dispatchPush(sub *subscription, members []*runningApplet, event
 		}
 		ranges = append(ranges, memberRange{ra: ra, start: start, end: len(fresh)})
 	}
-	sub.fresh = fresh
-	sub.ranges = ranges
+	dec.fresh, dec.ranges = fresh, ranges
 
-	e.emit(sh, TraceEvent{Kind: TracePushDispatch, AppletID: leadID,
-		Service: sub.trigger.Service, ExecID: execID, N: len(fresh), IngestAt: at})
+	e.emit(sub.shard, TraceEvent{Kind: TracePushDispatch, AppletID: dec.members[0].id,
+		Service: sub.ep.ref.Service, ExecID: execID, N: len(fresh), IngestAt: at})
 	if len(fresh) == 0 {
 		return
 	}
@@ -223,22 +221,10 @@ func (e *Engine) dispatchPush(sub *subscription, members []*runningApplet, event
 	// crashed engine never re-executes an event an action was issued
 	// for, whichever path delivered it.
 	if e.journal != nil {
-		e.journalCheckpoint(sub, fresh, ranges)
+		e.journalCheckpoint(dec)
 	}
 	if e.fanout != nil {
-		e.fanout.Observe(float64(len(members)))
+		e.fanout.Observe(float64(len(dec.members)))
 	}
-	if e.dispatch > 0 {
-		e.clock.Sleep(e.dispatch)
-	}
-	for _, mr := range ranges {
-		a := &mr.ra.def
-		for _, ev := range fresh[mr.start:mr.end] {
-			if !conditionsAllow(a.Conditions, e.clock.Now(), ev.Ingredients) {
-				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: a.ID, ExecID: execID, EventID: ev.Meta.ID})
-				continue
-			}
-			e.dispatchAction(mr.ra, ev, execID)
-		}
-	}
+	e.dispatchFresh(dec, execID)
 }

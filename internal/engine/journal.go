@@ -17,8 +17,6 @@
 // run after recovery).
 package engine
 
-import "repro/internal/proto"
-
 // Journal receives the engine's durable state changes. Implementations
 // must be safe for concurrent use; append errors on Install and
 // AttachSubscription abort the operation, while Remove, Detach, and
@@ -70,26 +68,26 @@ type RetiredDedup struct {
 // the engine remembers for reinstallation (Config.RetiredDedup).
 const DefaultRetiredDedup = 4096
 
-// journalCheckpoint appends the dedup delta of one execution (poll or
-// push) for sub. Called by the worker that owns the subscription, after
-// the rings absorbed the IDs and before any action dispatches.
-func (e *Engine) journalCheckpoint(sub *subscription, fresh []proto.TriggerEvent, ranges []memberRange) {
-	cp := Checkpoint{Key: sub.key, Members: make([]MemberEvents, 0, len(ranges))}
-	for _, mr := range ranges {
+// journalCheckpoint appends the dedup delta of the execution (poll or
+// push) dec carries. Called by the worker that owns the subscription,
+// after the rings absorbed the IDs and before any action dispatches.
+func (e *Engine) journalCheckpoint(dec *pollDecoder) {
+	cp := Checkpoint{Key: dec.sub.key, Members: make([]MemberEvents, 0, len(dec.ranges))}
+	for _, mr := range dec.ranges {
 		if mr.end == mr.start {
 			continue
 		}
 		ids := make([]string, 0, mr.end-mr.start)
-		for _, ev := range fresh[mr.start:mr.end] {
+		for _, ev := range dec.fresh[mr.start:mr.end] {
 			ids = append(ids, ev.Meta.ID)
 		}
-		cp.Members = append(cp.Members, MemberEvents{AppletID: mr.ra.def.ID, EventIDs: ids})
+		cp.Members = append(cp.Members, MemberEvents{AppletID: mr.ra.id, EventIDs: ids})
 	}
 	if len(cp.Members) == 0 {
 		return
 	}
 	if err := e.journal.AppendCheckpoint(cp); err != nil && e.log != nil {
-		e.log.Warn("journal checkpoint failed", "key", sub.key, "err", err)
+		e.log.Warn("journal checkpoint failed", "key", cp.Key, "err", err)
 	}
 }
 
@@ -106,7 +104,7 @@ func (e *Engine) retainDedup(ra *runningApplet) {
 	if len(ids) == 0 {
 		return
 	}
-	id := ra.def.ID
+	id := ra.id
 	e.retMu.Lock()
 	if _, ok := e.retired[id]; !ok {
 		e.retiredQ = append(e.retiredQ, id)

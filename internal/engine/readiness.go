@@ -32,9 +32,9 @@ func (e *Engine) breakerOutages() []string {
 			if sub.removed {
 				continue
 			}
-			subs[sub.trigger.Service]++
+			subs[sub.ep.ref.Service]++
 			if sub.brState != brClosed {
-				tripped[sub.trigger.Service]++
+				tripped[sub.ep.ref.Service]++
 			}
 		}
 		sh.mu.Unlock()

@@ -111,7 +111,7 @@ func (s *shard) policyGapLocked(sub *subscription) time.Duration {
 	if ap := e.adaptive; ap != nil {
 		gap = ap.nextGapLocked(sub)
 	} else {
-		gap = e.poll.NextGap(sub.leadID, sub.trigger.Service, sub.rng)
+		gap = e.poll.NextGap(sub.members[0].id, sub.ep.ref.Service, sub.rng)
 	}
 	if e.cadenceHist != nil {
 		e.cadenceHist.Observe(gap.Seconds())
@@ -138,8 +138,9 @@ func (s *shard) nextPollDueLocked(sub *subscription, ok bool, events int) (time.
 		// Failures carry no rate information, so the estimate is only
 		// folded on success; an idle-through-outage subscription decays
 		// on its first healthy poll because dt spans the outage.
-		sub.rate = ewmaRate(sub.rate, events, now.Sub(sub.rateAt), ap.halfLife)
-		sub.rateAt = now
+		at := e.sinceEpoch(now)
+		sub.rate = ewmaRate(sub.rate, events, time.Duration(at-sub.rateAt), ap.halfLife)
+		sub.rateAt = at
 	}
 	if !e.resilient {
 		return now.Add(s.policyGapLocked(sub)), TraceEvent{}
@@ -151,7 +152,7 @@ func (s *shard) nextPollDueLocked(sub *subscription, ok bool, events int) (time.
 			sub.brState = brClosed
 			e.breakerOpen.Add(-1)
 			s.counters.breakerCloses.Add(1)
-			return now.Add(gap), TraceEvent{Kind: TraceBreakerClose, AppletID: sub.leadID}
+			return now.Add(gap), TraceEvent{Kind: TraceBreakerClose, AppletID: sub.members[0].id}
 		}
 		return now.Add(gap), TraceEvent{}
 	}
@@ -162,17 +163,17 @@ func (s *shard) nextPollDueLocked(sub *subscription, ok bool, events int) (time.
 	case sub.brState == brHalfOpen:
 		// Failed probe: stay open, wait another probe interval.
 		sub.brState = brOpen
-	case sub.brState == brClosed && e.brThreshold > 0 && sub.failStreak >= e.brThreshold:
+	case sub.brState == brClosed && e.brThreshold > 0 && int(sub.failStreak) >= e.brThreshold:
 		sub.brState = brOpen
 		e.breakerOpen.Add(1)
 		s.counters.breakerOpens.Add(1)
-		ev = TraceEvent{Kind: TraceBreakerOpen, AppletID: sub.leadID, N: sub.failStreak}
+		ev = TraceEvent{Kind: TraceBreakerOpen, AppletID: sub.members[0].id, N: int(sub.failStreak)}
 	}
 	var delay time.Duration
 	if sub.brState == brOpen {
 		delay = jitterDur(e.probeIvl, 0.1, sub.rng)
 	} else {
-		delay = jitterDur(backoffDelay(e.backoffBase, e.backoffMax, sub.failStreak), 0.5, sub.rng)
+		delay = jitterDur(backoffDelay(e.backoffBase, e.backoffMax, int(sub.failStreak)), 0.5, sub.rng)
 	}
 	if e.backoffHist != nil {
 		e.backoffHist.Observe(delay.Seconds())

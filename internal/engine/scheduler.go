@@ -101,8 +101,10 @@ func (h *pollHeap) remove(sub *subscription) {
 	}
 }
 
-// sinceEpoch is t on the scheduler's integer time axis.
+// sinceEpoch is t on the scheduler's integer time axis, ns since the
+// engine was built; timeAt is its inverse.
 func (e *Engine) sinceEpoch(t time.Time) int64 { return int64(t.Sub(e.epoch)) }
+func (e *Engine) timeAt(ns int64) time.Time    { return e.epoch.Add(time.Duration(ns)) }
 
 // scheduleLocked queues sub's next poll at due and moves the shard
 // timer when that is the new head. Caller holds s.mu.
@@ -162,7 +164,7 @@ func (s *shard) pokeLocked(sub *subscription, due time.Time) {
 	}
 	if at := s.e.sinceEpoch(due); at < sub.due {
 		sub.due = at
-		sub.hintAt = due
+		sub.hintAt = at
 		s.heap.fix(sub)
 		s.armLocked()
 	}
@@ -224,7 +226,7 @@ func (s *shard) admitLocked(sub *subscription, now time.Time) bool {
 	if adm := s.e.admission; adm != nil && !sub.reserved &&
 		!(s.e.resilient && sub.brState != brClosed) {
 		sub.reserved = true
-		if wait := adm.reserve(sub.trigger.Service, now); wait > 0 {
+		if wait := adm.reserve(sub.ep.ref.Service, now); wait > 0 {
 			s.counters.pollsDeferred.Add(1)
 			s.queueLocked(sub, now.Add(wait))
 			return false
@@ -258,13 +260,13 @@ func (s *shard) work() {
 		sub := s.takeReadyLocked()
 		if sub.removed {
 			if sub.reserved { // retired after admission: token back
-				s.e.admission.refund(sub.trigger.Service)
+				s.e.admission.refund(sub.ep.ref.Service)
 			}
 			continue
 		}
 		if sub.polling {
 			// A push claimed the subscription after it was admitted:
-			// polling it now would race the scratch buffers and
+			// polling it now would race the dedup rings and
 			// double-execute. It keeps its token (sub.reserved).
 			s.scheduleLocked(sub, s.e.clock.Now().Add(pushYield))
 			continue
@@ -280,27 +282,29 @@ func (s *shard) work() {
 			s.counters.breakerProbes.Add(1)
 			probe = true
 		}
-		// Consume hint provenance and snapshot the membership under the
-		// shard lock: applets joining mid-poll see only the next poll,
-		// and a member leaving mid-poll still receives this poll's
-		// dispatches — exactly the semantics an uncoalesced applet had
-		// when removed mid-flight.
-		hintAt := sub.hintAt
-		sub.hintAt = time.Time{}
-		members := append(sub.snap[:0], sub.members...)
-		prep := sub.prep
+		// Consume hint provenance and snapshot the membership and the
+		// request under the shard lock: applets joining mid-poll see only
+		// the next poll, and a member leaving mid-poll still receives
+		// this poll's dispatches — exactly the semantics an uncoalesced
+		// applet had when removed mid-flight.
+		var hintAt time.Time
+		if sub.hintAt != 0 {
+			hintAt, sub.hintAt = s.e.timeAt(sub.hintAt), 0
+		}
+		dec := borrowDecoder(sub)
+		auth, body := sub.blob[:sub.authLen], sub.blob[sub.authLen:]
 		s.mu.Unlock()
 
 		if probe {
-			s.e.emit(s, TraceEvent{Kind: TraceBreakerProbe, AppletID: members[0].def.ID})
+			s.e.emit(s, TraceEvent{Kind: TraceBreakerProbe, AppletID: dec.members[0].id})
 		}
-		ok, events := s.e.pollSubscription(sub, hintAt, members, prep)
+		ok, events := s.e.pollSubscription(dec, hintAt, auth, body)
 
 		s.mu.Lock()
-		sub.snap = members
 		// Dispatch any push deliveries that parked while this poll held
 		// the subscription, then release the polling flag (ingress.go).
-		s.drainPushPendingLocked(sub)
+		s.drainPushPendingLocked(dec)
+		dec.release()
 		due, brEv := s.nextPollDueLocked(sub, ok, events)
 		s.scheduleLocked(sub, due)
 		if brEv.Kind != "" {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/httpx"
 	"repro/internal/ingest"
 	"repro/internal/proto"
 	"repro/internal/simtime"
@@ -22,24 +21,26 @@ import (
 // ID, so applets of one user watching the same trigger share one
 // upstream poll whose fresh events fan out to every member.
 //
-// The mutable scheduling fields (members, due, seq, heapPos, polling,
-// removed, hintAt, prep, leadID) are guarded by the owning shard's
-// mutex. rng and the scratch fields are touched only by the actor that has
+// Silent subscriptions are most of what an engine keeps resident, hence
+// the integer times and the one pointer-free string (DESIGN.md, "What is
+// resident"). key, shard and ep never change; the rest but rng is guarded
+// by the owning shard's mutex. rng is touched only by the actor that has
 // the subscription in flight: polling is the execution-ownership flag —
-// set by a poll worker or by the push ingress consumer (ingress.go)
-// under the shard lock before dispatching, cleared (after draining
-// pushPending) when done — so a subscription never executes on two
-// goroutines at once and the scratch buffers need no further locking.
+// set by a poll worker or by the push ingress consumer (ingress.go) under
+// the shard lock before dispatching, cleared (after draining what parked
+// meanwhile) when done — so a subscription never executes on two
+// goroutines at once.
 type subscription struct {
-	key     string // grouping key, presented on the wire as trigger_identity
-	shard   *shard
-	rng     *stats.RNG // gap stream, split when the subscription is created
-	trigger ServiceRef // trigger config shared by all members
-	user    string     // owning user (part of the key under coalescing)
+	key   string // grouping key, presented on the wire as trigger_identity
+	shard *shard
+	rng   *stats.RNG // gap stream, split when the subscription is created
+	ep    *endpoint  // the trigger all members watch
 
-	// leadID is the applet whose ID anchors gap draws and the request
-	// prototype's Source; it is the oldest surviving member.
-	leadID  string
+	// blob is what a poll sends beyond the endpoint: "Bearer <token>" in
+	// its first authLen bytes, then the rendered TriggerPollRequest, both
+	// of the lead member — members[0], the oldest surviving one, whose ID
+	// also anchors gap draws.
+	blob    string
 	members []*runningApplet
 	// The pending poll, in place (there is at most one, so the shard's
 	// heap orders the subscriptions themselves): due in ns since the
@@ -48,53 +49,50 @@ type subscription struct {
 	due     int64
 	seq     uint64
 	heapPos int
-	polling bool
-	removed bool
-	// hintAt records when a realtime poke rescheduled the pending poll;
-	// the worker consumes it so the poll's trace carries hint provenance.
-	hintAt time.Time
-	// prep is the precomputed poll request (URL, headers, body); rebuilt
-	// under the shard lock whenever the lead member changes. Nil when
-	// the trigger's base URL does not parse — the poll path then falls
-	// back to building requests per call.
-	prep *httpx.Prepared
+	// hintAt records when a realtime poke rescheduled the pending poll (0:
+	// none did); the worker consumes it so the poll's trace carries hint
+	// provenance.
+	hintAt int64
 
-	// Failure-handling state (resilience.go), guarded by the shard's
-	// mutex like the scheduling fields above. failStreak counts
-	// consecutive poll failures; brState is the circuit breaker.
-	failStreak int
-	brState    breakerState
-
-	// Adaptive-polling state (adaptive.go), guarded by the shard's
-	// mutex. rate is the EWMA event-rate estimate (events/sec); rateAt
-	// is the estimate's last update instant. reserved marks a poll the
-	// admission controller deferred — it already holds its budget
-	// token, so it must not be charged again when its turn comes.
+	// Adaptive-polling state (adaptive.go). rate is the EWMA event-rate
+	// estimate (events/sec); rateAt is the estimate's last update instant.
 	// pollCount tallies polls issued for this subscription.
 	rate      float64
-	rateAt    time.Time
-	reserved  bool
+	rateAt    int64
 	pollCount int64
 
-	// pushPending parks push deliveries that arrived while another
-	// execution (poll or push) owned the subscription; the owner drains
-	// it before releasing the polling flag, so pushed events are never
-	// lost to the ownership race and never dispatch concurrently.
-	// Guarded by the shard's mutex.
-	pushPending []pendingPush
+	// parked holds what arrived for the subscription while an execution
+	// owned it; nil nearly always.
+	parked *parked
 
-	// retire parks members removed while an execution owned the
-	// subscription: their dedup rings may still be absorbing this
-	// execution's events, so the owner retains them (journal.go) on its
-	// release path, when the rings are final. Guarded by the shard's
-	// mutex.
+	// failStreak counts consecutive poll failures and brState is the
+	// circuit breaker (resilience.go).
+	failStreak int32
+	authLen    int32
+	brState    breakerState
+	polling    bool
+	removed    bool
+	// reserved marks a poll the admission controller deferred — it
+	// already holds its budget token, so it must not be charged again
+	// when its turn comes.
+	reserved bool
+}
+
+// parked is what an execution's owner settles before it releases the
+// polling flag: push deliveries that arrived meanwhile, and members
+// removed meanwhile, whose dedup rings may still be absorbing the
+// execution's events and are retained (journal.go) once final.
+type parked struct {
+	push   []pendingPush
 	retire []*runningApplet
+}
 
-	// Worker-owned scratch, reused across polls so the steady-state poll
-	// path allocates nothing for the common empty-result case.
-	fresh  []proto.TriggerEvent
-	ranges []memberRange
-	snap   []*runningApplet
+// park returns sub's parking area. Caller holds the shard's mutex.
+func (sub *subscription) park() *parked {
+	if sub.parked == nil {
+		sub.parked = new(parked)
+	}
+	return sub.parked
 }
 
 // pendingPush is one deferred push delivery: events for a subscription
@@ -105,41 +103,30 @@ type pendingPush struct {
 	at     time.Time
 }
 
-// memberRange marks one member's slice of a poll's shared fresh-event
-// buffer.
+// memberRange marks one member's slice of an execution's shared
+// fresh-event buffer.
 type memberRange struct {
 	ra         *runningApplet
 	start, end int
 }
 
-// rebuildPrepLocked recomputes the subscription's request prototype from
-// its lead member. Caller holds the shard's mutex.
-func (sub *subscription) rebuildPrepLocked(e *Engine) {
-	lead := &sub.members[0].def
-	sub.leadID = lead.ID
+// renderPollLocked renders sub's blob from its lead member. Caller
+// holds s.mu.
+func (s *shard) renderPollLocked(sub *subscription) {
+	lead := sub.members[0]
 	req := proto.TriggerPollRequest{
 		TriggerIdentity: sub.key,
-		TriggerFields:   lead.Trigger.Fields,
-		User:            proto.UserInfo{ID: lead.UserID},
-		Source:          proto.Source{ID: lead.ID},
+		TriggerFields:   lead.triggerFields,
+		User:            proto.UserInfo{ID: lead.user},
+		Source:          proto.Source{ID: lead.id},
 	}
-	if e.pollLimit > 0 {
-		limit := e.pollLimit
+	if limit := s.e.pollLimit; limit > 0 {
 		req.Limit = &limit
 	}
-	prep, err := httpx.NewPrepared("POST",
-		proto.TriggerURL(lead.Trigger.BaseURL, lead.Trigger.Slug), req,
-		httpx.WithHeader(proto.ServiceKeyHeader, lead.Trigger.ServiceKey),
-		httpx.WithHeader("Authorization", "Bearer "+lead.Trigger.UserToken),
-	)
-	if err != nil {
-		if e.log != nil {
-			e.log.Warn("poll prototype build failed", "applet", lead.ID, "err", err)
-		}
-		sub.prep = nil
-		return
-	}
-	sub.prep = prep
+	b := append(append(s.blobBuf[:0], "Bearer "...), lead.triggerToken...)
+	sub.authLen = int32(len(b))
+	b = req.AppendJSON(b)
+	sub.blob, s.blobBuf = string(b), b
 }
 
 // shard owns a partition of the poll subscriptions: the identity index
@@ -164,8 +151,9 @@ type shard struct {
 	// ready queues due subscriptions awaiting a free worker.
 	ready     []*subscription
 	readyHead int
-	inflight  int   // worker actors currently running
-	timerAt   int64 // the deadline timer is armed for (invariant: heap[0].due, or unarmed)
+	inflight  int    // worker actors currently running
+	timerAt   int64  // the deadline timer is armed for (invariant: heap[0].due, or unarmed)
+	blobBuf   []byte // renderPollLocked's scratch
 	stopped   bool
 
 	// ingress is the shard's bounded push-delivery queue (ingress.go),
@@ -230,40 +218,48 @@ func (e *Engine) shardFor(key string) *shard {
 	return e.shards[h.Sum32()%uint32(len(e.shards))]
 }
 
+// newSubLocked creates, indexes and renders the subscription for key
+// with the given members (at least one), unscheduled. Caller holds s.mu.
+// The RNG split label is the founding applet's, so with coalescing off
+// (one applet per subscription) the poll schedule is draw-for-draw
+// identical to scheduling applets directly.
+func (s *shard) newSubLocked(key string, members []*runningApplet) *subscription {
+	sub := &subscription{
+		key:     key,
+		shard:   s,
+		rng:     s.rng.Split("applet-" + members[0].id),
+		ep:      members[0].trigger,
+		members: members,
+	}
+	for _, ra := range members {
+		ra.sub = sub
+	}
+	s.subs[key] = sub
+	s.renderPollLocked(sub)
+	return sub
+}
+
 // joinLocked adds ra to the subscription for key, creating and
 // scheduling the subscription when ra is its first member. Caller holds
-// s.mu. The RNG split label and gap-draw ID are the founding applet's,
-// so with coalescing off (one applet per subscription) the poll
-// schedule is draw-for-draw identical to scheduling applets directly.
+// s.mu.
 func (s *shard) joinLocked(ra *runningApplet, key string) {
-	sub := s.subs[key]
-	if sub == nil {
-		sub = &subscription{
-			key:     key,
-			shard:   s,
-			trigger: ra.def.Trigger,
-			user:    ra.def.UserID,
-			rng:     s.rng.Split("applet-" + ra.def.ID),
-			members: []*runningApplet{ra},
-		}
+	if sub := s.subs[key]; sub != nil {
+		sub.members = append(sub.members, ra)
 		ra.sub = sub
-		s.subs[key] = sub
-		sub.rebuildPrepLocked(s.e)
-		now := s.e.clock.Now()
-		var gap time.Duration
-		if ap := s.e.adaptive; ap != nil {
-			// New subscriptions start presumed-cold with a spread first
-			// poll; the first result (or a hint) reveals their heat.
-			sub.rateAt = now
-			gap = ap.initialGap(sub.rng)
-		} else {
-			gap = s.e.poll.NextGap(sub.leadID, sub.trigger.Service, sub.rng)
-		}
-		s.scheduleLocked(sub, now.Add(gap))
 		return
 	}
-	sub.members = append(sub.members, ra)
-	ra.sub = sub
+	sub := s.newSubLocked(key, []*runningApplet{ra})
+	now := s.e.clock.Now()
+	var gap time.Duration
+	if ap := s.e.adaptive; ap != nil {
+		// New subscriptions start presumed-cold with a spread first
+		// poll; the first result (or a hint) reveals their heat.
+		sub.rateAt = s.e.sinceEpoch(now)
+		gap = ap.initialGap(sub.rng)
+	} else {
+		gap = s.e.poll.NextGap(ra.id, sub.ep.ref.Service, sub.rng)
+	}
+	s.scheduleLocked(sub, now.Add(gap))
 }
 
 // leaveLocked removes ra from its subscription; when ra was the last
@@ -272,6 +268,7 @@ func (s *shard) joinLocked(ra *runningApplet, key string) {
 // trigger service. Caller holds s.mu.
 func (s *shard) leaveLocked(ra *runningApplet) (last bool) {
 	sub := ra.sub
+	wasLead := sub.members[0] == ra
 	for i, m := range sub.members {
 		if m == ra {
 			copy(sub.members[i:], sub.members[i+1:])
@@ -293,23 +290,26 @@ func (s *shard) leaveLocked(ra *runningApplet) (last bool) {
 		s.unscheduleLocked(sub)
 		return true
 	}
-	if ra.def.ID == sub.leadID {
-		sub.rebuildPrepLocked(s.e)
+	if wasLead {
+		s.renderPollLocked(sub)
 	}
 	return false
 }
 
-// byIdentity resolves a wire trigger identity within this shard,
-// returning the subscription plus a member snapshot taken under the
-// lock (first member's applet ID and the member count).
-func (s *shard) byIdentity(identity string) (sub *subscription, firstID string, members int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sub = s.subs[identity]
-	if sub == nil || len(sub.members) == 0 {
-		return nil, "", 0
+// byIdentity resolves a wire trigger identity to its live subscription
+// on whichever shard owns it (uncoalesced ones shard by applet ID), plus
+// the first member's applet ID and the member count under the shard lock.
+func (e *Engine) byIdentity(identity string) (sub *subscription, firstID string, members int) {
+	for _, s := range e.shards {
+		s.mu.Lock()
+		if sub = s.subs[identity]; sub != nil && len(sub.members) > 0 {
+			firstID, members = sub.members[0].id, len(sub.members)
+			s.mu.Unlock()
+			return sub, firstID, members
+		}
+		s.mu.Unlock()
 	}
-	return sub, sub.members[0].def.ID, len(sub.members)
+	return nil, "", 0
 }
 
 // stop marks the shard stopped and disarms its timer, so nothing of

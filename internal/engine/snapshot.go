@@ -12,6 +12,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -68,23 +69,27 @@ type SubscriptionSnapshot struct {
 // The caller holds the owning shard's mutex and has verified no
 // execution owns the subscription (sub.polling is false), so the member
 // rings and parked deliveries are stable.
-func snapshotSubLocked(sub *subscription) *SubscriptionSnapshot {
+func (e *Engine) snapshotSubLocked(sub *subscription) *SubscriptionSnapshot {
 	snap := &SubscriptionSnapshot{
 		Key:        sub.key,
 		Members:    make([]MemberSnapshot, len(sub.members)),
 		Rate:       sub.rate,
-		RateAt:     sub.rateAt,
-		FailStreak: sub.failStreak,
+		FailStreak: int(sub.failStreak),
 		PollCount:  sub.pollCount,
+	}
+	if e.adaptive != nil { // otherwise no estimate is kept, and none travels
+		snap.RateAt = e.timeAt(sub.rateAt)
 	}
 	for i, ra := range sub.members {
 		snap.Members[i] = MemberSnapshot{
-			Applet:     ra.def,
+			Applet:     ra.applet(),
 			SeenEvents: ra.dedup.snapshotIDs(),
 		}
 	}
-	for _, p := range sub.pushPending {
-		snap.PendingPush = append(snap.PendingPush, PendingPushSnapshot{Events: p.events, At: p.at})
+	if sub.parked != nil {
+		for _, p := range sub.parked.push {
+			snap.PendingPush = append(snap.PendingPush, PendingPushSnapshot{Events: p.events, At: p.at})
+		}
 	}
 	if sub.brState != brClosed {
 		snap.BreakerOpen = true
@@ -137,7 +142,7 @@ func (e *Engine) ExportSubscriptions() []*SubscriptionSnapshot {
 					break // removed while exporting; its journal records cover it
 				}
 				if !sub.polling {
-					snap := snapshotSubLocked(sub)
+					snap := e.snapshotSubLocked(sub)
 					sh.mu.Unlock()
 					out = append(out, snap)
 					break
@@ -184,24 +189,11 @@ func (e *Engine) SubscriptionKeys() []string {
 // subscription's members (the cluster router serializes this by
 // parking operations on moving identities).
 func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
-	// Locate the owning shard. Uncoalesced subscriptions shard by
-	// applet ID, so a key-derived shardFor lookup is not sufficient —
-	// scan instead.
-	var sh *shard
-	for _, s := range e.shards {
-		s.mu.Lock()
-		sub := s.subs[key]
-		s.mu.Unlock()
-		if sub != nil {
-			sh = s
-			break
-		}
-	}
-	if sh == nil {
+	sub, _, _ := e.byIdentity(key)
+	if sub == nil {
 		return nil, nil
 	}
-
-	var sub *subscription
+	sh := sub.shard
 	for {
 		sh.mu.Lock()
 		sub = sh.subs[key]
@@ -219,7 +211,7 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 	// Retire the subscription under the shard lock, mirroring
 	// leaveLocked's last-member path, and capture the snapshot in the
 	// same critical section so no execution can interleave.
-	snap := snapshotSubLocked(sub)
+	snap := e.snapshotSubLocked(sub)
 	if e.journal != nil {
 		ids := make([]string, len(snap.Members))
 		for i := range snap.Members {
@@ -229,7 +221,7 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 			e.log.Warn("journal detach failed", "key", key, "err", err)
 		}
 	}
-	sub.pushPending = nil
+	sub.parked = nil
 	members := sub.members
 	sub.removed = true
 	if sub.brState != brClosed {
@@ -244,12 +236,11 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 	// with a shard lock held, so this happens after the shard section).
 	e.mu.Lock()
 	for _, ra := range members {
-		id := ra.def.ID
-		delete(e.applets, id)
-		if u := e.byUser[ra.def.UserID]; u != nil {
-			delete(u, id)
+		delete(e.applets, ra.id)
+		if u := e.byUser[ra.user]; u != nil {
+			delete(u, ra.id)
 			if len(u) == 0 {
-				delete(e.byUser, ra.def.UserID)
+				delete(e.byUser, ra.user)
 			}
 		}
 	}
@@ -275,13 +266,10 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 		if m.Applet.ID == "" {
 			return fmt.Errorf("engine: attach %q: member %d has no applet ID", snap.Key, i)
 		}
-		ras[i] = &runningApplet{
-			def:   m.Applet,
-			dedup: restoreDedupRing(e.dedupCap, m.SeenEvents),
-		}
+		ras[i] = e.newRunningApplet(&m.Applet, restoreDedupRing(e.dedupCap, m.SeenEvents))
 	}
-	lead := &ras[0].def
-	shardKey := lead.ID
+	lead := ras[0]
+	shardKey := lead.id
 	if e.coalesce {
 		shardKey = snap.Key
 	}
@@ -293,9 +281,9 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 		return fmt.Errorf("engine: stopped")
 	}
 	for _, ra := range ras {
-		if _, dup := e.applets[ra.def.ID]; dup {
+		if _, dup := e.applets[ra.id]; dup {
 			e.mu.Unlock()
-			return fmt.Errorf("engine: attach %q: applet %q already installed", snap.Key, ra.def.ID)
+			return fmt.Errorf("engine: attach %q: applet %q already installed", snap.Key, ra.id)
 		}
 	}
 	sh.mu.Lock()
@@ -319,28 +307,17 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 			return fmt.Errorf("engine: journal attach %q: %w", snap.Key, err)
 		}
 	}
-	sub := &subscription{
-		key:        snap.Key,
-		shard:      sh,
-		trigger:    lead.Trigger,
-		user:       lead.UserID,
-		rng:        sh.rng.Split("applet-" + lead.ID),
-		members:    ras,
-		rate:       snap.Rate,
-		rateAt:     snap.RateAt,
-		failStreak: snap.FailStreak,
-		pollCount:  snap.PollCount,
+	now := e.clock.Now()
+	sub := sh.newSubLocked(snap.Key, ras)
+	sub.rate, sub.rateAt = snap.Rate, e.sinceEpoch(now)
+	if !snap.RateAt.IsZero() { // zero: the source kept no estimate
+		sub.rateAt = e.sinceEpoch(snap.RateAt)
 	}
-	for _, ra := range ras {
-		ra.sub = sub
-	}
+	sub.failStreak, sub.pollCount = int32(min(max(snap.FailStreak, 0), math.MaxInt32)), snap.PollCount
 	if snap.BreakerOpen {
 		sub.brState = brOpen
 		e.breakerOpen.Add(1)
 	}
-	sub.rebuildPrepLocked(e)
-	sh.subs[snap.Key] = sub
-	now := e.clock.Now()
 	var gap time.Duration
 	switch {
 	case sub.brState == brOpen:
@@ -348,18 +325,18 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 	case e.adaptive != nil:
 		gap = e.adaptive.nextGapLocked(sub)
 	default:
-		gap = e.poll.NextGap(sub.leadID, sub.trigger.Service, sub.rng)
+		gap = e.poll.NextGap(lead.id, sub.ep.ref.Service, sub.rng)
 	}
 	sh.scheduleLocked(sub, now.Add(gap))
 	sh.mu.Unlock()
 	for _, ra := range ras {
-		e.applets[ra.def.ID] = ra
-		u := e.byUser[ra.def.UserID]
+		e.applets[ra.id] = ra
+		u := e.byUser[ra.user]
 		if u == nil {
 			u = make(map[string]*runningApplet)
-			e.byUser[ra.def.UserID] = u
+			e.byUser[ra.user] = u
 		}
-		u[ra.def.ID] = ra
+		u[ra.id] = ra
 	}
 	e.mu.Unlock()
 

@@ -286,7 +286,7 @@ func TestAttachRestoresAdaptiveAndBreakerState(t *testing.T) {
 		sh.mu.Lock()
 		sub := sh.subs[key]
 		sub.rate = 0.25 // hot: four-second period estimate
-		sub.rateAt = clock.Now()
+		sub.rateAt = a.sinceEpoch(clock.Now())
 		sub.failStreak = 7
 		sub.brState = brOpen
 		sh.mu.Unlock()

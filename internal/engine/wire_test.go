@@ -56,11 +56,13 @@ func TestActionBodyBytesUnchanged(t *testing.T) {
 		}}},
 		{ID: "a1", UserID: "u1", Action: ServiceRef{Fields: manyFields}},
 	}
-	var sc actionScratch
+	var dec pollDecoder
 	for i := range cases {
 		a := &cases[i]
-		if got, want := actionBody(&sc, a, ing), old(a, ing); !bytes.Equal(got, want) {
-			t.Errorf("case %d:\n got %s\nwant %s", i, got, want)
+		ra := &runningApplet{id: a.ID, user: a.UserID, actionFields: a.Action.Fields, actionToken: "tok"}
+		auth, got := dec.actionRequest(ra, ing)
+		if want := old(a, ing); got != string(want) || auth != "Bearer tok" {
+			t.Errorf("case %d: auth %q\n got %s\nwant %s", i, auth, got, want)
 		}
 	}
 }
@@ -86,7 +88,7 @@ func TestCollectFreshEquivalence(t *testing.T) {
 		mkMembers := func() []*runningApplet {
 			ms := make([]*runningApplet, nMembers)
 			for m := range ms {
-				ms[m] = &runningApplet{def: Applet{ID: fmt.Sprint("a", m)}, dedup: restoreDedupRing(ringCap, seeds[m])}
+				ms[m] = &runningApplet{id: fmt.Sprint("a", m), dedup: restoreDedupRing(ringCap, seeds[m])}
 			}
 			return ms
 		}
@@ -128,15 +130,14 @@ func TestCollectFreshEquivalence(t *testing.T) {
 		}
 
 		members := mkMembers()
-		sub := &subscription{}
-		dec := &pollDecoder{sub: sub, members: members}
+		dec := &pollDecoder{members: members}
 		if err := dec.DecodeBody(http.StatusOK, []byte(body.String())); err != nil {
 			t.Fatal(err)
 		}
-		if len(sub.fresh) != len(wantFresh) || (len(wantFresh) > 0 && !reflect.DeepEqual(sub.fresh, wantFresh)) {
-			t.Fatalf("trial %d %s\nfresh %v\n want %v", trial, body.String(), sub.fresh, wantFresh)
+		if len(dec.fresh) != len(wantFresh) || (len(wantFresh) > 0 && !reflect.DeepEqual(dec.fresh, wantFresh)) {
+			t.Fatalf("trial %d %s\nfresh %v\n want %v", trial, body.String(), dec.fresh, wantFresh)
 		}
-		for m, mr := range sub.ranges {
+		for m, mr := range dec.ranges {
 			if mr.ra != members[m] || [2]int{mr.start, mr.end} != wantRanges[m] {
 				t.Fatalf("trial %d: member %d range [%d,%d), want %v", trial, m, mr.start, mr.end, wantRanges[m])
 			}
@@ -148,9 +149,9 @@ func TestCollectFreshEquivalence(t *testing.T) {
 		// A 2xx that is not the 200 of a successful poll is validated but
 		// must leave the rings alone: the poll is about to be failed.
 		members = mkMembers()
-		dec = &pollDecoder{sub: &subscription{}, members: members}
-		if err := dec.DecodeBody(http.StatusAccepted, []byte(body.String())); err != nil || len(dec.sub.fresh) != 0 {
-			t.Fatalf("202: err %v, fresh %v", err, dec.sub.fresh)
+		dec = &pollDecoder{members: members}
+		if err := dec.DecodeBody(http.StatusAccepted, []byte(body.String())); err != nil || len(dec.fresh) != 0 {
+			t.Fatalf("202: err %v, fresh %v", err, dec.fresh)
 		}
 		for m := range members {
 			untouched := restoreDedupRing(ringCap, seeds[m])
@@ -166,7 +167,7 @@ func TestCollectFreshEquivalence(t *testing.T) {
 // seen — the retry (or the next poll) has to deliver it.
 func TestMalformedPollBodyLeavesRingsUntouched(t *testing.T) {
 	ra := &runningApplet{dedup: newDedupRing(8)}
-	dec := &pollDecoder{sub: &subscription{}, members: []*runningApplet{ra}}
+	dec := &pollDecoder{members: []*runningApplet{ra}}
 	for _, body := range []string{
 		`{"data":[{"meta":{"id":"new"}},{"meta":{"id":"x"}]}`,
 		`{"data":[{"meta":{"id":"new"}},{"no":"meta"}]}`,
@@ -175,8 +176,8 @@ func TestMalformedPollBodyLeavesRingsUntouched(t *testing.T) {
 		if err := dec.DecodeBody(http.StatusOK, []byte(body)); err == nil {
 			t.Fatalf("%s accepted", body)
 		}
-		if ra.dedup.Len() != 0 || len(dec.sub.fresh) != 0 {
-			t.Fatalf("%s: ring has %d ids, fresh %v", body, ra.dedup.Len(), dec.sub.fresh)
+		if ra.dedup.Len() != 0 || len(dec.fresh) != 0 {
+			t.Fatalf("%s: ring has %d ids, fresh %v", body, ra.dedup.Len(), dec.fresh)
 		}
 	}
 }
@@ -199,7 +200,7 @@ func TestMalformedActionAckIsRetriedFailure(t *testing.T) {
 		if err := e.Install(a); err != nil {
 			t.Fatal(err)
 		}
-		e.dispatchAction(e.applets["a1"], proto.TriggerEvent{Meta: proto.EventMeta{ID: "e1"}}, 1)
+		e.dispatchAction(new(pollDecoder), e.applets["a1"], proto.TriggerEvent{Meta: proto.EventMeta{ID: "e1"}}, 1)
 		st := e.Stats()
 		e.Stop()
 		wantCalls := 1

@@ -76,14 +76,15 @@ func TestDoPreparedAllocsBounded(t *testing.T) {
 			t.Fatal(err, out.n)
 		}
 	})
-	// The prototype path builds only the per-request shell — request
-	// struct, body reader, GetBody closure: 3 allocations — and hands the
-	// pooled read buffer to the BodyDecoder; memDoer's canned response
-	// accounts for the other 4. Marshal, URL parse and header
+	// The prototype path assembles the request in pooled scratch — request
+	// struct, header map and body reader are reused once an exchange has
+	// run to its end — and hands the pooled read buffer to the
+	// BodyDecoder: nothing is allocated on the client's side, memDoer's
+	// canned response accounts for all 4. Marshal, URL parse and header
 	// canonicalization are paid once at NewPrepared, and nothing is
-	// decoded through reflection. Measured 7, bound +2.
+	// decoded through reflection. Measured 4, bound +2.
 	t.Logf("DoPrepared: %.1f allocs/op", allocs)
-	if allocs > 9 {
-		t.Errorf("DoPrepared allocs/op = %.1f, want ≤ 9 (prototype path regressed?)", allocs)
+	if allocs > 6 {
+		t.Errorf("DoPrepared allocs/op = %.1f, want ≤ 6 (prototype path regressed?)", allocs)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync"
 	"time"
 
@@ -119,11 +120,6 @@ type scratchBuf struct {
 	limit io.LimitedReader
 }
 
-// optReqPool recycles the throwaway request that carries RequestOpts
-// during NewPrepared — bulk prototype construction (one per engine
-// subscription) would otherwise allocate one per call.
-var optReqPool = sync.Pool{New: func() any { return new(http.Request) }}
-
 func getBuf() *scratchBuf { return bufPool.Get().(*scratchBuf) }
 
 // putBuf returns a buffer to the pool unless it grew abnormally large
@@ -143,6 +139,11 @@ type Client struct {
 	clock   simtime.Clock
 	retries int
 	backoff func(attempt int) time.Duration
+	// scratches pools the client's request scratch (DoEndpoint). Owned by
+	// the client, not the package: a new client starts with none, whatever
+	// ran in the process before it. Behind a pointer because the runtime
+	// keeps a used Pool reachable for two collections.
+	scratches *sync.Pool
 }
 
 // Default retry backoff bounds: 250ms doubling per attempt, saturating
@@ -156,10 +157,11 @@ const (
 // the number of re-attempts after the first try (0 = try once).
 func NewClient(doer Doer, clock simtime.Clock, retries int) *Client {
 	return &Client{
-		doer:    doer,
-		clock:   clock,
-		retries: retries,
-		backoff: ExpBackoff(DefaultRetryBase, DefaultRetryCap, nil),
+		doer:      doer,
+		clock:     clock,
+		retries:   retries,
+		backoff:   ExpBackoff(DefaultRetryBase, DefaultRetryCap, nil),
+		scratches: &sync.Pool{New: newReqScratch},
 	}
 }
 
@@ -224,14 +226,24 @@ func (c *Client) DoJSON(method, url string, body, out any, opts ...RequestOpt) (
 		}
 		payload = buf.Bytes()
 	}
+	return c.attempts(method, url, func() (int, error) {
+		return c.doOnce(method, url, payload, out, opts)
+	})
+}
 
+// attempts runs once until it yields a response below 500, at most
+// 1+retries times with the backoff between. On exhaustion the last
+// received status rides alongside the error: callers (and failure
+// metrics) distinguish an endpoint that answered 5xx from one that never
+// answered at all (status 0).
+func (c *Client) attempts(method, url string, once func() (int, error)) (int, error) {
 	var lastErr error
 	var lastStatus int
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			c.clock.Sleep(c.backoff(attempt - 1))
 		}
-		status, err := c.doOnce(method, url, payload, out, opts)
+		status, err := once()
 		if err == nil && status < 500 {
 			return status, nil
 		}
@@ -244,9 +256,6 @@ func (c *Client) DoJSON(method, url string, body, out any, opts ...RequestOpt) (
 			lastErr = fmt.Errorf("server status %d", status)
 		}
 	}
-	// On exhaustion the last received status rides alongside the error:
-	// callers (and failure metrics) distinguish an endpoint that answered
-	// 5xx from one that never answered at all (status 0).
 	return lastStatus, fmt.Errorf("%s %s: %w", method, url, lastErr)
 }
 
@@ -270,7 +279,8 @@ func (c *Client) doOnce(method, url string, payload []byte, out any, opts []Requ
 	if err != nil {
 		return 0, err
 	}
-	return readJSONResponse(resp, out)
+	status, _, err := readJSONResponse(resp, out)
+	return status, err
 }
 
 // BodyDecoder is a response target (the out of DoJSON and DoPrepared)
@@ -289,175 +299,204 @@ type BodyDecoder interface {
 // readJSONResponse drains the response through a pooled buffer and
 // decodes successful bodies into out. Neither json.Unmarshal nor a
 // BodyDecoder keeps a reference into the buffer, so it can be recycled
-// immediately.
-func readJSONResponse(resp *http.Response, out any) (int, error) {
-	defer resp.Body.Close()
+// immediately. clean reports that the body was read to its end and
+// closed without error: the exchange is over and the Doer has no
+// further use for the request.
+func readJSONResponse(resp *http.Response, out any) (status int, clean bool, err error) {
 	buf := getBuf()
 	defer putBuf(buf)
-	if err := readBody(buf, resp.Body); err != nil {
-		return 0, fmt.Errorf("read response: %w", err)
+	err = readBody(buf, resp.Body)
+	cerr := resp.Body.Close()
+	if err != nil {
+		return 0, false, fmt.Errorf("read response: %w", err)
 	}
 	data := buf.Bytes()
 	if out != nil && resp.StatusCode < 300 && len(data) > 0 {
-		var err error
 		if bd, ok := out.(BodyDecoder); ok {
 			err = bd.DecodeBody(resp.StatusCode, data)
 		} else {
 			err = json.Unmarshal(data, out)
 		}
 		if err != nil {
-			return resp.StatusCode, fmt.Errorf("decode response: %w", err)
+			err = fmt.Errorf("decode response: %w", err)
 		}
 	}
-	return resp.StatusCode, nil
+	return resp.StatusCode, cerr == nil, err
 }
 
-// Prepared is a precomputed request prototype for an endpoint that is
-// hit repeatedly with an identical method, URL, headers, and body — the
-// engine's per-subscription trigger poll is the motivating case. The
-// URL is parsed and the body marshalled exactly once, at construction;
-// each send then only allocates the per-request shell (http.Request and
-// a body reader), keeping URL formatting, JSON encoding, and header
-// canonicalization off the hot path.
-type Prepared struct {
+// Endpoint is what every request to one URL shares: the method, the
+// parsed address and the headers that do not vary. The engine interns
+// one per (service, trigger or action) and sends every poll and action
+// through it; what differs per request — the bearer credential and the
+// body — is handed to DoEndpoint.
+type Endpoint struct {
 	method string
-	url    *url.URL
+	target string   // the address as given, for error messages
+	url    *url.URL // nil when target did not parse; err says why
 	host   string
-	// header is built once and shared by every request issued from this
-	// prototype; Doer implementations must treat request headers as
-	// read-only (net/http's transport and the simnet client both do —
-	// simnet serves handlers a clone).
+	// header is shared by every request to the endpoint; Doer
+	// implementations must treat request headers as read-only (net/http's
+	// transport and the simnet client both do — simnet serves handlers a
+	// clone).
 	header http.Header
-	body   []byte
+	err    error
+}
+
+// NewEndpoint parses rawURL once. header holds the headers every request
+// carries, under canonical keys, and is read-only from here on. An
+// address that does not parse still yields an endpoint: every request to
+// it fails with the parse error and status 0, retried like any transport
+// failure, so a caller holding many endpoints needs no second path for a
+// bad one. Err reports it up front.
+func NewEndpoint(method, rawURL string, header http.Header) *Endpoint {
+	ep := &Endpoint{method: method, target: rawURL, header: header}
+	if ep.url, ep.err = url.Parse(rawURL); ep.err == nil {
+		ep.host = ep.url.Host
+	}
+	return ep
+}
+
+// Err is the error every request to the endpoint fails with, nil for an
+// endpoint whose address parsed.
+func (ep *Endpoint) Err() error { return ep.err }
+
+// Prepared is a precomputed request prototype: an endpoint plus a JSON
+// body marshalled once, for a request that is sent repeatedly unchanged.
+type Prepared struct {
+	ep   *Endpoint
+	body string
 }
 
 // NewPrepared builds a request prototype. body, when non-nil, is
 // marshalled to JSON now; opts apply once to the prototype's headers.
 func NewPrepared(method, rawURL string, body any, opts ...RequestOpt) (*Prepared, error) {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return nil, fmt.Errorf("parse url: %w", err)
+	h := make(http.Header, 2+len(opts))
+	ep := NewEndpoint(method, rawURL, h)
+	if ep.err != nil {
+		return nil, fmt.Errorf("parse url: %w", ep.err)
 	}
 	var payload []byte
 	if body != nil {
-		payload, err = json.Marshal(body)
-		if err != nil {
+		var err error
+		if payload, err = json.Marshal(body); err != nil {
 			return nil, fmt.Errorf("marshal request: %w", err)
 		}
+		h.Set("Content-Type", "application/json; charset=utf-8")
 	}
-	var h http.Header
-	if len(opts) == 0 {
-		// No options may mutate the header, so all option-free
-		// prototypes can share one read-only header map. This matters
-		// when preparing requests in bulk (one per engine
-		// subscription): it saves the map, its value slices, and the
-		// throwaway option-carrier request on every call.
-		if payload != nil {
-			h = jsonBodyHeader
-		} else {
-			h = noBodyHeader
-		}
-	} else {
-		h = make(http.Header, 4)
-		if payload != nil {
-			h.Set("Content-Type", "application/json; charset=utf-8")
-		}
-		h.Set("Accept", "application/json")
-		// Options receive a pooled carrier request: they configure it
-		// during the call and must not retain it (same contract as the
-		// per-attempt requests DoJSON hands them).
-		tmp := optReqPool.Get().(*http.Request)
-		tmp.Header, tmp.URL, tmp.Host = h, u, u.Host
-		for _, opt := range opts {
-			opt(tmp)
-		}
-		h = tmp.Header
-		host := tmp.Host
-		*tmp = http.Request{}
-		optReqPool.Put(tmp)
-		return &Prepared{method: method, url: u, host: host, header: h, body: payload}, nil
+	h.Set("Accept", "application/json")
+	// Options configure a carrier request during the call and must not
+	// retain it (same contract as the per-attempt requests DoJSON hands
+	// them).
+	carrier := &http.Request{Header: h, URL: ep.url, Host: ep.host}
+	for _, opt := range opts {
+		opt(carrier)
 	}
-	return &Prepared{method: method, url: u, host: u.Host, header: h, body: payload}, nil
+	ep.header, ep.host = carrier.Header, carrier.Host
+	return &Prepared{ep: ep, body: string(payload)}, nil
 }
-
-// PreparedFrom assembles a prototype from parts the caller already
-// holds — a parsed URL, a header with canonical keys, an encoded JSON
-// body — without parsing, marshalling or canonicalising anything. The
-// engine's action path builds one per execution around a cached URL and
-// a body rendered into its own buffer; all three parts are read-only
-// until the DoPrepared call that sends them returns.
-func PreparedFrom(method string, u *url.URL, header http.Header, body []byte) Prepared {
-	return Prepared{method: method, url: u, host: u.Host, header: header, body: body}
-}
-
-// Shared prototype headers for option-free Prepared requests. Read-only
-// by the same contract as Prepared.header itself: the transport writes
-// headers to the wire but never mutates them.
-var (
-	jsonBodyHeader = http.Header{
-		"Content-Type": {"application/json; charset=utf-8"},
-		"Accept":       {"application/json"},
-	}
-	noBodyHeader = http.Header{"Accept": {"application/json"}}
-)
 
 // DoPrepared sends a prototype request with the same retry and decode
 // semantics as DoJSON.
 func (c *Client) DoPrepared(p *Prepared, out any) (int, error) {
-	var lastErr error
-	var lastStatus int
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			c.clock.Sleep(c.backoff(attempt - 1))
-		}
-		status, err := c.doPreparedOnce(p, out)
-		if err == nil && status < 500 {
-			return status, nil
-		}
-		if status != 0 {
-			lastStatus = status
-		}
-		if err != nil {
-			lastErr = err
-		} else {
-			lastErr = fmt.Errorf("server status %d", status)
-		}
-	}
-	// Same exhaustion contract as DoJSON: surface the last real HTTP
-	// status so transport failure (0) and HTTP failure stay separable.
-	return lastStatus, fmt.Errorf("%s %s: %w", p.method, p.url, lastErr)
+	return c.DoEndpoint(p.ep, "", p.body, out)
 }
 
-// bodyReader is a request body over bytes the prototype owns: reader and
-// no-op closer in one allocation.
-type bodyReader struct{ bytes.Reader }
+// DoEndpoint sends body (JSON already, sent as is; empty for none) to
+// ep with the same retry and decode semantics as DoJSON. auth, when not
+// empty, is the request's Authorization header. Nothing is parsed,
+// marshalled or canonicalised, and the request itself is assembled in
+// pooled scratch (see reqScratch): ep's header, auth and body are
+// read-only to the Doer and must stay unchanged until DoEndpoint
+// returns.
+func (c *Client) DoEndpoint(ep *Endpoint, auth, body string, out any) (int, error) {
+	return c.attempts(ep.method, ep.target, func() (int, error) {
+		if ep.err != nil {
+			return 0, ep.err
+		}
+		sc := c.scratches.Get().(*reqScratch)
+		resp, err := c.doer.Do(sc.request(ep, auth, body))
+		if err != nil {
+			// A transport that gave up on the exchange may still be
+			// reading the request; the scratch is its to keep.
+			return 0, err
+		}
+		status, clean, err := readJSONResponse(resp, out)
+		if clean {
+			// Pooled holding nothing of the request but the endpoint its
+			// header map is filled for.
+			sc.auth[0] = ""
+			sc.body.Reset("")
+			c.scratches.Put(sc)
+		}
+		return status, err
+	})
+}
+
+// reqScratch is one outgoing request's memory: the http.Request, its
+// header map, the one-value slice behind the Authorization header and the
+// body reader. A Doer may go on reading a request after it has given up
+// on it — net/http's transport writes the request from a goroutine of
+// its own — so a scratch returns to the pool only from an exchange that
+// ran to its end (response body drained and closed without error);
+// otherwise it is left to the collector and the next request starts from
+// a new one.
+type reqScratch struct {
+	req    http.Request
+	header http.Header
+	auth   [1]string
+	body   bodyReader
+	// getBody is bound to the scratch once, so handing the transport a
+	// way to replay the body costs a request nothing.
+	getBody func() (io.ReadCloser, error)
+	// The header map holds ep's entries, plus Authorization when
+	// withAuth; refilled only when the next request differs in either.
+	ep       *Endpoint
+	withAuth bool
+}
+
+func newReqScratch() any {
+	sc := &reqScratch{header: make(http.Header, 4)}
+	sc.getBody = func() (io.ReadCloser, error) {
+		r := new(bodyReader)
+		*r = sc.body
+		_, err := r.Seek(0, io.SeekStart)
+		return r, err
+	}
+	return sc
+}
+
+// bodyReader is a request body over a string the caller owns: reader and
+// no-op closer in one.
+type bodyReader struct{ strings.Reader }
 
 func (*bodyReader) Close() error { return nil }
 
-func newBodyReader(b []byte) *bodyReader {
-	r := new(bodyReader)
-	r.Reset(b)
-	return r
-}
-
-func (c *Client) doPreparedOnce(p *Prepared, out any) (int, error) {
-	req := &http.Request{
-		Method:     p.method,
-		URL:        p.url,
+func (sc *reqScratch) request(ep *Endpoint, auth, body string) *http.Request {
+	if sc.ep != ep || sc.withAuth != (auth != "") {
+		clear(sc.header)
+		for k, v := range ep.header {
+			sc.header[k] = v
+		}
+		if auth != "" {
+			sc.header["Authorization"] = sc.auth[:]
+		}
+		sc.ep, sc.withAuth = ep, auth != ""
+	}
+	sc.auth[0] = auth
+	sc.req = http.Request{
+		Method:     ep.method,
+		URL:        ep.url,
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
 		ProtoMinor: 1,
-		Header:     p.header,
-		Host:       p.host,
+		Header:     sc.header,
+		Host:       ep.host,
 	}
-	if p.body != nil {
-		req.Body = newBodyReader(p.body)
-		req.ContentLength = int64(len(p.body))
-		req.GetBody = func() (io.ReadCloser, error) { return newBodyReader(p.body), nil }
+	if body != "" {
+		sc.body.Reset(body)
+		sc.req.Body = &sc.body
+		sc.req.ContentLength = int64(len(body))
+		sc.req.GetBody = sc.getBody
 	}
-	resp, err := c.doer.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	return readJSONResponse(resp, out)
+	return &sc.req
 }

@@ -109,18 +109,59 @@ func TestActionEncoderMatchesEncoder(t *testing.T) {
 	cases = append(cases, many)
 	verbatim := func(dst []byte, text string) []byte { return append(dst, text...) }
 	var enc ActionEncoder // one encoder throughout: nothing of a body leaks into the next
+	var buf []byte        // and one buffer, appended to after a prefix
 	for _, req := range cases {
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(req); err != nil {
 			t.Fatal(err)
 		}
-		if got := enc.Encode(req.ActionFields, verbatim, req.User.ID, req.Source.ID); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("writer  %s\nencoder %s", got, want.Bytes())
+		buf = enc.Append(append(buf[:0], "Bearer t"...), req.ActionFields, verbatim, req.User.ID, req.Source.ID)
+		if got := buf[len("Bearer t"):]; !bytes.Equal(got, want.Bytes()) || string(buf[:8]) != "Bearer t" {
+			t.Errorf("writer  %s\nencoder %s", buf, want.Bytes())
 		}
 	}
 	// A nil field map is sent as {}, as the engine always sent it.
-	if got, want := string(enc.Encode(nil, verbatim, "u", "")), `{"actionFields":{},"user":{"id":"u"},"ifttt_source":{}}`+"\n"; got != want {
+	if got, want := string(enc.Append(nil, nil, verbatim, "u", "")), `{"actionFields":{},"user":{"id":"u"},"ifttt_source":{}}`+"\n"; got != want {
 		t.Errorf("nil fields: %s", got)
+	}
+}
+
+// TestPollRequestAppendJSONMatchesMarshal holds the hand-written poll
+// request encoder to json.Marshal over every member the struct has, not
+// only the ones the engine sets.
+func TestPollRequestAppendJSONMatchesMarshal(t *testing.T) {
+	zero, fifty, neg := 0, 50, -3
+	cases := []TriggerPollRequest{
+		{},
+		{TriggerIdentity: "ti-0123456789abcdef", TriggerFields: map[string]string{}},
+		{TriggerIdentity: "ti-1", TriggerFields: map[string]string{"n": "7"}, Limit: &fifty,
+			User: UserInfo{ID: "u1"}, Source: Source{ID: "a1"}},
+		{TriggerIdentity: `id "<&>"`, TriggerFields: map[string]string{"b": "<&>", "a": "x y", "c": "q\"\\", "d": "é\xff"},
+			Limit: &zero, User: UserInfo{ID: "u<1>", Timezone: "Europe/Paris"}, Source: Source{ID: "a&1", URL: "https://ifttt.sim/a?x=1&y=2"}},
+		{Limit: &neg, User: UserInfo{Timezone: "UTC"}, Source: Source{URL: "u"}},
+	}
+	many := TriggerPollRequest{TriggerIdentity: "many", TriggerFields: map[string]string{}}
+	for i, s := range trickyStrings { // more than the stack array holds
+		many.TriggerFields[fmt.Sprintf("f%02d%s", i, s)] = s
+	}
+	cases = append(cases, many)
+	scratch := []byte("prefix")
+	for _, req := range cases {
+		want := mustMarshal(t, req)
+		if got := req.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Errorf("AppendJSON   %s\njson.Marshal %s", got, want)
+		}
+		if got := req.AppendJSON(scratch); !bytes.Equal(got[len(scratch):], want) || !bytes.HasPrefix(got, scratch) {
+			t.Errorf("AppendJSON onto %q = %s", scratch, got)
+		}
+	}
+	check := func(id string, fields map[string]string, user, src string) bool {
+		req := TriggerPollRequest{TriggerIdentity: id, TriggerFields: fields, User: UserInfo{ID: user}, Source: Source{ID: src}}
+		want, err := json.Marshal(req)
+		return err == nil && bytes.Equal(req.AppendJSON(nil), want)
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

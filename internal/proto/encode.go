@@ -111,29 +111,88 @@ func (e TriggerEvent) MarshalJSON() ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// ActionEncoder renders ActionRequest bodies into a buffer it reuses
-// from one call to the next. The zero value is ready; an encoder is not
-// safe for concurrent use.
+// AppendJSON appends the request as json.Marshal renders it, byte for
+// byte — fields in sorted key order, a nil field map as null, the
+// omitempty members left out when empty — without reflection. The
+// engine renders each subscription's poll body with it once, when the
+// subscription's lead member is decided.
+func (r *TriggerPollRequest) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"trigger_identity":`...)
+	dst = appendString(dst, r.TriggerIdentity)
+	dst = append(dst, `,"triggerFields":`...)
+	if r.TriggerFields == nil {
+		dst = append(dst, "null"...)
+	} else {
+		var arr [8]string
+		keys := arr[:0]
+		for k := range r.TriggerFields {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		dst = append(dst, '{')
+		for i, k := range keys {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendString(dst, k)
+			dst = append(dst, ':')
+			dst = appendString(dst, r.TriggerFields[k])
+		}
+		dst = append(dst, '}')
+	}
+	if r.Limit != nil {
+		dst = append(dst, `,"limit":`...)
+		dst = strconv.AppendInt(dst, int64(*r.Limit), 10)
+	}
+	dst = append(dst, `,"user":`...)
+	dst = appendOptional(dst, "id", r.User.ID, "timezone", r.User.Timezone)
+	dst = append(dst, `,"ifttt_source":`...)
+	dst = appendOptional(dst, "id", r.Source.ID, "url", r.Source.URL)
+	return append(dst, '}')
+}
+
+// appendOptional appends an object of two string members, each left out
+// when empty: the shape of UserInfo and Source.
+func appendOptional(dst []byte, k1, v1, k2, v2 string) []byte {
+	dst = append(dst, '{')
+	if v1 != "" {
+		dst = appendString(dst, k1)
+		dst = append(dst, ':')
+		dst = appendString(dst, v1)
+	}
+	if v2 != "" {
+		if v1 != "" {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, k2)
+		dst = append(dst, ':')
+		dst = appendString(dst, v2)
+	}
+	return append(dst, '}')
+}
+
+// ActionEncoder renders ActionRequest bodies with scratch it reuses from
+// one call to the next. The zero value is ready; an encoder is not safe
+// for concurrent use.
 type ActionEncoder struct {
 	keys []string
 	val  []byte // one field value, as value left it
-	body []byte
 }
 
-// Encode renders the request: fields in sorted key order, each value
-// being whatever value appends for the field's configured text (the
-// engine resolves {{ingredient}} templates there), then the user and
+// Append appends the request to dst: fields in sorted key order, each
+// value being whatever value appends for the field's configured text
+// (the engine resolves {{ingredient}} templates there), then the user and
 // source members, empty IDs omitted as the struct tags say. The bytes
 // are the ones json.NewEncoder(w).Encode(ActionRequest{...}) writes for
 // the same members, trailing newline included; a nil field map renders
-// as {}, like an empty one. They stay valid until the next Encode.
-func (e *ActionEncoder) Encode(fields map[string]string, value func(dst []byte, text string) []byte, userID, sourceID string) []byte {
+// as {}, like an empty one.
+func (e *ActionEncoder) Append(dst []byte, fields map[string]string, value func(dst []byte, text string) []byte, userID, sourceID string) []byte {
 	keys := e.keys[:0]
 	for k := range fields {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	b := append(e.body[:0], `{"actionFields":{`...)
+	b := append(dst, `{"actionFields":{`...)
 	for i, k := range keys {
 		if i > 0 {
 			b = append(b, ',')
@@ -155,6 +214,5 @@ func (e *ActionEncoder) Encode(fields map[string]string, value func(dst []byte, 
 		b = append(b, `"id":`...)
 		b = appendString(b, sourceID)
 	}
-	e.body = append(b, "}}\n"...)
-	return e.body
+	return append(b, "}}\n"...)
 }

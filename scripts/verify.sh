@@ -24,6 +24,13 @@ go test -race -count=20 ./internal/simtime
 go test -race -count=20 -run 'TestSchedulerActorsPerDuePoll|TestPollHeapRandomised|TestLeaveLastPendingPollQuiesces|TestRemovedAfterAdmissionRefundsBudget' ./internal/engine
 go test -race -count=50 -run 'TestStoreRecoveryDeterministic' ./internal/durable
 
+# The residency and allocation guards skip under -race (instrumentation
+# changes object sizes and counts), so the suite pass above never ran
+# them: what a silent subscription keeps on the heap, and what an empty
+# poll, a hot poll and an action allocate.
+echo '== residency and allocation guards (race off)'
+go test -count=1 -run 'TestResidentBytesPerApplet|Allocs' ./internal/engine ./internal/httpx
+
 # The kill-and-rebalance soak is the cluster tier's handoff invariant
 # (no applet+event pair executes twice, none lost) under -race with
 # polls, pushes, node death, and snapshot migration racing. It already
@@ -69,6 +76,26 @@ go test -run '^$' -fuzz '^FuzzPushBatchDecode$' -fuzztime=10s ./internal/proto/
 # objects a smoke-size poll_hot window allocates since PR 13 (it was
 # 0.5 % of 73 K): in the suite's order the 1 % band trips one run in
 # four, on the counter, not on the engine (EXPERIMENTS.md, PR 13).
+#
+# Since PR 16 this step is red more often than green, and it still gates:
+# 12 of 20 invocations fail, the two same-seed poll_hot runs reading e.g.
+# 6.056 then 6.20 allocs/op while the exact count (runtime.ReadMemStats
+# at the window's edges) is 10 399 or 10 400 objects in every run. What
+# the counter leaves out is, per size class, what the P took from its
+# current span. A smoke window now allocates 1 205 objects in the 16-byte
+# class (the tiny blocks behind event IDs) where the parent allocated
+# 5 756, and when it opens that class has 1 800-3 500 free slots in five
+# to ten nearly empty spans pinned by process-lifetime strings. The
+# parent's window used those up in both runs, after which the uncounted
+# rest is (allocations + live objects) mod 512, the same twice; 1 205
+# allocations end somewhere inside them, up to 512 objects (6 %) apart.
+# No other class differs. Nothing an engine in the process does moves
+# that: with the request and decoder pools owned per client and per
+# engine it is 12 of 20 again. The fix is in bench/ - exact counters at
+# the window's edges, or an absolute band - which a change that claims a
+# gain may not touch: ROADMAP item 1(a), EXPERIMENTS.md "PR 16". What an
+# empty poll, a hot poll and an action allocate is pinned exactly by the
+# guards above (testing.AllocsPerRun).
 echo '== benchmark smoke test (go -C bench test ./...)'
 GOMAXPROCS=1 GOGC=off go -C bench test -run '^TestSeedReproduces$' ./...
 GOMAXPROCS=1 GOGC=off go -C bench test -skip '^TestSeedReproduces$' ./...
