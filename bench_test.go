@@ -1276,7 +1276,7 @@ func durableChurnArm(b *testing.B, dir string, n int) time.Duration {
 
 // BenchmarkEngineDurableChurn prices the durability tier on the install
 // path: the same churn workload with the WAL off and on. The journal
-// adds one JSON encode + one write(2) per lifecycle record inside the
+// adds one binary encode + one write(2) per lifecycle record inside the
 // install critical section, and the acceptance bar is that WAL-on
 // install throughput stays within 2x of WAL-off.
 func BenchmarkEngineDurableChurn(b *testing.B) {

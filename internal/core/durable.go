@@ -332,7 +332,7 @@ func FormatDurableChurn(r *DurableChurnResults) string {
 		r.PostRecoveryExecs, r.DuplicateExecs)
 	fmt.Fprintf(&b, "- Install path with the WAL on: %s installs/s vs %s with it off\n",
 		groupThousands(int(r.WALOnInstallsPerSec)), groupThousands(int(r.WALOffInstallsPerSec)))
-	fmt.Fprintf(&b, "  (%.2fx overhead — one JSON encode and one write(2) per lifecycle\n", r.WALOverheadX)
+	fmt.Fprintf(&b, "  (%.2fx overhead — one binary encode and one write(2) per lifecycle\n", r.WALOverheadX)
 	b.WriteString("  record, inside the install critical section).\n")
 	b.WriteString("- Exactly-once across the kill is the checkpoint-before-dispatch\n")
 	b.WriteString("  contract: each execution's dedup delta is journaled before its\n")

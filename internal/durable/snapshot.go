@@ -1,8 +1,9 @@
 // Snapshot files: a full-state image of the engine — every
-// subscription's portable snapshot (the PR 9 migration encoding: dedup
+// subscription's portable snapshot (the migration encoding: dedup
 // rings, EWMA rate, breaker state, parked pushes) plus the retained
 // dedup windows of removed applets — stamped with the WAL position it
-// covers.
+// covers, written as snap-<seq>.bin in the v2 layout of the package
+// comment (header, body, CRC32 of both).
 //
 // Consistency does not require stopping the engine. The snapshot
 // procedure reads the WAL's head sequence S first, then exports
@@ -12,11 +13,19 @@
 // with seq > S — idempotently, because a record in the overlap window
 // (appended after the S read but before its subscription was captured)
 // may already be reflected in the image.
+//
+// The newest image that decodes is loaded; a damaged one falls back to
+// the previous generation, and openWAL's gap check then refuses the
+// fallback unless the log still holds every record after it. An image
+// of an unknown version fails Open instead.
 package durable
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,7 +35,8 @@ import (
 	"repro/internal/engine"
 )
 
-// Snapshot is the on-disk full-state image.
+// Snapshot is the on-disk full-state image. The JSON tags are the
+// version 1 image.
 type Snapshot struct {
 	// WALSeq is the journal position this image covers: recovery replays
 	// only records after it.
@@ -41,20 +51,22 @@ type Snapshot struct {
 
 const (
 	snapPrefix = "snap-"
-	snapSuffix = ".json"
+	snapSuffix = ".bin"
 	// snapKeep is how many snapshot generations survive pruning: the
 	// newest is the working image, the previous one the fallback should
 	// the newest turn out unreadable.
 	snapKeep = 2
 )
 
+var snapMagic = []byte("ISNP")
+
 // writeSnapshot persists snap atomically (tmp + rename) as
-// snap-<walseq>.json and prunes older generations beyond snapKeep.
+// snap-<walseq>.bin, then prunes older generations beyond snapKeep and
+// every version 1 image.
 func writeSnapshot(dir string, snap *Snapshot) error {
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("durable: encode snapshot: %w", err)
-	}
+	e := encoder{b: fileHeader(snapMagic)}
+	e.snapshotBody(snap)
+	data := binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b))
 	final := filepath.Join(dir, fmt.Sprintf("%s%020d%s", snapPrefix, snap.WALSeq, snapSuffix))
 	tmp := final + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
@@ -64,34 +76,63 @@ func writeSnapshot(dir string, snap *Snapshot) error {
 		os.Remove(tmp)
 		return fmt.Errorf("durable: commit snapshot: %w", err)
 	}
+	kept := 0
 	names := snapshotFiles(dir)
-	for i := 0; i+snapKeep < len(names); i++ {
+	for i := len(names) - 1; i >= 0; i-- {
+		if strings.HasSuffix(names[i], snapSuffix) && kept < snapKeep {
+			kept++
+			continue
+		}
 		os.Remove(filepath.Join(dir, names[i]))
 	}
 	return nil
 }
 
-// loadSnapshot returns the newest readable snapshot in dir, or nil when
-// none exists. An undecodable newest image falls back to the previous
-// generation rather than failing recovery.
-func loadSnapshot(dir string) (*Snapshot, error) {
+// decodeSnapshot decodes one image file of either version. An unknown
+// version is a *formatError; anything else wrong is plain corruption.
+func decodeSnapshot(path string, data []byte) (*Snapshot, error) {
+	if strings.HasSuffix(path, snapSuffixV1) {
+		return decodeSnapshotV1(data)
+	}
+	if len(data) < fileHdr+4 || !bytes.HasPrefix(data, snapMagic) {
+		return nil, errCorrupt
+	}
+	if v := binary.LittleEndian.Uint32(data[len(snapMagic):]); v != formatVersion {
+		return nil, &formatError{path, v}
+	}
+	n := len(data) - 4
+	if crc32.ChecksumIEEE(data[:n]) != binary.LittleEndian.Uint32(data[n:]) {
+		return nil, errCorrupt
+	}
+	return decodeSnapshotBody(data[fileHdr:n])
+}
+
+// loadSnapshot returns the newest readable snapshot in dir and its file
+// name, or nil when none exists. An undecodable newest image falls back
+// to the previous generation; an image of an unknown version is an
+// error.
+func loadSnapshot(dir string) (*Snapshot, string, error) {
 	names := snapshotFiles(dir)
 	for i := len(names) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(filepath.Join(dir, names[i]))
+		path := filepath.Join(dir, names[i])
+		data, err := os.ReadFile(path)
 		if err != nil {
 			continue
 		}
-		var snap Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
+		snap, err := decodeSnapshot(path, data)
+		if fe := (*formatError)(nil); errors.As(err, &fe) {
+			return nil, "", err
+		}
+		if err != nil {
 			continue
 		}
-		return &snap, nil
+		return snap, names[i], nil
 	}
-	return nil, nil
+	return nil, "", nil
 }
 
-// snapshotFiles lists dir's snapshot files sorted oldest first (the
-// zero-padded fixed-width names make lexical order equal WAL order).
+// snapshotFiles lists dir's snapshot images of both versions, oldest
+// first: the zero-padded fixed-width names make lexical order WAL order.
 func snapshotFiles(dir string) []string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -100,10 +141,16 @@ func snapshotFiles(dir string) []string {
 	var names []string
 	for _, en := range entries {
 		name := en.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
+		digits, ok := strings.CutPrefix(name, snapPrefix)
+		if !ok {
 			continue
 		}
-		if _, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), 10, 64); err != nil {
+		if d, ok := strings.CutSuffix(digits, snapSuffix); ok {
+			digits = d
+		} else if digits, ok = strings.CutSuffix(digits, snapSuffixV1); !ok {
+			continue
+		}
+		if _, err := strconv.ParseUint(digits, 10, 64); err != nil {
 			continue
 		}
 		names = append(names, name)

@@ -112,25 +112,27 @@ func Open(opts Options) (*Store, error) {
 		retCap = 0
 	}
 
-	snap, err := loadSnapshot(opts.Dir)
+	snap, snapFile, err := loadSnapshot(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if snap != nil && snap.Coalesce != opts.Coalesce {
-		return nil, fmt.Errorf("durable: snapshot in %s was taken with coalesce=%v, store opened with coalesce=%v",
-			opts.Dir, snap.Coalesce, opts.Coalesce)
+	var snapSeq uint64
+	if snap != nil {
+		if snap.Coalesce != opts.Coalesce {
+			return nil, fmt.Errorf("durable: snapshot in %s was taken with coalesce=%v, store opened with coalesce=%v",
+				opts.Dir, snap.Coalesce, opts.Coalesce)
+		}
+		snapSeq = snap.WALSeq
 	}
-	w, records, err := openWAL(opts.Dir, opts.Fsync, opts.SegmentBytes)
+	w, records, err := openWAL(opts.Dir, opts.Fsync, opts.SegmentBytes, snapSeq)
 	if err != nil {
 		return nil, err
 	}
 	s.wal = w
 
 	m := newModel(opts.Coalesce, dedupCap, retCap)
-	var snapSeq uint64
 	if snap != nil {
 		m.loadSnapshot(snap)
-		snapSeq = snap.WALSeq
 	}
 	replayed := 0
 	for _, rec := range records {
@@ -148,7 +150,7 @@ func Open(opts Options) (*Store, error) {
 			applets += len(ss.Members)
 		}
 		opts.Logger.Info("durable store opened", "dir", opts.Dir,
-			"snapshot_seq", snapSeq, "wal_records_replayed", replayed,
+			"snapshot", snapFile, "snapshot_seq", snapSeq, "wal_records_replayed", replayed,
 			"subscriptions", len(s.subs), "applets", applets)
 	}
 	if reg := opts.Metrics; reg != nil {
@@ -169,6 +171,30 @@ func Open(opts Options) (*Store, error) {
 			func() float64 { return float64(s.wal.sizeOnDisk()) })
 	}
 	return s, nil
+}
+
+// Image is a persistence directory as recovery reads it, read without
+// changing anything: the snapshot Open would load and every WAL record
+// before the first torn or corrupt frame, oldest first (Open replays
+// those after the snapshot's seq).
+type Image struct {
+	SnapshotFile string // base name; empty when there is no snapshot
+	Snapshot     *Snapshot
+	Records      []Record
+}
+
+// Inspect reads dir's snapshot and log read-only (cmd/waldump prints
+// them). It fails where Open would on an unknown format version.
+func Inspect(dir string) (*Image, error) {
+	snap, name, err := loadSnapshot(dir)
+	if err != nil {
+		return nil, err
+	}
+	l, err := scanLog(dir)
+	if err != nil {
+		return nil, err
+	}
+	return &Image{SnapshotFile: name, Snapshot: snap, Records: l.records()}, nil
 }
 
 // RecoveredState returns what Open reconstructed: attach-ready
@@ -236,14 +262,10 @@ func (s *Store) Snapshot() error {
 		return fmt.Errorf("durable: no engine bound")
 	}
 	seq := s.wal.lastSeq()
-	subs := s.eng.ExportSubscriptions()
-	for _, ss := range subs {
-		scrubMembers(ss.Members)
-	}
 	snap := &Snapshot{
 		WALSeq:   seq,
 		Coalesce: s.opts.Coalesce,
-		Subs:     subs,
+		Subs:     s.eng.ExportSubscriptions(),
 		Retired:  s.eng.ExportRetiredDedup(),
 	}
 	if err := writeSnapshot(s.opts.Dir, snap); err != nil {
@@ -299,14 +321,17 @@ func (s *Store) WALSizeOnDisk() int64 { return s.wal.sizeOnDisk() }
 func (s *Store) Snapshots() int64 { return s.snapshots.Load() }
 
 // --- engine.Journal ---
+//
+// Each append encodes its arguments into the WAL's buffer during the
+// call and keeps nothing: the engine may reuse them as soon as it
+// returns. Conditions are never encoded, so nothing needs scrubbing.
 
 // AppendInstall implements engine.Journal.
 func (s *Store) AppendInstall(a engine.Applet) error {
 	if s.restoring.Load() {
 		return nil
 	}
-	a.Conditions = nil // interface values have no portable encoding
-	return s.wal.append(Record{Op: OpInstall, Applet: &a})
+	return s.wal.append(&Record{Op: OpInstall, Applet: &a})
 }
 
 // AppendRemove implements engine.Journal.
@@ -314,7 +339,7 @@ func (s *Store) AppendRemove(id string) error {
 	if s.restoring.Load() {
 		return nil
 	}
-	return s.wal.append(Record{Op: OpRemove, ID: id})
+	return s.wal.append(&Record{Op: OpRemove, ID: id})
 }
 
 // AppendCheckpoint implements engine.Journal.
@@ -322,7 +347,7 @@ func (s *Store) AppendCheckpoint(cp engine.Checkpoint) error {
 	if s.restoring.Load() {
 		return nil
 	}
-	return s.wal.append(Record{Op: OpCheckpoint, Checkpoint: &cp})
+	return s.wal.append(&Record{Op: OpCheckpoint, Checkpoint: &cp})
 }
 
 // AppendAttach implements engine.Journal.
@@ -330,12 +355,7 @@ func (s *Store) AppendAttach(snap *engine.SubscriptionSnapshot) error {
 	if s.restoring.Load() {
 		return nil
 	}
-	// Copy before scrubbing Conditions: the engine commits the caller's
-	// snapshot after this returns.
-	cp := *snap
-	cp.Members = append([]engine.MemberSnapshot(nil), snap.Members...)
-	scrubMembers(cp.Members)
-	return s.wal.append(Record{Op: OpAttach, Attach: &cp})
+	return s.wal.append(&Record{Op: OpAttach, Attach: snap})
 }
 
 // AppendDetach implements engine.Journal.
@@ -343,13 +363,5 @@ func (s *Store) AppendDetach(key string, appletIDs []string) error {
 	if s.restoring.Load() {
 		return nil
 	}
-	return s.wal.append(Record{Op: OpDetach, Key: key, AppletIDs: appletIDs})
-}
-
-// scrubMembers drops the applets' Conditions in place (members must be
-// caller-owned copies); see AppendInstall.
-func scrubMembers(members []engine.MemberSnapshot) {
-	for i := range members {
-		members[i].Applet.Conditions = nil
-	}
+	return s.wal.append(&Record{Op: OpDetach, Key: key, AppletIDs: appletIDs})
 }

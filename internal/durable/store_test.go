@@ -137,7 +137,7 @@ func appletIDs(subs []*engine.SubscriptionSnapshot) map[string]bool {
 // oracle the recovery model is checked against.
 func naiveLiveSet(t *testing.T, dir string) map[string]bool {
 	t.Helper()
-	w, recs, err := openWAL(dir, false, 0)
+	w, recs, err := openWAL(dir, false, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

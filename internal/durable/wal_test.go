@@ -34,6 +34,11 @@ func mkRecord(i int) Record {
 	}
 }
 
+func recPtr(i int) *Record {
+	rec := mkRecord(i)
+	return &rec
+}
+
 // stripSeq compares records ignoring assigned sequence numbers.
 func sameOps(t *testing.T, got, want []Record) {
 	t.Helper()
@@ -51,7 +56,7 @@ func sameOps(t *testing.T, got, want []Record) {
 
 func TestWALAppendReopenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, recs, err := openWAL(dir, false, 0)
+	w, recs, err := openWAL(dir, false, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func TestWALAppendReopenRoundTrip(t *testing.T) {
 	var want []Record
 	for i := 0; i < 50; i++ {
 		rec := mkRecord(i)
-		if err := w.append(rec); err != nil {
+		if err := w.append(&rec); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, rec)
@@ -73,7 +78,7 @@ func TestWALAppendReopenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, recs2, err := openWAL(dir, false, 0)
+	w2, recs2, err := openWAL(dir, false, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +90,7 @@ func TestWALAppendReopenRoundTrip(t *testing.T) {
 		}
 	}
 	// Appends continue the sequence.
-	if err := w2.append(mkRecord(50)); err != nil {
+	if err := w2.append(recPtr(50)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w2.lastSeq(); got != 51 {
@@ -139,14 +144,14 @@ func copyDir(t *testing.T, src string) string {
 // appends afterwards.
 func TestWALTornTailTruncation(t *testing.T) {
 	src := t.TempDir()
-	w, _, err := openWAL(src, false, 0)
+	w, _, err := openWAL(src, false, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []Record
 	for i := 0; i < 12; i++ {
 		rec := mkRecord(i)
-		if err := w.append(rec); err != nil {
+		if err := w.append(&rec); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, rec)
@@ -164,7 +169,7 @@ func TestWALTornTailTruncation(t *testing.T) {
 		if err := os.Truncate(lastSegment(t, dir), off); err != nil {
 			t.Fatal(err)
 		}
-		w2, recs, err := openWAL(dir, false, 0)
+		w2, recs, err := openWAL(dir, false, 0, 0)
 		if err != nil {
 			t.Fatalf("offset %d: %v", off, err)
 		}
@@ -174,11 +179,11 @@ func TestWALTornTailTruncation(t *testing.T) {
 		}
 		prevRecovered = len(recs)
 		// The truncated log must accept appends and read back clean.
-		if err := w2.append(mkRecord(99)); err != nil {
+		if err := w2.append(recPtr(99)); err != nil {
 			t.Fatalf("offset %d: append after truncation: %v", off, err)
 		}
 		w2.close()
-		_, recs3, err := openWAL(dir, false, 0)
+		_, recs3, err := openWAL(dir, false, 0, 0)
 		if err != nil {
 			t.Fatalf("offset %d: reopen: %v", off, err)
 		}
@@ -196,12 +201,12 @@ func TestWALTornTailTruncation(t *testing.T) {
 // later segments) is discarded.
 func TestWALMidFileCorruption(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := openWAL(dir, false, 256) // small segments: corruption lands mid-log with later segments present
+	w, _, err := openWAL(dir, false, 256, 0) // small segments: corruption lands mid-log with later segments present
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := w.append(mkRecord(i)); err != nil {
+		if err := w.append(recPtr(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +226,7 @@ func TestWALMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, recs, err := openWAL(dir, false, 256)
+	w2, recs, err := openWAL(dir, false, 256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +250,12 @@ func TestWALMidFileCorruption(t *testing.T) {
 // that compact removes exactly the segments a snapshot covers.
 func TestWALCompaction(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := openWAL(dir, false, 256)
+	w, _, err := openWAL(dir, false, 256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 60; i++ {
-		if err := w.append(mkRecord(i)); err != nil {
+		if err := w.append(recPtr(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +268,12 @@ func TestWALCompaction(t *testing.T) {
 	}
 	w.close()
 
-	_, recs, err := openWAL(dir, false, 256)
+	// The log is reopened behind the snapshot it was compacted for; on its
+	// own it no longer holds seq 1 onwards, and Open says so.
+	if _, _, err := openWAL(dir, false, 256, 0); err == nil {
+		t.Fatal("compacted log opened without its snapshot: want a gap error")
+	}
+	_, recs, err := openWAL(dir, false, 256, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

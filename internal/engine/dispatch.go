@@ -47,7 +47,7 @@ func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body
 		e.fanout.Observe(float64(len(members)))
 	}
 
-	status, err := e.client.DoEndpoint(sub.ep.req, auth, body, dec)
+	status, err := e.client.DoEndpoint(sub.ep.req, "", auth, body, dec)
 	if err != nil || status != http.StatusOK {
 		// status 0 means no attempt ever got an HTTP response (pure
 		// transport failure); anything else is the endpoint answering
@@ -130,6 +130,10 @@ type pollDecoder struct {
 	// enc and buf are what each action request is rendered in.
 	enc proto.ActionEncoder
 	buf []byte
+	// cp and cpIDs are what the execution's checkpoint is journaled in
+	// (journalCheckpoint); empty between checkpoints.
+	cp    Checkpoint
+	cpIDs []string
 }
 
 // What a decoder keeps between executions is bounded: the event buffers
@@ -168,6 +172,9 @@ func (d *pollDecoder) release() {
 	}
 	if cap(d.fresh) > maxPooledBuilt {
 		d.fresh = nil
+	}
+	if cap(d.cpIDs) > maxPooledBuilt {
+		d.cpIDs = nil
 	}
 	if cap(d.buf) > maxPooledBody {
 		d.buf, d.enc = nil, proto.ActionEncoder{}
@@ -258,7 +265,7 @@ func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev proto.Tr
 	e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID, EventTime: eventTime})
 
 	auth, body := dec.actionRequest(ra, ev.Ingredients)
-	status, err := e.client.DoEndpoint(ra.action.req, auth, body, actionAck{})
+	status, err := e.client.DoEndpoint(ra.action.req, "", auth, body, actionAck{})
 	if err != nil || status != http.StatusOK {
 		if status == 0 {
 			sh.counters.actionErrTransport.Add(1)
@@ -279,8 +286,10 @@ func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev proto.Tr
 }
 
 // deleteUpstream tells the trigger service a subscription is gone (the
-// protocol's DELETE /ifttt/v1/triggers/{slug}/trigger_identity/{id}).
-// It runs once per subscription, when the last member leaves.
+// protocol's DELETE /ifttt/v1/triggers/{slug}/trigger_identity/{id}),
+// through the trigger endpoint's interned DELETE with the key as the
+// last path segment. It runs once per subscription, when the last
+// member leaves.
 func (e *Engine) deleteUpstream(sub *subscription) {
 	if e.stopped.Load() {
 		// The engine stopped between the spawn and this actor running;
@@ -288,10 +297,7 @@ func (e *Engine) deleteUpstream(sub *subscription) {
 		// is about to be discarded anyway.
 		return
 	}
-	ref := &sub.ep.ref
-	url := proto.TriggerURL(ref.BaseURL, ref.Slug) + "/trigger_identity/" + sub.key
-	status, err := e.client.DoJSON("DELETE", url, nil, nil,
-		httpx.WithHeader(proto.ServiceKeyHeader, ref.ServiceKey))
+	status, err := e.client.DoEndpoint(sub.ep.del, sub.key, "", "", nil)
 	if (err != nil || status >= 300) && e.log != nil {
 		e.log.Warn("subscription delete failed", "identity", sub.key, "status", status, "err", err)
 	}

@@ -17,6 +17,10 @@ type endpoint struct {
 	ref ServiceRef
 	// req is what polls and actions alike are sent through.
 	req *httpx.Endpoint
+	// del is a trigger endpoint's DELETE of one subscription, sent to
+	// the trigger URL + "/trigger_identity/" + the subscription's key; nil
+	// for an action endpoint.
+	del *httpx.Endpoint
 }
 
 type endpointKey struct {
@@ -49,13 +53,20 @@ func (e *Engine) endpointFor(ref *ServiceRef, action bool) *endpoint {
 	if action {
 		raw = proto.ActionURL(ref.BaseURL, ref.Slug)
 	}
+	key := []string{ref.ServiceKey}
 	ep := &endpoint{
 		ref: ServiceRef{Service: ref.Service, BaseURL: ref.BaseURL, Slug: ref.Slug, ServiceKey: ref.ServiceKey},
 		req: httpx.NewEndpoint("POST", raw, http.Header{
 			"Content-Type":   jsonContentType,
 			"Accept":         acceptJSON,
-			serviceKeyHeader: {ref.ServiceKey},
+			serviceKeyHeader: key,
 		}),
+	}
+	if !action {
+		ep.del = httpx.NewEndpoint("DELETE", raw+"/trigger_identity/", http.Header{
+			"Accept":         acceptJSON,
+			serviceKeyHeader: key,
+		})
 	}
 	if err := ep.req.Err(); err != nil && e.log != nil {
 		e.log.Warn("endpoint URL does not parse, requests to it will fail", "url", raw, "err", err)

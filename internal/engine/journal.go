@@ -18,7 +18,10 @@
 package engine
 
 // Journal receives the engine's durable state changes. Implementations
-// must be safe for concurrent use; append errors on Install and
+// must be safe for concurrent use. Arguments are valid only during the
+// call: the engine reuses a Checkpoint's slices (and may reuse any
+// argument's) as soon as the append returns, so an implementation
+// copies what it keeps. Append errors on Install and
 // AttachSubscription abort the operation, while Remove, Detach, and
 // checkpoint append errors are logged and the operation proceeds
 // (refusing a removal because the disk is full would be worse than a
@@ -71,24 +74,29 @@ const DefaultRetiredDedup = 4096
 // journalCheckpoint appends the dedup delta of the execution (poll or
 // push) dec carries. Called by the worker that owns the subscription,
 // after the rings absorbed the IDs and before any action dispatches.
+// The Checkpoint is the decoder's: one flat list of the fresh events'
+// IDs, which each member's entry slices, so a warm decoder journals
+// without allocating; it is emptied again once the journal returned.
 func (e *Engine) journalCheckpoint(dec *pollDecoder) {
-	cp := Checkpoint{Key: dec.sub.key, Members: make([]MemberEvents, 0, len(dec.ranges))}
+	ids := dec.cpIDs[:0]
+	for i := range dec.fresh {
+		ids = append(ids, dec.fresh[i].Meta.ID)
+	}
+	cp := &dec.cp
 	for _, mr := range dec.ranges {
-		if mr.end == mr.start {
-			continue
+		if mr.end > mr.start {
+			cp.Members = append(cp.Members, MemberEvents{AppletID: mr.ra.id, EventIDs: ids[mr.start:mr.end:mr.end]})
 		}
-		ids := make([]string, 0, mr.end-mr.start)
-		for _, ev := range dec.fresh[mr.start:mr.end] {
-			ids = append(ids, ev.Meta.ID)
+	}
+	if len(cp.Members) > 0 {
+		cp.Key = dec.sub.key
+		if err := e.journal.AppendCheckpoint(*cp); err != nil && e.log != nil {
+			e.log.Warn("journal checkpoint failed", "key", cp.Key, "err", err)
 		}
-		cp.Members = append(cp.Members, MemberEvents{AppletID: mr.ra.id, EventIDs: ids})
 	}
-	if len(cp.Members) == 0 {
-		return
-	}
-	if err := e.journal.AppendCheckpoint(cp); err != nil && e.log != nil {
-		e.log.Warn("journal checkpoint failed", "key", cp.Key, "err", err)
-	}
+	clear(ids)
+	clear(cp.Members)
+	dec.cpIDs, *cp = ids[:0], Checkpoint{Members: cp.Members[:0]}
 }
 
 // retainDedup remembers a removed applet's dedup window for a future

@@ -47,7 +47,7 @@ func TestDoEndpointAssemblesRequest(t *testing.T) {
 		ep         *Endpoint
 		auth, body string
 	}{{ep, "Bearer a", `{"n":1}`}, {ep, "Bearer b", `{"n":22}`}, {other, "", ""}, {ep, "", `{}`}, {ep, "Bearer c", `{"n":3}`}} {
-		if status, err := c.DoEndpoint(call.ep, call.auth, call.body, nil); err != nil || status != 200 {
+		if status, err := c.DoEndpoint(call.ep, "", call.auth, call.body, nil); err != nil || status != 200 {
 			t.Fatal(status, err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestScratchIsPerClient(t *testing.T) {
 	for _, who = range []string{"a", "b"} {
 		c := NewClient(d, simtime.NewReal(), 0)
 		for i := 0; i < 4; i++ {
-			if status, err := c.DoEndpoint(ep, "Bearer x", `{}`, nil); err != nil || status != 200 {
+			if status, err := c.DoEndpoint(ep, "", "Bearer x", `{}`, nil); err != nil || status != 200 {
 				t.Fatal(status, err)
 			}
 		}
@@ -98,7 +98,7 @@ func TestEndpointUnparsableURLFailsEveryAttempt(t *testing.T) {
 	c := NewClient(doerFunc(func(*http.Request) (*http.Response, error) { calls++; return nil, errors.New("reached") }), simtime.NewReal(), 2)
 	slept := 0
 	c.SetBackoff(func(int) time.Duration { slept++; return 0 })
-	status, err := c.DoEndpoint(ep, "Bearer a", "{}", nil)
+	status, err := c.DoEndpoint(ep, "", "Bearer a", "{}", nil)
 	if status != 0 || !errors.Is(err, ep.Err()) || !strings.HasPrefix(err.Error(), "POST http://bad host/%zz: parse ") {
 		t.Errorf("status %d, err %v: want status 0 and the parse error behind the request line", status, err)
 	}
@@ -189,7 +189,7 @@ func TestDoEndpointScratchDroppedUnlessExchangeCompleted(t *testing.T) {
 	ep := testEndpoint()
 	for i := 0; i < 200; i++ {
 		auth := fmt.Sprint("Bearer ", i)
-		_, err := c.DoEndpoint(ep, auth, `{"for":"`+auth+`"}`, nil)
+		_, err := c.DoEndpoint(ep, "", auth, `{"for":"`+auth+`"}`, nil)
 		if mode := l.mode(auth); (err != nil) != (mode == "fail" || mode == "read error") {
 			t.Fatalf("request %d (%s): err = %v", i, mode, err)
 		}

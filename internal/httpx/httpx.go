@@ -226,7 +226,7 @@ func (c *Client) DoJSON(method, url string, body, out any, opts ...RequestOpt) (
 		}
 		payload = buf.Bytes()
 	}
-	return c.attempts(method, url, func() (int, error) {
+	return c.attempts(method, url, "", func() (int, error) {
 		return c.doOnce(method, url, payload, out, opts)
 	})
 }
@@ -235,8 +235,9 @@ func (c *Client) DoJSON(method, url string, body, out any, opts ...RequestOpt) (
 // 1+retries times with the backoff between. On exhaustion the last
 // received status rides alongside the error: callers (and failure
 // metrics) distinguish an endpoint that answered 5xx from one that never
-// answered at all (status 0).
-func (c *Client) attempts(method, url string, once func() (int, error)) (int, error) {
+// answered at all (status 0). The error names url+suffix, joined only
+// when there is an error to report.
+func (c *Client) attempts(method, url, suffix string, once func() (int, error)) (int, error) {
 	var lastErr error
 	var lastStatus int
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -256,7 +257,7 @@ func (c *Client) attempts(method, url string, once func() (int, error)) (int, er
 			lastErr = fmt.Errorf("server status %d", status)
 		}
 	}
-	return lastStatus, fmt.Errorf("%s %s: %w", method, url, lastErr)
+	return lastStatus, fmt.Errorf("%s %s%s: %w", method, url, suffix, lastErr)
 }
 
 func (c *Client) doOnce(method, url string, payload []byte, out any, opts []RequestOpt) (int, error) {
@@ -398,23 +399,25 @@ func NewPrepared(method, rawURL string, body any, opts ...RequestOpt) (*Prepared
 // DoPrepared sends a prototype request with the same retry and decode
 // semantics as DoJSON.
 func (c *Client) DoPrepared(p *Prepared, out any) (int, error) {
-	return c.DoEndpoint(p.ep, "", p.body, out)
+	return c.DoEndpoint(p.ep, "", "", p.body, out)
 }
 
 // DoEndpoint sends body (JSON already, sent as is; empty for none) to
-// ep with the same retry and decode semantics as DoJSON. auth, when not
+// ep with the same retry and decode semantics as DoJSON. suffix, when
+// not empty, is appended to ep's path (it must not need escaping): the
+// joined path is then the one string a call allocates. auth, when not
 // empty, is the request's Authorization header. Nothing is parsed,
 // marshalled or canonicalised, and the request itself is assembled in
 // pooled scratch (see reqScratch): ep's header, auth and body are
 // read-only to the Doer and must stay unchanged until DoEndpoint
 // returns.
-func (c *Client) DoEndpoint(ep *Endpoint, auth, body string, out any) (int, error) {
-	return c.attempts(ep.method, ep.target, func() (int, error) {
+func (c *Client) DoEndpoint(ep *Endpoint, suffix, auth, body string, out any) (int, error) {
+	return c.attempts(ep.method, ep.target, suffix, func() (int, error) {
 		if ep.err != nil {
 			return 0, ep.err
 		}
 		sc := c.scratches.Get().(*reqScratch)
-		resp, err := c.doer.Do(sc.request(ep, auth, body))
+		resp, err := c.doer.Do(sc.request(ep, suffix, auth, body))
 		if err != nil {
 			// A transport that gave up on the exchange may still be
 			// reading the request; the scratch is its to keep.
@@ -426,6 +429,9 @@ func (c *Client) DoEndpoint(ep *Endpoint, auth, body string, out any) (int, erro
 			// header map is filled for.
 			sc.auth[0] = ""
 			sc.body.Reset("")
+			if suffix != "" {
+				sc.url = url.URL{}
+			}
 			c.scratches.Put(sc)
 		}
 		return status, err
@@ -445,6 +451,8 @@ type reqScratch struct {
 	header http.Header
 	auth   [1]string
 	body   bodyReader
+	// url is the request's address when it extends the endpoint's path.
+	url url.URL
 	// getBody is bound to the scratch once, so handing the transport a
 	// way to replay the body costs a request nothing.
 	getBody func() (io.ReadCloser, error)
@@ -471,7 +479,7 @@ type bodyReader struct{ strings.Reader }
 
 func (*bodyReader) Close() error { return nil }
 
-func (sc *reqScratch) request(ep *Endpoint, auth, body string) *http.Request {
+func (sc *reqScratch) request(ep *Endpoint, suffix, auth, body string) *http.Request {
 	if sc.ep != ep || sc.withAuth != (auth != "") {
 		clear(sc.header)
 		for k, v := range ep.header {
@@ -491,6 +499,14 @@ func (sc *reqScratch) request(ep *Endpoint, auth, body string) *http.Request {
 		ProtoMinor: 1,
 		Header:     sc.header,
 		Host:       ep.host,
+	}
+	if suffix != "" {
+		sc.url = *ep.url
+		sc.url.Path += suffix
+		if sc.url.RawPath != "" {
+			sc.url.RawPath += suffix
+		}
+		sc.req.URL = &sc.url
 	}
 	if body != "" {
 		sc.body.Reset(body)
