@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race flake residency bench verify report
+.PHONY: build test race flake residency verify report
 
 build:
 	$(GO) build ./...
@@ -30,15 +30,8 @@ residency:
 		-test.memprofile "$$out/heap.pprof" -test.memprofilerate 1 | grep -e 'resident per applet' -e '^--- ' -e '^FAIL') && \
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 "$$out/engine.test" "$$out/heap.pprof" 2>/dev/null
 
-# Short pass over the engine-scale benchmarks (scheduler regressions).
-bench:
-	$(GO) test -run '^$$' -bench 'EngineScaleInstall|EngineScale100K|HintRouting|EngineEventThroughput|EngineChaosResilience' -benchtime 1x .
-
-# Full figure/table benchmark suite.
-bench-all:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-# Pre-merge superset: vet + build + race tests + scheduler benches.
+# Pre-merge superset: vet, build, race tests, flake slice, fuzz, the
+# bench/ smoke test and the daemon smokes.
 verify:
 	sh scripts/verify.sh
 

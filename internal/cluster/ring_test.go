@@ -116,8 +116,10 @@ func TestRingMovementOnNodeChange(t *testing.T) {
 	}
 
 	r.Remove("node1")
+	survivors := map[string]int{}
 	for _, id := range ids {
 		now := r.Owner(id)
+		survivors[now]++
 		if before[id] == "node1" {
 			if now == "node1" {
 				t.Fatalf("%s still owned by removed node", id)
@@ -125,5 +127,14 @@ func TestRingMovementOnNodeChange(t *testing.T) {
 		} else if now != before[id] {
 			t.Fatalf("remove: %s moved %s -> %s though its owner survived", id, before[id], now)
 		}
+	}
+	// The removed node's share spreads over the survivors without
+	// piling onto one of them.
+	lo, hi := len(ids), 0
+	for _, c := range survivors {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	if len(survivors) != 3 || float64(hi) > 2.5*float64(lo) {
+		t.Errorf("survivor spread %d..%d identities over %d nodes, want 3 nodes within 2.5x", lo, hi, len(survivors))
 	}
 }

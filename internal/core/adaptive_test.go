@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,11 @@ func TestRunAdaptiveParetoSmall(t *testing.T) {
 	// so its admission controller must defer).
 	if p := byArm[true][0.5]; p.Deferred == 0 {
 		t.Errorf("adaptive arm at 0.5 QPS: no deferrals despite oversubscribed hot demand")
+	}
+	// Both arms saturate the 0.5 QPS budget, so the p50 gap above is at
+	// matched spend: the measured rates agree within 5 %.
+	if u, a := byArm[false][0.5].MeasuredQPS, byArm[true][0.5].MeasuredQPS; math.Abs(u-a)/u > 0.05 {
+		t.Errorf("budget 0.5: measured QPS uniform %.3f vs adaptive %.3f, want within 5%%", u, a)
 	}
 
 	out := FormatAdaptivePareto(res)

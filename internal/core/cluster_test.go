@@ -6,8 +6,8 @@ import (
 )
 
 // A shrunk kill-and-rebalance run: 4 nodes, a node death at
-// mid-horizon, coordinator-driven recovery. The full-scale version is
-// BenchmarkEngineClusterChaos; the soak is BenchmarkEngineCluster1M.
+// mid-horizon, coordinator-driven recovery. cmd/report runs the study
+// at its full defaults.
 func TestRunClusterChaosSmall(t *testing.T) {
 	res, err := RunClusterChaos(ClusterChaosConfig{
 		Seed: 7, Subs: 2000, Hot: 200,
@@ -36,6 +36,9 @@ func TestRunClusterChaosSmall(t *testing.T) {
 	}
 	if res.SteadyP50 <= 0 {
 		t.Errorf("no steady-state T2A measured")
+	}
+	if res.RecoverySeconds > 300 {
+		t.Errorf("T2A recovery took %.0fs after the kill, want ≤ 300s", res.RecoverySeconds)
 	}
 	if s := FormatClusterChaos(res); s == "" {
 		t.Error("empty report")

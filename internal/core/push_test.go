@@ -7,8 +7,7 @@ import (
 
 // A shrunk A/B run: hot demand (50 events/30s ≈ 1.7 QPS) oversubscribes
 // the 1 QPS budget, so the poll arm starves while the push arm delivers
-// at ingress speed. The full-scale version runs in
-// BenchmarkEnginePushIngestion.
+// at ingress speed. cmd/report runs the study at its full defaults.
 func TestRunPushVsPollSmall(t *testing.T) {
 	res, err := RunPushVsPoll(PushVsPollConfig{
 		Seed: 7, Subs: 500, Hot: 50,

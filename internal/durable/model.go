@@ -16,16 +16,16 @@ import (
 )
 
 // fifoSet reproduces the engine dedupRing's semantics: remember at most
-// cap IDs, evicting oldest-first, with O(1) duplicate checks.
+// engine.DefaultDedupWindow IDs, evicting oldest-first, with O(1)
+// duplicate checks.
 type fifoSet struct {
-	cap  int
 	seen map[string]struct{}
 	buf  []string
 	head int
 }
 
-func newFifoSet(capacity int, ids []string) *fifoSet {
-	s := &fifoSet{cap: capacity, seen: make(map[string]struct{})}
+func newFifoSet(ids []string) *fifoSet {
+	s := &fifoSet{seen: make(map[string]struct{})}
 	for _, id := range ids {
 		s.add(id)
 	}
@@ -36,13 +36,13 @@ func (s *fifoSet) add(id string) {
 	if _, dup := s.seen[id]; dup {
 		return
 	}
-	if len(s.buf) < s.cap {
+	if len(s.buf) < engine.DefaultDedupWindow {
 		s.buf = append(s.buf, id)
 	} else {
 		delete(s.seen, s.buf[s.head])
 		s.buf[s.head] = id
 		s.head++
-		if s.head == s.cap {
+		if s.head == engine.DefaultDedupWindow {
 			s.head = 0
 		}
 	}
@@ -80,8 +80,6 @@ type modelSub struct {
 // model accumulates replayed state.
 type model struct {
 	coalesce bool
-	dedupCap int
-	retCap   int
 
 	subs map[string]*modelSub
 	byID map[string]*modelMember
@@ -90,11 +88,9 @@ type model struct {
 	retiredQ []string
 }
 
-func newModel(coalesce bool, dedupCap, retCap int) *model {
+func newModel(coalesce bool) *model {
 	return &model{
 		coalesce: coalesce,
-		dedupCap: dedupCap,
-		retCap:   retCap,
 		subs:     make(map[string]*modelSub),
 		byID:     make(map[string]*modelMember),
 		retired:  make(map[string][]string),
@@ -128,7 +124,7 @@ func (m *model) addSubSnapshot(ss *engine.SubscriptionSnapshot) {
 		if ms.Applet.ID == "" || m.byID[ms.Applet.ID] != nil {
 			continue
 		}
-		mem := &modelMember{applet: ms.Applet, ring: newFifoSet(m.dedupCap, ms.SeenEvents), sub: sub}
+		mem := &modelMember{applet: ms.Applet, ring: newFifoSet(ms.SeenEvents), sub: sub}
 		sub.members = append(sub.members, mem)
 		m.byID[ms.Applet.ID] = mem
 	}
@@ -155,7 +151,7 @@ func (m *model) apply(rec Record) {
 			sub = &modelSub{key: key}
 			m.subs[key] = sub
 		}
-		mem := &modelMember{applet: a, ring: newFifoSet(m.dedupCap, m.takeRetired(a.ID)), sub: sub}
+		mem := &modelMember{applet: a, ring: newFifoSet(m.takeRetired(a.ID)), sub: sub}
 		sub.members = append(sub.members, mem)
 		m.byID[a.ID] = mem
 
@@ -180,7 +176,7 @@ func (m *model) apply(rec Record) {
 				// The member's removal raced the execution that journaled
 				// this checkpoint: its retained window absorbs the delta,
 				// exactly as the engine's deferred retention does.
-				ring := newFifoSet(m.dedupCap, ids)
+				ring := newFifoSet(ids)
 				for _, id := range me.EventIDs {
 					ring.add(id)
 				}
@@ -221,12 +217,12 @@ func (m *model) dropMember(mem *modelMember) {
 
 // retainRetired mirrors Engine.retainDedup's FIFO retention.
 func (m *model) retainRetired(id string, ids []string) {
-	if m.retCap <= 0 || id == "" || len(ids) == 0 {
+	if id == "" || len(ids) == 0 {
 		return
 	}
 	if _, ok := m.retired[id]; !ok {
 		m.retiredQ = append(m.retiredQ, id)
-		if len(m.retiredQ) > m.retCap {
+		if len(m.retiredQ) > engine.DefaultRetiredDedup {
 			old := m.retiredQ[0]
 			m.retiredQ = append(m.retiredQ[:0], m.retiredQ[1:]...)
 			delete(m.retired, old)

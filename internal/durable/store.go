@@ -41,14 +41,6 @@ type Options struct {
 	// install records derives subscription keys with it. Open fails on a
 	// snapshot taken under the other mode.
 	Coalesce bool
-	// DedupWindow must match the engine's Config.DedupWindow (zero means
-	// engine.DefaultDedupWindow): replay emulates the rings' FIFO
-	// eviction at this capacity.
-	DedupWindow int
-	// RetiredDedup mirrors engine.Config.RetiredDedup for replay's
-	// retention of removed applets' windows. Zero means
-	// engine.DefaultRetiredDedup; negative disables.
-	RetiredDedup int
 	// SnapshotInterval is the cadence of Start's snapshot loop; zero
 	// means DefaultSnapshotInterval.
 	SnapshotInterval time.Duration
@@ -101,17 +93,6 @@ func Open(opts Options) (*Store, error) {
 	if s.interval <= 0 {
 		s.interval = DefaultSnapshotInterval
 	}
-	dedupCap := opts.DedupWindow
-	if dedupCap <= 0 {
-		dedupCap = engine.DefaultDedupWindow
-	}
-	retCap := opts.RetiredDedup
-	if retCap == 0 {
-		retCap = engine.DefaultRetiredDedup
-	} else if retCap < 0 {
-		retCap = 0
-	}
-
 	snap, snapFile, err := loadSnapshot(opts.Dir)
 	if err != nil {
 		return nil, err
@@ -130,7 +111,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.wal = w
 
-	m := newModel(opts.Coalesce, dedupCap, retCap)
+	m := newModel(opts.Coalesce)
 	if snap != nil {
 		m.loadSnapshot(snap)
 	}

@@ -1,6 +1,6 @@
 // Adaptive polling: the engine's first closed feedback loop, promoting
-// the §6 "poll smartly" proposal from an offline ablation
-// (SmartPolicy with a hand-picked hot set) to a live subsystem that
+// the §6 "poll smartly" proposal from an offline ablation (a
+// hand-picked hot applet on a fast fixed interval) to a live subsystem that
 // *measures* heat. Two layers compose:
 //
 //   - Per-subscription cadence. Every subscription keeps an EWMA of its

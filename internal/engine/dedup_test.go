@@ -65,7 +65,7 @@ func TestDedupRingMemoryBounded(t *testing.T) {
 }
 
 // TestEngineDedupWindowBounded drives the window through the full poll
-// path: many more distinct events than DedupWindow stream past, so the
+// path: many more distinct events than the window holds stream past, so the
 // ring must evict, yet per-applet memory stays at the window size and —
 // because the service's replay depth fits inside the window — every
 // event still executes exactly once.

@@ -75,42 +75,6 @@ func TestReinstallKeepsDedupWindow(t *testing.T) {
 	}
 }
 
-// TestReinstallRetentionDisabled pins the opt-out: with RetiredDedup<0
-// the engine reverts to the old semantics and the reinstalled member
-// re-executes the re-served event. This guards the config knob (and
-// documents that the default is the fix).
-func TestReinstallRetentionDisabled(t *testing.T) {
-	r := newRigCfg(t, FixedInterval{Interval: 5 * time.Second}, nil, func(cfg *Config) {
-		cfg.Coalesce = true
-		cfg.RetiredDedup = -1
-	})
-	a1, a2 := r.applet("a1"), r.applet("a2")
-	r.clock.Run(func() {
-		r.engine.Install(a1)
-		r.engine.Install(a2)
-		r.clock.Sleep(7 * time.Second)
-		r.svc.Publish("fired", map[string]string{"n": "1"})
-		r.clock.Sleep(15 * time.Second)
-		r.engine.Remove("a1")
-		r.engine.Install(a1)
-		r.clock.Sleep(30 * time.Second)
-		r.engine.Stop()
-	})
-	dup := 0
-	per := map[string]int{}
-	for _, ev := range r.tracesOf(TraceActionAcked) {
-		per[ev.AppletID+"/"+ev.EventID]++
-	}
-	for _, n := range per {
-		if n > 1 {
-			dup++
-		}
-	}
-	if dup == 0 {
-		t.Fatal("retention disabled but no duplicate execution observed; the opt-out is not exercising the old path")
-	}
-}
-
 // TestRemoveAfterStopIssuesNoDelete is the regression for the
 // Remove/Stop race: a last-member Remove on a stopping (or stopped)
 // engine used to spawn the upstream-DELETE actor unconditionally,

@@ -250,9 +250,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Logger receives warnings; nil disables logging.
 	Logger *slog.Logger
-	// DedupWindow bounds remembered event IDs per applet; zero means
-	// DefaultDedupWindow.
-	DedupWindow int
 	// DispatchDelay models the engine's internal processing between
 	// receiving a poll result with fresh events and issuing the first
 	// action request (≈1 s in the paper's Table 5 timeline). Negative
@@ -329,13 +326,6 @@ type Config struct {
 	// journal order equals commit order; a failed install append aborts
 	// the install.
 	Journal Journal
-	// RetiredDedup bounds how many removed applets' dedup windows the
-	// engine retains so a reinstall of the same applet ID stays
-	// exactly-once for events the first installation executed. Zero
-	// means DefaultRetiredDedup; negative disables retention (the
-	// pre-durability behaviour: a reinstall starts with an empty
-	// window).
-	RetiredDedup int
 	// Coalesce groups applets with identical trigger configurations
 	// (same service, slug, fields, and user credentials — see
 	// Applet.CoalescedTriggerIdentity) into shared subscriptions: one
@@ -350,8 +340,9 @@ type Config struct {
 // measured for Alexa-backed applets (a few seconds end to end).
 const DefaultRealtimeDelay = 1500 * time.Millisecond
 
-// DefaultDedupWindow bounds the per-applet seen-event memory. It must
-// exceed the poll batch limit, or re-served events would re-execute.
+// DefaultDedupWindow bounds the per-applet seen-event memory; durable
+// replay evicts at the same size. It must exceed the poll batch limit,
+// or re-served events would re-execute.
 const DefaultDedupWindow = 1024
 
 // DefaultDispatchDelay matches the ≈1 s poll-to-action-request gap of
@@ -379,7 +370,7 @@ type Engine struct {
 	rtDelay   time.Duration
 	trace     func(TraceEvent)
 	log       *slog.Logger
-	dedupCap  int
+	dedupCap  int // DefaultDedupWindow; a field so tests can shrink it
 	dispatch  time.Duration
 	pollLimit int
 	workers   int
@@ -411,7 +402,6 @@ type Engine struct {
 	retMu    sync.Mutex
 	retired  map[string][]string
 	retiredQ []string
-	retCap   int
 
 	// endpoints interns what every request to one trigger or action
 	// shares (endpoint.go); epMu is a leaf lock.
@@ -568,10 +558,6 @@ func New(cfg Config) *Engine {
 	if rtDelay <= 0 {
 		rtDelay = DefaultRealtimeDelay
 	}
-	dedup := cfg.DedupWindow
-	if dedup <= 0 {
-		dedup = DefaultDedupWindow
-	}
 	dispatch := cfg.DispatchDelay
 	if dispatch == 0 {
 		dispatch = DefaultDispatchDelay
@@ -596,7 +582,7 @@ func New(cfg Config) *Engine {
 		rtDelay:   rtDelay,
 		trace:     cfg.Trace,
 		log:       cfg.Logger,
-		dedupCap:  dedup,
+		dedupCap:  DefaultDedupWindow,
 		dispatch:  dispatch,
 		pollLimit: cfg.PollLimit,
 		workers:   workers,
@@ -606,17 +592,7 @@ func New(cfg Config) *Engine {
 		endpoints: make(map[endpointKey]*endpoint),
 		decoders:  &sync.Pool{New: func() any { return new(pollDecoder) }},
 		journal:   cfg.Journal,
-	}
-	switch {
-	case cfg.RetiredDedup > 0:
-		e.retCap = cfg.RetiredDedup
-	case cfg.RetiredDedup == 0:
-		e.retCap = DefaultRetiredDedup
-	default:
-		e.retCap = 0 // negative: retention disabled
-	}
-	if e.retCap > 0 {
-		e.retired = make(map[string][]string)
+		retired:   make(map[string][]string),
 	}
 	res := cfg.Resilience
 	e.resilient = !res.Disable

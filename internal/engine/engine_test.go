@@ -404,18 +404,12 @@ func TestPerServicePolicy(t *testing.T) {
 	if got := none.NextGap("a3", "alexa", g); got != 30*time.Second {
 		t.Errorf("nil-overrides gap = %v", got)
 	}
-	// Per-applet policies compose under an override: a SmartPolicy
-	// scoped to one service still distinguishes hot applets.
-	smart := PerService{
-		Overrides: map[string]PollPolicy{"alexa": SmartPolicy{
-			Hot: map[string]bool{"vip": true}, Fast: 2 * time.Second, Slow: 20 * time.Second,
-		}},
-		Default: def,
+	// A value policy serves as an override just as well.
+	fixed := PerService{
+		Overrides: map[string]PollPolicy{"alexa": FixedInterval{Interval: 2 * time.Second}},
+		Default:   def,
 	}
-	if got := smart.NextGap("vip", "alexa", g); got != 2*time.Second {
-		t.Errorf("hot applet through override = %v", got)
-	}
-	if got := smart.NextGap("a9", "alexa", g); got != 20*time.Second {
-		t.Errorf("cold applet through override = %v", got)
+	if got := fixed.NextGap("vip", "alexa", g); got != 2*time.Second {
+		t.Errorf("fixed override gap = %v", got)
 	}
 }

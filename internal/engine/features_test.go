@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/httpx"
 	"repro/internal/proto"
-	"repro/internal/stats"
 )
 
 func TestPollLimitCapsBatchAndDropsOverflow(t *testing.T) {
@@ -113,151 +112,6 @@ func hintEngineUser(r *rig, userID string) {
 		proto.RealtimeNotification{Data: []proto.RealtimeHint{{UserID: userID}}}, nil)
 	if err != nil || status != 200 {
 		panic("hint failed")
-	}
-}
-
-func TestSmartPolicy(t *testing.T) {
-	g := stats.NewRNG(1)
-	p := SmartPolicy{
-		Hot:  map[string]bool{"top": true},
-		Fast: 5 * time.Second,
-		Slow: 10 * time.Minute,
-	}
-	if got := p.NextGap("top", "any", g); got != 5*time.Second {
-		t.Errorf("hot gap = %v", got)
-	}
-	if got := p.NextGap("tail", "any", g); got != 10*time.Minute {
-		t.Errorf("cold gap = %v", got)
-	}
-
-	// With a jitter fraction, every draw spreads into [1-J, 1+J)×.
-	p.Jitter = 0.2
-	for i := 0; i < 100; i++ {
-		got := p.NextGap("top", "any", g)
-		if got < 4*time.Second || got >= 6*time.Second {
-			t.Fatalf("jittered hot gap = %v, want [4s, 6s)", got)
-		}
-	}
-	// A nil RNG degrades to the exact interval rather than panicking.
-	if got := p.NextGap("top", "any", nil); got != 5*time.Second {
-		t.Errorf("nil-RNG gap = %v", got)
-	}
-}
-
-func TestSmartPolicyJitterDesynchronizes(t *testing.T) {
-	// Regression: SmartPolicy used to return the exact Fast/Slow
-	// interval, so every subscription sharing an interval polled at
-	// the same simtime instants forever (thundering herd). With the
-	// seeded jitter NewBudgetedSmart applies, two same-interval
-	// subscriptions drift apart: simulate each schedule by summing
-	// consecutive draws from independent per-subscription streams and
-	// count coinciding poll instants.
-	p, err := NewBudgetedSmart([]string{"a", "b"}, 10, 100*time.Second, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := stats.NewRNG(7)
-	schedule := func(id string, g *stats.RNG) map[time.Duration]bool {
-		at := map[time.Duration]bool{}
-		var now time.Duration
-		for i := 0; i < 200; i++ {
-			now += p.NextGap(id, "svc", g)
-			at[now] = true
-		}
-		return at
-	}
-	a := schedule("a", root.Split("sub-a"))
-	shared := 0
-	for instant := range schedule("b", root.Split("sub-b")) {
-		if a[instant] {
-			shared++
-		}
-	}
-	if shared > 2 {
-		t.Errorf("synchronized poll instants = %d of 200, want ~0", shared)
-	}
-	// Sanity: the un-jittered policy really was lockstep.
-	p.Jitter = 0
-	a = schedule("a", root.Split("sync-a"))
-	shared = 0
-	for instant := range schedule("b", root.Split("sync-b")) {
-		if a[instant] {
-			shared++
-		}
-	}
-	if shared != 200 {
-		t.Errorf("zero-jitter shared instants = %d, want 200 (lockstep)", shared)
-	}
-}
-
-func TestNewBudgetedSmartConservesBudget(t *testing.T) {
-	// 100 applets polled uniformly every 100s = 1 poll/s. Smart with
-	// 10 hot applets at 50% share: hot rate 0.5/s over 10 applets →
-	// fast = 20s; cold rate 0.5/s over 90 → slow = 180s.
-	hot := make([]string, 10)
-	for i := range hot {
-		hot[i] = string(rune('a' + i))
-	}
-	p, err := NewBudgetedSmart(hot, 100, 100*time.Second, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Fast != 20*time.Second {
-		t.Errorf("fast = %v, want 20s", p.Fast)
-	}
-	if p.Slow != 180*time.Second {
-		t.Errorf("slow = %v, want 3m", p.Slow)
-	}
-	// Total budget: 10/20 + 90/180 = 0.5 + 0.5 = 1 poll/s — conserved.
-	budget := 10.0/p.Fast.Seconds() + 90.0/p.Slow.Seconds()
-	if budget < 0.99 || budget > 1.01 {
-		t.Errorf("budget = %.3f polls/s, want 1.0", budget)
-	}
-}
-
-func TestNewBudgetedSmartEdgeCases(t *testing.T) {
-	cases := []struct {
-		name     string
-		hot      []string
-		n        int
-		uniform  time.Duration
-		hotShare float64
-		wantErr  bool
-		// For valid degenerate cases: the expected fast/slow intervals.
-		wantFast, wantSlow time.Duration
-	}{
-		{name: "all hot falls back to uniform", hot: []string{"a", "b"}, n: 2,
-			uniform: time.Minute, hotShare: 0.5, wantFast: time.Minute, wantSlow: time.Minute},
-		{name: "hot exceeds population", hot: []string{"a", "b", "c"}, n: 2,
-			uniform: time.Minute, hotShare: 0.5, wantFast: time.Minute, wantSlow: time.Minute},
-		{name: "empty hot set", hot: nil, n: 10, uniform: time.Minute, hotShare: 0.5, wantErr: true},
-		{name: "zero population", hot: []string{"a"}, n: 0, uniform: time.Minute, hotShare: 0.5, wantErr: true},
-		{name: "negative population", hot: []string{"a"}, n: -3, uniform: time.Minute, hotShare: 0.5, wantErr: true},
-		{name: "zero interval", hot: []string{"a"}, n: 10, uniform: 0, hotShare: 0.5, wantErr: true},
-		{name: "hotShare zero", hot: []string{"a"}, n: 10, uniform: time.Minute, hotShare: 0, wantErr: true},
-		{name: "hotShare one", hot: []string{"a"}, n: 10, uniform: time.Minute, hotShare: 1, wantErr: true},
-		{name: "hotShare above one", hot: []string{"a"}, n: 10, uniform: time.Minute, hotShare: 1.5, wantErr: true},
-		{name: "hotShare negative", hot: []string{"a"}, n: 10, uniform: time.Minute, hotShare: -0.1, wantErr: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewBudgetedSmart(tc.hot, tc.n, tc.uniform, tc.hotShare)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("expected error")
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Fast != tc.wantFast || p.Slow != tc.wantSlow {
-				t.Errorf("fast/slow = %v/%v, want %v/%v", p.Fast, p.Slow, tc.wantFast, tc.wantSlow)
-			}
-			if p.Jitter != DefaultSmartJitter {
-				t.Errorf("jitter = %v, want default %v", p.Jitter, DefaultSmartJitter)
-			}
-		})
 	}
 }
 

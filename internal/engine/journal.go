@@ -68,7 +68,8 @@ type RetiredDedup struct {
 }
 
 // DefaultRetiredDedup bounds how many removed applets' dedup windows
-// the engine remembers for reinstallation (Config.RetiredDedup).
+// the engine remembers for reinstallation; durable replay keeps the
+// same number.
 const DefaultRetiredDedup = 4096
 
 // journalCheckpoint appends the dedup delta of the execution (poll or
@@ -105,34 +106,32 @@ func (e *Engine) journalCheckpoint(dec *pollDecoder) {
 // Remove when the subscription was idle, or from the owning worker's
 // release path when the removal interleaved with an execution.
 func (e *Engine) retainDedup(ra *runningApplet) {
-	if e.retCap <= 0 {
-		return
-	}
 	ids := ra.dedup.snapshotIDs()
 	if len(ids) == 0 {
 		return
 	}
-	id := ra.id
 	e.retMu.Lock()
+	e.retireLocked(ra.id, ids)
+	e.retMu.Unlock()
+}
+
+// retireLocked records id's window, evicting the longest-removed
+// applet's window (FIFO) beyond DefaultRetiredDedup. retMu is held.
+func (e *Engine) retireLocked(id string, ids []string) {
 	if _, ok := e.retired[id]; !ok {
 		e.retiredQ = append(e.retiredQ, id)
-		if len(e.retiredQ) > e.retCap {
-			// FIFO eviction: forget the longest-removed applet's window.
+		if len(e.retiredQ) > DefaultRetiredDedup {
 			old := e.retiredQ[0]
 			e.retiredQ = append(e.retiredQ[:0], e.retiredQ[1:]...)
 			delete(e.retired, old)
 		}
 	}
 	e.retired[id] = ids
-	e.retMu.Unlock()
 }
 
 // takeRetiredDedup consumes the remembered dedup window for id, nil
 // when none is held.
 func (e *Engine) takeRetiredDedup(id string) []string {
-	if e.retCap <= 0 {
-		return nil
-	}
 	e.retMu.Lock()
 	ids, ok := e.retired[id]
 	if ok {
@@ -169,23 +168,11 @@ func (e *Engine) ExportRetiredDedup() []RetiredDedup {
 // SeedRetiredDedup loads retained dedup windows (from a recovered
 // snapshot) into the engine, in the given order.
 func (e *Engine) SeedRetiredDedup(entries []RetiredDedup) {
-	if e.retCap <= 0 {
-		return
-	}
 	e.retMu.Lock()
 	for _, en := range entries {
-		if en.AppletID == "" || len(en.SeenEvents) == 0 {
-			continue
+		if en.AppletID != "" && len(en.SeenEvents) > 0 {
+			e.retireLocked(en.AppletID, en.SeenEvents)
 		}
-		if _, ok := e.retired[en.AppletID]; !ok {
-			e.retiredQ = append(e.retiredQ, en.AppletID)
-			if len(e.retiredQ) > e.retCap {
-				old := e.retiredQ[0]
-				e.retiredQ = append(e.retiredQ[:0], e.retiredQ[1:]...)
-				delete(e.retired, old)
-			}
-		}
-		e.retired[en.AppletID] = en.SeenEvents
 	}
 	e.retMu.Unlock()
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/stats"
@@ -10,7 +9,7 @@ import (
 // PollPolicy schedules the gap until an applet's next trigger poll. The
 // applet ID and service name are available so a policy can treat
 // services differently (as IFTTT evidently does for Alexa-class
-// services) or applets differently (the §6 smart-polling proposal).
+// services) or applets differently.
 type PollPolicy interface {
 	NextGap(appletID, service string, g *stats.RNG) time.Duration
 }
@@ -29,31 +28,26 @@ func (f FixedInterval) NextGap(_, _ string, _ *stats.RNG) time.Duration { return
 // the production IFTTT engine: a long nominal gap with lognormal jitter,
 // occasionally inflated several-fold — presumably when the engine is
 // under high workload — producing the 14–15 minute tail of Fig 4 and
-// Fig 6.
-//
-// Calibration (see DESIGN.md §4 and EXPERIMENTS.md): with the defaults
-// below, a trigger fires uniformly inside a gap, so measured
-// trigger-to-action latency has 25/50/75th percentiles near the paper's
-// 58/84/122 s and a worst case of roughly 15 minutes.
+// Fig 6. NewPaperPollModel holds the calibrated values.
 type PaperPollModel struct {
-	// Base is the nominal gap (default 150 s).
+	// Base is the nominal (median) gap.
 	Base time.Duration
-	// Sigma is the lognormal jitter of the gap (default 0.45).
+	// Sigma is the lognormal jitter of the gap.
 	Sigma float64
-	// InflateProb is the chance a gap lands in the inflated regime
-	// (default 2%).
+	// InflateProb is the chance a gap lands in the inflated regime.
 	InflateProb float64
-	// Inflate samples the inflation multiplier (default uniform 4–6×).
+	// Inflate samples the inflation multiplier.
 	Inflate stats.Dist
-	// Min and Max clamp the final gap (defaults 20 s and 15 min).
+	// Min and Max clamp the final gap.
 	Min, Max time.Duration
 }
 
-// NewPaperPollModel returns the calibrated defaults. A trigger fires
-// uniformly inside the (size-biased) current gap, so with these values
-// the measured T2A latency lands near the paper's 58/84/122 s quartiles
-// with a worst case around 15 minutes; see EXPERIMENTS.md for the
-// measured calibration.
+// NewPaperPollModel returns the calibrated model: a 140 s median gap
+// with lognormal σ 0.25, inflated 4–6× (uniform) with probability 2 %,
+// clamped to [30 s, 15 min]. A trigger fires uniformly inside the
+// (size-biased) current gap, so the measured T2A latency lands near the
+// paper's 58/84/122 s quartiles with a worst case around 15 minutes;
+// DESIGN.md §4 and EXPERIMENTS.md record the calibration.
 func NewPaperPollModel() *PaperPollModel {
 	return &PaperPollModel{
 		Base:        140 * time.Second,
@@ -97,76 +91,4 @@ func (p PerService) NextGap(appletID, service string, g *stats.RNG) time.Duratio
 		return pol.NextGap(appletID, service, g)
 	}
 	return p.Default.NextGap(appletID, service, g)
-}
-
-// SmartPolicy is the §6 "poll smartly" proposal: because the top applets
-// dominate usage (Fig 3), a fixed global polling budget is better spent
-// polling them frequently and the long tail rarely. Hot applets poll
-// every Fast interval, everyone else every Slow interval.
-type SmartPolicy struct {
-	Hot        map[string]bool
-	Fast, Slow time.Duration
-	// Jitter spreads each drawn gap uniformly into [1-J, 1+J)× the
-	// nominal interval. Zero disables jitter, which makes every
-	// subscription sharing an interval poll at the same simtime
-	// instants — a thundering herd on tick boundaries — so callers
-	// that schedule real populations should set it (NewBudgetedSmart
-	// defaults it to DefaultSmartJitter).
-	Jitter float64
-}
-
-// DefaultSmartJitter is the gap spread NewBudgetedSmart applies: wide
-// enough that same-interval subscriptions drift apart within a few
-// polls, narrow enough to leave the budget arithmetic intact.
-const DefaultSmartJitter = 0.1
-
-// NextGap returns Fast for hot applets and Slow otherwise, jittered
-// when the policy carries a Jitter fraction.
-func (p SmartPolicy) NextGap(appletID, _ string, g *stats.RNG) time.Duration {
-	gap := p.Slow
-	if p.Hot[appletID] {
-		gap = p.Fast
-	}
-	if p.Jitter > 0 && g != nil {
-		gap = jitterDur(gap, p.Jitter, g)
-	}
-	return gap
-}
-
-// NewBudgetedSmart builds a SmartPolicy that spends the same total poll
-// budget as a uniform policy polling n applets every uniformInterval,
-// but allocates hotShare of that budget to the hot applets. The
-// resulting fast/slow intervals are available on the returned policy
-// for reporting. It returns an error for out-of-range parameters; when
-// every applet is hot (len(hot) >= n) the skew degenerates and the
-// policy falls back to the uniform interval for everyone.
-func NewBudgetedSmart(hot []string, n int, uniformInterval time.Duration, hotShare float64) (SmartPolicy, error) {
-	switch {
-	case n < 1:
-		return SmartPolicy{}, fmt.Errorf("engine: NewBudgetedSmart: n must be >= 1, got %d", n)
-	case len(hot) == 0:
-		return SmartPolicy{}, fmt.Errorf("engine: NewBudgetedSmart: hot set is empty")
-	case uniformInterval <= 0:
-		return SmartPolicy{}, fmt.Errorf("engine: NewBudgetedSmart: uniformInterval must be positive, got %v", uniformInterval)
-	case hotShare <= 0 || hotShare >= 1:
-		return SmartPolicy{}, fmt.Errorf("engine: NewBudgetedSmart: hotShare must be in (0, 1), got %g", hotShare)
-	}
-	if len(hot) >= n {
-		return SmartPolicy{Hot: toSet(hot), Fast: uniformInterval, Slow: uniformInterval, Jitter: DefaultSmartJitter}, nil
-	}
-	// Budget in polls/sec: n / uniform.
-	budget := float64(n) / uniformInterval.Seconds()
-	hotBudget := budget * hotShare
-	coldBudget := budget - hotBudget
-	fast := time.Duration(float64(len(hot)) / hotBudget * float64(time.Second))
-	slow := time.Duration(float64(n-len(hot)) / coldBudget * float64(time.Second))
-	return SmartPolicy{Hot: toSet(hot), Fast: fast, Slow: slow, Jitter: DefaultSmartJitter}, nil
-}
-
-func toSet(ids []string) map[string]bool {
-	m := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
 }

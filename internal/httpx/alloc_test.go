@@ -30,8 +30,8 @@ func (d memDoer) Do(req *http.Request) (*http.Response, error) {
 // deliberately loose — they catch a reintroduced per-call marshal
 // buffer, URL re-parse, or io.ReadAll (each worth several allocations
 // and visible growth), not single-allocation jitter across Go versions.
-// Companion -benchmem numbers live in the root bench suite
-// (BenchmarkEngineScaleCoalesced and friends).
+// End-to-end allocation counts are measured by bench/ (allocs_per_op,
+// httpx.do_prepared_allocs.ev1).
 
 func TestDoJSONAllocsBounded(t *testing.T) {
 	if raceEnabled {

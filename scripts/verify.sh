@@ -1,7 +1,10 @@
 #!/bin/sh
-# Full verification: vet, build, race-enabled tests, and a short pass
-# over the engine-scale benchmarks. Tier-1 (ROADMAP.md) is the
-# build+test subset; this script is the pre-merge superset.
+# Full verification: vet, build, race-enabled tests, a flake slice, the
+# wire-codec fuzz smoke, the bench/ smoke test, and three daemon smokes
+# (iftttop against iftttd, the same against a 4-node cluster, kill -9
+# and WAL restart). Tier-1 (ROADMAP.md) is the build+test subset; this
+# script is the pre-merge superset. Performance is measured by bench/
+# (bash bench/run.sh), not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -99,10 +102,6 @@ go test -run '^$' -fuzz '^FuzzPushBatchDecode$' -fuzztime=10s ./internal/proto/
 echo '== benchmark smoke test (go -C bench test ./...)'
 GOMAXPROCS=1 GOGC=off go -C bench test -run '^TestSeedReproduces$' ./...
 GOMAXPROCS=1 GOGC=off go -C bench test -skip '^TestSeedReproduces$' ./...
-
-echo '== engine scale benchmarks (short)'
-go test -run '^$' -bench 'EngineScaleInstall|EngineScale100K|HintRouting|EngineEventThroughput|EngineChaosResilience' \
-    -benchtime 1x .
 
 echo '== iftttop console smoke (iftttd + iftttop --once)'
 BIN=$(mktemp -d)
