@@ -205,7 +205,6 @@ func main() {
 		st, err := durable.Open(durable.Options{
 			Dir:              dir,
 			Clock:            clock,
-			Coalesce:         *coalesce,
 			SnapshotInterval: *snapInterval,
 			Fsync:            *walFsync,
 			Logger:           log,

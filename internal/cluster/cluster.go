@@ -54,8 +54,8 @@ type Config struct {
 	// whole-cluster restart.
 	Journal func(node string) engine.Journal
 	// Restore, when non-nil, runs right after each node's engine is
-	// built (journaling already wired): the durability tier attaches
-	// the node's recovered subscriptions here. Applets the hook
+	// built (journaling already wired): the durability tier replays
+	// the node's snapshot and WAL into it here. Applets the hook
 	// restores are re-indexed into the cluster's applet directory;
 	// with the same node names and VirtualNodes, ring placement is
 	// deterministic, so each key recovers on its ring owner. A failed

@@ -36,7 +36,7 @@ func TestClusterDurableRestart(t *testing.T) {
 			},
 			Journal: func(node string) engine.Journal {
 				st, err := durable.Open(durable.Options{
-					Dir: filepath.Join(root, node), Clock: clock, Coalesce: true,
+					Dir: filepath.Join(root, node), Clock: clock,
 				})
 				if err != nil {
 					t.Fatalf("open store for %s: %v", node, err)

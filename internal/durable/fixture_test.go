@@ -4,9 +4,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
-	"repro/internal/simtime"
 )
 
 // fixtureDir copies testdata/<name> into a fresh directory: Open cuts a
@@ -14,6 +14,19 @@ import (
 func fixtureDir(t *testing.T, name string) string {
 	t.Helper()
 	return copyDir(t, filepath.Join("testdata", name))
+}
+
+// noDelay builds engines without a dispatch delay: a parked push
+// dispatches inside Restore, and would otherwise sleep on a clock that
+// is not running.
+func noDelay(c *engine.Config) { c.DispatchDelay = -1 }
+
+// recoverView restores dir into a fresh rig's engine and reads what
+// the engine then holds.
+func recoverView(t *testing.T, dir string) (recoveredView, *storeRig) {
+	t.Helper()
+	r := newStoreRig(t, dir, 3, noDelay, nil)
+	return viewOf(r.eng.ExportSubscriptions(), r.eng.ExportRetiredDedup()), r
 }
 
 // recoveredView is what recovery must reproduce from a directory:
@@ -25,6 +38,24 @@ type recoveredView struct {
 	Rings   map[string][]string                    // applet ID -> seen events, oldest first
 	Carried map[string]engine.SubscriptionSnapshot // key -> Rate, FailStreak, BreakerOpen, PollCount, PendingPush (Members cleared)
 	Retired []engine.RetiredDedup
+}
+
+// parkedPushes reads the push deliveries parked in testdata/<name>'s
+// attach records as the reader decodes them, before any engine
+// dispatches (and so consumes) them.
+func parkedPushes(t *testing.T, name string) []engine.PendingPushSnapshot {
+	t.Helper()
+	img, err := Inspect(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []engine.PendingPushSnapshot
+	for _, rec := range img.Records {
+		if rec.Op == OpAttach && rec.Attach != nil {
+			out = append(out, rec.Attach.PendingPush...)
+		}
+	}
+	return out
 }
 
 func viewOf(subs []*engine.SubscriptionSnapshot, retired []engine.RetiredDedup) recoveredView {
@@ -48,17 +79,13 @@ func viewOf(subs []*engine.SubscriptionSnapshot, retired []engine.RetiredDedup) 
 
 // TestRecoverV1Fixture recovers testdata/v1 — a JSON-format directory:
 // one snapshot image plus a WAL tail holding all five record ops and a
-// torn final frame — and pins what comes back. The v1 reader exists for
-// exactly this: an operator's existing directory must survive the codec
-// change with the same membership, dedup rings and retired windows.
+// torn final frame — into an engine and pins what the engine holds. The
+// v1 reader exists for exactly this: an operator's existing directory
+// must survive the codec change with the same membership, dedup rings
+// and retired windows.
 func TestRecoverV1Fixture(t *testing.T) {
-	dir := fixtureDir(t, "v1")
-	st, err := Open(Options{Dir: dir, Clock: simtime.NewSimDefault()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Abandon()
-	got := viewOf(st.RecoveredState())
+	got, r := recoverView(t, fixtureDir(t, "v1"))
+	defer r.crash()
 
 	wantMembers := map[string][]string{
 		"ti-a920b5cdfef92a31": {"a4"}, // reinstalled after removal
@@ -71,7 +98,7 @@ func TestRecoverV1Fixture(t *testing.T) {
 		"a1": {"e1", "e2"},       // tail checkpoint onto a snapshot member
 		"a3": {},                 // never executed
 		"a4": {"p1", "p2"},       // retired window taken back at reinstall
-		"a6": {"q1"},             // attached in the tail
+		"a6": {"q1", "q3"},       // attached in the tail, then the parked q3 dispatched
 		"a7": {"q1", "q2", "q3"}, // attached, then checkpointed
 		"a9": {"s1", "s2", "s3"}, // snapshot ring
 	}
@@ -87,24 +114,32 @@ func TestRecoverV1Fixture(t *testing.T) {
 	}
 
 	a6 := got.Carried["ti-attached-a6"]
-	if a6.Rate != 1.5 || !a6.BreakerOpen || a6.PollCount != 3 || len(a6.PendingPush) != 1 {
+	if a6.Rate != 1.5 || !a6.BreakerOpen || a6.PollCount != 3 || len(a6.PendingPush) != 0 {
 		t.Fatalf("attached subscription state = %+v", a6)
 	}
-	p := a6.PendingPush[0]
-	if p.At.UnixNano() != 1488369600000000500 || len(p.Events) != 1 {
-		t.Fatalf("parked push = %+v", p)
+	pending := parkedPushes(t, "v1")
+	if len(pending) != 1 || pending[0].At.UnixNano() != 1488369600000000500 || len(pending[0].Events) != 1 {
+		t.Fatalf("parked push as decoded = %+v", pending)
 	}
-	if ev := p.Events[0]; ev.Meta.ID != "q3" || ev.Meta.TimestampNanos != 1488369600000000500 ||
+	if ev := pending[0].Events[0]; ev.Meta.ID != "q3" || ev.Meta.TimestampNanos != 1488369600000000500 ||
 		!reflect.DeepEqual(ev.Ingredients, map[string]string{"n": "9", "b": "x"}) {
-		t.Fatalf("parked event = %+v", ev)
+		t.Fatalf("parked event as decoded = %+v", ev)
+	}
+	// The parked q3 dispatches once the tail is applied, against the
+	// final rings: a7's checkpoint already holds it, so a6 alone acts.
+	if sent := r.tracesOf(engine.TraceActionSent); len(sent) != 1 || sent[0].AppletID != "a6" || sent[0].EventID != "q3" ||
+		!sent[0].EventTime.Equal(time.Unix(0, 1488369600000000500)) {
+		t.Fatalf("actions dispatched by the restore = %+v, want q3 once, to a6", sent)
+	}
+	if body := r.doer.actionBodies(); len(body) != 1 || !reflect.DeepEqual(body[0]["msg"], "9 happened") {
+		t.Fatalf("action fields = %v, want the parked event's ingredients expanded", body)
 	}
 	if a9 := got.Carried["ti-attached-a9"]; a9.Rate != 0.5 || a9.PollCount != 4 {
 		t.Fatalf("snapshot subscription state = %+v", a9)
 	}
 
 	// Applet definitions survive verbatim (Conditions aside).
-	subs, _ := st.RecoveredState()
-	for _, ss := range subs {
+	for _, ss := range r.eng.ExportSubscriptions() {
 		for _, m := range ss.Members {
 			if m.Applet.ID != "a4" {
 				continue

@@ -104,15 +104,16 @@ func TestV2FixtureMatchesV1(t *testing.T) {
 	}
 
 	recover := func(name string) recoveredView {
-		st, err := Open(Options{Dir: fixtureDir(t, name), Clock: simtime.NewSimDefault()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Abandon()
-		return viewOf(st.RecoveredState())
+		v, r := recoverView(t, fixtureDir(t, name))
+		r.crash()
+		return v
 	}
 	if v1, v2 := recover("v1"), recover("v2"); !reflect.DeepEqual(v1, v2) {
 		t.Fatalf("v2 fixture recovers to\n %+v\nv1 to\n %+v", v2, v1)
+	}
+	// Recovery dispatches the parked push, so compare it as decoded.
+	if v1, v2 := parkedPushes(t, "v1"), parkedPushes(t, "v2"); !reflect.DeepEqual(v1, v2) {
+		t.Fatalf("v2 fixture's parked pushes\n %+v\nv1's\n %+v", v2, v1)
 	}
 }
 
@@ -139,23 +140,28 @@ func TestV1DirectoryUpgrades(t *testing.T) {
 			for _, id := range tc.recovers {
 				want[id] = true
 			}
-			// The v1 fixture parks a push delivery, which Restore
-			// dispatches at once: no dispatch delay, or it would sleep on
-			// a clock that is not running.
-			noDelay := func(c *engine.Config) { c.DispatchDelay = -1 }
+			// Across every restart below, each event executes once: the
+			// v1 fixture's parked push journals its checkpoint when it
+			// dispatches, so the next restore finds it seen.
+			acked := map[string]int{}
+			defer func() {
+				for k, n := range acked {
+					if n != 1 {
+						t.Errorf("%s executed %d times across the restarts", k, n)
+					}
+				}
+			}()
 			open := func() *storeRig {
 				t.Helper()
 				r := newStoreRig(t, dir, 3, noDelay, nil)
-				if got, _ := r.store.RecoveredState(); !reflect.DeepEqual(appletIDs(got), want) {
+				if got, _ := r.recovered(); !reflect.DeepEqual(appletIDs(got), want) {
 					t.Fatalf("recovered %v, want %v", appletIDs(got), want)
 				}
+				r.acked(acked)
 				return r
 			}
 			r := open()
-			r.clock.Run(func() { // crash before any append
-				r.eng.Stop()
-				r.store.Abandon()
-			})
+			r.crash() // before any append but that checkpoint
 			if seg := lastSegment(t, dir); !strings.HasSuffix(seg, tc.v2Segment) {
 				t.Fatalf("the v2 segment is %s, want %s after the v1 one", seg, tc.v2Segment)
 			}
@@ -192,7 +198,7 @@ func TestV1DirectoryUpgrades(t *testing.T) {
 					t.Errorf("v1 file %s survived the v2 snapshots", name)
 				}
 			}
-			open().store.Abandon()
+			open().crash()
 		})
 	}
 }

@@ -4,21 +4,24 @@
 //
 //	store, _ := durable.Open(durable.Options{Dir: dir, Clock: clock})
 //	eng := engine.New(engine.Config{..., Journal: store})
-//	store.Restore(eng) // attach recovered subscriptions, seed retention
+//	store.Restore(eng) // replay the snapshot image and the WAL tail into eng
 //	store.Start()      // periodic snapshot + WAL compaction loop
 //	...
 //	store.Close()      // stop loop, final snapshot, release the log
 //
-// Recovery (inside Open) loads the newest readable snapshot and replays
-// the WAL tail through the model of model.go; Restore attaches the
-// result in sorted-key order, so two recoveries from the same directory
-// into same-seeded engines are identical — schedules, RNG streams,
-// dedup windows, and all.
+// Open loads the newest readable snapshot and the WAL records after it;
+// Restore replays both through the engine's own lifecycle code inside
+// an engine replay window (Engine.Replay): the image's subscriptions
+// attach in key order, then each tail record applies in log order. Two
+// recoveries from the same directory into same-seeded engines are
+// therefore identical — schedules, RNG streams, dedup windows, and all.
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -37,10 +40,6 @@ type Options struct {
 	Dir string
 	// Clock paces the snapshot loop (virtual in experiments). Required.
 	Clock simtime.Clock
-	// Coalesce must match the engine's Config.Coalesce: replaying
-	// install records derives subscription keys with it. Open fails on a
-	// snapshot taken under the other mode.
-	Coalesce bool
 	// SnapshotInterval is the cadence of Start's snapshot loop; zero
 	// means DefaultSnapshotInterval.
 	SnapshotInterval time.Duration
@@ -64,24 +63,24 @@ type Store struct {
 	interval time.Duration
 	wal      *wal
 
-	// Recovered state, produced by Open and consumed by Restore.
-	subs    []*engine.SubscriptionSnapshot
-	retired []engine.RetiredDedup
+	// What Open loaded and Restore replays: the snapshot image (nil
+	// when there is none) and the WAL records after it.
+	image *Snapshot
+	tail  []Record
 
-	eng       *engine.Engine
-	restoring atomic.Bool
-	stop      simtime.Stopper
-	done      simtime.Gate
-	started   bool
-	closed    atomic.Bool
+	eng     *engine.Engine
+	stop    simtime.Stopper
+	done    simtime.Gate
+	started bool
+	closed  atomic.Bool
 
 	snapshots atomic.Int64
 	snapSeq   atomic.Int64
 }
 
-// Open opens (creating if needed) the persistence directory, recovers
-// its newest snapshot plus WAL tail, and returns a store ready to serve
-// as an engine's Journal.
+// Open opens (creating if needed) the persistence directory, loads its
+// newest snapshot plus WAL tail for Restore, and returns a store ready
+// to serve as an engine's Journal.
 func Open(opts Options) (*Store, error) {
 	if opts.Clock == nil {
 		return nil, fmt.Errorf("durable: Clock is required")
@@ -93,47 +92,21 @@ func Open(opts Options) (*Store, error) {
 	if s.interval <= 0 {
 		s.interval = DefaultSnapshotInterval
 	}
-	snap, snapFile, err := loadSnapshot(opts.Dir)
+	snap, _, err := loadSnapshot(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	var snapSeq uint64
 	if snap != nil {
-		if snap.Coalesce != opts.Coalesce {
-			return nil, fmt.Errorf("durable: snapshot in %s was taken with coalesce=%v, store opened with coalesce=%v",
-				opts.Dir, snap.Coalesce, opts.Coalesce)
-		}
 		snapSeq = snap.WALSeq
 	}
 	w, records, err := openWAL(opts.Dir, opts.Fsync, opts.SegmentBytes, snapSeq)
 	if err != nil {
 		return nil, err
 	}
-	s.wal = w
-
-	m := newModel(opts.Coalesce)
-	if snap != nil {
-		m.loadSnapshot(snap)
-	}
-	replayed := 0
-	for _, rec := range records {
-		if rec.Seq <= snapSeq {
-			continue
-		}
-		m.apply(rec)
-		replayed++
-	}
-	s.subs, s.retired = m.export()
+	s.wal, s.image = w, snap
+	s.tail = slices.DeleteFunc(records, func(r Record) bool { return r.Seq <= snapSeq })
 	s.snapSeq.Store(int64(snapSeq))
-	if opts.Logger != nil {
-		applets := 0
-		for _, ss := range s.subs {
-			applets += len(ss.Members)
-		}
-		opts.Logger.Info("durable store opened", "dir", opts.Dir,
-			"snapshot", snapFile, "snapshot_seq", snapSeq, "wal_records_replayed", replayed,
-			"subscriptions", len(s.subs), "applets", applets)
-	}
 	if reg := opts.Metrics; reg != nil {
 		reg.CounterFunc("ifttt_wal_records_total",
 			"Records appended to the durability write-ahead log.",
@@ -178,38 +151,89 @@ func Inspect(dir string) (*Image, error) {
 	return &Image{SnapshotFile: name, Snapshot: snap, Records: l.records()}, nil
 }
 
-// RecoveredState returns what Open reconstructed: attach-ready
-// subscription snapshots sorted by key, and the retained dedup windows
-// of removed applets. Callers normally just use Restore; tests compare
-// this against expectations.
-func (s *Store) RecoveredState() ([]*engine.SubscriptionSnapshot, []engine.RetiredDedup) {
-	return s.subs, s.retired
-}
-
-// RecoveredCounts reports the recovered subscription and applet counts.
+// RecoveredCounts reports the bound engine's subscription and applet
+// counts: right after Restore, what recovery produced.
 func (s *Store) RecoveredCounts() (subs, applets int) {
-	for _, ss := range s.subs {
-		applets += len(ss.Members)
+	if s.eng == nil {
+		return 0, 0
 	}
-	return len(s.subs), applets
+	st := s.eng.Stats()
+	return st.Subscriptions, st.Applets
 }
 
-// Restore attaches the recovered state to eng and binds the store to it
-// for snapshots. The engine should have been built with this store as
-// its Journal; journaling is suppressed during the restore (the state
-// being attached is already durable). Call before the engine receives
-// traffic.
+// Restore replays what Open loaded into eng, inside an engine replay
+// window (Engine.Replay), and binds the store to eng for snapshots: the
+// image's subscriptions attach in key order (ExportSubscriptions sorts
+// them) and its retired windows seed the engine, then each tail record
+// applies in log order through the engine's lifecycle methods. A record
+// whose effect the image already holds applies as a no-op. It fails on
+// an image taken under the other Config.Coalesce mode, whose keys eng
+// would not derive. The engine should have been built with this store
+// as its Journal; call before it receives traffic.
 func (s *Store) Restore(eng *engine.Engine) error {
-	s.restoring.Store(true)
-	defer s.restoring.Store(false)
-	for _, ss := range s.subs {
-		if err := eng.AttachSubscription(ss); err != nil {
-			return fmt.Errorf("durable: restore %q: %w", ss.Key, err)
+	if s.image != nil && s.image.Coalesce != eng.Coalesce() {
+		return fmt.Errorf("durable: snapshot in %s was taken with coalesce=%v, engine runs with coalesce=%v",
+			s.opts.Dir, s.image.Coalesce, eng.Coalesce())
+	}
+	var attached, noops int
+	var attachS, replayS float64
+	err := eng.Replay(func() error {
+		t0 := time.Now()
+		if snap := s.image; snap != nil {
+			for _, ss := range snap.Subs {
+				if err := eng.AttachSubscription(ss); err == nil {
+					attached++
+				} else if !errors.Is(err, engine.ErrNoChange) {
+					return fmt.Errorf("durable: restore %q: %w", ss.Key, err)
+				}
+			}
+			eng.SeedRetiredDedup(snap.Retired)
+		}
+		t1 := time.Now()
+		attachS = t1.Sub(t0).Seconds()
+		for i := range s.tail {
+			err := apply(eng, &s.tail[i])
+			if errors.Is(err, engine.ErrNoChange) {
+				noops++
+			} else if err != nil {
+				return fmt.Errorf("durable: replay record %d: %w", s.tail[i].Seq, err)
+			}
+		}
+		replayS = time.Since(t1).Seconds()
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	s.eng = eng
+	if s.opts.Logger != nil {
+		subs, applets := s.RecoveredCounts()
+		s.opts.Logger.Info("durable store recovered", "dir", s.opts.Dir, "snapshot_seq", s.snapSeq.Load(),
+			"image_subscriptions", attached, "wal_records_replayed", len(s.tail), "wal_records_noop", noops,
+			"subscriptions", subs, "applets", applets, "attach_s", attachS, "replay_s", replayS)
+	}
+	s.image, s.tail = nil, nil
+	return nil
+}
+
+// apply replays one WAL record through eng's lifecycle methods. A
+// record without its payload changes nothing.
+func apply(eng *engine.Engine, rec *Record) error {
+	switch {
+	case rec.Op == OpInstall && rec.Applet != nil:
+		return eng.Install(*rec.Applet)
+	case rec.Op == OpRemove:
+		return eng.Remove(rec.ID)
+	case rec.Op == OpCheckpoint && rec.Checkpoint != nil:
+		return eng.ApplyCheckpoint(*rec.Checkpoint)
+	case rec.Op == OpAttach && rec.Attach != nil:
+		return eng.AttachSubscription(rec.Attach)
+	case rec.Op == OpDetach:
+		if snap, err := eng.DetachSubscription(rec.Key); snap != nil || err != nil {
+			return err
 		}
 	}
-	eng.SeedRetiredDedup(s.retired)
-	s.eng = eng
-	return nil
+	return engine.ErrNoChange
 }
 
 // Start launches the periodic snapshot loop. Restore must have run
@@ -245,7 +269,7 @@ func (s *Store) Snapshot() error {
 	seq := s.wal.lastSeq()
 	snap := &Snapshot{
 		WALSeq:   seq,
-		Coalesce: s.opts.Coalesce,
+		Coalesce: s.eng.Coalesce(),
 		Subs:     s.eng.ExportSubscriptions(),
 		Retired:  s.eng.ExportRetiredDedup(),
 	}
@@ -309,40 +333,25 @@ func (s *Store) Snapshots() int64 { return s.snapshots.Load() }
 
 // AppendInstall implements engine.Journal.
 func (s *Store) AppendInstall(a engine.Applet) error {
-	if s.restoring.Load() {
-		return nil
-	}
 	return s.wal.append(&Record{Op: OpInstall, Applet: &a})
 }
 
 // AppendRemove implements engine.Journal.
 func (s *Store) AppendRemove(id string) error {
-	if s.restoring.Load() {
-		return nil
-	}
 	return s.wal.append(&Record{Op: OpRemove, ID: id})
 }
 
 // AppendCheckpoint implements engine.Journal.
 func (s *Store) AppendCheckpoint(cp engine.Checkpoint) error {
-	if s.restoring.Load() {
-		return nil
-	}
 	return s.wal.append(&Record{Op: OpCheckpoint, Checkpoint: &cp})
 }
 
 // AppendAttach implements engine.Journal.
 func (s *Store) AppendAttach(snap *engine.SubscriptionSnapshot) error {
-	if s.restoring.Load() {
-		return nil
-	}
 	return s.wal.append(&Record{Op: OpAttach, Attach: snap})
 }
 
 // AppendDetach implements engine.Journal.
 func (s *Store) AppendDetach(key string, appletIDs []string) error {
-	if s.restoring.Load() {
-		return nil
-	}
 	return s.wal.append(&Record{Op: OpDetach, Key: key, AppletIDs: appletIDs})
 }

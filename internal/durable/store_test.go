@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/proto"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 )
@@ -19,11 +21,14 @@ import (
 // staticDoer answers every trigger poll with the same fixed event set,
 // so dedup windows — not upstream buffering — are the only thing
 // standing between the engine and duplicate executions. Actions and
-// subscription DELETEs succeed trivially.
+// subscription DELETEs succeed trivially; action fields are kept.
 type staticDoer struct {
 	events  string
 	polls   atomic.Int64
 	deletes atomic.Int64
+
+	mu      sync.Mutex
+	actions []map[string]string
 }
 
 const soakEvents = `{"data":[` +
@@ -39,6 +44,14 @@ func (d *staticDoer) Do(req *http.Request) (*http.Response, error) {
 	case strings.Contains(req.URL.Path, "/triggers/"):
 		d.polls.Add(1)
 		body = d.events
+	default:
+		var act proto.ActionRequest
+		if err := json.NewDecoder(req.Body).Decode(&act); err != nil {
+			return nil, err
+		}
+		d.mu.Lock()
+		d.actions = append(d.actions, act.ActionFields)
+		d.mu.Unlock()
 	}
 	return &http.Response{
 		StatusCode: http.StatusOK,
@@ -46,6 +59,13 @@ func (d *staticDoer) Do(req *http.Request) (*http.Response, error) {
 		Header:     make(http.Header),
 		Request:    req,
 	}, nil
+}
+
+// actionBodies returns the action fields of every action request so far.
+func (d *staticDoer) actionBodies() []map[string]string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]map[string]string(nil), d.actions...)
 }
 
 // storeRig is one engine journaling to (and recovered from) a durable
@@ -96,6 +116,19 @@ func newStoreRig(t *testing.T, dir string, seed uint64, mod func(*engine.Config)
 	return r
 }
 
+// crash stops the engine and abandons the store, as kill -9 would.
+func (r *storeRig) crash() {
+	r.clock.Run(func() {
+		r.eng.Stop()
+		r.store.Abandon()
+	})
+}
+
+// recovered reads back the state the rig's engine holds.
+func (r *storeRig) recovered() ([]*engine.SubscriptionSnapshot, []engine.RetiredDedup) {
+	return r.eng.ExportSubscriptions(), r.eng.ExportRetiredDedup()
+}
+
 func soakApplet(id string) engine.Applet {
 	return engine.Applet{
 		ID:     id,
@@ -121,6 +154,19 @@ func (r *storeRig) acked(counts map[string]int) {
 	}
 }
 
+// tracesOf returns the rig's trace events of one kind.
+func (r *storeRig) tracesOf(kind engine.TraceKind) []engine.TraceEvent {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []engine.TraceEvent
+	for _, ev := range r.traces {
+		if ev.Kind == kind {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 func appletIDs(subs []*engine.SubscriptionSnapshot) map[string]bool {
 	ids := make(map[string]bool)
 	for _, ss := range subs {
@@ -131,10 +177,10 @@ func appletIDs(subs []*engine.SubscriptionSnapshot) map[string]bool {
 	return ids
 }
 
-// naiveLiveSet independently replays dir's raw WAL records (no model,
+// naiveLiveSet independently replays dir's raw WAL records (no engine,
 // no snapshot — callers use it on pure-WAL crash images only) into the
 // set of applet IDs that should be live. The test-local fold is the
-// oracle the recovery model is checked against.
+// oracle recovery is checked against.
 func naiveLiveSet(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	w, recs, err := openWAL(dir, false, 0, 0)
@@ -242,6 +288,9 @@ func TestStoreCrashRecovery(t *testing.T) {
 	if _, applets := r2.store.RecoveredCounts(); applets != 9 {
 		t.Fatalf("recovered %d applets, want 9", applets)
 	}
+	if got, want := r2.store.WALSeq(), r1.store.WALSeq(); got != want {
+		t.Fatalf("WAL at seq %d after the restore, %d before it: replay journaled records again", got, want)
+	}
 	r2.clock.Run(func() {
 		r2.clock.Sleep(20 * time.Second) // several polls re-serve every event
 		r2.eng.Stop()
@@ -297,7 +346,7 @@ func TestStoreRecoveryDeterministic(t *testing.T) {
 			cfg.PollBudgetQPS = 2 // exercise admission state in the comparison
 			cfg.Shards, cfg.ShardWorkers = 1, 1
 		}, nil)
-		recovered, retired := r.store.RecoveredState()
+		recovered, retired := r.recovered()
 		recJSON, _ := json.Marshal(struct {
 			Subs    []*engine.SubscriptionSnapshot
 			Retired []engine.RetiredDedup
@@ -388,7 +437,7 @@ func TestStoreRecoveryAtArbitraryWALOffset(t *testing.T) {
 		want := naiveLiveSet(t, oracle)
 
 		r2 := newStoreRig(t, cut, 33, nil, nil)
-		recovered, _ := r2.store.RecoveredState()
+		recovered, _ := r2.recovered()
 		got := appletIDs(recovered)
 		if len(got) != len(want) {
 			t.Fatalf("offset %d: recovered %d applets, naive fold says %d", off, len(got), len(want))
@@ -552,5 +601,164 @@ func TestStoreKillRecoverSoak(t *testing.T) {
 	}
 	if len(counts) != len(all)*3 {
 		t.Errorf("distinct executions = %d, want %d", len(counts), len(all)*3)
+	}
+}
+
+// TestRestoreDispatchesParkedPushOnce: the live engine journals an
+// attach carrying a parked push, then the checkpoint that push's
+// dispatch wrote, and crashes. Restore queues the replayed push until
+// the checkpoint is applied, so the event executes exactly once across
+// the crash.
+func TestRestoreDispatchesParkedPushOnce(t *testing.T) {
+	dir := t.TempDir()
+	r1 := newStoreRig(t, dir, 5, noDelay, nil)
+	r1.clock.Run(func() {
+		if err := r1.eng.AttachSubscription(&engine.SubscriptionSnapshot{
+			Key:     "ti-moved",
+			Members: []engine.MemberSnapshot{{Applet: soakApplet("m1")}, {Applet: soakApplet("m2")}},
+			PendingPush: []engine.PendingPushSnapshot{{At: r1.clock.Now(),
+				Events: []proto.TriggerEvent{{Meta: proto.EventMeta{ID: "pp-1", Timestamp: 100}}}}},
+		}); err != nil {
+			t.Error(err)
+		}
+		r1.eng.Stop()
+		r1.store.Abandon()
+	})
+	r2 := newStoreRig(t, dir, 5, noDelay, nil)
+	r2.crash()
+
+	counts := make(map[string]int)
+	r1.acked(counts)
+	r2.acked(counts)
+	if want := map[string]int{"m1/pp-1": 1, "m2/pp-1": 1}; !reflect.DeepEqual(counts, want) {
+		t.Fatalf("executions across the crash = %v, want %v", counts, want)
+	}
+}
+
+// TestRestoreSendsNoDeleteForReplayedRemove: a tail remove of a
+// subscription's last member sent its upstream DELETE before the
+// crash; replaying it sends none, during Restore or after it.
+func TestRestoreSendsNoDeleteForReplayedRemove(t *testing.T) {
+	dir := t.TempDir()
+	r1 := newStoreRig(t, dir, 5, nil, nil)
+	r1.clock.Run(func() {
+		for _, id := range []string{"d1", "d2"} {
+			if err := r1.eng.Install(soakApplet(id)); err != nil {
+				t.Error(err)
+			}
+		}
+		r1.eng.Remove("d1")
+		r1.clock.Sleep(time.Second)
+		r1.eng.Stop()
+		r1.store.Abandon()
+	})
+	if n := r1.doer.deletes.Load(); n != 1 {
+		t.Fatalf("live removal sent %d DELETEs, want 1", n)
+	}
+	r2 := newStoreRig(t, dir, 5, nil, nil)
+	if n := r2.doer.deletes.Load(); n != 0 {
+		t.Fatalf("Restore sent %d DELETEs, want 0", n)
+	}
+	r2.clock.Run(func() {
+		r2.clock.Sleep(time.Minute)
+		r2.eng.Stop()
+		r2.store.Abandon()
+	})
+	if n := r2.doer.deletes.Load(); n != 0 {
+		t.Fatalf("the recovered engine sent %d DELETEs, want 0", n)
+	}
+	if got := r2.eng.Applets(); len(got) != 1 || got[0] != "d2" {
+		t.Fatalf("recovered applets %v, want [d2]", got)
+	}
+}
+
+// TestRestoreImageHoldsAppletTwice: an applet that moved between
+// coalesced subscriptions while the image was written is in the image
+// twice, and the log replays the move. Restore keeps the other member
+// of its new subscription and ends with the applet where the log put
+// it, whichever copy the image's key order attaches first.
+func TestRestoreImageHoldsAppletTwice(t *testing.T) {
+	for _, tc := range []struct{ from, to string }{{"p", "q"}, {"q", "p"}} {
+		t.Run(tc.from+"-to-"+tc.to, func(t *testing.T) {
+			dir := t.TempDir()
+			a, mate := soakApplet(tc.from), soakApplet(tc.to)
+			a.ID = "dup"
+			moved := a
+			moved.UserID, moved.Trigger.Fields = mate.UserID, mate.Trigger.Fields
+			oldKey, newKey := a.CoalescedTriggerIdentity(), mate.CoalescedTriggerIdentity()
+			if err := writeSnapshot(dir, &Snapshot{Coalesce: true, Subs: []*engine.SubscriptionSnapshot{
+				{Key: oldKey, Members: []engine.MemberSnapshot{{Applet: a}}},
+				{Key: newKey, Members: []engine.MemberSnapshot{{Applet: mate}, {Applet: moved}}},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			w, _, err := openWAL(dir, false, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []Record{{Op: OpRemove, ID: "dup"}, {Op: OpInstall, Applet: &moved}} {
+				if err := w.append(&rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.close()
+
+			coalesce := func(c *engine.Config) { c.Coalesce = true }
+			r := newStoreRig(t, dir, 5, coalesce, nil)
+			defer r.crash()
+			got := viewOf(r.recovered()).Members
+			if want := map[string][]string{newKey: {tc.to, "dup"}}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("membership = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesOtherCoalesceMode: an image taken under one
+// Config.Coalesce mode holds keys the other mode never derives, so
+// Restore fails before attaching anything, and a snapshot records the
+// bound engine's mode.
+func TestRestoreRefusesOtherCoalesceMode(t *testing.T) {
+	for _, coalesce := range []bool{false, true} {
+		dir := t.TempDir()
+		a := soakApplet("p")
+		if err := writeSnapshot(dir, &Snapshot{Coalesce: !coalesce, Subs: []*engine.SubscriptionSnapshot{
+			{Key: a.TriggerIdentity(), Members: []engine.MemberSnapshot{{Applet: a}}},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		clock := simtime.NewSimDefault()
+		st, err := Open(Options{Dir: dir, Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := engine.New(engine.Config{Clock: clock, RNG: stats.NewRNG(1), Doer: &staticDoer{},
+			Poll: engine.FixedInterval{Interval: time.Hour}, Coalesce: coalesce, Journal: st})
+		if err := st.Restore(eng); err == nil || !strings.Contains(err.Error(), "coalesce") {
+			t.Fatalf("coalesce=%v: Restore of a coalesce=%v image: err = %v", coalesce, !coalesce, err)
+		}
+		if n := eng.Stats().Applets; n != 0 {
+			t.Fatalf("coalesce=%v: refused Restore attached %d applets", coalesce, n)
+		}
+		eng.Stop()
+		st.Abandon()
+
+		st, err = Open(Options{Dir: t.TempDir(), Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng = engine.New(engine.Config{Clock: clock, RNG: stats.NewRNG(1), Doer: &staticDoer{},
+			Poll: engine.FixedInterval{Interval: time.Hour}, Coalesce: coalesce, Journal: st})
+		if err := st.Restore(eng); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if img, err := Inspect(st.opts.Dir); err != nil || img.Snapshot.Coalesce != coalesce {
+			t.Fatalf("coalesce=%v engine's snapshot: %+v, %v", coalesce, img, err)
+		}
+		eng.Stop()
+		st.Abandon()
 	}
 }

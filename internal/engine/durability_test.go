@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"net/http"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,4 +160,73 @@ func TestRemoveStopRace(t *testing.T) {
 	if got := len(r.engine.Applets()); got != 0 {
 		t.Fatalf("applets after churn = %d, want 0", got)
 	}
+}
+
+// TestReplayHoldsPollTimers: a replay window holds the poll timers, so
+// an install replayed early in the log cannot poll before the rest of
+// the log is applied, however far the clock moves; once the window
+// closes the overdue poll runs.
+func TestReplayHoldsPollTimers(t *testing.T) {
+	r := newRigCfg(t, FixedInterval{Interval: 5 * time.Second}, nil, nil)
+	r.clock.Run(func() {
+		err := r.engine.Replay(func() error {
+			if err := r.engine.Install(r.applet("a1")); err != nil {
+				return err
+			}
+			r.clock.Sleep(time.Minute)
+			if n := r.engine.Stats().Polls; n != 0 {
+				t.Errorf("%d polls inside the replay window, want 0", n)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		r.clock.Sleep(time.Second)
+		if n := r.engine.Stats().Polls; n != 1 {
+			t.Errorf("%d polls after the window closed, want 1", n)
+		}
+		r.engine.Stop()
+	})
+}
+
+// TestApplyCheckpointReachesRetainedWindow: a replayed checkpoint adds
+// its IDs to the member's ring or, once the member is removed (its
+// removal raced the execution that journaled the checkpoint), to the
+// retained window a reinstall resumes; a repeat changes nothing, and
+// outside a replay window the call is refused.
+func TestApplyCheckpointReachesRetainedWindow(t *testing.T) {
+	r := newRigCfg(t, FixedInterval{Interval: time.Hour}, nil, nil)
+	cp := func(ids ...string) Checkpoint {
+		return Checkpoint{Key: "k", Members: []MemberEvents{{AppletID: "a1", EventIDs: ids}}}
+	}
+	if err := r.engine.ApplyCheckpoint(cp("e0")); err == nil {
+		t.Fatal("checkpoint applied outside a replay window")
+	}
+	err := r.engine.Replay(func() error {
+		if err := r.engine.Install(r.applet("a1")); err != nil {
+			return err
+		}
+		if err := r.engine.ApplyCheckpoint(cp("e1")); err != nil {
+			return err
+		}
+		if err := r.engine.Remove("a1"); err != nil {
+			return err
+		}
+		if err := r.engine.ApplyCheckpoint(cp("e1", "e2")); err != nil {
+			return err
+		}
+		if err := r.engine.ApplyCheckpoint(cp("e2")); !errors.Is(err, ErrNoChange) {
+			t.Errorf("repeated checkpoint = %v, want ErrNoChange", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []RetiredDedup{{AppletID: "a1", SeenEvents: []string{"e1", "e2"}}}
+	if got := r.engine.ExportRetiredDedup(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("retained windows = %v, want %v", got, want)
+	}
+	r.engine.Stop()
 }

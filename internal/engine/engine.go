@@ -340,9 +340,8 @@ type Config struct {
 // measured for Alexa-backed applets (a few seconds end to end).
 const DefaultRealtimeDelay = 1500 * time.Millisecond
 
-// DefaultDedupWindow bounds the per-applet seen-event memory; durable
-// replay evicts at the same size. It must exceed the poll batch limit,
-// or re-served events would re-execute.
+// DefaultDedupWindow bounds the per-applet seen-event memory. It must
+// exceed the poll batch limit, or re-served events would re-execute.
 const DefaultDedupWindow = 1024
 
 // DefaultDispatchDelay matches the ≈1 s poll-to-action-request gap of
@@ -396,6 +395,10 @@ type Engine struct {
 
 	// journal, when set, records durable state changes (journal.go).
 	journal Journal
+	// replaying is set while a Replay window is open; replayPush queues
+	// the parked deliveries it defers (guarded by mu).
+	replaying  atomic.Bool
+	replayPush []pushItem
 	// Retired dedup windows of removed applets (journal.go), FIFO by
 	// removal order. retMu is a leaf lock: safe to take under e.mu or a
 	// shard's mutex, and nothing is acquired while holding it.
@@ -814,6 +817,9 @@ func (e *Engine) subscriptionKey(a *Applet) string {
 	return a.TriggerIdentity()
 }
 
+// Coalesce reports Config.Coalesce, the mode subscription keys follow.
+func (e *Engine) Coalesce() bool { return e.coalesce }
+
 // Install registers an applet, joining it to the subscription for its
 // trigger (creating and scheduling one when it is the first member). It
 // returns an error for duplicate IDs or after Stop.
@@ -840,7 +846,7 @@ func (e *Engine) Install(a Applet) error {
 	}
 	if _, dup := e.applets[a.ID]; dup {
 		e.mu.Unlock()
-		return fmt.Errorf("engine: applet %q already installed", a.ID)
+		return fmt.Errorf("engine: applet %q already installed: %w", a.ID, ErrNoChange)
 	}
 	sh.mu.Lock()
 	if sh.stopped {
@@ -851,7 +857,7 @@ func (e *Engine) Install(a Applet) error {
 	// Journal before commit, inside both critical sections, so the WAL's
 	// record order is the engine's commit order and a crash can never
 	// leave a committed install unjournaled.
-	if e.journal != nil {
+	if e.journaling() {
 		if err := e.journal.AppendInstall(a); err != nil {
 			sh.mu.Unlock()
 			e.mu.Unlock()
@@ -883,18 +889,18 @@ func (e *Engine) Install(a Applet) error {
 // subscription is gone (the protocol's DELETE
 // /ifttt/v1/triggers/{slug}/trigger_identity/{id}), so the service can
 // drop its event buffer.
-func (e *Engine) Remove(id string) {
+func (e *Engine) Remove(id string) error {
 	e.mu.Lock()
 	ra := e.applets[id]
 	if ra == nil {
 		e.mu.Unlock()
-		return
+		return fmt.Errorf("engine: applet %q not installed: %w", id, ErrNoChange)
 	}
 	// Journal the removal before the commit (same ordering argument as
 	// Install); unlike installs, a failed append does not abort — the
 	// user asked for the applet to be gone, and the worst a lost record
 	// costs is a resurrected applet after a crash.
-	if e.journal != nil {
+	if e.journaling() {
 		if err := e.journal.AppendRemove(id); err != nil && e.log != nil {
 			e.log.Warn("journal remove failed", "applet", id, "err", err)
 		}
@@ -927,13 +933,15 @@ func (e *Engine) Remove(id string) {
 	e.emit(sh, TraceEvent{Kind: TraceRemove, AppletID: id})
 	if last {
 		// Serialized against Stop under delMu: a stopping engine spawns
-		// no new delete actors (see the field's comment).
+		// no new delete actors (see the field's comment). A replayed
+		// removal sends none: the engine that journaled it did.
 		e.delMu.Lock()
-		if !e.stopped.Load() {
+		if !e.stopped.Load() && !e.replaying.Load() {
 			e.clock.Go(func() { e.deleteUpstream(sub) })
 		}
 		e.delMu.Unlock()
 	}
+	return nil
 }
 
 // Applets returns the IDs of installed applets (unordered).

@@ -17,6 +17,11 @@
 // run after recovery).
 package engine
 
+import (
+	"errors"
+	"fmt"
+)
+
 // Journal receives the engine's durable state changes. Implementations
 // must be safe for concurrent use. Arguments are valid only during the
 // call: the engine reuses a Checkpoint's slices (and may reuse any
@@ -68,9 +73,82 @@ type RetiredDedup struct {
 }
 
 // DefaultRetiredDedup bounds how many removed applets' dedup windows
-// the engine remembers for reinstallation; durable replay keeps the
-// same number.
+// the engine remembers for reinstallation.
 const DefaultRetiredDedup = 4096
+
+// ErrNoChange is wrapped by a lifecycle call that found its effect in
+// place (applet installed or absent, subscription attached, IDs seen):
+// recovery counts such WAL records as no-ops.
+var ErrNoChange = errors.New("no change")
+
+// journaling reports whether changes are journaled now (not on replay).
+func (e *Engine) journaling() bool { return e.journal != nil && !e.replaying.Load() }
+
+// Replay runs fn in a replay window: fn re-applies journaled state
+// changes through Install, Remove, AttachSubscription, DetachSubscription
+// and ApplyCheckpoint, and none is journaled again. While it is open
+//   - poll timers are held: nothing polls before later checkpoints apply;
+//   - a last-member Remove sends no upstream DELETE;
+//   - attached subscriptions' parked push deliveries are queued; if fn
+//     succeeds they dispatch after the window, against the final rings.
+//
+// Run it before the engine receives traffic. It returns fn's error.
+func (e *Engine) Replay(fn func() error) error {
+	e.replaying.Store(true)
+	err := fn()
+	e.mu.Lock()
+	pushes := e.replayPush
+	e.replayPush = nil
+	e.replaying.Store(false)
+	e.mu.Unlock()
+	for _, sh := range e.shards { // re-arm what fired while held
+		sh.mu.Lock()
+		sh.armLocked()
+		sh.mu.Unlock()
+	}
+	for _, p := range pushes {
+		if err == nil {
+			p.sub.shard.execPush(p.sub, p.events, p.at)
+		}
+	}
+	return err
+}
+
+// ApplyCheckpoint re-applies a journaled checkpoint inside a replay
+// window: each member's event IDs join its dedup ring or, when the
+// member's removal raced the execution that journaled the checkpoint,
+// its retained window. It returns ErrNoChange when no ID was new to a
+// known member.
+func (e *Engine) ApplyCheckpoint(cp Checkpoint) error {
+	if !e.replaying.Load() {
+		return fmt.Errorf("engine: checkpoint %q outside a replay window", cp.Key)
+	}
+	changed := false
+	for _, m := range cp.Members {
+		e.mu.Lock()
+		ra := e.applets[m.AppletID]
+		e.mu.Unlock()
+		if ra != nil { // no execution owns a ring while the timers are held
+			for _, id := range m.EventIDs {
+				changed = ra.dedup.Add(id) || changed
+			}
+			continue
+		}
+		e.retMu.Lock()
+		if ids, ok := e.retired[m.AppletID]; ok {
+			ring := restoreDedupRing(e.dedupCap, ids)
+			for _, id := range m.EventIDs {
+				changed = ring.Add(id) || changed
+			}
+			e.retired[m.AppletID] = ring.snapshotIDs()
+		}
+		e.retMu.Unlock()
+	}
+	if !changed {
+		return fmt.Errorf("engine: checkpoint %q: %w", cp.Key, ErrNoChange)
+	}
+	return nil
+}
 
 // journalCheckpoint appends the dedup delta of the execution (poll or
 // push) dec carries. Called by the worker that owns the subscription,

@@ -178,7 +178,7 @@ func (s *shard) pokeLocked(sub *subscription, due time.Time) {
 func (s *shard) fire() {
 	s.mu.Lock()
 	s.timerAt = unarmed
-	if s.stopped {
+	if s.stopped || s.e.replaying.Load() { // a replay window re-arms when it closes
 		s.mu.Unlock()
 		return
 	}

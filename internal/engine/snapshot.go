@@ -212,7 +212,7 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 	// leaveLocked's last-member path, and capture the snapshot in the
 	// same critical section so no execution can interleave.
 	snap := e.snapshotSubLocked(sub)
-	if e.journal != nil {
+	if e.journaling() {
 		ids := make([]string, len(snap.Members))
 		for i := range snap.Members {
 			ids[i] = snap.Members[i].Applet.ID
@@ -268,24 +268,31 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 		}
 		ras[i] = e.newRunningApplet(&m.Applet, restoreDedupRing(e.dedupCap, m.SeenEvents))
 	}
-	lead := ras[0]
-	shardKey := lead.id
-	if e.coalesce {
-		shardKey = snap.Key
-	}
-	sh := e.shardFor(shardKey)
 
 	e.mu.Lock()
 	if e.stopped.Load() {
 		e.mu.Unlock()
 		return fmt.Errorf("engine: stopped")
 	}
-	for _, ra := range ras {
-		if _, dup := e.applets[ra.id]; dup {
-			e.mu.Unlock()
-			return fmt.Errorf("engine: attach %q: applet %q already installed", snap.Key, ra.id)
+	// A replay skips members already installed, unless none is left (an
+	// image holds an applet twice when it moved between subscriptions
+	// while being written; the log replays the move).
+	for i := len(ras) - 1; i >= 0; i-- {
+		if e.applets[ras[i].id] == nil {
+			continue
 		}
+		if !e.replaying.Load() || len(ras) == 1 {
+			e.mu.Unlock()
+			return fmt.Errorf("engine: attach %q: applet %q already installed: %w", snap.Key, ras[i].id, ErrNoChange)
+		}
+		ras = append(ras[:i], ras[i+1:]...)
 	}
+	lead := ras[0]
+	shardKey := lead.id
+	if e.coalesce {
+		shardKey = snap.Key
+	}
+	sh := e.shardFor(shardKey)
 	sh.mu.Lock()
 	if sh.stopped {
 		sh.mu.Unlock()
@@ -295,12 +302,12 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 	if sh.subs[snap.Key] != nil {
 		sh.mu.Unlock()
 		e.mu.Unlock()
-		return fmt.Errorf("engine: attach: subscription %q already present", snap.Key)
+		return fmt.Errorf("engine: attach: subscription %q already present: %w", snap.Key, ErrNoChange)
 	}
 	// Journal the arriving subscription before commit (same ordering as
 	// Install): a node that accepted a migration and then crashed must
 	// resurrect it, or the identity is lost cluster-wide.
-	if e.journal != nil {
+	if e.journaling() {
 		if err := e.journal.AppendAttach(snap); err != nil {
 			sh.mu.Unlock()
 			e.mu.Unlock()
@@ -338,12 +345,19 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 		}
 		u[ra.id] = ra
 	}
-	e.mu.Unlock()
-
 	// Drain the deliveries that were parked mid-move. execPush claims
 	// the ownership flag itself, so this is safe against the first
-	// scheduled poll racing in.
-	for _, p := range snap.PendingPush {
+	// scheduled poll racing in. A replay window queues them until the
+	// rest of the log is applied (Replay).
+	pushes := snap.PendingPush
+	if e.replaying.Load() {
+		for _, p := range pushes {
+			e.replayPush = append(e.replayPush, pushItem{sub: sub, events: p.Events, at: p.At})
+		}
+		pushes = nil
+	}
+	e.mu.Unlock()
+	for _, p := range pushes {
 		sh.execPush(sub, p.Events, p.At)
 	}
 	return nil

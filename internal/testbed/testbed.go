@@ -357,7 +357,6 @@ func New(cfg Config) *Testbed {
 		st, err := durable.Open(durable.Options{
 			Dir:              dir,
 			Clock:            clock,
-			Coalesce:         cfg.Coalesce,
 			SnapshotInterval: cfg.SnapshotInterval,
 			Metrics:          metrics,
 		})
