@@ -334,8 +334,7 @@ func main() {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	log.Info("shutting down")
-	// Drain in-flight HTTP first (bounded), then stop the engine — its
-	// Stop waits for the trace pump's final drain.
+	// Drain in-flight HTTP first (bounded), then stop the engine.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -43,9 +43,10 @@ type Config struct {
 	// Logger receives routing and migration warnings; nil disables.
 	Logger *slog.Logger
 	// OnSpan, when non-nil, receives every completed execution span
-	// tagged with the node that ran it. Each node gets its own
-	// SpanRecorder (exec IDs are only unique per engine, so spans must
-	// be assembled per node before they can be merged).
+	// tagged with the node that ran it (exec IDs are only unique per
+	// engine). It runs on the node's execution goroutines, after
+	// Engine.OnSpan when the template sets one, so it must be safe for
+	// concurrent use.
 	OnSpan func(node string, sp obs.ExecSpan)
 	// Journal, when non-nil, supplies each node's durability journal
 	// (engine.Config.Journal), called once per node with its name.
@@ -167,12 +168,13 @@ func (c *Cluster) newNodeLocked() *Node {
 	ecfg.RNG = c.tmpl.RNG.Split("cluster-" + name)
 	node := &Node{Name: name}
 	if c.onSpan != nil {
-		rec := engine.NewSpanRecorder(engine.SpanRecorderConfig{
-			OnSpan: func(sp obs.ExecSpan) { c.onSpan(node.Name, sp) },
-		})
-		obsrv := make([]func(engine.TraceEvent), 0, len(c.tmpl.Observers)+1)
-		obsrv = append(obsrv, c.tmpl.Observers...)
-		ecfg.Observers = append(obsrv, rec.Observe)
+		own := c.tmpl.OnSpan
+		ecfg.OnSpan = func(sp obs.ExecSpan) {
+			if own != nil {
+				own(sp)
+			}
+			c.onSpan(node.Name, sp)
+		}
 	}
 	if c.journal != nil {
 		ecfg.Journal = c.journal(name)

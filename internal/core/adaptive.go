@@ -266,19 +266,19 @@ func runParetoArm(cfg ParetoConfig, seed uint64, adaptive bool, qps float64) (Pa
 	doer := NewSkewedLoad(clock, cfg.HotPeriod, cfg.ColdPeriod)
 	cutoff := clock.Now().Add(cfg.Horizon / 4)
 
+	var mu sync.Mutex
 	var t2as []float64
-	rec := engine.NewSpanRecorder(engine.SpanRecorderConfig{
-		OnSpan: func(sp obs.ExecSpan) {
-			if sp.PollSentAt.After(cutoff) {
-				t2as = append(t2as, sp.T2A().Seconds())
-			}
-		},
-	})
 	ecfg := engine.Config{
 		Clock: clock, RNG: stats.NewRNG(seed), Doer: doer,
 		DispatchDelay: -1, Shards: 8, ShardWorkers: 8,
 		PollBudgetQPS: qps,
-		Observers:     []func(engine.TraceEvent){rec.Observe},
+		OnSpan: func(sp obs.ExecSpan) {
+			if sp.PollSentAt.After(cutoff) {
+				mu.Lock()
+				t2as = append(t2as, sp.T2A().Seconds())
+				mu.Unlock()
+			}
+		},
 	}
 	if adaptive {
 		ecfg.Adaptive = &engine.AdaptiveConfig{

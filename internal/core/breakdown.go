@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -19,14 +20,16 @@ type BreakdownConfig struct {
 }
 
 // BreakdownRow is one scenario's segment decomposition, computed purely
-// from execution spans assembled out of the engine's trace stream — no
-// testbed-internal timers are consulted.
+// from the engine's execution spans — no testbed-internal timers are
+// consulted.
 type BreakdownRow struct {
 	ID, Name string
 	// Realtime marks the hint-honoured scenario (Alexa).
 	Realtime bool
-	// Spans is how many completed execution spans fed the row.
-	Spans int
+	// Spans is how many completed execution spans fed the row; Acked
+	// counts the applet's action_acked trace events, and each of those
+	// completes one span, so the two are equal.
+	Spans, Acked int
 	// Segment distributions, in seconds.
 	PollingGap stats.Summary
 	PollRTT    stats.Summary
@@ -35,9 +38,6 @@ type BreakdownRow struct {
 	T2A        stats.Summary
 	// HintLag is hint→poll latency; zero-valued unless Realtime.
 	HintLag stats.Summary
-	// TraceDrops counts trace events the observer ring rejected (must
-	// be zero for the decomposition to be complete).
-	TraceDrops int64
 }
 
 // BreakdownResults carries the study's rows, polled scenario first.
@@ -48,8 +48,8 @@ type BreakdownResults struct {
 // RunT2ABreakdown reproduces the paper's bottleneck isolation (Sec 6,
 // Fig 5) from trace data alone: it runs a polled applet (A2: WeMo →
 // Hue through official services) and a realtime-hinted one (A5: Alexa →
-// Hue) with a SpanRecorder attached to the engine's async observer
-// ring, then summarizes each T2A segment. The paper's conclusion — the
+// Hue) with the engine's execution spans collected through OnSpan,
+// then summarizes each T2A segment. The paper's conclusion — the
 // polling gap dominates end-to-end latency, and everything else is
 // seconds at most — falls directly out of the span segments.
 func RunT2ABreakdown(cfg BreakdownConfig) (*BreakdownResults, error) {
@@ -67,13 +67,15 @@ func RunT2ABreakdown(cfg BreakdownConfig) (*BreakdownResults, error) {
 	}
 	res := &BreakdownResults{}
 	for i, sc := range scenarios {
+		var mu sync.Mutex
 		var spans []obs.ExecSpan
-		rec := engine.NewSpanRecorder(engine.SpanRecorderConfig{
-			OnSpan: func(s obs.ExecSpan) { spans = append(spans, s) },
-		})
 		tb := testbed.New(testbed.Config{
-			Seed:      cfg.Seed + 800 + uint64(i),
-			Observers: []func(engine.TraceEvent){rec.Observe},
+			Seed: cfg.Seed + 800 + uint64(i),
+			OnSpan: func(s obs.ExecSpan) {
+				mu.Lock()
+				spans = append(spans, s)
+				mu.Unlock()
+			},
 		})
 		var err error
 		tb.Run(func() {
@@ -82,13 +84,16 @@ func RunT2ABreakdown(cfg BreakdownConfig) (*BreakdownResults, error) {
 		if err != nil {
 			return nil, fmt.Errorf("breakdown %s: %w", sc.spec.ID, err)
 		}
-		// Engine.Stop (via tb.Run) drained the observer ring, so spans
-		// is complete and safe to read here.
+		// tb.Run returned with the engine stopped, so spans is complete.
 		row := BreakdownRow{
-			ID:         sc.spec.ID,
-			Name:       sc.name,
-			Realtime:   sc.realtime,
-			TraceDrops: tb.Engine.TraceDrops(),
+			ID:       sc.spec.ID,
+			Name:     sc.name,
+			Realtime: sc.realtime,
+		}
+		for _, ev := range tb.Traces() {
+			if ev.Kind == engine.TraceActionAcked && ev.AppletID == sc.spec.ID {
+				row.Acked++
+			}
 		}
 		var gap, rtt, proc, deliv, t2a, hint []float64
 		for _, s := range spans {
@@ -126,8 +131,8 @@ func RunT2ABreakdown(cfg BreakdownConfig) (*BreakdownResults, error) {
 func FormatBreakdown(r *BreakdownResults) string {
 	var b strings.Builder
 	b.WriteString("## T2A breakdown from execution spans (Fig 5 bottleneck isolation)\n\n")
-	b.WriteString("Each execution is reconstructed as a span from the engine's trace\n")
-	b.WriteString("stream (async observer ring → span recorder) and decomposed into the\n")
+	b.WriteString("Each execution's span is completed by the engine goroutine that ran\n")
+	b.WriteString("it (every action acked or failed yields one) and decomposed into the\n")
 	b.WriteString("paper's segments: how long the event sat in the trigger service's\n")
 	b.WriteString("buffer (polling gap), the poll round-trip, engine processing (incl.\n")
 	b.WriteString("the ~1 s dispatch delay of Table 5), and action delivery.\n\n")
@@ -152,9 +157,6 @@ func FormatBreakdown(r *BreakdownResults) string {
 		if row.Realtime && row.HintLag.N > 0 {
 			fmt.Fprintf(&b, "\n- hint→poll lag: p50 %.2fs over %d hinted polls (engine honours Alexa hints)\n",
 				row.HintLag.P50, row.HintLag.N)
-		}
-		if row.TraceDrops > 0 {
-			fmt.Fprintf(&b, "\n- WARNING: %d trace events dropped; decomposition incomplete\n", row.TraceDrops)
 		}
 		b.WriteString("\n")
 	}

@@ -139,7 +139,7 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResults, error) {
 
 	// Ack tally per applet+event (synchronous trace, shared by every
 	// node) proves exactly-once; the windowed T2A timeline comes from
-	// per-node span recorders via OnSpan.
+	// the nodes' execution spans via OnSpan.
 	var mu sync.Mutex
 	acked := make(map[string]int)
 	nWindows := int(cfg.Horizon/cfg.Window) + 1

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -140,20 +141,21 @@ func runPushVsPollArm(cfg PushVsPollConfig, push bool) (PushVsPollArm, error) {
 	doer := NewSkewedLoad(clock, cfg.HotPeriod, cfg.ColdPeriod)
 	cutoff := clock.Now().Add(cfg.Horizon / 2)
 
+	var mu sync.Mutex
 	var t2as, ingests []float64
 	pushed := 0
-	rec := engine.NewSpanRecorder(engine.SpanRecorderConfig{
-		OnSpan: func(sp obs.ExecSpan) {
-			if !sp.PollSentAt.After(cutoff) {
-				return
-			}
-			t2as = append(t2as, sp.T2A().Seconds())
-			if sp.Pushed {
-				pushed++
-				ingests = append(ingests, sp.Ingest().Seconds())
-			}
-		},
-	})
+	onSpan := func(sp obs.ExecSpan) {
+		if !sp.PollSentAt.After(cutoff) {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		t2as = append(t2as, sp.T2A().Seconds())
+		if sp.Pushed {
+			pushed++
+			ingests = append(ingests, sp.Ingest().Seconds())
+		}
+	}
 	ecfg := engine.Config{
 		Clock: clock, RNG: stats.NewRNG(cfg.Seed), Doer: doer,
 		// A small but nonzero dispatch delay (both arms, so the
@@ -170,7 +172,7 @@ func runPushVsPollArm(cfg PushVsPollConfig, push bool) (PushVsPollArm, error) {
 			HalfLife: 2 * time.Minute, FastFloor: 10 * time.Second,
 			SlowCeiling: 15 * time.Minute, TargetEventsPerPoll: 0.3,
 		},
-		Observers: []func(engine.TraceEvent){rec.Observe},
+		OnSpan: onSpan,
 	}
 	if push {
 		ecfg.Push = true

@@ -46,14 +46,12 @@ type ScaleResults struct {
 	HeapMB         float64 // live heap after the run, applets installed
 
 	// Traced* repeat the run with the observability layer enabled — a
-	// metrics registry plus the implicit span recorder fed through the
-	// async observer ring — to measure the tracing overhead on the poll
-	// hot path.
+	// metrics registry, which every completed span also feeds — to
+	// measure its overhead on the poll hot path.
 	TracedRunWall     time.Duration
 	TracedPolls       int64
 	TracedPollsPerSec float64
 	TracedOverheadPct float64 // wall-time regression of the traced pass
-	TraceDrops        int64
 }
 
 // emptyPollDoer answers every request instantly with an empty poll
@@ -70,15 +68,13 @@ func (emptyPollDoer) Do(req *http.Request) (*http.Response, error) {
 }
 
 // scalePass runs one population through cfg.Virtual of polling; reg
-// non-nil enables the observability layer (registry + span recorder via
-// the async observer ring).
+// non-nil enables the observability layer (registry + inline spans).
 type scalePassResult struct {
 	installWall    time.Duration
 	runWall        time.Duration
 	polls          int64
 	peakGoroutines int
 	heapMB         float64
-	traceDrops     int64
 }
 
 func runScalePass(cfg ScaleConfig, n, shards, workers int, virtual time.Duration, reg *obs.Registry) scalePassResult {
@@ -126,7 +122,6 @@ func runScalePass(cfg ScaleConfig, n, shards, workers int, virtual time.Duration
 		runtime.ReadMemStats(&m)
 		r.heapMB = float64(m.HeapAlloc) / (1 << 20)
 		eng.Stop()
-		r.traceDrops = eng.TraceDrops()
 	})
 	return r
 }
@@ -179,7 +174,6 @@ func RunEngineScale(cfg ScaleConfig) *ScaleResults {
 	r.TracedPolls = traced.polls
 	r.TracedPollsPerSec = float64(traced.polls) / traced.runWall.Seconds()
 	r.TracedOverheadPct = 100 * (traced.runWall.Seconds() - plain.runWall.Seconds()) / plain.runWall.Seconds()
-	r.TraceDrops = traced.traceDrops
 	return r
 }
 
@@ -207,10 +201,10 @@ func FormatScale(r *ScaleResults) string {
 		r.Polls, r.RunWall.Seconds(), r.HeapMB)
 	b.WriteString("- Goroutines are O(shards + in-flight polls), independent of the\n")
 	b.WriteString("  installed population; the seed held one (8 KB+ stack) per applet.\n")
-	fmt.Fprintf(&b, "- With tracing on (metrics registry + span recorder on the async\n")
-	fmt.Fprintf(&b, "  observer ring): %d polls in %.2fs (%s polls/s), overhead %+.1f%%\n",
-		r.TracedPolls, r.TracedRunWall.Seconds(), groupThousands(int(r.TracedPollsPerSec)), r.TracedOverheadPct)
-	fmt.Fprintf(&b, "  vs. the bare run; %d trace events dropped by the ring.\n", r.TraceDrops)
+	fmt.Fprintf(&b, "- With metrics on (registry + inline spans): %d polls in %.2fs\n",
+		r.TracedPolls, r.TracedRunWall.Seconds())
+	fmt.Fprintf(&b, "  (%s polls/s), overhead %+.1f%% vs. the bare run.\n",
+		groupThousands(int(r.TracedPollsPerSec)), r.TracedOverheadPct)
 	return b.String()
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -223,9 +224,9 @@ func TestDispatchActionAllocs(t *testing.T) {
 		Ingredients: map[string]string{"eid": "1234.5", "at": "1490400000000000000"},
 		Meta:        proto.EventMeta{ID: "1234.5", Timestamp: 1490400000},
 	}
-	dec := new(pollDecoder)
-	e.dispatchAction(dec, ra, ev, 1)
-	allocs := testing.AllocsPerRun(200, func() { e.dispatchAction(dec, ra, ev, 1) })
+	dec := &pollDecoder{span: obs.ExecSpan{ExecID: 1}}
+	e.dispatchAction(dec, ra, ev)
+	allocs := testing.AllocsPerRun(200, func() { e.dispatchAction(dec, ra, ev) })
 	t.Logf("dispatchAction: %.1f allocs/op", allocs)
 	if allocs > 5 {
 		t.Errorf("dispatchAction allocates %.1f/op, want <= 5", allocs)

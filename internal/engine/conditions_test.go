@@ -103,8 +103,14 @@ func TestEngineConditionsGateDispatch(t *testing.T) {
 // placeholders, and known placeholders always resolve to their value.
 func TestExpandIngredientsProperty(t *testing.T) {
 	f := func(prefix, suffix, key, val string) bool {
+		// Skip what the template grammar reads differently from this
+		// property: placeholder delimiters inside the parts (a prefix
+		// ending in "{" or a key ending in "}" moves the delimiter), and
+		// keys that are not already trimmed (expansion trims them).
 		if strings.Contains(prefix, "{{") || strings.Contains(suffix, "{{") ||
-			strings.Contains(key, "{{") || strings.Contains(key, "}}") || key == "" {
+			strings.Contains(key, "{{") || strings.Contains(key, "}}") || key == "" ||
+			strings.HasSuffix(prefix, "{") || strings.HasSuffix(key, "}") ||
+			strings.TrimSpace(key) != key {
 			return true
 		}
 		plain := prefix + suffix

@@ -16,8 +16,8 @@ import (
 // event that member has not seen, oldest first. Dispatch is sequential
 // within the poll, which is what shapes a backlog of trigger events
 // into the action clusters of Fig 6. hintAt is when a realtime poke
-// provoked this poll (zero for scheduled polls); every trace event of
-// the execution shares one freshly drawn ExecID, and per-applet
+// provoked this poll (zero for scheduled polls); every trace event and
+// span of the execution shares one freshly drawn ExecID, and per-applet
 // provenance rides on the action/skip events' AppletID.
 //
 // dec carries the worker's snapshot of the subscription, taken under the
@@ -39,7 +39,8 @@ func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body
 	sh := sub.shard
 	leadID := members[0].id
 	execID := e.execSeq.Add(1)
-	e.emit(sh, TraceEvent{Kind: TracePollSent, AppletID: leadID, Service: sub.ep.ref.Service, ExecID: execID, HintAt: hintAt})
+	dec.span = obs.ExecSpan{ExecID: execID, TriggerService: sub.ep.ref.Service, HintAt: hintAt}
+	dec.span.PollSentAt = e.emit(sh, TraceEvent{Kind: TracePollSent, AppletID: leadID, Service: sub.ep.ref.Service, ExecID: execID, HintAt: hintAt})
 	if n := len(members) - 1; n > 0 {
 		sh.counters.pollsCoalesced.Add(int64(n))
 	}
@@ -81,15 +82,15 @@ func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body
 	if e.journal != nil && len(dec.fresh) > 0 {
 		e.journalCheckpoint(dec)
 	}
-	e.emit(sh, TraceEvent{Kind: TracePollResult, AppletID: leadID, ExecID: execID, N: len(dec.fresh)})
-	e.dispatchFresh(dec, execID)
+	dec.span.PollResultAt = e.emit(sh, TraceEvent{Kind: TracePollResult, AppletID: leadID, ExecID: execID, N: len(dec.fresh)})
+	e.dispatchFresh(dec)
 	return true, newEvents
 }
 
 // dispatchFresh is the last part of an execution, poll or push alike:
 // the engine's dispatch delay, then for every member its fresh events in
 // order through conditions and the action path.
-func (e *Engine) dispatchFresh(dec *pollDecoder, execID uint64) {
+func (e *Engine) dispatchFresh(dec *pollDecoder) {
 	fresh := dec.fresh
 	if len(fresh) == 0 {
 		return
@@ -101,10 +102,10 @@ func (e *Engine) dispatchFresh(dec *pollDecoder, execID uint64) {
 	for _, mr := range dec.ranges {
 		for _, ev := range fresh[mr.start:mr.end] {
 			if !conditionsAllow(mr.ra.conditions, e.clock.Now(), ev.Ingredients) {
-				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: execID, EventID: ev.Meta.ID})
+				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: dec.span.ExecID, EventID: ev.Meta.ID})
 				continue
 			}
-			e.dispatchAction(dec, mr.ra, ev, execID)
+			e.dispatchAction(dec, mr.ra, ev)
 		}
 	}
 }
@@ -127,6 +128,10 @@ type pollDecoder struct {
 	// each member's share.
 	fresh  []proto.TriggerEvent
 	ranges []memberRange
+	// span is the execution's span up to its poll result (or push
+	// dispatch): ExecID and provenance always, timestamps only when the
+	// engine has a span sink. dispatchAction completes one copy per action.
+	span obs.ExecSpan
 	// enc and buf are what each action request is rendered in.
 	enc proto.ActionEncoder
 	buf []byte
@@ -165,7 +170,7 @@ func (d *pollDecoder) release() {
 	e := d.sub.shard.e
 	d.resetFresh()
 	clear(d.members[:cap(d.members)])
-	d.sub = nil
+	d.sub, d.span = nil, obs.ExecSpan{}
 	d.scan.Release()
 	if cap(d.built) > maxPooledBuilt {
 		d.built = nil
@@ -258,31 +263,39 @@ type actionAck struct{}
 func (actionAck) DecodeBody(_ int, body []byte) error { return proto.ValidateActionResponse(body) }
 
 // dispatchAction POSTs one action execution, resolving {{ingredient}}
-// placeholders in the action fields from the trigger event.
-func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev proto.TriggerEvent, execID uint64) {
+// placeholders in the action fields from the trigger event. Acked or
+// failed, the action completes a span of dec's execution.
+func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev proto.TriggerEvent) {
 	eventTime := ev.Meta.Time()
 	sh := ra.sub.shard
-	e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID, EventTime: eventTime})
+	execID := dec.span.ExecID
+	sentAt := e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID, EventTime: eventTime})
 
 	auth, body := dec.actionRequest(ra, ev.Ingredients)
 	status, err := e.client.DoEndpoint(ra.action.req, "", auth, body, actionAck{})
+	kind, msg := TraceActionAcked, ""
 	if err != nil || status != http.StatusOK {
 		if status == 0 {
 			sh.counters.actionErrTransport.Add(1)
 		} else {
 			sh.counters.actionErrHTTP.Add(1)
 		}
-		msg := "status " + http.StatusText(status)
+		kind, msg = TraceActionFailed, "status "+http.StatusText(status)
 		if err != nil {
 			msg = err.Error()
 		}
-		e.emit(sh, TraceEvent{Kind: TraceActionFailed, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID, Err: msg})
-		if e.log != nil {
-			e.log.Warn("action failed", "applet", ra.id, "err", msg)
-		}
-		return
 	}
-	e.emit(sh, TraceEvent{Kind: TraceActionAcked, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID})
+	doneAt := e.emit(sh, TraceEvent{Kind: kind, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID, Err: msg})
+	if kind == TraceActionFailed && e.log != nil {
+		e.log.Warn("action failed", "applet", ra.id, "err", msg)
+	}
+	if e.spans {
+		s := dec.span
+		s.AppletID, s.EventID, s.EventAt = ra.id, ev.Meta.ID, eventTime
+		s.ActionSentAt, s.ActionDoneAt = sentAt, doneAt
+		s.Failed, s.Err = kind == TraceActionFailed, msg
+		e.recordSpan(s)
+	}
 }
 
 // deleteUpstream tells the trigger service a subscription is gone (the

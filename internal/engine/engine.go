@@ -233,20 +233,15 @@ type Config struct {
 	// event. Deterministic tests rely on this synchrony — events are
 	// visible the moment the emitting actor blocks.
 	Trace func(TraceEvent)
-	// Observers receive every TraceEvent asynchronously through a
-	// lock-free bounded ring drained by a dedicated consumer actor:
-	// publishing costs the hot path two atomic ops, and a slow observer
-	// can never stall a poll worker — the ring drops (and counts) events
-	// instead. Observers run on the consumer goroutine, one event at a
-	// time, in publish order.
-	Observers []func(TraceEvent)
-	// TraceBuffer is the observer ring capacity (rounded up to a power
-	// of two); zero means DefaultTraceBuffer.
-	TraceBuffer int
+	// OnSpan, when non-nil, receives every completed execution span:
+	// one per dispatched action, acked or failed, built by the goroutine
+	// that ran the execution. It runs on that goroutine, concurrently
+	// with other executions, so it must be fast and safe for concurrent
+	// use.
+	OnSpan func(obs.ExecSpan)
 	// Metrics, when non-nil, receives the engine's operational counters
-	// and gauges plus the span-derived T2A segment histograms (an
-	// implicit SpanRecorder is appended to Observers). Serve it over
-	// HTTP via Engine.Handler's GET /metrics.
+	// and gauges plus the T2A segment histograms every completed span
+	// feeds. Serve it over HTTP via Engine.Handler's GET /metrics.
 	Metrics *obs.Registry
 	// Logger receives warnings; nil disables logging.
 	Logger *slog.Logger
@@ -295,11 +290,11 @@ type Config struct {
 	// max(PollBudgetQPS, 1) — about one second of refill.
 	PollBudgetBurst float64
 	// SLO, when non-nil, enables the burn-rate tracker and tail-based
-	// span store of internal/obs/slo on the span stream (an implicit
-	// SpanRecorder is installed even without Metrics): per-service and
-	// global T2A objectives with ok/warn/page alerting surfaced as
-	// ifttt_slo_* metrics, slo_* trace events, GET /debug/slo, and
-	// GET /debug/slowest. Clock and Metrics default to the engine's own.
+	// span store of internal/obs/slo on the span stream, with or without
+	// Metrics: per-service and global T2A objectives with ok/warn/page
+	// alerting surfaced as ifttt_slo_* metrics, slo_* trace events,
+	// GET /debug/slo, and GET /debug/slowest. Clock and Metrics default
+	// to the engine's own.
 	SLO *slo.Config
 	// Push enables the push ingestion tier (internal/ingest): the engine
 	// mounts POST /v1/push, partner services with a push delivery mode
@@ -350,9 +345,6 @@ const DefaultDispatchDelay = time.Second
 
 // DefaultShardWorkers is the per-shard in-flight poll cap.
 const DefaultShardWorkers = 8
-
-// DefaultTraceBuffer is the observer ring capacity.
-const DefaultTraceBuffer = 4096
 
 // Engine executes applets on a sharded poll scheduler: applets join
 // per-trigger subscriptions, subscriptions hash to shards, each shard
@@ -449,10 +441,13 @@ type Engine struct {
 	// execSeq numbers poll executions; every trace event of one poll
 	// carries the same ExecID.
 	execSeq atomic.Uint64
-	// pump fans trace events out to the async observers; nil when none
-	// are configured.
-	pump    *obs.Pump[TraceEvent]
 	metrics *obs.Registry
+	// The span sink (recordSpan): spanMetrics is set with Metrics, onSpan
+	// is Config.OnSpan. spans is set when any sink (these two or the SLO
+	// tracker) is, and only then do executions read span timestamps.
+	spans       bool
+	spanMetrics *spanMetrics
+	onSpan      func(obs.ExecSpan)
 	// slo and tail are the burn-rate tracker and tail-based span store,
 	// set when Config.SLO is non-nil.
 	slo  *slo.Tracker
@@ -584,6 +579,7 @@ func New(cfg Config) *Engine {
 		realtime:  cfg.RealtimeServices,
 		rtDelay:   rtDelay,
 		trace:     cfg.Trace,
+		onSpan:    cfg.OnSpan,
 		log:       cfg.Logger,
 		dedupCap:  DefaultDedupWindow,
 		dispatch:  dispatch,
@@ -651,7 +647,6 @@ func New(cfg Config) *Engine {
 		}
 	}
 
-	observers := cfg.Observers
 	if cfg.Metrics != nil {
 		e.metrics = cfg.Metrics
 		e.registerMetrics(cfg.Metrics)
@@ -687,52 +682,20 @@ func New(cfg Config) *Engine {
 			e.tail.RegisterMetrics(cfg.Metrics)
 		}
 	}
-	if cfg.Metrics != nil || e.slo != nil {
-		// The implicit span recorder turns the trace stream into the T2A
-		// segment histograms on the registry and feeds the SLO tracker
-		// and tail store.
-		src := SpanRecorderConfig{Metrics: cfg.Metrics}
-		if e.slo != nil {
-			tracker, tail := e.slo, e.tail
-			src.OnSpan = func(s obs.ExecSpan) {
-				tracker.Observe(s)
-				tail.Offer(s)
-			}
-		}
-		rec := NewSpanRecorder(src)
-		observers = append(observers[:len(observers):len(observers)], rec.Observe)
-	}
-	if len(observers) > 0 {
-		buf := cfg.TraceBuffer
-		if buf <= 0 {
-			buf = DefaultTraceBuffer
-		}
-		e.pump = obs.NewPump(cfg.Clock, buf, observers...)
-	}
+	e.spans = e.spanMetrics != nil || e.slo != nil || e.onSpan != nil
 	return e
 }
 
-// FlushTrace blocks until every trace event emitted before the call has
-// been delivered to all async observers (no-op without observers).
-// Tests use it to read observer state deterministically.
-func (e *Engine) FlushTrace() {
-	if e.pump != nil {
-		e.pump.Sync()
-	}
-}
-
-// TraceDrops reports how many trace events the observer ring rejected
-// because it was full (or the engine stopped).
-func (e *Engine) TraceDrops() int64 {
-	if e.pump == nil {
-		return 0
-	}
-	return e.pump.Drops()
-}
+// TraceDrops is always 0: no trace event is queued or dropped since
+// executions complete their own spans. It stays for callers that still
+// report it.
+func (e *Engine) TraceDrops() int64 { return 0 }
 
 // emit bumps the counter for ev on sh (nil for engine-level events) and
-// forwards it to the trace observer.
-func (e *Engine) emit(sh *shard, ev TraceEvent) {
+// forwards it to the trace observer. It returns the event's time, read
+// only when a trace observer or a span sink is configured (zero
+// otherwise), so a span timestamp is the instant of its trace event.
+func (e *Engine) emit(sh *shard, ev TraceEvent) time.Time {
 	switch ev.Kind {
 	case TracePollSent:
 		sh.counters.polls.Add(1)
@@ -752,16 +715,14 @@ func (e *Engine) emit(sh *shard, ev TraceEvent) {
 	case TraceHintReceived:
 		e.hints.Add(1)
 	}
-	if e.trace == nil && e.pump == nil {
-		return
+	if e.trace == nil && !e.spans {
+		return time.Time{}
 	}
 	ev.Time = e.clock.Now()
 	if e.trace != nil {
 		e.trace(ev)
 	}
-	if e.pump != nil {
-		e.pump.Publish(ev)
-	}
+	return ev.Time
 }
 
 // Stats returns a snapshot of the engine's operational counters, merged
@@ -969,10 +930,8 @@ func (e *Engine) AppletKeys() map[string]string {
 }
 
 // Stop halts all scheduling. In-flight polls finish their current
-// round; pending ones are abandoned. The engine cannot be restarted.
-// Stop also retires the observer pump after a final drain: under a
-// simulated clock an engine with observers MUST be stopped, or the
-// parked consumer actor trips the simulator's deadlock detector.
+// round, spans included; pending ones are abandoned. The engine cannot
+// be restarted.
 func (e *Engine) Stop() {
 	// Setting stopped under delMu fences Remove's last-member path: after
 	// this section no upstream-DELETE actor can start, and one observed
@@ -984,14 +943,9 @@ func (e *Engine) Stop() {
 	for _, sh := range e.shards {
 		sh.stop()
 	}
-	// Retire the ingress queues before the trace pump: their final drain
-	// (which drops — the shards are stopped) may still emit trace events.
 	for _, sh := range e.shards {
 		if sh.ingress != nil {
 			sh.ingress.Close()
 		}
-	}
-	if e.pump != nil {
-		e.pump.Close()
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/httpx"
+	"repro/internal/obs"
 	"repro/internal/proto"
 )
 
@@ -212,8 +213,12 @@ func (e *Engine) dispatchPush(dec *pollDecoder, events []proto.TriggerEvent, at 
 	}
 	dec.fresh, dec.ranges = fresh, ranges
 
-	e.emit(sub.shard, TraceEvent{Kind: TracePushDispatch, AppletID: dec.members[0].id,
+	// A push execution has no poll round-trip: both poll timestamps of
+	// its spans are the dispatch start.
+	dec.span = obs.ExecSpan{ExecID: execID, TriggerService: sub.ep.ref.Service, IngestAt: at, Pushed: true}
+	start := e.emit(sub.shard, TraceEvent{Kind: TracePushDispatch, AppletID: dec.members[0].id,
 		Service: sub.ep.ref.Service, ExecID: execID, N: len(fresh), IngestAt: at})
+	dec.span.PollSentAt, dec.span.PollResultAt = start, start
 	if len(fresh) == 0 {
 		return
 	}
@@ -226,5 +231,5 @@ func (e *Engine) dispatchPush(dec *pollDecoder, events []proto.TriggerEvent, at 
 	if e.fanout != nil {
 		e.fanout.Observe(float64(len(dec.members)))
 	}
-	e.dispatchFresh(dec, execID)
+	e.dispatchFresh(dec)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestMetricsNamingConvention audits every metric the full stack
-// registers — engine scheduler, span recorder, SLO tier, tail store,
+// registers — engine scheduler, span histograms, SLO tier, tail store,
 // fault injector — against the repo's naming convention via the shared
 // obs.LintMetricNames linter (the cluster tier runs the same linter
 // over its ifttt_cluster_* family in its own package).

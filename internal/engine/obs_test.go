@@ -1,8 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/obs/slo"
 	"repro/internal/proto"
 	"repro/internal/service"
 	"repro/internal/simnet"
@@ -18,8 +25,7 @@ import (
 	"repro/internal/stats"
 )
 
-// newObsRig is newRig plus a metrics registry and a span sink wired
-// through the async observer ring.
+// newObsRig is newRig plus a metrics registry and a span sink.
 func newObsRig(t *testing.T) (*rig, *obs.Registry, *[]obs.ExecSpan) {
 	t.Helper()
 	clock := simtime.NewSimDefault()
@@ -37,17 +43,18 @@ func newObsRig(t *testing.T) (*rig, *obs.Registry, *[]obs.ExecSpan) {
 
 	reg := obs.NewRegistry()
 	spans := &[]obs.ExecSpan{}
-	rec := NewSpanRecorder(SpanRecorderConfig{
-		OnSpan: func(s obs.ExecSpan) { *spans = append(*spans, s) },
-	})
 	r := &rig{clock: clock, net: net, svc: svc}
 	r.engine = New(Config{
-		Clock:     clock,
-		RNG:       rng.Split("engine"),
-		Doer:      net.Client("engine.sim"),
-		Poll:      FixedInterval{Interval: 5 * time.Second},
-		Metrics:   reg,
-		Observers: []func(TraceEvent){rec.Observe},
+		Clock:   clock,
+		RNG:     rng.Split("engine"),
+		Doer:    net.Client("engine.sim"),
+		Poll:    FixedInterval{Interval: 5 * time.Second},
+		Metrics: reg,
+		OnSpan: func(s obs.ExecSpan) {
+			r.mu.Lock()
+			*spans = append(*spans, s)
+			r.mu.Unlock()
+		},
 	})
 	net.AddHost("engine.sim", r.engine.Handler())
 	return r, reg, spans
@@ -67,7 +74,7 @@ func TestEngineMetricsHTTP(t *testing.T) {
 		r.clock.Sleep(7 * time.Second)
 		r.svc.Publish("fired", map[string]string{"k": "v"})
 		r.clock.Sleep(30 * time.Second)
-		r.engine.Stop() // drains the observer ring
+		r.engine.Stop()
 	})
 
 	rec := httptest.NewRecorder()
@@ -135,80 +142,287 @@ func TestEngineMetricsHTTP(t *testing.T) {
 		// EventAt has unix-second granularity, so allow slack.
 		t.Errorf("segments sum %v inconsistent with T2A %v", got, s.T2A())
 	}
-	if r.engine.TraceDrops() != 0 {
-		t.Errorf("trace drops = %d", r.engine.TraceDrops())
-	}
 }
 
-// TestSpanRecorderScripted feeds a hand-written event stream and checks
-// span assembly, multi-action executions, skips, and failures.
-func TestSpanRecorderScripted(t *testing.T) {
-	var spans []obs.ExecSpan
-	rec := NewSpanRecorder(SpanRecorderConfig{
-		OnSpan: func(s obs.ExecSpan) { spans = append(spans, s) },
+// Latencies of spanDoer, the scripted partner of TestExecSpanFields.
+const (
+	spanPollRTT     = 200 * time.Millisecond
+	spanDeliveryRTT = 300 * time.Millisecond
+)
+
+// spanDoer is a partner on the simulated clock with fixed latencies: a
+// poll of trigger slug s answers after spanPollRTT with the events
+// published on s (newest first, nanosecond timestamps); an action
+// answers after spanDeliveryRTT, with a 400 for the "fail" slug.
+type spanDoer struct {
+	clock  simtime.Clock
+	mu     sync.Mutex
+	events map[string][]proto.TriggerEvent // by trigger slug, oldest first
+}
+
+// publish buffers event id on slug, stamped now, and returns the stamp.
+func (d *spanDoer) publish(slug, id string) time.Time {
+	now := d.clock.Now()
+	d.mu.Lock()
+	d.events[slug] = append(d.events[slug], proto.TriggerEvent{
+		Ingredients: map[string]string{"k": "v"},
+		Meta:        proto.EventMeta{ID: id, TimestampNanos: now.UnixNano()},
 	})
-	t0 := time.Unix(1000, 0)
+	d.mu.Unlock()
+	return now
+}
+
+func (d *spanDoer) Do(req *http.Request) (*http.Response, error) {
+	io.Copy(io.Discard, req.Body)
+	req.Body.Close()
+	status, body := http.StatusOK, []byte(`{"data":[{"id":"ok"}]}`)
+	if slug, ok := strings.CutPrefix(req.URL.Path, proto.TriggersPath); ok {
+		d.clock.Sleep(spanPollRTT)
+		d.mu.Lock()
+		resp := proto.TriggerPollResponse{Data: slices.Clone(d.events[slug])}
+		d.mu.Unlock()
+		slices.Reverse(resp.Data)
+		if resp.Data == nil {
+			resp.Data = []proto.TriggerEvent{}
+		}
+		body, _ = json.Marshal(resp)
+	} else {
+		d.clock.Sleep(spanDeliveryRTT)
+		if strings.HasSuffix(req.URL.Path, "/fail") {
+			status, body = http.StatusBadRequest, []byte(`{"errors":[{"message":"no"}]}`)
+		}
+	}
+	return &http.Response{
+		StatusCode: status,
+		Body:       io.NopCloser(bytes.NewReader(body)),
+		Header:     make(http.Header),
+		Request:    req,
+	}, nil
+}
+
+// serviceGaps polls each trigger service at its own fixed gap.
+type serviceGaps map[string]time.Duration
+
+func (g serviceGaps) NextGap(_, service string, _ *stats.RNG) time.Duration { return g[service] }
+
+// TestExecSpanFields drives one execution of every shape through a
+// scripted partner and checks every field of every span against the
+// schedule: a hinted poll, a coalesced poll fanned out to two members,
+// a push execution, a condition skip (which completes no span) and a
+// failed action. Each timestamp is the instant of its trace event.
+func TestExecSpanFields(t *testing.T) {
+	const dispatch = time.Second
+	clock := simtime.NewSimDefault()
+	doer := &spanDoer{clock: clock, events: map[string][]proto.TriggerEvent{}}
+	var mu sync.Mutex
+	var spans []obs.ExecSpan
+	var traces []TraceEvent
+	eng := New(Config{
+		Clock: clock, RNG: stats.NewRNG(5), Doer: doer,
+		Poll:             serviceGaps{"svc": 10 * time.Second, "pushsvc": 10 * time.Second, "rt": time.Hour},
+		RealtimeServices: map[string]bool{"rt": true},
+		DispatchDelay:    dispatch,
+		Shards:           1, ShardWorkers: 8,
+		Coalesce: true, Push: true,
+		Trace: func(ev TraceEvent) {
+			mu.Lock()
+			traces = append(traces, ev)
+			mu.Unlock()
+		},
+		OnSpan: func(s obs.ExecSpan) {
+			mu.Lock()
+			spans = append(spans, s)
+			mu.Unlock()
+		},
+	})
+	applet := func(id, user, service, slug, action string, conds ...Condition) Applet {
+		return Applet{ID: id, UserID: user, Conditions: conds,
+			Trigger: ServiceRef{Service: service, BaseURL: "http://p.sim", Slug: slug},
+			Action:  ServiceRef{Service: "act", BaseURL: "http://p.sim", Slug: action},
+		}
+	}
+	pushed := applet("push", "u1", "pushsvc", "pushed", "ok")
+	var t0, at1, at2, pushEventAt time.Time
+	clock.Run(func() {
+		defer eng.Stop()
+		t0 = clock.Now()
+		for _, a := range []Applet{
+			applet("hint", "uh", "rt", "hinted", "ok"),
+			applet("m1", "u1", "svc", "shared", "ok"),
+			applet("m2", "u1", "svc", "shared", "ok"),
+			applet("skip", "u1", "svc", "skipped", "ok", IngredientEquals{Key: "k", Value: "never"}),
+			applet("broken", "u1", "svc", "broken", "fail"),
+			pushed,
+		} {
+			if err := eng.Install(a); err != nil {
+				t.Errorf("install %s: %v", a.ID, err)
+				return
+			}
+		}
+		clock.Sleep(time.Second)
+		at1 = doer.publish("shared", "s1")
+		doer.publish("skipped", "k1")
+		doer.publish("broken", "b1")
+		clock.Sleep(time.Second)
+		at2 = doer.publish("hinted", "h1")
+		clock.Sleep(time.Second)
+		// Honoured after DefaultRealtimeDelay: polled at 4.5 s, an hour
+		// before the subscription's schedule.
+		eng.ApplyHint(proto.RealtimeHint{UserID: "uh"})
+		clock.Sleep(1900 * time.Millisecond)
+		pushEventAt = clock.Now()
+		clock.Sleep(100 * time.Millisecond)
+		resp := eng.PushDeliveries([]proto.PushDelivery{{
+			TriggerIdentity: pushed.CoalescedTriggerIdentity(),
+			Events: []proto.TriggerEvent{{Ingredients: map[string]string{"k": "v"},
+				Meta: proto.EventMeta{ID: "p1", TimestampNanos: pushEventAt.UnixNano()}}},
+		}})
+		if resp.Accepted != 1 {
+			t.Errorf("push %+v, want 1 accepted", resp)
+		}
+		clock.Sleep(25 * time.Second)
+	})
+
 	at := func(d time.Duration) time.Time { return t0.Add(d) }
-
-	// Exec 1: two fresh events; the first is condition-skipped, the
-	// second dispatches and fails.
-	rec.Observe(TraceEvent{Kind: TracePollSent, ExecID: 1, AppletID: "a1", Time: at(0)})
-	rec.Observe(TraceEvent{Kind: TracePollResult, ExecID: 1, AppletID: "a1", N: 2, Time: at(100 * time.Millisecond)})
-	rec.Observe(TraceEvent{Kind: TraceConditionSkip, ExecID: 1, EventID: "e1", Time: at(time.Second)})
-	rec.Observe(TraceEvent{Kind: TraceActionSent, ExecID: 1, EventID: "e2",
-		EventTime: time.Unix(940, 0), Time: at(time.Second)})
-	rec.Observe(TraceEvent{Kind: TraceActionFailed, ExecID: 1, EventID: "e2", Err: "boom",
-		Time: at(1500 * time.Millisecond)})
-
-	// Exec 2: empty poll, no span.
-	rec.Observe(TraceEvent{Kind: TracePollSent, ExecID: 2, AppletID: "a1", Time: at(5 * time.Second)})
-	rec.Observe(TraceEvent{Kind: TracePollResult, ExecID: 2, N: 0, Time: at(5100 * time.Millisecond)})
-
-	// Exec 3: poll failed, no span.
-	rec.Observe(TraceEvent{Kind: TracePollSent, ExecID: 3, AppletID: "a1", Time: at(10 * time.Second)})
-	rec.Observe(TraceEvent{Kind: TracePollFailed, ExecID: 3, Err: "timeout", Time: at(11 * time.Second)})
-
-	if len(spans) != 1 {
-		t.Fatalf("spans = %d, want 1", len(spans))
+	ms := time.Millisecond
+	failed := func(kind TraceKind, applet string) TraceEvent {
+		for _, ev := range traces {
+			if ev.Kind == kind && ev.AppletID == applet {
+				return ev
+			}
+		}
+		t.Fatalf("no %s trace for %s", kind, applet)
+		return TraceEvent{}
 	}
-	s := spans[0]
-	if !s.Failed || s.Err != "boom" || s.EventID != "e2" {
-		t.Errorf("span = %+v", s)
+	errMsg := failed(TraceActionFailed, "broken").Err
+	if errMsg == "" {
+		t.Error("action_failed trace carries no error")
 	}
-	if got := s.PollingGap(); got != 60*time.Second {
-		t.Errorf("PollingGap = %v, want 60s", got)
+	if n := len(traceKinds(traces, TraceConditionSkip)); n != 1 {
+		t.Errorf("%d condition skips, want 1", n)
 	}
-	if got := s.PollRTT(); got != 100*time.Millisecond {
-		t.Errorf("PollRTT = %v, want 100ms", got)
+	want := map[string]obs.ExecSpan{
+		"hint": {AppletID: "hint", EventID: "h1", TriggerService: "rt",
+			HintAt: at(4500 * ms), PollSentAt: at(4500 * ms), PollResultAt: at(4700 * ms), EventAt: at2,
+			ActionSentAt: at(5700 * ms), ActionDoneAt: at(6000 * ms)},
+		"push": {AppletID: "push", EventID: "p1", TriggerService: "pushsvc",
+			IngestAt: at(5000 * ms), PollSentAt: at(5000 * ms), PollResultAt: at(5000 * ms), EventAt: pushEventAt,
+			ActionSentAt: at(6000 * ms), ActionDoneAt: at(6300 * ms), Pushed: true},
+		// One poll, two members: m2's action goes out when m1's is acked.
+		"m1": {AppletID: "m1", EventID: "s1", TriggerService: "svc",
+			PollSentAt: at(10 * time.Second), PollResultAt: at(10200 * ms), EventAt: at1,
+			ActionSentAt: at(11200 * ms), ActionDoneAt: at(11500 * ms)},
+		"m2": {AppletID: "m2", EventID: "s1", TriggerService: "svc",
+			PollSentAt: at(10 * time.Second), PollResultAt: at(10200 * ms), EventAt: at1,
+			ActionSentAt: at(11500 * ms), ActionDoneAt: at(11800 * ms)},
+		"broken": {AppletID: "broken", EventID: "b1", TriggerService: "svc",
+			PollSentAt: at(10 * time.Second), PollResultAt: at(10200 * ms), EventAt: at1,
+			ActionSentAt: at(11200 * ms), ActionDoneAt: at(11500 * ms), Failed: true, Err: errMsg},
 	}
-	if got := s.Processing(); got != 900*time.Millisecond {
-		t.Errorf("Processing = %v, want 900ms", got)
+	if len(spans) != len(want) {
+		t.Fatalf("%d spans, want %d: %+v", len(spans), len(want), spans)
 	}
-	if got := s.Delivery(); got != 500*time.Millisecond {
-		t.Errorf("Delivery = %v, want 500ms", got)
+	execs := map[uint64][]string{}
+	for _, got := range spans {
+		w, ok := want[got.AppletID]
+		if !ok {
+			t.Errorf("unexpected span %+v", got)
+			continue
+		}
+		// The exec ID is the one on the execution's trace events.
+		end := TraceActionAcked
+		if got.Failed {
+			end = TraceActionFailed
+		}
+		w.ExecID = failed(end, got.AppletID).ExecID
+		if !sameSpan(got, w) {
+			t.Errorf("span %s\n got %+v\nwant %+v", got.AppletID, got, w)
+		}
+		execs[got.ExecID] = append(execs[got.ExecID], got.AppletID)
 	}
-	if got := s.T2A(); got != 61500*time.Millisecond {
-		t.Errorf("T2A = %v, want 61.5s", got)
-	}
-	if len(rec.pending) != 0 {
-		t.Errorf("pending executions = %d, want 0", len(rec.pending))
+	if len(execs) != 4 {
+		t.Errorf("executions %v: want the two coalesced members under one exec ID, every other span under its own", execs)
 	}
 }
 
-// TestSpanRecorderEviction caps the pending table and checks FIFO
-// eviction when polls never complete.
-func TestSpanRecorderEviction(t *testing.T) {
-	rec := NewSpanRecorder(SpanRecorderConfig{MaxPending: 4})
-	for i := 1; i <= 10; i++ {
-		rec.Observe(TraceEvent{Kind: TracePollSent, ExecID: uint64(i), Time: time.Unix(int64(i), 0)})
-	}
-	if len(rec.pending) != 4 {
-		t.Fatalf("pending = %d, want 4 (cap)", len(rec.pending))
-	}
-	for _, id := range []uint64{7, 8, 9, 10} {
-		if rec.pending[id] == nil {
-			t.Errorf("exec %d should have survived FIFO eviction", id)
+// sameSpan compares spans field by field, instants with time.Equal.
+func sameSpan(a, b obs.ExecSpan) bool {
+	for _, p := range [][2]time.Time{
+		{a.HintAt, b.HintAt}, {a.IngestAt, b.IngestAt}, {a.PollSentAt, b.PollSentAt},
+		{a.PollResultAt, b.PollResultAt}, {a.EventAt, b.EventAt},
+		{a.ActionSentAt, b.ActionSentAt}, {a.ActionDoneAt, b.ActionDoneAt},
+	} {
+		if !p[0].Equal(p[1]) {
+			return false
 		}
+	}
+	return a.ExecID == b.ExecID && a.AppletID == b.AppletID && a.EventID == b.EventID &&
+		a.TriggerService == b.TriggerService && a.Pushed == b.Pushed &&
+		a.Failed == b.Failed && a.Err == b.Err
+}
+
+func traceKinds(evs []TraceEvent, kind TraceKind) []TraceEvent {
+	var out []TraceEvent
+	for _, ev := range evs {
+		if ev.Kind == kind {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestSpansLossless runs more than ten thousand executions, some of
+// them failing, on 8 shards of 8 workers with metrics and the SLO tier
+// on, and checks that every one completed exactly one span into every
+// sink: the T2A histogram, the span counter and OnSpan all count what
+// the engine's action counters count.
+func TestSpansLossless(t *testing.T) {
+	const applets = 200
+	clock := simtime.NewSimDefault()
+	reg := obs.NewRegistry()
+	var onSpan atomic.Int64
+	rng := stats.NewRNG(9)
+	inj := faults.New(clock, rng.Split("faults"))
+	inj.AddRule(faults.Rule{PathPrefix: proto.ActionsPath, ErrorRate: 0.1})
+	eng := New(Config{
+		Clock: clock, RNG: rng.Split("engine"), Doer: inj.Wrap(&eventDoer{clock: clock}),
+		Poll:          FixedInterval{Interval: time.Second},
+		DispatchDelay: -1, Shards: 8, ShardWorkers: 8,
+		Metrics: reg,
+		SLO:     &slo.Config{},
+		OnSpan:  func(obs.ExecSpan) { onSpan.Add(1) },
+	})
+	clock.Run(func() {
+		defer eng.Stop()
+		for i := 0; i < applets; i++ {
+			if err := eng.Install(sloApplet(i, "svc")); err != nil {
+				t.Errorf("install: %v", err)
+				return
+			}
+		}
+		clock.Sleep(time.Minute)
+	})
+
+	st := eng.Stats()
+	executed := st.ActionsOK + st.ActionsFailed
+	if executed < 10_000 || st.ActionsFailed == 0 {
+		t.Fatalf("%d executions (%d failed), want >= 10000 with some failing", executed, st.ActionsFailed)
+	}
+	t.Logf("%d executions, %d failed", executed, st.ActionsFailed)
+	var spansTotal float64
+	for _, m := range reg.Snapshot() {
+		if m.Name == "ifttt_spans_total" {
+			spansTotal = *m.Value
+		}
+	}
+	if h := reg.LookupHistogram("ifttt_t2a_seconds").Count(); h != executed {
+		t.Errorf("ifttt_t2a_seconds count %d, want %d executions", h, executed)
+	}
+	if int64(spansTotal) != executed {
+		t.Errorf("ifttt_spans_total %v, want %d executions", spansTotal, executed)
+	}
+	if n := onSpan.Load(); n != executed {
+		t.Errorf("OnSpan called %d times, want %d executions", n, executed)
 	}
 }
 

@@ -1,14 +1,12 @@
 // Observability glue: the engine's metric registrations and the span
-// recorder that folds the trace-event stream back into per-execution
-// ExecSpans — the data behind the paper's trigger-to-action latency
-// decomposition (Sec 6, Fig 5). The recorder is an async observer: it
-// runs on the trace pump's consumer goroutine, so its bookkeeping needs
-// no locks and its cost never lands on a poll worker.
+// sink. The goroutine that runs an execution completes its ExecSpans
+// itself (dispatch.go), one per dispatched action — the data behind the
+// paper's trigger-to-action latency decomposition (Sec 6, Fig 5) — and
+// hands each to recordSpan, so no span is ever lost or reassembled.
 package engine
 
 import (
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -133,9 +131,6 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 				return float64(n)
 			})
 	}
-	reg.CounterFunc("ifttt_engine_trace_drops_total", "Trace events dropped by a full observer ring.",
-		e.TraceDrops)
-
 	reg.GaugeFunc("ifttt_engine_applets", "Installed applets.", func() float64 {
 		e.mu.Lock()
 		n := len(e.applets)
@@ -187,274 +182,73 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(len(e.shards)) })
 	reg.GaugeFunc("ifttt_engine_worker_cap", "Per-shard in-flight poll cap.",
 		func() float64 { return float64(e.workers) })
-}
 
-// SpanRecorderConfig assembles a SpanRecorder.
-type SpanRecorderConfig struct {
-	// Metrics, when non-nil, receives the T2A segment histograms
-	// (ifttt_t2a_seconds and friends) the recorder feeds.
-	Metrics *obs.Registry
-	// OnSpan, when non-nil, receives every completed span. It runs on
-	// the trace consumer goroutine.
-	OnSpan func(obs.ExecSpan)
-	// MaxPending bounds the executions tracked at once; the oldest is
-	// evicted when a new poll would exceed it. Zero means
-	// DefaultMaxPendingSpans.
-	MaxPending int
-}
-
-// DefaultMaxPendingSpans bounds a SpanRecorder's in-progress table. It
-// comfortably exceeds any realistic in-flight poll population (shards ×
-// workers), so eviction only fires when trace events are lost.
-const DefaultMaxPendingSpans = 4096
-
-// SpanRecorder assembles the flat trace-event stream back into
-// per-execution ExecSpans: one span per dispatched action, carrying the
-// poll timestamps of the execution that surfaced the event. Feed it
-// through Config.Observers (or let Config.Metrics install one
-// implicitly). Observe must be called from a single goroutine — the
-// trace pump guarantees that — so the recorder holds no locks.
-type SpanRecorder struct {
-	metrics *obs.Registry
-	onSpan  func(obs.ExecSpan)
-	max     int
-
-	pending map[uint64]*pendingExec
-	order   []uint64 // exec IDs in arrival order, for FIFO eviction
-
-	t2a        *obs.Histogram
-	pollGap    *obs.Histogram
-	pollRTT    *obs.Histogram
-	processing *obs.Histogram
-	delivery   *obs.Histogram
-	hintLag    *obs.Histogram
-	ingestLag  *obs.Histogram
-	spans      *obs.Counter
-	pushSpans  *obs.Counter
-	spanFails  *obs.Counter
-	evictions  *obs.Counter
-}
-
-// pendingExec is one poll execution awaiting its remaining action acks.
-type pendingExec struct {
-	appletID     string
-	service      string // polled trigger service
-	hintAt       time.Time
-	pollSentAt   time.Time
-	pollResultAt time.Time
-	remaining    int // actions/skips still expected after the poll result
-	// Push-path provenance: pushed executions carry the ingress-accept
-	// instant and both poll timestamps collapse to the dispatch start.
-	pushed   bool
-	ingestAt time.Time
-
-	// Current action in flight (dispatch within an execution is
-	// sequential, so at most one action of an execution is open at a
-	// time). A coalesced poll fans out to several applets under one
-	// ExecID, so the acting applet rides on the action events rather
-	// than the poll's lead applet.
-	actingApplet string
-	eventID      string
-	eventAt      time.Time
-	actionSentAt time.Time
-}
-
-// NewSpanRecorder builds a recorder and, when cfg.Metrics is set,
-// registers the segment histograms on it.
-func NewSpanRecorder(cfg SpanRecorderConfig) *SpanRecorder {
-	max := cfg.MaxPending
-	if max <= 0 {
-		max = DefaultMaxPendingSpans
-	}
-	r := &SpanRecorder{
-		metrics: cfg.Metrics,
-		onSpan:  cfg.OnSpan,
-		max:     max,
-		pending: make(map[uint64]*pendingExec),
-	}
-	if reg := cfg.Metrics; reg != nil {
-		b := obs.DefaultLatencyBuckets
-		r.t2a = reg.Histogram("ifttt_t2a_seconds",
-			"Trigger-to-action latency: event buffered at the trigger service to action acknowledged.", b)
-		r.pollGap = reg.Histogram("ifttt_polling_gap_seconds",
-			"Time the event waited in the trigger service's buffer before the engine polled.", b)
-		r.pollRTT = reg.Histogram("ifttt_poll_rtt_seconds",
-			"Trigger poll round-trip time.", b)
-		r.processing = reg.Histogram("ifttt_engine_processing_seconds",
-			"Engine-internal time from poll result to action request.", b)
-		r.delivery = reg.Histogram("ifttt_action_delivery_seconds",
-			"Action request round-trip to acknowledgement.", b)
-		r.hintLag = reg.Histogram("ifttt_hint_lag_seconds",
-			"Realtime hint to provoked poll latency.", b)
-		r.ingestLag = reg.Histogram("ifttt_ingest_lag_seconds",
-			"Push-path queue wait: ingress accept to dispatch start.", b)
-		r.spans = reg.Counter("ifttt_spans_total", "Execution spans completed.")
-		r.pushSpans = reg.Counter("ifttt_spans_pushed_total",
-			"Execution spans delivered via the push ingestion tier.")
-		r.spanFails = reg.Counter("ifttt_spans_failed_total", "Execution spans that ended in action failure.")
-		r.evictions = reg.Counter("ifttt_span_evictions_total",
-			"Pending executions evicted before completing (lost trace events).")
-	}
-	return r
-}
-
-// Observe consumes one trace event. Single goroutine only.
-func (r *SpanRecorder) Observe(ev TraceEvent) {
-	switch ev.Kind {
-	case TracePollSent:
-		r.track(ev.ExecID, &pendingExec{
-			appletID:   ev.AppletID,
-			service:    ev.Service,
-			hintAt:     ev.HintAt,
-			pollSentAt: ev.Time,
-		})
-	case TracePushDispatch:
-		if ev.N == 0 {
-			return // fully deduplicated against the poll path: no span
-		}
-		// A push execution has no poll round-trip: both poll timestamps
-		// are the dispatch start, and remaining is known immediately.
-		r.track(ev.ExecID, &pendingExec{
-			appletID:     ev.AppletID,
-			service:      ev.Service,
-			pushed:       true,
-			ingestAt:     ev.IngestAt,
-			pollSentAt:   ev.Time,
-			pollResultAt: ev.Time,
-			remaining:    ev.N,
-		})
-	case TracePollFailed:
-		r.drop(ev.ExecID)
-	case TracePollResult:
-		p := r.pending[ev.ExecID]
-		if p == nil {
-			return
-		}
-		p.pollResultAt = ev.Time
-		p.remaining = ev.N
-		if ev.N == 0 {
-			r.drop(ev.ExecID)
-		}
-	case TraceConditionSkip:
-		if p := r.pending[ev.ExecID]; p != nil {
-			p.remaining--
-			if p.remaining <= 0 {
-				r.drop(ev.ExecID)
-			}
-		}
-	case TraceActionSent:
-		if p := r.pending[ev.ExecID]; p != nil {
-			p.actingApplet = ev.AppletID
-			p.eventID = ev.EventID
-			p.eventAt = ev.EventTime
-			p.actionSentAt = ev.Time
-		}
-	case TraceActionAcked, TraceActionFailed:
-		p := r.pending[ev.ExecID]
-		if p == nil {
-			return
-		}
-		r.finish(p, ev)
-		p.remaining--
-		if p.remaining <= 0 {
-			r.drop(ev.ExecID)
-		}
+	b := obs.DefaultLatencyBuckets
+	e.spanMetrics = &spanMetrics{
+		t2a: reg.Histogram("ifttt_t2a_seconds",
+			"Trigger-to-action latency: event buffered at the trigger service to action acknowledged.", b),
+		pollGap: reg.Histogram("ifttt_polling_gap_seconds",
+			"Time the event waited in the trigger service's buffer before the engine polled.", b),
+		pollRTT: reg.Histogram("ifttt_poll_rtt_seconds",
+			"Trigger poll round-trip time.", b),
+		processing: reg.Histogram("ifttt_engine_processing_seconds",
+			"Engine-internal time from poll result to action request.", b),
+		delivery: reg.Histogram("ifttt_action_delivery_seconds",
+			"Action request round-trip to acknowledgement.", b),
+		hintLag: reg.Histogram("ifttt_hint_lag_seconds",
+			"Realtime hint to provoked poll latency.", b),
+		ingestLag: reg.Histogram("ifttt_ingest_lag_seconds",
+			"Push-path queue wait: ingress accept to dispatch start.", b),
+		spans:     reg.Counter("ifttt_spans_total", "Execution spans completed."),
+		pushSpans: reg.Counter("ifttt_spans_pushed_total", "Execution spans delivered via the push ingestion tier."),
+		spanFails: reg.Counter("ifttt_spans_failed_total", "Execution spans that ended in action failure."),
 	}
 }
 
-// track registers a newly started execution, evicting the oldest when
-// the table is full.
-func (r *SpanRecorder) track(execID uint64, p *pendingExec) {
-	if len(r.pending) >= r.max {
-		r.evictOldest()
-	}
-	r.pending[execID] = p
-	r.order = append(r.order, execID)
-	// The order slice accumulates IDs of executions that completed
-	// normally; compact it once it clearly outgrows the live set so
-	// a long-running engine's recorder stays bounded.
-	if len(r.order) > 2*r.max {
-		live := r.order[:0]
-		for _, id := range r.order {
-			if _, ok := r.pending[id]; ok {
-				live = append(live, id)
-			}
-		}
-		r.order = live
-	}
+// spanMetrics are the T2A segment histograms and span counters that
+// Config.Metrics receives; all are safe for concurrent use.
+type spanMetrics struct {
+	t2a, pollGap, pollRTT, processing, delivery, hintLag, ingestLag *obs.Histogram
+	spans, pushSpans, spanFails                                     *obs.Counter
 }
 
-// finish emits the span for the action that just completed.
-func (r *SpanRecorder) finish(p *pendingExec, ev TraceEvent) {
-	appletID := p.actingApplet
-	if appletID == "" {
-		appletID = p.appletID
-	}
-	s := obs.ExecSpan{
-		ExecID:         ev.ExecID,
-		AppletID:       appletID,
-		EventID:        p.eventID,
-		TriggerService: p.service,
-		HintAt:         p.hintAt,
-		IngestAt:       p.ingestAt,
-		PollSentAt:     p.pollSentAt,
-		PollResultAt:   p.pollResultAt,
-		EventAt:        p.eventAt,
-		ActionSentAt:   p.actionSentAt,
-		ActionDoneAt:   ev.Time,
-		Pushed:         p.pushed,
-		Failed:         ev.Kind == TraceActionFailed,
-		Err:            ev.Err,
-	}
-	if r.metrics != nil {
+// recordSpan hands one completed execution span to every sink: the
+// segment histograms, the SLO tracker and tail store, Config.OnSpan. It
+// runs on the goroutine that executed the action, so the sinks must be
+// safe for concurrent use.
+func (e *Engine) recordSpan(s obs.ExecSpan) {
+	if m := e.spanMetrics; m != nil {
 		// The exec ID doubles as the exemplar trace ID: a breaching
 		// bucket on /metrics resolves to the retained span at
 		// /debug/slowest via the same decimal ID.
-		r.t2a.ObserveExemplar(s.T2A().Seconds(),
-			strconv.FormatUint(s.ExecID, 10), float64(ev.Time.UnixNano())/1e9)
+		m.t2a.ObserveExemplar(s.T2A().Seconds(),
+			strconv.FormatUint(s.ExecID, 10), float64(s.ActionDoneAt.UnixNano())/1e9)
 		if s.Pushed {
 			// Pushed executions have no polling gap or poll RTT;
 			// observing zeros would skew the poll-path histograms.
-			r.ingestLag.Observe(s.Ingest().Seconds())
-			r.pushSpans.Inc()
+			m.ingestLag.Observe(s.Ingest().Seconds())
+			m.pushSpans.Inc()
 		} else {
 			if !s.EventAt.IsZero() {
-				r.pollGap.Observe(s.PollingGap().Seconds())
+				m.pollGap.Observe(s.PollingGap().Seconds())
 			}
-			r.pollRTT.Observe(s.PollRTT().Seconds())
+			m.pollRTT.Observe(s.PollRTT().Seconds())
 		}
-		r.processing.Observe(s.Processing().Seconds())
-		r.delivery.Observe(s.Delivery().Seconds())
+		m.processing.Observe(s.Processing().Seconds())
+		m.delivery.Observe(s.Delivery().Seconds())
 		if !s.HintAt.IsZero() {
-			r.hintLag.Observe(s.HintLag().Seconds())
+			m.hintLag.Observe(s.HintLag().Seconds())
 		}
-		r.spans.Inc()
+		m.spans.Inc()
 		if s.Failed {
-			r.spanFails.Inc()
+			m.spanFails.Inc()
 		}
 	}
-	if r.onSpan != nil {
-		r.onSpan(s)
+	if e.slo != nil {
+		e.slo.Observe(s)
+		e.tail.Offer(s)
 	}
-}
-
-// drop forgets a pending execution.
-func (r *SpanRecorder) drop(execID uint64) {
-	delete(r.pending, execID)
-}
-
-// evictOldest removes the longest-pending execution still tracked. The
-// order slice may hold IDs already dropped; skip those lazily.
-func (r *SpanRecorder) evictOldest() {
-	for len(r.order) > 0 {
-		id := r.order[0]
-		r.order = r.order[1:]
-		if _, live := r.pending[id]; live {
-			delete(r.pending, id)
-			if r.evictions != nil {
-				r.evictions.Inc()
-			}
-			return
-		}
+	if e.onSpan != nil {
+		e.onSpan(s)
 	}
 }

@@ -200,7 +200,7 @@ func TestMalformedActionAckIsRetriedFailure(t *testing.T) {
 		if err := e.Install(a); err != nil {
 			t.Fatal(err)
 		}
-		e.dispatchAction(new(pollDecoder), e.applets["a1"], proto.TriggerEvent{Meta: proto.EventMeta{ID: "e1"}}, 1)
+		e.dispatchAction(new(pollDecoder), e.applets["a1"], proto.TriggerEvent{Meta: proto.EventMeta{ID: "e1"}})
 		st := e.Stats()
 		e.Stop()
 		wantCalls := 1

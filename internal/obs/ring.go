@@ -1,18 +1,12 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/simtime"
-)
+import "sync/atomic"
 
 // Ring is a bounded lock-free multi-producer single-consumer queue
 // (the Vyukov bounded-queue design: each cell carries a sequence number
 // that encodes whether it is free, published, or consumed). Publish
 // never blocks: when the ring is full the item is dropped and counted,
-// which is the property the trace path needs — a slow or absent
-// consumer must never stall a poll worker.
+// so a slow or absent consumer never stalls a producer.
 //
 // Pop may be called from one goroutine at a time; Publish from any
 // number concurrently.
@@ -93,149 +87,3 @@ func (r *Ring[T]) Empty() bool {
 
 // Drops returns how many publishes were rejected on a full ring.
 func (r *Ring[T]) Drops() int64 { return r.drops.Load() }
-
-// Pump drains a Ring with a dedicated consumer actor and fans each item
-// out to a fixed set of observers. The consumer is started through the
-// given clock, so it is a well-formed actor under both the real clock
-// and the discrete-event simulator: it parks on a Gate only when the
-// ring is empty, which means a simulation never advances past published
-// but undelivered events.
-type Pump[T any] struct {
-	ring  *Ring[T]
-	clock simtime.Clock
-	obs   []func(T)
-
-	parked atomic.Bool
-	gate   atomic.Value // simtime.Gate armed while parked
-	closed atomic.Bool
-	done   simtime.Gate
-
-	mu   sync.Mutex
-	idle []simtime.Gate // Sync waiters, opened whenever the ring drains
-}
-
-// NewPump creates the ring and starts the consumer actor. capacity <= 0
-// selects a 4096-slot ring. The observer list is fixed for the pump's
-// lifetime; observers run on the consumer goroutine, one item at a
-// time, in publish order.
-func NewPump[T any](clock simtime.Clock, capacity int, observers ...func(T)) *Pump[T] {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	p := &Pump[T]{
-		ring:  NewRing[T](capacity),
-		clock: clock,
-		obs:   observers,
-		done:  clock.NewGate(),
-	}
-	clock.Go(p.drain)
-	return p
-}
-
-// Publish enqueues v for asynchronous delivery. It never blocks; when
-// the ring is full or the pump is closed the item is dropped and
-// counted. The fast path when the consumer is active is one CAS plus
-// one atomic load.
-func (p *Pump[T]) Publish(v T) bool {
-	if p.closed.Load() {
-		p.ring.drops.Add(1)
-		return false
-	}
-	ok := p.ring.Publish(v)
-	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
-		p.gate.Load().(simtime.Gate).Open()
-	}
-	return ok
-}
-
-// Drops returns how many items were dropped (full ring or closed pump).
-func (p *Pump[T]) Drops() int64 { return p.ring.Drops() }
-
-func (p *Pump[T]) drain() {
-	for {
-		for {
-			v, ok := p.ring.Pop()
-			if !ok {
-				break
-			}
-			for _, f := range p.obs {
-				f(v)
-			}
-		}
-		// Ring drained: release anyone blocked in Sync.
-		p.mu.Lock()
-		for _, g := range p.idle {
-			g.Open()
-		}
-		p.idle = p.idle[:0]
-		p.mu.Unlock()
-
-		if p.closed.Load() {
-			if p.ring.Empty() {
-				p.done.Open()
-				return
-			}
-			continue
-		}
-		g := p.clock.NewGate()
-		p.gate.Store(g)
-		p.parked.Store(true)
-		// Re-check after publishing the parked flag: a producer that
-		// pushed before seeing the flag is now visible here, so the
-		// wake-up cannot be lost.
-		if !p.ring.Empty() || p.closed.Load() {
-			if p.parked.CompareAndSwap(true, false) {
-				continue
-			}
-		}
-		// Release Sync waiters that registered between the drain above
-		// and the parked flag becoming visible, so none outlives an
-		// already-empty ring.
-		p.mu.Lock()
-		for _, ig := range p.idle {
-			ig.Open()
-		}
-		p.idle = p.idle[:0]
-		p.mu.Unlock()
-		g.Wait()
-	}
-}
-
-// Sync blocks until every item published before the call has been
-// delivered to all observers. Items published concurrently with Sync
-// may or may not be included.
-func (p *Pump[T]) Sync() {
-	if p.closed.Load() {
-		p.done.Wait()
-		return
-	}
-	p.mu.Lock()
-	if p.ring.Empty() && p.parked.Load() {
-		p.mu.Unlock()
-		return
-	}
-	g := p.clock.NewGate()
-	p.idle = append(p.idle, g)
-	p.mu.Unlock()
-	if p.closed.Load() {
-		p.done.Wait()
-		return
-	}
-	// Kick a parked consumer so it re-drains and opens our gate.
-	if p.parked.CompareAndSwap(true, false) {
-		p.gate.Load().(simtime.Gate).Open()
-	}
-	g.Wait()
-}
-
-// Close stops the pump: it delivers everything already published, then
-// the consumer exits. Close blocks until that final drain completes and
-// is idempotent; Publish after Close drops.
-func (p *Pump[T]) Close() {
-	if p.closed.CompareAndSwap(false, true) {
-		if p.parked.CompareAndSwap(true, false) {
-			p.gate.Load().(simtime.Gate).Open()
-		}
-	}
-	p.done.Wait()
-}

@@ -3,10 +3,7 @@ package obs
 import (
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
-
-	"repro/internal/simtime"
 )
 
 func newTestMux(t *testing.T, r *Registry) *http.ServeMux {
@@ -93,130 +90,5 @@ func TestRingConcurrentProducers(t *testing.T) {
 	}
 	if r.Drops() != 0 {
 		t.Errorf("drops = %d, want 0", r.Drops())
-	}
-}
-
-func TestPumpDeliversInOrder(t *testing.T) {
-	clock := simtime.NewReal()
-	var mu sync.Mutex
-	var got []int
-	p := NewPump(clock, 1024, func(v int) {
-		mu.Lock()
-		got = append(got, v)
-		mu.Unlock()
-	})
-	for i := 0; i < 100; i++ {
-		p.Publish(i)
-	}
-	p.Sync()
-	mu.Lock()
-	n := len(got)
-	mu.Unlock()
-	if n != 100 {
-		t.Fatalf("delivered %d items after Sync, want 100", n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got[%d] = %d: order not preserved", i, v)
-		}
-	}
-	p.Close()
-}
-
-func TestPumpFanOut(t *testing.T) {
-	clock := simtime.NewReal()
-	var a, b atomic.Int64
-	p := NewPump(clock, 64,
-		func(v int) { a.Add(int64(v)) },
-		func(v int) { b.Add(int64(v)) },
-	)
-	for i := 1; i <= 10; i++ {
-		p.Publish(i)
-	}
-	p.Sync()
-	if a.Load() != 55 || b.Load() != 55 {
-		t.Errorf("fan-out sums a=%d b=%d, want 55 each", a.Load(), b.Load())
-	}
-	p.Close()
-}
-
-func TestPumpConcurrentPublish(t *testing.T) {
-	clock := simtime.NewReal()
-	var delivered atomic.Int64
-	p := NewPump(clock, 1<<14, func(int) { delivered.Add(1) })
-	const producers = 8
-	const perProducer = 5000
-	var wg sync.WaitGroup
-	var published atomic.Int64
-	for i := 0; i < producers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < perProducer; j++ {
-				if p.Publish(j) {
-					published.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	p.Close()
-	if delivered.Load() != published.Load() {
-		t.Errorf("delivered %d != published %d (drops %d)",
-			delivered.Load(), published.Load(), p.Drops())
-	}
-	if delivered.Load()+p.Drops() != producers*perProducer {
-		t.Errorf("delivered %d + drops %d != %d sent",
-			delivered.Load(), p.Drops(), producers*perProducer)
-	}
-}
-
-func TestPumpCloseDrainsAndDropsAfter(t *testing.T) {
-	clock := simtime.NewReal()
-	var delivered atomic.Int64
-	p := NewPump(clock, 64, func(int) { delivered.Add(1) })
-	for i := 0; i < 10; i++ {
-		p.Publish(i)
-	}
-	p.Close()
-	if delivered.Load() != 10 {
-		t.Errorf("Close delivered %d, want 10", delivered.Load())
-	}
-	before := p.Drops()
-	if p.Publish(1) {
-		t.Error("Publish after Close should report a drop")
-	}
-	if p.Drops() != before+1 {
-		t.Errorf("drops after closed publish = %d, want %d", p.Drops(), before+1)
-	}
-	p.Close() // idempotent
-	p.Sync()  // returns immediately on a closed pump
-}
-
-// TestPumpUnderSimClock runs the pump as a simulation actor: events
-// published by sim actors must all be delivered before Run returns, and
-// closing inside the simulation must not deadlock the clock.
-func TestPumpUnderSimClock(t *testing.T) {
-	clock := simtime.NewSimDefault()
-	var delivered atomic.Int64
-	clock.Run(func() {
-		p := NewPump(clock, 256, func(int) { delivered.Add(1) })
-		for i := 0; i < 3; i++ {
-			clock.Go(func() {
-				for j := 0; j < 50; j++ {
-					p.Publish(j)
-					clock.Sleep(1)
-				}
-			})
-		}
-		clock.Sleep(100)
-		p.Sync()
-		if delivered.Load() != 150 {
-			t.Errorf("after Sync: delivered %d, want 150", delivered.Load())
-		}
-		p.Close()
-	})
-	if delivered.Load() != 150 {
-		t.Errorf("delivered %d, want 150", delivered.Load())
 	}
 }

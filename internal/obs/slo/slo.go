@@ -1,8 +1,8 @@
 // Package slo layers service-level objectives on the obs span
 // pipeline: a sliding multi-window burn-rate tracker in the style of
 // the SRE workbook's multiwindow multi-burn-rate alerts, evaluated
-// online against the stream of ExecSpans the engine's SpanRecorder
-// reconstructs. The objective is the paper's headline metric —
+// online against the stream of ExecSpans the engine's executions
+// complete. The objective is the paper's headline metric —
 // trigger-to-action latency — phrased as "Ratio of executions complete
 // within Threshold" (e.g. 99% under 120 s, bracketing the paper's
 // 58/84/122 s polling-gap quartiles, Fig 4). An execution is *bad*
@@ -142,7 +142,7 @@ type series struct {
 
 // Tracker evaluates the objective over sliding windows and runs the
 // ok -> warn -> page state machine per series. Safe for concurrent
-// use: Observe typically runs on the trace pump goroutine while
+// use: Observe runs on the engine's execution goroutines while
 // scrapes read burn rates from HTTP handlers.
 type Tracker struct {
 	clock        Clock
@@ -378,7 +378,8 @@ func (t *Tracker) Bad(span obs.ExecSpan) bool {
 
 // Observe feeds one completed execution span into the global series
 // and the span's trigger-service series, firing OnTransition for any
-// resulting state changes. Intended as a SpanRecorder OnSpan sink.
+// resulting state changes. Intended as a span sink (engine.Config.SLO
+// wires it).
 func (t *Tracker) Observe(span obs.ExecSpan) {
 	bad := t.Bad(span)
 	now := t.clock.Now()

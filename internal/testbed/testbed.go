@@ -93,10 +93,9 @@ type Config struct {
 	Shards int
 	// ShardWorkers forwards to engine.Config.ShardWorkers.
 	ShardWorkers int
-	// Observers forwards to engine.Config.Observers: async trace
-	// consumers fed through the engine's lock-free ring (the testbed's
-	// own synchronous trace buffer keeps working regardless).
-	Observers []func(engine.TraceEvent)
+	// OnSpan forwards to engine.Config.OnSpan: every completed
+	// execution span, delivered on the engine's execution goroutines.
+	OnSpan func(obs.ExecSpan)
 	// Metrics forwards to engine.Config.Metrics.
 	Metrics *obs.Registry
 	// Coalesce forwards to engine.Config.Coalesce. Off by default: the
@@ -345,7 +344,7 @@ func New(cfg Config) *Testbed {
 		PollBudgetQPS:    cfg.PollBudgetQPS,
 		PollBudgetBurst:  cfg.PollBudgetBurst,
 		SLO:              cfg.SLO,
-		Observers:        cfg.Observers,
+		OnSpan:           cfg.OnSpan,
 		Metrics:          cfg.Metrics,
 		Trace: func(ev engine.TraceEvent) {
 			tb.mu.Lock()
