@@ -144,10 +144,7 @@ func main() {
 	log.Info("running push-vs-poll study")
 	pushCfg := core.PushVsPollConfig{Seed: *seed}
 	if *quick {
-		pushCfg.Subs = 2000
-		pushCfg.Hot = 200
-		pushCfg.BudgetQPS = 10
-		pushCfg.Horizon = 30 * time.Minute
+		pushCfg = core.QuickPushVsPollConfig(*seed)
 	}
 	pushRes, err := core.RunPushVsPoll(pushCfg)
 	if err != nil {
@@ -160,10 +157,7 @@ func main() {
 	log.Info("running cluster kill-and-rebalance study")
 	clusterCfg := core.ClusterChaosConfig{Seed: *seed}
 	if *quick {
-		clusterCfg.Subs = 2000
-		clusterCfg.Hot = 200
-		clusterCfg.BudgetQPS = 20
-		clusterCfg.Horizon = 20 * time.Minute
+		clusterCfg = core.QuickClusterChaosConfig(*seed)
 	}
 	clusterRes, err := core.RunClusterChaos(clusterCfg)
 	if err != nil {
@@ -176,11 +170,7 @@ func main() {
 	log.Info("running durability crash-recovery study")
 	durCfg := core.DurableChurnConfig{Seed: *seed}
 	if *quick {
-		durCfg.Base = 300
-		durCfg.Virtual = 12 * time.Minute
-		durCfg.Rate = 2
-		durCfg.SnapshotInterval = 3 * time.Minute
-		durCfg.BenchInstalls = 2000
+		durCfg = core.QuickDurableChurnConfig(*seed)
 	}
 	durRes, err := core.RunDurableChurn(durCfg)
 	if err != nil {

@@ -54,6 +54,13 @@ type ClusterChaosConfig struct {
 	Window time.Duration
 }
 
+// QuickClusterChaosConfig is the study at cmd/report -quick's size:
+// 2 000 subscriptions of which 200 are hot, a 20 QPS aggregate budget,
+// 20 minutes.
+func QuickClusterChaosConfig(seed uint64) ClusterChaosConfig {
+	return ClusterChaosConfig{Seed: seed, Subs: 2000, Hot: 200, BudgetQPS: 20, Horizon: 20 * time.Minute}
+}
+
 // ClusterChaosWindow is one bucket of the T2A timeline.
 type ClusterChaosWindow struct {
 	Start  time.Duration `json:"start"`

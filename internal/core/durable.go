@@ -41,6 +41,13 @@ type DurableChurnConfig struct {
 	BenchInstalls int
 }
 
+// QuickDurableChurnConfig is the study at cmd/report -quick's size: 300
+// applets, 2 ops/s of churn over 12 minutes, a snapshot every 3.
+func QuickDurableChurnConfig(seed uint64) DurableChurnConfig {
+	return DurableChurnConfig{Seed: seed, Base: 300, Virtual: 12 * time.Minute, Rate: 2,
+		SnapshotInterval: 3 * time.Minute, BenchInstalls: 2000}
+}
+
 // DurableChurnResults records what the crash took and what recovery
 // brought back.
 type DurableChurnResults struct {

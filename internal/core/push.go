@@ -58,6 +58,12 @@ type PushVsPollConfig struct {
 	FlushInterval time.Duration
 }
 
+// QuickPushVsPollConfig is the study at cmd/report -quick's size: 2 000
+// subscriptions of which 200 are hot, a 10 QPS budget, 30 minutes.
+func QuickPushVsPollConfig(seed uint64) PushVsPollConfig {
+	return PushVsPollConfig{Seed: seed, Subs: 2000, Hot: 200, BudgetQPS: 10, Horizon: 30 * time.Minute}
+}
+
 // PushVsPollArm is one arm's measurement.
 type PushVsPollArm struct {
 	Push bool
