@@ -61,8 +61,7 @@ func main() {
 		// Push ingestion tier: partner services POST event batches to
 		// POST /v1/push and skip the poll round-trip entirely.
 		push         = flag.Bool("push", false, "mount the push ingress (POST /v1/push) with per-shard bounded queues")
-		ingressQueue = flag.Int("ingress-queue", 0, "per-shard push ingress queue bound in events (0 = 1024 default); overflow answers 429")
-		ingressBatch = flag.Int("ingress-batch", 0, "max co-arriving push deliveries dispatched per consumer wake (0 = 256 default)")
+		ingressQueue = flag.Int("ingress-queue", 0, "per-shard bound on pending push deliveries (0 = 1024 default); overflow answers 429")
 
 		// Adaptive polling + global upstream-QPS budget.
 		adaptive     = flag.Bool("adaptive", false, "schedule each subscription by its observed event rate (EWMA) instead of a fixed policy")
@@ -176,7 +175,6 @@ func main() {
 		Coalesce:         *coalesce,
 		Push:             *push,
 		IngressQueue:     *ingressQueue,
-		IngressBatch:     *ingressBatch,
 		Adaptive:         adCfg,
 		PollBudgetQPS:    *pollQPS,
 		PollBudgetBurst:  *pollBurst,

@@ -64,8 +64,8 @@ type Config struct {
 	Restore func(node string, e *engine.Engine) error
 }
 
-// Node is one engine node: a full scheduler with its own shards,
-// workers, and ingress queues. Death is marked by the chaos/failure
+// Node is one engine node: a full scheduler with its own shards and
+// workers. Death is marked by the chaos/failure
 // path (FailNode) and observed by the coordinator's Sweep.
 type Node struct {
 	Name   string
@@ -290,7 +290,6 @@ func (c *Cluster) PushDeliveries(ds []proto.PushDelivery) proto.PushResponse {
 		}
 		if mv := c.moving[d.TriggerIdentity]; mv != nil {
 			c.parkedOps.Add(1)
-			d := d
 			mv.ops = append(mv.ops, func(n *Node) {
 				n.Engine.PushDeliveries([]proto.PushDelivery{d})
 			})
@@ -608,7 +607,7 @@ func (c *Cluster) registerMetrics() {
 	if c.tmpl.Push {
 		reg.CounterFunc("ifttt_engine_push_events_total", "Fresh events delivered via push, cluster-wide.",
 			agg(func(s engine.Stats) int64 { return s.PushEvents }))
-		reg.CounterFunc("ifttt_ingest_accepted_total", "Pushed events accepted into ingress queues, cluster-wide.",
+		reg.CounterFunc("ifttt_ingest_accepted_total", "Pushed events accepted by the node ingresses, cluster-wide.",
 			agg(func(s engine.Stats) int64 { return s.IngressAccepted }))
 		reg.CounterFunc("ifttt_ingest_rejected_total", "Pushed events rejected by ingress backpressure, cluster-wide.",
 			agg(func(s engine.Stats) int64 { return s.IngressRejected }))

@@ -6,11 +6,11 @@
 // happen in one critical section, so from the instant ownership
 // changes, every router operation for an affected identity either
 // parks (and replays on the winner) or routes to the winner — never to
-// the loser. The detach side then waits out any in-flight execution on
-// the loser (the sub.polling claim), carries the dedup windows in the
-// snapshot, and the attach side replays parked push deliveries through
-// the same per-member dedup — which together give exactly-once
-// execution across the move.
+// the loser. The detach side then waits until no worker on the loser
+// runs the subscription, carries the dedup windows and waiting push
+// deliveries in the snapshot, and the attach side queues those
+// deliveries through the same per-member dedup — which together give
+// exactly-once execution across the move.
 package cluster
 
 import (
@@ -163,7 +163,7 @@ func (c *Cluster) drainNode(n *Node) int {
 
 // migrateKey moves one subscription from its (possibly stopped) source
 // node to the current ring owner: detach waits out in-flight execution
-// and captures the snapshot, attach restores it and replays parked
+// and captures the snapshot, attach restores it and queues its waiting
 // push deliveries, and the directory flips. Whatever happens, the
 // moving mark is cleared and parked router operations replay against
 // the final owner.

@@ -47,9 +47,9 @@ type PushVsPollConfig struct {
 	// half (EWMA warm-up and initial-gap spreading) are discarded.
 	// Default 40m.
 	Horizon time.Duration
-	// IngressQueue and IngressBatch forward to the push arm's
-	// engine.Config. Defaults 4096 and the engine default.
-	IngressQueue, IngressBatch int
+	// IngressQueue forwards to the push arm's engine.Config. Default
+	// 4096.
+	IngressQueue int
 	// FlushInterval is the push partner's batching cadence: events that
 	// occurred since the previous flush are POSTed together at each
 	// flush. Default 1s — so a pushed event waits up to one flush
@@ -183,7 +183,6 @@ func runPushVsPollArm(cfg PushVsPollConfig, push bool) (PushVsPollArm, error) {
 	if push {
 		ecfg.Push = true
 		ecfg.IngressQueue = cfg.IngressQueue
-		ecfg.IngressBatch = cfg.IngressBatch
 	}
 	eng := engine.New(ecfg)
 	var installErr error

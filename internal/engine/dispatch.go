@@ -119,7 +119,8 @@ func (e *Engine) dispatchFresh(dec *pollDecoder) {
 type pollDecoder struct {
 	scan proto.EventScan
 	// built caches event i of the scan once some member needed it, so a
-	// coalesced subscription builds each event at most once.
+	// coalesced subscription builds each event at most once. A merged
+	// push execution collects its deliveries' events in it.
 	built []proto.TriggerEvent
 	// The execution's subject, snapshotted under the shard lock.
 	sub     *subscription
@@ -150,7 +151,7 @@ const (
 )
 
 // borrowDecoder takes a decoder for an execution of sub, with the
-// membership as it stands. Caller holds s.mu and has set sub.polling.
+// membership as it stands. Caller holds s.mu and runs sub.
 func borrowDecoder(sub *subscription) *pollDecoder {
 	d := sub.shard.e.decoders.Get().(*pollDecoder)
 	d.sub, d.members = sub, append(d.members[:0], sub.members...)
@@ -400,9 +401,10 @@ func (e *Engine) ApplyHint(hint proto.RealtimeHint) {
 	var nApplets int
 	switch {
 	case hint.TriggerIdentity != "":
-		var sub *subscription
-		if sub, firstID, nApplets = e.byIdentity(hint.TriggerIdentity); sub != nil {
+		if sub := e.lockIdentity(hint.TriggerIdentity); sub != nil {
 			targets = append(targets, sub)
+			firstID, nApplets = sub.members[0].id, len(sub.members)
+			sub.shard.mu.Unlock()
 		}
 	case hint.UserID != "":
 		// A user-scoped hint covers every applet of that user.
@@ -417,7 +419,6 @@ func (e *Engine) ApplyHint(hint proto.RealtimeHint) {
 		if e.realtime == nil || !e.realtime[sub.ep.ref.Service] {
 			continue // hint ignored
 		}
-		sub := sub
 		e.clock.AfterFunc(e.rtDelay, func() { e.pokeSubscription(sub) })
 	}
 }

@@ -141,7 +141,6 @@ func TestRemoveStopRace(t *testing.T) {
 		var left atomic.Int64
 		left.Store(4)
 		for w := 0; w < 4; w++ {
-			w := w
 			r.clock.Go(func() {
 				for i := w; i < n; i += 4 {
 					r.engine.Remove(ids[i])

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/httpx"
-	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/simtime"
@@ -296,24 +295,17 @@ type Config struct {
 	// GET /debug/slo, and GET /debug/slowest. Clock and Metrics default
 	// to the engine's own.
 	SLO *slo.Config
-	// Push enables the push ingestion tier (internal/ingest): the engine
+	// Push enables the push ingestion tier (ingress.go): the engine
 	// mounts POST /v1/push, partner services with a push delivery mode
-	// POST fully-formed event batches there, and accepted events dispatch
-	// through per-shard bounded ingress queues without waiting for a poll
-	// round-trip. The poll path keeps running as the reconciliation
-	// safety net — per-applet dedup makes an event seen both ways execute
-	// exactly once.
+	// POST fully-formed event batches there, and accepted events run on
+	// the shard workers without waiting for a poll round-trip. The poll
+	// path keeps running as the reconciliation safety net — per-applet
+	// dedup makes an event seen both ways execute exactly once.
 	Push bool
-	// IngressQueue bounds each shard's ingress queue in pending push
-	// deliveries; above the bound the ingress answers 429 for the
-	// overflow (counted, never silent). Zero means
-	// ingest.DefaultCapacity.
+	// IngressQueue bounds each shard's push deliveries accepted and not
+	// yet executed; above the bound the ingress answers 429 for the
+	// overflow (counted, never silent). Zero means DefaultIngressQueue.
 	IngressQueue int
-	// IngressBatch caps the push deliveries one ingress consumer wake
-	// hands to dispatch — the micro-batch; co-arriving deliveries for
-	// one subscription within a batch merge into a single execution.
-	// Zero means ingest.DefaultBatch.
-	IngressBatch int
 	// Journal, when non-nil, receives an append-only record of every
 	// install, remove, subscription migration, and execution checkpoint
 	// (journal.go) — the hook internal/durable's WAL plugs into.
@@ -345,6 +337,9 @@ const DefaultDispatchDelay = time.Second
 
 // DefaultShardWorkers is the per-shard in-flight poll cap.
 const DefaultShardWorkers = 8
+
+// DefaultIngressQueue is the per-shard bound on pending push deliveries.
+const DefaultIngressQueue = 1024
 
 // Engine executes applets on a sharded poll scheduler: applets join
 // per-trigger subscriptions, subscriptions hash to shards, each shard
@@ -387,10 +382,8 @@ type Engine struct {
 
 	// journal, when set, records durable state changes (journal.go).
 	journal Journal
-	// replaying is set while a Replay window is open; replayPush queues
-	// the parked deliveries it defers (guarded by mu).
-	replaying  atomic.Bool
-	replayPush []pushItem
+	// replaying is set while a Replay window is open.
+	replaying atomic.Bool
 	// Retired dedup windows of removed applets (journal.go), FIFO by
 	// removal order. retMu is a leaf lock: safe to take under e.mu or a
 	// shard's mutex, and nothing is acquired while holding it.
@@ -432,9 +425,10 @@ type Engine struct {
 	// or not; the per-shard counters cover the poll/dispatch hot path.
 	hints atomic.Int64
 	// Push ingress accounting (ingress.go), in events as seen at the
-	// HTTP surface; per-delivery queue counters live on the shard
-	// queues. push is set when Config.Push enabled the tier.
+	// HTTP surface; the per-delivery depth lives on the shards. push is
+	// set when Config.Push enabled the tier; ingressCap is IngressQueue.
 	push            bool
+	ingressCap      int
 	ingressAccepted atomic.Int64
 	ingressRejected atomic.Int64
 	ingressUnmatch  atomic.Int64
@@ -494,7 +488,7 @@ type Stats struct {
 	// per-subscription push dispatch executions; PushEvents the fresh
 	// events they delivered (after dedup — the push analogue of
 	// EventsReceived). The Ingress* counters account every pushed event
-	// at the front door: accepted into a queue, rejected with 429 by
+	// at the front door: accepted into a mailbox, rejected with 429 by
 	// backpressure, or unmatched to any installed subscription.
 	// IngressDepth is the current queued (plus in-flight) delivery
 	// count, bounded by Config.IngressQueue per shard.
@@ -638,13 +632,9 @@ func New(cfg Config) *Engine {
 		// (seed, shard count) always yields the same streams.
 		e.shards[i] = newShard(e, i, cfg.RNG.Split(fmt.Sprintf("shard-%d", i)))
 	}
-	if cfg.Push {
-		e.push = true
-		for _, sh := range e.shards {
-			sh := sh
-			sh.ingress = ingest.NewQueue(cfg.Clock, cfg.IngressQueue,
-				cfg.IngressBatch, sh.deliverPush)
-		}
+	e.push = cfg.Push
+	if e.ingressCap = cfg.IngressQueue; e.ingressCap <= 0 {
+		e.ingressCap = DefaultIngressQueue
 	}
 
 	if cfg.Metrics != nil {
@@ -747,11 +737,9 @@ func (e *Engine) Stats() Stats {
 		st.ConditionSkips += sh.counters.conditionSkips.Load()
 		st.PushBatches += sh.counters.pushBatches.Load()
 		st.PushEvents += sh.counters.pushEvents.Load()
-		if sh.ingress != nil {
-			st.IngressDepth += sh.ingress.Depth()
-		}
 		sh.mu.Lock()
 		st.Subscriptions += len(sh.subs)
+		st.IngressDepth += int64(sh.pushDepth)
 		sh.mu.Unlock()
 	}
 	e.mu.Lock()
@@ -877,14 +865,14 @@ func (e *Engine) Remove(id string) error {
 	sh := sub.shard
 	sh.mu.Lock()
 	last := sh.leaveLocked(ra)
-	// Retain the applet's dedup window for a future reinstall. While an
-	// execution owns the subscription its worker may still be feeding
-	// the ring (the member snapshot was taken before this removal), so
-	// hand retention to the owner's release path instead of snapshotting
-	// a ring that is mid-write.
-	if sub.polling {
-		p := sub.park()
-		p.retire = append(p.retire, ra)
+	// Retain the applet's dedup window for a future reinstall. While a
+	// worker runs the subscription it may still be feeding the ring (the
+	// member snapshot was taken before this removal), so hand retention
+	// to the worker's release instead of snapshotting a ring that is
+	// mid-write.
+	if sub.run == running {
+		m := sh.mailLocked(sub)
+		m.retire = append(m.retire, ra)
 	} else {
 		e.retainDedup(ra)
 	}
@@ -942,10 +930,5 @@ func (e *Engine) Stop() {
 	e.delMu.Unlock()
 	for _, sh := range e.shards {
 		sh.stop()
-	}
-	for _, sh := range e.shards {
-		if sh.ingress != nil {
-			sh.ingress.Close()
-		}
 	}
 }

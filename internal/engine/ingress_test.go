@@ -221,8 +221,7 @@ func TestIngressBackpressureSoak(t *testing.T) {
 	r := newRigCfg(t, FixedInterval{Interval: 5 * time.Second}, nil, func(cfg *Config) {
 		cfg.Push = true
 		cfg.IngressQueue = bound
-		cfg.IngressBatch = 4
-		// A slow dispatch wedges the consumer so the burst piles up.
+		// A slow dispatch wedges the workers so the burst piles up.
 		cfg.DispatchDelay = 500 * time.Millisecond
 	})
 	a := r.applet("a1")
@@ -242,7 +241,6 @@ func TestIngressBackpressureSoak(t *testing.T) {
 			}
 		})
 		for p := 0; p < producers; p++ {
-			p := p
 			client := httpx.NewClient(r.net.Client(fmt.Sprintf("pusher-%d.sim", p)), r.clock, 0)
 			r.clock.Go(func() {
 				for j := 0; j < perProd; j++ {

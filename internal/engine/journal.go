@@ -89,27 +89,25 @@ func (e *Engine) journaling() bool { return e.journal != nil && !e.replaying.Loa
 // and ApplyCheckpoint, and none is journaled again. While it is open
 //   - poll timers are held: nothing polls before later checkpoints apply;
 //   - a last-member Remove sends no upstream DELETE;
-//   - attached subscriptions' parked push deliveries are queued; if fn
-//     succeeds they dispatch after the window, against the final rings.
+//   - attached subscriptions' pending push deliveries wait on the ready
+//     queue; if fn succeeds the caller runs them after the window,
+//     against the final rings.
 //
 // Run it before the engine receives traffic. It returns fn's error.
 func (e *Engine) Replay(fn func() error) error {
 	e.replaying.Store(true)
 	err := fn()
-	e.mu.Lock()
-	pushes := e.replayPush
-	e.replayPush = nil
 	e.replaying.Store(false)
-	e.mu.Unlock()
-	for _, sh := range e.shards { // re-arm what fired while held
+	for _, sh := range e.shards {
 		sh.mu.Lock()
-		sh.armLocked()
-		sh.mu.Unlock()
-	}
-	for _, p := range pushes {
-		if err == nil {
-			p.sub.shard.execPush(p.sub, p.events, p.at)
+		sh.armLocked() // re-arm what fired while held
+		if err != nil || sh.readyLenLocked() == 0 || sh.inflight >= sh.e.workers {
+			sh.mu.Unlock()
+			continue
 		}
+		sh.inflight++
+		sh.mu.Unlock()
+		sh.work()
 	}
 	return err
 }

@@ -25,12 +25,6 @@ import (
 	"time"
 )
 
-// pushYield is how far a poll worker defers a subscription it found
-// owned by a push execution; small enough that poll cadence is
-// effectively unaffected, large enough that the retry does not busy-spin
-// against a long push dispatch.
-const pushYield = 100 * time.Millisecond
-
 // unarmed is shard.timerAt while the timer holds no deadline.
 const unarmed = math.MaxInt64
 
@@ -171,10 +165,12 @@ func (s *shard) pokeLocked(sub *subscription, due time.Time) {
 }
 
 // fire is the actor the shard timer starts when the heap's head comes
-// due. It moves the due subscriptions that pass admission to the ready
-// queue, re-arms the timer, and becomes a worker, starting others only
-// for the ready subscriptions beyond its own, within the concurrency
-// cap; with all of them deferred, or every slot busy, it starts none.
+// due. It takes the due subscriptions that pass admission off the heap,
+// which makes each owed a poll, and queues them; then it re-arms the
+// timer and becomes a worker, starting others only for the queued
+// subscriptions beyond its own, within the concurrency cap. With all of
+// them deferred, already queued or running, or every slot busy, it
+// starts none.
 func (s *shard) fire() {
 	s.mu.Lock()
 	s.timerAt = unarmed
@@ -184,20 +180,19 @@ func (s *shard) fire() {
 	}
 	now := s.e.clock.Now()
 	at := s.e.sinceEpoch(now)
+	n := 0
 	for len(s.heap) > 0 && s.heap[0].due <= at {
 		sub := s.heap[0]
 		s.heap.remove(sub)
-		if s.admitLocked(sub, now) {
-			s.ready = append(s.ready, sub)
+		if s.admitLocked(sub, now) && s.enqueueLocked(sub) {
+			n++
 		}
 	}
 	s.armLocked()
-	n := min(s.e.workers-s.inflight, s.readyLenLocked())
-	if n <= 0 {
+	if n == 0 {
 		s.mu.Unlock()
 		return
 	}
-	s.inflight += n
 	for ; n > 1; n-- {
 		s.e.clock.Go(s.workFn)
 	}
@@ -205,16 +200,29 @@ func (s *shard) fire() {
 	s.work()
 }
 
+// enqueueLocked puts an idle sub on the ready queue. It reports whether
+// the caller must start a worker for it — counted into s.inflight
+// already — because fewer than ShardWorkers run; outside a replay
+// window, which works the queue itself when it closes. A sub already
+// queued or running needs nothing: its worker finds the new work.
+// Caller holds s.mu.
+func (s *shard) enqueueLocked(sub *subscription) bool {
+	if sub.run != idle {
+		return false
+	}
+	sub.run = queued
+	s.ready = append(s.ready, sub)
+	if s.inflight >= s.e.workers || s.e.replaying.Load() {
+		return false
+	}
+	s.inflight++
+	return true
+}
+
 // admitLocked decides whether a subscription fire just popped polls
 // now; if not, it is back on the heap on return (timer untouched) and
 // has cost no goroutine. Caller holds s.mu.
 func (s *shard) admitLocked(sub *subscription, now time.Time) bool {
-	if sub.polling {
-		// The push ingress consumer owns the subscription (ingress.go)
-		// and never reschedules polls: retry shortly.
-		s.queueLocked(sub, now.Add(pushYield))
-		return false
-	}
 	// Admission: a scheduled poll charges the upstream service's
 	// token bucket. When the bucket is empty the poll is deferred —
 	// rescheduled to the exact instant its reserved token accrues —
@@ -249,70 +257,113 @@ func (s *shard) takeReadyLocked() *subscription {
 	return sub
 }
 
-// work drains the shard's ready queue: poll, fan the result out to
-// the members, then draw the subscription's next gap and reschedule.
-// Workers are transient actors — when the queue empties they end,
-// keeping the engine's goroutine count at O(in-flight polls). The
-// caller has already counted this worker into s.inflight.
+// work drains the shard's ready queue, one subscription at a time, and
+// runs each until it owes nothing: a poll whenever it is off the heap
+// (invariant: a live subscription that is not in the heap is owed a
+// poll), else every push delivery in its mailbox as one merged
+// execution (ingress.go). The poll check comes first on every round, so
+// an owed poll runs right after the push execution in progress and a
+// steady push stream cannot starve it. Workers are transient actors —
+// when the queue empties they end, keeping the engine's goroutine count
+// at O(in-flight executions). The caller has already counted this
+// worker into s.inflight.
 func (s *shard) work() {
 	s.mu.Lock()
 	for !s.stopped && s.readyLenLocked() > 0 {
 		sub := s.takeReadyLocked()
-		if sub.removed {
-			if sub.reserved { // retired after admission: token back
-				s.e.admission.refund(sub.ep.ref.Service)
+		sub.run = running
+		for !s.stopped && !sub.removed {
+			if sub.heapPos == 0 {
+				s.pollLocked(sub)
+			} else if sub.mail != nil && len(sub.mail.push) > 0 {
+				s.pushLocked(sub)
+			} else {
+				break
 			}
-			continue
 		}
-		if sub.polling {
-			// A push claimed the subscription after it was admitted:
-			// polling it now would race the dedup rings and
-			// double-execute. It keeps its token (sub.reserved).
-			s.scheduleLocked(sub, s.e.clock.Now().Add(pushYield))
-			continue
-		}
-		sub.reserved = false
-		sub.polling = true
-		sub.pollCount++
-		// An open breaker means this poll is the half-open probe: the
-		// next outcome decides whether the breaker closes or re-opens.
-		probe := false
-		if s.e.resilient && sub.brState == brOpen {
-			sub.brState = brHalfOpen
-			s.counters.breakerProbes.Add(1)
-			probe = true
-		}
-		// Consume hint provenance and snapshot the membership and the
-		// request under the shard lock: applets joining mid-poll see only
-		// the next poll, and a member leaving mid-poll still receives
-		// this poll's dispatches — exactly the semantics an uncoalesced
-		// applet had when removed mid-flight.
-		var hintAt time.Time
-		if sub.hintAt != 0 {
-			hintAt, sub.hintAt = s.e.timeAt(sub.hintAt), 0
-		}
-		dec := borrowDecoder(sub)
-		auth, body := sub.blob[:sub.authLen], sub.blob[sub.authLen:]
-		s.mu.Unlock()
-
-		if probe {
-			s.e.emit(s, TraceEvent{Kind: TraceBreakerProbe, AppletID: dec.members[0].id})
-		}
-		ok, events := s.e.pollSubscription(dec, hintAt, auth, body)
-
-		s.mu.Lock()
-		// Dispatch any push deliveries that parked while this poll held
-		// the subscription, then release the polling flag (ingress.go).
-		s.drainPushPendingLocked(dec)
-		dec.release()
-		due, brEv := s.nextPollDueLocked(sub, ok, events)
-		s.scheduleLocked(sub, due)
-		if brEv.Kind != "" {
-			s.mu.Unlock()
-			s.e.emit(s, brEv)
-			s.mu.Lock()
-		}
+		s.releaseLocked(sub)
 	}
 	s.inflight--
 	s.mu.Unlock()
+}
+
+// pollLocked polls sub, fans the result out to the members, then draws
+// the subscription's next gap and puts it back on the heap. Caller
+// holds s.mu and runs sub; the lock is dropped around the poll.
+func (s *shard) pollLocked(sub *subscription) {
+	sub.reserved = false
+	sub.pollCount++
+	// An open breaker means this poll is the half-open probe: the
+	// next outcome decides whether the breaker closes or re-opens.
+	probe := false
+	if s.e.resilient && sub.brState == brOpen {
+		sub.brState = brHalfOpen
+		s.counters.breakerProbes.Add(1)
+		probe = true
+	}
+	// Consume hint provenance and snapshot the membership and the
+	// request under the shard lock: applets joining mid-poll see only
+	// the next poll, and a member leaving mid-poll still receives
+	// this poll's dispatches — exactly the semantics an uncoalesced
+	// applet had when removed mid-flight.
+	var hintAt time.Time
+	if sub.hintAt != 0 {
+		hintAt, sub.hintAt = s.e.timeAt(sub.hintAt), 0
+	}
+	dec := borrowDecoder(sub)
+	auth, body := sub.blob[:sub.authLen], sub.blob[sub.authLen:]
+	s.mu.Unlock()
+
+	if probe {
+		s.e.emit(s, TraceEvent{Kind: TraceBreakerProbe, AppletID: dec.members[0].id})
+	}
+	ok, events := s.e.pollSubscription(dec, hintAt, auth, body)
+
+	s.mu.Lock()
+	dec.release()
+	due, brEv := s.nextPollDueLocked(sub, ok, events)
+	s.scheduleLocked(sub, due)
+	if brEv.Kind != "" {
+		s.mu.Unlock()
+		s.e.emit(s, brEv)
+		s.mu.Lock()
+	}
+}
+
+// releaseLocked ends sub's run. Members removed during it have final
+// rings now, so their dedup windows are retained; a retired
+// subscription's undelivered pushes and admission token are given up;
+// an emptied mailbox goes back to the free list. Caller holds s.mu.
+func (s *shard) releaseLocked(sub *subscription) {
+	sub.run = idle
+	if sub.removed && sub.reserved { // retired after admission: token back
+		sub.reserved = false
+		s.e.admission.refund(sub.ep.ref.Service)
+	}
+	m := sub.mail
+	if m == nil {
+		return
+	}
+	for _, ra := range m.retire {
+		s.e.retainDedup(ra)
+	}
+	clear(m.retire)
+	m.retire = m.retire[:0]
+	if sub.removed {
+		s.dropPushLocked(sub)
+	} else if len(m.push) == 0 {
+		sub.mail = nil
+		s.freeMail = append(s.freeMail, m)
+	}
+}
+
+// dropPushLocked gives up the push deliveries waiting in sub's mailbox,
+// which has no retirements pending, and recycles it. Caller holds s.mu.
+func (s *shard) dropPushLocked(sub *subscription) {
+	m := sub.mail
+	s.pushDepth -= len(m.push)
+	clear(m.push)
+	m.push = m.push[:0]
+	sub.mail = nil
+	s.freeMail = append(s.freeMail, m)
 }

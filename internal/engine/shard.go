@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ingest"
 	"repro/internal/proto"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -24,12 +23,10 @@ import (
 // Silent subscriptions are most of what an engine keeps resident, hence
 // the integer times and the one pointer-free string (DESIGN.md, "What is
 // resident"). key, shard and ep never change; the rest but rng is guarded
-// by the owning shard's mutex. rng is touched only by the actor that has
-// the subscription in flight: polling is the execution-ownership flag —
-// set by a poll worker or by the push ingress consumer (ingress.go) under
-// the shard lock before dispatching, cleared (after draining what parked
-// meanwhile) when done — so a subscription never executes on two
-// goroutines at once.
+// by the owning shard's mutex. The subscription is the unit of execution:
+// the shard's workers are its only executor, and run says whether one
+// has it queued or running (scheduler.go), so it never executes on two
+// goroutines at once. rng is touched only by that worker.
 type subscription struct {
 	key   string // grouping key, presented on the wire as trigger_identity
 	shard *shard
@@ -45,7 +42,7 @@ type subscription struct {
 	// The pending poll, in place (there is at most one, so the shard's
 	// heap orders the subscriptions themselves): due in ns since the
 	// engine's epoch, seq the FIFO tie-break, heapPos the heap index + 1
-	// (0 while none is pending: in flight, queued ready, or retired).
+	// (0 while none is pending: owed a poll, or retired).
 	due     int64
 	seq     uint64
 	heapPos int
@@ -61,16 +58,16 @@ type subscription struct {
 	rateAt    int64
 	pollCount int64
 
-	// parked holds what arrived for the subscription while an execution
-	// owned it; nil nearly always.
-	parked *parked
+	// mail holds pending push deliveries and members removed mid-run;
+	// nil nearly always.
+	mail *mailbox
 
 	// failStreak counts consecutive poll failures and brState is the
 	// circuit breaker (resilience.go).
 	failStreak int32
 	authLen    int32
 	brState    breakerState
-	polling    bool
+	run        runState
 	removed    bool
 	// reserved marks a poll the admission controller deferred — it
 	// already holds its budget token, so it must not be charged again
@@ -78,26 +75,39 @@ type subscription struct {
 	reserved bool
 }
 
-// parked is what an execution's owner settles before it releases the
-// polling flag: push deliveries that arrived meanwhile, and members
-// removed meanwhile, whose dedup rings may still be absorbing the
-// execution's events and are retained (journal.go) once final.
-type parked struct {
+// runState is where a subscription is in the shard's executor.
+type runState uint8
+
+const (
+	idle    runState = iota
+	queued           // on the ready queue
+	running          // a worker owns it
+)
+
+// mailbox is the work a subscription holds for its executor: push
+// deliveries waiting to run, and members removed while it ran, whose
+// dedup rings may still be absorbing the run's events and are retained
+// (journal.go) once final. Shards recycle emptied mailboxes.
+type mailbox struct {
 	push   []pendingPush
 	retire []*runningApplet
 }
 
-// park returns sub's parking area. Caller holds the shard's mutex.
-func (sub *subscription) park() *parked {
-	if sub.parked == nil {
-		sub.parked = new(parked)
+// mailLocked returns sub's mailbox, taking one from the free list when
+// it has none. Caller holds s.mu.
+func (s *shard) mailLocked(sub *subscription) *mailbox {
+	if sub.mail == nil {
+		if n := len(s.freeMail); n > 0 {
+			sub.mail, s.freeMail = s.freeMail[n-1], s.freeMail[:n-1]
+		} else {
+			sub.mail = new(mailbox)
+		}
 	}
-	return sub.parked
+	return sub.mail
 }
 
-// pendingPush is one deferred push delivery: events for a subscription
-// that was mid-execution when they arrived, plus their ingress-accept
-// instant for the span's ingest segment.
+// pendingPush is one accepted push delivery: its events, oldest first,
+// and the ingress-accept instant for the span's ingest segment.
 type pendingPush struct {
 	events []proto.TriggerEvent
 	at     time.Time
@@ -130,8 +140,9 @@ func (s *shard) renderPollLocked(sub *subscription) {
 }
 
 // shard owns a partition of the poll subscriptions: the identity index
-// used for hint routing, a min-heap of pending polls with one clock
-// timer on its head, and the worker actors that timer starts. All shard
+// used for hint and push routing, a min-heap of pending polls with one
+// clock timer on its head, and the worker actors that run the queued
+// subscriptions' polls and pushes. All shard
 // state is guarded by mu; the counters are atomics updated lock-free on
 // the poll hot path and merged by Engine.Stats.
 type shard struct {
@@ -148,17 +159,17 @@ type shard struct {
 	// subs indexes the shard's subscriptions by key (the wire
 	// trigger_identity), for realtime hint routing.
 	subs map[string]*subscription
-	// ready queues due subscriptions awaiting a free worker.
+	// ready queues subscriptions awaiting a free worker.
 	ready     []*subscription
 	readyHead int
 	inflight  int    // worker actors currently running
 	timerAt   int64  // the deadline timer is armed for (invariant: heap[0].due, or unarmed)
 	blobBuf   []byte // renderPollLocked's scratch
 	stopped   bool
-
-	// ingress is the shard's bounded push-delivery queue (ingress.go),
-	// nil unless Config.Push. Set once in New, before any traffic.
-	ingress *ingest.Queue[pushItem]
+	// pushDepth counts push deliveries accepted and not yet executed,
+	// bounded by Config.IngressQueue; freeMail holds emptied mailboxes.
+	pushDepth int
+	freeMail  []*mailbox
 
 	counters shardCounters
 }
@@ -296,20 +307,19 @@ func (s *shard) leaveLocked(ra *runningApplet) (last bool) {
 	return false
 }
 
-// byIdentity resolves a wire trigger identity to its live subscription
-// on whichever shard owns it (uncoalesced ones shard by applet ID), plus
-// the first member's applet ID and the member count under the shard lock.
-func (e *Engine) byIdentity(identity string) (sub *subscription, firstID string, members int) {
+// lockIdentity resolves a wire trigger identity to its live
+// subscription on whichever shard owns it (uncoalesced ones shard by
+// applet ID) and returns it with that shard's mutex held; nil, with no
+// lock held, when none is live.
+func (e *Engine) lockIdentity(identity string) *subscription {
 	for _, s := range e.shards {
 		s.mu.Lock()
-		if sub = s.subs[identity]; sub != nil && len(sub.members) > 0 {
-			firstID, members = sub.members[0].id, len(sub.members)
-			s.mu.Unlock()
-			return sub, firstID, members
+		if sub := s.subs[identity]; sub != nil && len(sub.members) > 0 {
+			return sub
 		}
 		s.mu.Unlock()
 	}
-	return nil, "", 0
+	return nil
 }
 
 // stop marks the shard stopped and disarms its timer, so nothing of

@@ -1,13 +1,13 @@
 // Subscription snapshot API: detach a live subscription — members,
-// dedup windows, EWMA rate, breaker state, parked push deliveries —
+// dedup windows, EWMA rate, breaker state, pending push deliveries —
 // from one engine and attach it to another, preserving every invariant
 // the scheduler relies on. This is the migration primitive the cluster
 // tier (internal/cluster) builds on: a moving trigger identity is
 // detached on the source node, replayed on the target, and because the
-// detach claims the same execution-ownership flag polls and pushes
-// claim (sub.polling), no poll or push can execute on the source after
-// the snapshot is taken. Exactly-once across the handoff falls out of
-// the dedup rings travelling inside the snapshot.
+// detach waits until no worker runs the subscription and retires it in
+// the same critical section, no poll or push can execute on the source
+// after the snapshot is taken. Exactly-once across the handoff falls
+// out of the dedup rings travelling inside the snapshot.
 package engine
 
 import (
@@ -31,9 +31,9 @@ type MemberSnapshot struct {
 	SeenEvents []string
 }
 
-// PendingPushSnapshot is one push delivery that was parked on the
-// subscription when it was detached; the target replays it so nothing
-// accepted into an ingress queue is lost to a migration.
+// PendingPushSnapshot is one push delivery that was waiting in the
+// subscription's mailbox when it was detached; the target runs it, so
+// nothing the ingress accepted is lost to a migration.
 type PendingPushSnapshot struct {
 	Events []proto.TriggerEvent
 	At     time.Time
@@ -61,14 +61,14 @@ type SubscriptionSnapshot struct {
 	BreakerOpen bool
 	// PollCount is the subscription's lifetime poll tally.
 	PollCount int64
-	// PendingPush are deliveries parked mid-execution at detach time.
+	// PendingPush are the deliveries waiting at detach time.
 	PendingPush []PendingPushSnapshot
 }
 
 // snapshotSubLocked builds sub's portable snapshot without mutating it.
-// The caller holds the owning shard's mutex and has verified no
-// execution owns the subscription (sub.polling is false), so the member
-// rings and parked deliveries are stable.
+// The caller holds the owning shard's mutex and has verified no worker
+// runs the subscription, so the member rings and the mailbox are
+// stable.
 func (e *Engine) snapshotSubLocked(sub *subscription) *SubscriptionSnapshot {
 	snap := &SubscriptionSnapshot{
 		Key:        sub.key,
@@ -86,8 +86,8 @@ func (e *Engine) snapshotSubLocked(sub *subscription) *SubscriptionSnapshot {
 			SeenEvents: ra.dedup.snapshotIDs(),
 		}
 	}
-	if sub.parked != nil {
-		for _, p := range sub.parked.push {
+	if sub.mail != nil {
+		for _, p := range sub.mail.push {
 			snap.PendingPush = append(snap.PendingPush, PendingPushSnapshot{Events: p.events, At: p.at})
 		}
 	}
@@ -107,10 +107,8 @@ func (e *Engine) snapshotSubLocked(sub *subscription) *SubscriptionSnapshot {
 // against the snapshot.
 //
 // Each subscription is captured under its shard's lock after waiting
-// out any in-flight execution (the same sub.polling claim detach and
-// the executors use — but here the flag is only observed, not taken, so
-// the subscription keeps polling the moment the lock drops). Results
-// are sorted by key.
+// out any worker running it, as detach does; the subscription keeps
+// running the moment the lock drops. Results are sorted by key.
 func (e *Engine) ExportSubscriptions() []*SubscriptionSnapshot {
 	// Taking (and releasing) e.mu once fences all lifecycle records: any
 	// install/remove/attach/detach journaled before the caller read the
@@ -141,7 +139,7 @@ func (e *Engine) ExportSubscriptions() []*SubscriptionSnapshot {
 					sh.mu.Unlock()
 					break // removed while exporting; its journal records cover it
 				}
-				if !sub.polling {
+				if sub.run != running {
 					snap := e.snapshotSubLocked(sub)
 					sh.mu.Unlock()
 					out = append(out, snap)
@@ -176,36 +174,30 @@ func (e *Engine) SubscriptionKeys() []string {
 // subscription is live (it was removed concurrently — a benign race
 // for a rebalancing coordinator).
 //
-// Ownership: detach claims the subscription through the same
-// sub.polling flag that serializes polls and pushes, waiting out any
-// in-flight execution. Once claimed the subscription is retired from
-// the shard in one critical section — pending poll cancelled, identity
-// unindexed, breaker gauge settled — so no poll starts, no push
-// matches, and no hint resolves on this engine afterwards. The flag is
-// always released by drainPushPendingLocked even on a stopped engine,
-// so detaching from a killed node terminates.
+// Ownership: detach waits until no worker runs the subscription, then
+// retires it from the shard in one critical section — pending poll
+// cancelled, identity unindexed, breaker gauge settled, waiting pushes
+// moved into the snapshot — so no poll starts, no push matches, and no
+// hint resolves on this engine afterwards. Workers end their run even
+// on a stopped engine, so detaching from a killed node terminates.
 //
 // Callers must ensure Remove is not called concurrently for the same
 // subscription's members (the cluster router serializes this by
 // parking operations on moving identities).
 func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
-	sub, _, _ := e.byIdentity(key)
+	sub := e.lockIdentity(key)
 	if sub == nil {
 		return nil, nil
 	}
 	sh := sub.shard
-	for {
+	for sub.run == running {
+		sh.mu.Unlock()
+		e.clock.Sleep(detachRetry)
 		sh.mu.Lock()
-		sub = sh.subs[key]
-		if sub == nil || sub.removed || len(sub.members) == 0 {
+		if sub = sh.subs[key]; sub == nil || len(sub.members) == 0 {
 			sh.mu.Unlock()
 			return nil, nil
 		}
-		if !sub.polling {
-			break // claimed: still holding sh.mu
-		}
-		sh.mu.Unlock()
-		e.clock.Sleep(detachRetry)
 	}
 
 	// Retire the subscription under the shard lock, mirroring
@@ -221,7 +213,9 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 			e.log.Warn("journal detach failed", "key", key, "err", err)
 		}
 	}
-	sub.parked = nil
+	if sub.mail != nil {
+		sh.dropPushLocked(sub)
+	}
 	members := sub.members
 	sub.removed = true
 	if sub.brState != brClosed {
@@ -250,7 +244,7 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 
 // AttachSubscription installs a detached subscription on this engine,
 // restoring the members' dedup windows, the EWMA rate estimate, the
-// breaker state, and replaying any parked push deliveries. The first
+// breaker state, and queueing its pending push deliveries. The first
 // poll is scheduled from the restored state: at the probe interval
 // when the breaker arrived open, by the adaptive policy's restored-
 // rate gap otherwise — not from the presumed-cold initial spread.
@@ -335,6 +329,16 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 		gap = e.poll.NextGap(lead.id, sub.ep.ref.Service, sub.rng)
 	}
 	sh.scheduleLocked(sub, now.Add(gap))
+	if len(snap.PendingPush) > 0 {
+		m := sh.mailLocked(sub)
+		for _, p := range snap.PendingPush {
+			m.push = append(m.push, pendingPush{events: p.Events, at: p.At})
+		}
+		sh.pushDepth += len(snap.PendingPush)
+		if sh.enqueueLocked(sub) {
+			e.clock.Go(sh.workFn)
+		}
+	}
 	sh.mu.Unlock()
 	for _, ra := range ras {
 		e.applets[ra.id] = ra
@@ -345,20 +349,6 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 		}
 		u[ra.id] = ra
 	}
-	// Drain the deliveries that were parked mid-move. execPush claims
-	// the ownership flag itself, so this is safe against the first
-	// scheduled poll racing in. A replay window queues them until the
-	// rest of the log is applied (Replay).
-	pushes := snap.PendingPush
-	if e.replaying.Load() {
-		for _, p := range pushes {
-			e.replayPush = append(e.replayPush, pushItem{sub: sub, events: p.Events, at: p.At})
-		}
-		pushes = nil
-	}
 	e.mu.Unlock()
-	for _, p := range pushes {
-		sh.execPush(sub, p.Events, p.At)
-	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 )
@@ -198,14 +199,14 @@ func TestDetachWaitsForInflightExecution(t *testing.T) {
 		sh := e.shardFor(key)
 		sh.mu.Lock()
 		sub := sh.subs[key]
-		sub.polling = true // simulate an in-flight execution owning the sub
+		sub.run = running // simulate a worker running the sub
 		sh.mu.Unlock()
 
 		release := clock.Now().Add(55 * time.Millisecond)
 		clock.Go(func() {
 			clock.Sleep(55 * time.Millisecond)
 			sh.mu.Lock()
-			sub.polling = false
+			sub.run = idle
 			sh.mu.Unlock()
 		})
 		snap, err := e.DetachSubscription(key)
@@ -221,6 +222,82 @@ func TestDetachWaitsForInflightExecution(t *testing.T) {
 		}
 		e.Stop()
 	})
+}
+
+// stallDoer answers every request with an empty data list, after a
+// minute of virtual time for requests that name the applet "blocker".
+type stallDoer struct{ clock simtime.Clock }
+
+func (d stallDoer) Do(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		if raw, _ := io.ReadAll(req.Body); strings.Contains(string(raw), `"blocker"`) {
+			d.clock.Sleep(time.Minute)
+		}
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Body:       io.NopCloser(strings.NewReader(`{"data":[]}`)),
+		Header:     make(http.Header),
+		Request:    req,
+	}, nil
+}
+
+// TestQueuedPushTravelsWithDetach: a push accepted for a subscription
+// that no executor has reached yet is part of the subscription, so a
+// detach carries it in the snapshot and it executes once on the target.
+// The shard's only worker is held by the blocker's push, so a1's
+// delivery is still waiting when the detach runs.
+func TestQueuedPushTravelsWithDetach(t *testing.T) {
+	clock := simtime.NewSimDefault()
+	col := &ackCollector{}
+	mk := func(label string) *Engine {
+		return New(Config{
+			Clock: clock, RNG: stats.NewRNG(9).Split(label), Doer: stallDoer{clock},
+			Poll: FixedInterval{Interval: time.Hour}, DispatchDelay: -1,
+			Shards: 1, ShardWorkers: 1, Push: true, Trace: col.observe,
+		})
+	}
+	a, b := mk("A"), mk("B")
+	push := func(ap Applet, id string) proto.PushResponse {
+		return a.PushDeliveries([]proto.PushDelivery{{
+			TriggerIdentity: ap.TriggerIdentity(),
+			Events:          []proto.TriggerEvent{{Meta: proto.EventMeta{ID: id, Timestamp: clock.Now().Unix()}}},
+		}})
+	}
+	var snap *SubscriptionSnapshot
+	clock.Run(func() {
+		a1, blocker := snapshotApplet("a1"), snapshotApplet("blocker")
+		for _, ap := range []Applet{a1, blocker} {
+			if err := a.Install(ap); err != nil {
+				t.Fatalf("install: %v", err)
+			}
+		}
+		if resp := push(blocker, "x1"); resp.Accepted != 1 {
+			t.Fatalf("blocker push: %+v", resp)
+		}
+		if resp := push(a1, "e1"); resp.Accepted != 1 {
+			t.Fatalf("push: %+v", resp)
+		}
+		var err error
+		if snap, err = a.DetachSubscription(a1.TriggerIdentity()); err != nil || snap == nil {
+			t.Fatalf("detach: %v, %v", snap, err)
+		}
+		if err := b.AttachSubscription(snap); err != nil {
+			t.Fatalf("attach: %v", err)
+		}
+		clock.Sleep(2 * time.Minute)
+		a.Stop()
+		b.Stop()
+	})
+	if n := len(snap.PendingPush); n != 1 {
+		t.Errorf("snapshot carries %d pending pushes, want 1", n)
+	}
+	if n := col.acked["a1/e1"]; n != 1 {
+		t.Errorf("accepted push executed %d times across the detach, want exactly once", n)
+	}
+	if d := a.Stats().IngressDepth; d != 0 {
+		t.Errorf("source ingress depth %d after the detach, want 0", d)
+	}
 }
 
 // TestDetachFromStoppedEngine: draining a killed node must work — Stop

@@ -100,7 +100,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 			"Fresh trigger events delivered via the push path (the push analogue of events_received).",
 			sum(func(c *shardCounters) int64 { return c.pushEvents.Load() }))
 		reg.CounterFunc("ifttt_ingest_accepted_total",
-			"Pushed events accepted into the shard ingress queues.",
+			"Pushed events accepted into subscription mailboxes.",
 			func() int64 { return e.ingressAccepted.Load() })
 		reg.CounterFunc("ifttt_ingest_rejected_total",
 			"Pushed events shed with 429 by ingress backpressure.",
@@ -108,25 +108,14 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		reg.CounterFunc("ifttt_ingest_unmatched_total",
 			"Pushed events that matched no installed subscription.",
 			func() int64 { return e.ingressUnmatch.Load() })
-		reg.CounterFunc("ifttt_ingest_batches_total",
-			"Micro-batches drained by the shard ingress consumers.",
-			func() int64 {
-				var n int64
-				for _, sh := range e.shards {
-					if sh.ingress != nil {
-						n += sh.ingress.Batches()
-					}
-				}
-				return n
-			})
 		reg.GaugeFunc("ifttt_ingest_queue_depth",
-			"Push deliveries queued or in flight across the shard ingress queues (bounded by IngressQueue per shard).",
+			"Push deliveries waiting or in flight across the shards (bounded by IngressQueue per shard).",
 			func() float64 {
-				var n int64
+				n := 0
 				for _, sh := range e.shards {
-					if sh.ingress != nil {
-						n += sh.ingress.Depth()
-					}
+					sh.mu.Lock()
+					n += sh.pushDepth
+					sh.mu.Unlock()
 				}
 				return float64(n)
 			})

@@ -134,7 +134,6 @@ func (e *Engine) onEvent(ev devices.Event) {
 	e.mu.Unlock()
 
 	for _, r := range matched {
-		r := r
 		e.clock.AfterFunc(d, func() {
 			// The rule may have been removed while the event was in
 			// flight.

@@ -74,13 +74,11 @@ type Config struct {
 	// OurServiceRealtime makes the self-implemented service send
 	// realtime hints on every event (the §4 realtime-API experiment).
 	OurServiceRealtime bool
-	// Push forwards to engine.Config.Push: mount the push ingress and
-	// run per-shard bounded ingress queues.
+	// Push forwards to engine.Config.Push: mount the push ingress.
 	Push bool
-	// IngressQueue and IngressBatch forward to engine.Config (push
-	// ingress queue bound and micro-batch width; zero = defaults).
+	// IngressQueue forwards to engine.Config (the per-shard bound on
+	// pending push deliveries; zero = default).
 	IngressQueue int
-	IngressBatch int
 	// OurServicePush makes the self-implemented service POST its
 	// buffered events to the engine's push ingress as they happen (the
 	// push-vs-poll experiment). Requires Push.
@@ -338,7 +336,6 @@ func New(cfg Config) *Testbed {
 		Coalesce:         cfg.Coalesce,
 		Push:             cfg.Push,
 		IngressQueue:     cfg.IngressQueue,
-		IngressBatch:     cfg.IngressBatch,
 		Resilience:       cfg.Resilience,
 		Adaptive:         cfg.Adaptive,
 		PollBudgetQPS:    cfg.PollBudgetQPS,

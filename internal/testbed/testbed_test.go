@@ -22,7 +22,6 @@ func TestT2ASingleTrialEveryApplet(t *testing.T) {
 	// seven Table 4 applets.
 	specs := append(Group14(), Group57()...)
 	for _, spec := range specs {
-		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
 			tb := New(fast(100))
 			tb.Run(func() {
