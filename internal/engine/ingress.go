@@ -74,10 +74,11 @@ func (e *Engine) PushDeliveries(ds []proto.PushDelivery) proto.PushResponse {
 		m := s.mailLocked(sub)
 		m.push = append(m.push, pendingPush{events: d.Events, at: now})
 		s.pushDepth++
-		if s.enqueueLocked(sub) {
-			s.e.clock.Go(s.workFn)
-		}
+		start := s.enqueueLocked(sub)
 		s.mu.Unlock()
+		if start {
+			e.clock.Go(s.workFn)
+		}
 		resp.Accepted += len(d.Events)
 	}
 	e.ingressAccepted.Add(int64(resp.Accepted))
@@ -107,13 +108,13 @@ func (s *shard) pushLocked(sub *subscription) {
 	s.mu.Unlock()
 
 	s.e.dispatchPush(dec, events, at)
-
-	s.mu.Lock()
 	if n > 1 {
 		clear(events)
 		dec.built = events[:0]
 	}
 	dec.release()
+
+	s.mu.Lock()
 	s.pushDepth -= n
 }
 

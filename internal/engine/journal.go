@@ -101,7 +101,7 @@ func (e *Engine) Replay(fn func() error) error {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		sh.armLocked() // re-arm what fired while held
-		if err != nil || sh.readyLenLocked() == 0 || sh.inflight >= sh.e.workers {
+		if err != nil || sh.readyLenLocked() == 0 || sh.inflight >= e.workers {
 			sh.mu.Unlock()
 			continue
 		}

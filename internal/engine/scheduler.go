@@ -200,12 +200,12 @@ func (s *shard) fire() {
 	s.work()
 }
 
-// enqueueLocked puts an idle sub on the ready queue. It reports whether
-// the caller must start a worker for it — counted into s.inflight
-// already — because fewer than ShardWorkers run; outside a replay
-// window, which works the queue itself when it closes. A sub already
-// queued or running needs nothing: its worker finds the new work.
-// Caller holds s.mu.
+// enqueueLocked puts an idle sub on the ready queue. It returns true
+// when the caller must start a worker: fewer than ShardWorkers run, the
+// new one is already counted into s.inflight, and no replay window is
+// open (Replay works the queue itself when the window closes). A sub
+// already queued or running needs nothing: its worker finds the new
+// work. Caller holds s.mu.
 func (s *shard) enqueueLocked(sub *subscription) bool {
 	if sub.run != idle {
 		return false
@@ -318,9 +318,9 @@ func (s *shard) pollLocked(sub *subscription) {
 		s.e.emit(s, TraceEvent{Kind: TraceBreakerProbe, AppletID: dec.members[0].id})
 	}
 	ok, events := s.e.pollSubscription(dec, hintAt, auth, body)
+	dec.release()
 
 	s.mu.Lock()
-	dec.release()
 	due, brEv := s.nextPollDueLocked(sub, ok, events)
 	s.scheduleLocked(sub, due)
 	if brEv.Kind != "" {
@@ -352,8 +352,7 @@ func (s *shard) releaseLocked(sub *subscription) {
 	if sub.removed {
 		s.dropPushLocked(sub)
 	} else if len(m.push) == 0 {
-		sub.mail = nil
-		s.freeMail = append(s.freeMail, m)
+		s.freeMailLocked(sub)
 	}
 }
 
@@ -364,6 +363,11 @@ func (s *shard) dropPushLocked(sub *subscription) {
 	s.pushDepth -= len(m.push)
 	clear(m.push)
 	m.push = m.push[:0]
-	sub.mail = nil
-	s.freeMail = append(s.freeMail, m)
+	s.freeMailLocked(sub)
+}
+
+// freeMailLocked puts sub's emptied mailbox on the free list. Caller
+// holds s.mu.
+func (s *shard) freeMailLocked(sub *subscription) {
+	sub.mail.next, s.freeMail, sub.mail = s.freeMail, sub.mail, nil
 }

@@ -91,14 +91,15 @@ const (
 type mailbox struct {
 	push   []pendingPush
 	retire []*runningApplet
+	next   *mailbox // free-list link
 }
 
 // mailLocked returns sub's mailbox, taking one from the free list when
 // it has none. Caller holds s.mu.
 func (s *shard) mailLocked(sub *subscription) *mailbox {
 	if sub.mail == nil {
-		if n := len(s.freeMail); n > 0 {
-			sub.mail, s.freeMail = s.freeMail[n-1], s.freeMail[:n-1]
+		if m := s.freeMail; m != nil {
+			sub.mail, s.freeMail, m.next = m, m.next, nil
 		} else {
 			sub.mail = new(mailbox)
 		}
@@ -167,9 +168,9 @@ type shard struct {
 	blobBuf   []byte // renderPollLocked's scratch
 	stopped   bool
 	// pushDepth counts push deliveries accepted and not yet executed,
-	// bounded by Config.IngressQueue; freeMail holds emptied mailboxes.
+	// bounded by Config.IngressQueue; freeMail lists emptied mailboxes.
 	pushDepth int
-	freeMail  []*mailbox
+	freeMail  *mailbox
 
 	counters shardCounters
 }
