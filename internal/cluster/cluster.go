@@ -65,8 +65,8 @@ type Config struct {
 }
 
 // Node is one engine node: a full scheduler with its own shards and
-// workers. Death is marked by the chaos/failure
-// path (FailNode) and observed by the coordinator's Sweep.
+// workers. Death is marked by the chaos/failure path (FailNode) and
+// observed by the coordinator's Sweep.
 type Node struct {
 	Name   string
 	Engine *engine.Engine

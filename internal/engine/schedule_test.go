@@ -116,8 +116,7 @@ func runPushPollSchedule(t *testing.T, seed uint64) (accepted, moves int) {
 	// so they race the driver's moves, which is the point.
 	var mu sync.Mutex
 	loc := make(map[string]*Engine)
-	keyOf := make(map[string]string) // applet → identity
-	installed := make(map[string]bool)
+	keyOf := make(map[string]string) // installed applet → identity
 	removed := make(map[string]bool)
 	var keys []string // identities in use
 	nEvents := 0
@@ -175,14 +174,14 @@ func runPushPollSchedule(t *testing.T, seed uint64) (accepted, moves int) {
 						loc[key] = e
 						keys = append(keys, key)
 					}
-					keyOf[id], installed[id] = key, true
+					keyOf[id] = key
 					mu.Unlock()
 				case op < 7: // remove an applet installed earlier
 					mu.Lock()
 					var id string
 					for j := 0; j < i && id == ""; j++ {
 						c := fmt.Sprintf("a%d", drv.IntN(i))
-						if installed[c] && !removed[c] {
+						if keyOf[c] != "" && !removed[c] {
 							id = c
 						}
 					}
@@ -234,10 +233,8 @@ func runPushPollSchedule(t *testing.T, seed uint64) (accepted, moves int) {
 					if key == "" {
 						break
 					}
-					mu.Lock()
 					nEvents++
 					id := fmt.Sprintf("e%d", nEvents)
-					mu.Unlock()
 					partner.publish(key, id)
 					ev := []proto.TriggerEvent{{Meta: proto.EventMeta{ID: id, Timestamp: 1}}}
 					batch = append(batch, proto.PushDelivery{TriggerIdentity: key, Events: ev})
