@@ -48,7 +48,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "RNG seed for polling jitter")
 		realtime = flag.String("realtime", "alexa", "comma-separated services whose realtime hints are honoured")
 		shards   = flag.Int("shards", 0, "poll-scheduler shards (0 = GOMAXPROCS)")
-		workers  = flag.Int("shard-workers", 0, "concurrent polls per shard (0 = default)")
+		workers  = flag.Int("shard-workers", 0, "concurrent executions (polls and pushes) per shard (0 = default)")
 		nodes    = flag.Int("cluster-nodes", 0, "run N engine nodes behind a consistent-hash ring instead of one engine (0/1 = single engine); adds GET /v1/cluster and ifttt_cluster_* metrics")
 		coalesce = flag.Bool("coalesce", true, "share one upstream poll across applets with identical triggers (disable for per-applet polling A/B runs)")
 		pprof    = flag.String("pprof", "", "optional listen address for net/http/pprof (e.g. localhost:6060)")

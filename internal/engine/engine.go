@@ -260,9 +260,10 @@ type Config struct {
 	// must be reproducible across machines should pin this (the testbed
 	// uses a fixed count).
 	Shards int
-	// ShardWorkers caps concurrent in-flight polls per shard. Zero
-	// means DefaultShardWorkers. Total engine goroutines are
-	// O(Shards × ShardWorkers), independent of the applet population.
+	// ShardWorkers caps concurrent executions (polls and push
+	// deliveries) per shard. Zero means DefaultShardWorkers. Total
+	// engine goroutines are O(Shards × ShardWorkers), independent of the
+	// applet population.
 	ShardWorkers int
 	// Resilience tunes per-subscription failure handling: capped
 	// exponential backoff and the circuit breaker of resilience.go. The
@@ -335,7 +336,7 @@ const DefaultDedupWindow = 1024
 // the paper's Table 5 timeline.
 const DefaultDispatchDelay = time.Second
 
-// DefaultShardWorkers is the per-shard in-flight poll cap.
+// DefaultShardWorkers is the per-shard execution cap.
 const DefaultShardWorkers = 8
 
 // DefaultIngressQueue is the per-shard bound on pending push deliveries.
