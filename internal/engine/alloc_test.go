@@ -19,7 +19,7 @@ import (
 // expandIngredients is appendExpanded as a string function, for the
 // template tests.
 func expandIngredients(tmpl string, ingredients map[string]string) string {
-	return string(appendExpanded(nil, tmpl, ingredients))
+	return string(appendExpanded(nil, tmpl, Ingredients{m: ingredients}))
 }
 
 // TestExpandIngredientsEdgeCases covers the template corners the basic
@@ -57,7 +57,7 @@ func TestExpandIngredientsEdgeCases(t *testing.T) {
 // applets × polls.
 
 func TestExpandIngredientsNoPlaceholderAllocs(t *testing.T) {
-	ing := map[string]string{"subject": "hello"}
+	ing := Ingredients{m: map[string]string{"subject": "hello"}}
 	buf := make([]byte, 0, 128)
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = appendExpanded(buf[:0], "a plain action field without templates", ing)
@@ -132,26 +132,33 @@ func (d *cannedDoer) Do(req *http.Request) (*http.Response, error) {
 	return &r.Response, nil
 }
 
-// allocRig is an engine with one installed applet, driven by calling
-// the poll and dispatch paths directly (its scheduled poll is an hour
-// of real time away).
-func allocRig(t *testing.T, d *cannedDoer, conds ...Condition) (*Engine, *runningApplet) {
+// allocRig is an engine with n installed applets a1 … an on one
+// coalesced subscription, driven by calling the poll and dispatch paths
+// directly (its scheduled poll is an hour of real time away). It
+// returns a1.
+func allocRig(t *testing.T, d *cannedDoer, n int, conds ...Condition) (*Engine, *runningApplet) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
 	}
 	e := New(Config{Clock: simtime.NewReal(), RNG: stats.NewRNG(1), Doer: d,
-		Poll: FixedInterval{Interval: time.Hour}, DispatchDelay: -1, Shards: 1})
+		Poll: FixedInterval{Interval: time.Hour}, DispatchDelay: -1, Shards: 1, Coalesce: true})
 	t.Cleanup(e.Stop)
-	a := Applet{ID: "a1", UserID: "u1", Conditions: conds,
-		Trigger: ServiceRef{Service: "svc", BaseURL: "http://svc.sim", Slug: "fired", ServiceKey: "k", UserToken: "tok"},
-		Action: ServiceRef{Service: "svc", BaseURL: "http://svc.sim", Slug: "act", ServiceKey: "k", UserToken: "tok",
-			Fields: map[string]string{"eid": "{{eid}}", "at": "{{at}}", "note": "fixed"}},
+	for i := 1; i <= n; i++ {
+		a := Applet{ID: "a" + strconv.Itoa(i), UserID: "u1", Conditions: conds,
+			Trigger: ServiceRef{Service: "svc", BaseURL: "http://svc.sim", Slug: "fired", ServiceKey: "k", UserToken: "tok"},
+			Action: ServiceRef{Service: "svc", BaseURL: "http://svc.sim", Slug: "act", ServiceKey: "k", UserToken: "tok",
+				Fields: map[string]string{"eid": "{{eid}}", "at": "{{at}}", "note": "fixed"}},
+		}
+		if err := e.Install(a); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := e.Install(a); err != nil {
-		t.Fatal(err)
+	ra := e.applets["a1"]
+	if len(ra.sub.members) != n {
+		t.Fatalf("subscription has %d members, want %d", len(ra.sub.members), n)
 	}
-	return e, e.applets["a1"]
+	return e, ra
 }
 
 // pollOnce polls sub the way a shard worker does, minus the scheduling.
@@ -176,10 +183,32 @@ func benchEvent(b []byte, seq int) []byte {
 // TestPollOneFreshOfTwentyAllocs is the hot-poll steady state the wire
 // codec exists for: a service re-serving its 20-event buffer, of which
 // the applet has executed 19. The 19 must cost nothing, and neither does
-// the request (pooled scratch); the bound is the measured cost of the
-// Doer's response plus building the one fresh event (its condition then
-// skips the action, which has its own guard), 7, + 2.
+// the request (pooled scratch) or the fresh event's ingredients (copied
+// into the decoder's scratch, read there by the condition); the bound is
+// the measured cost of the Doer's response plus the fresh event's ID
+// string (its condition then skips the action, which has its own
+// guard), 3, + 1.
 func TestPollOneFreshOfTwentyAllocs(t *testing.T) {
+	allocs := pollOneFreshOfTwentyAllocs(t, 1)
+	if allocs > 4 {
+		t.Errorf("20-event poll with 19 remembered allocates %.1f/op, want <= 4", allocs)
+	}
+}
+
+// TestPollCoalescedFreshAllocs is the same poll on a subscription of
+// four members, each with one event to take: the event's record and its
+// ID are built once, the other members share them, so the poll costs no
+// more than the one-member case.
+func TestPollCoalescedFreshAllocs(t *testing.T) {
+	single := pollOneFreshOfTwentyAllocs(t, 1)
+	if coalesced := pollOneFreshOfTwentyAllocs(t, 4); coalesced > single {
+		t.Errorf("20-event poll on 4 members allocates %.1f/op, one member %.1f/op", coalesced, single)
+	}
+}
+
+// pollOneFreshOfTwentyAllocs measures a poll of a 20-event buffer on n
+// coalesced members that each remember 19 of the events.
+func pollOneFreshOfTwentyAllocs(t *testing.T, n int) float64 {
 	const runs = 200
 	d := &cannedDoer{}
 	for k := 0; k <= runs+1; k++ { // body k serves events k+19 … k, newest first
@@ -192,9 +221,11 @@ func TestPollOneFreshOfTwentyAllocs(t *testing.T) {
 		}
 		d.polls = append(d.polls, append(b, "]}"...))
 	}
-	e, ra := allocRig(t, d, IngredientEquals{Key: "eid", Value: "never"})
-	for seq := 0; seq < 19; seq++ {
-		ra.dedup.Add("1234." + strconv.Itoa(seq))
+	e, ra := allocRig(t, d, n, IngredientEquals{Key: "eid", Value: "never"})
+	for _, m := range ra.sub.members {
+		for seq := 0; seq < 19; seq++ {
+			m.dedup.Add("1234." + strconv.Itoa(seq))
+		}
 	}
 	poll := func() {
 		if ok, fresh := pollOnce(e, ra.sub); !ok || fresh != 1 {
@@ -203,30 +234,33 @@ func TestPollOneFreshOfTwentyAllocs(t *testing.T) {
 	}
 	poll() // warm the pools and the intern table
 	allocs := testing.AllocsPerRun(runs, poll)
-	t.Logf("20-event poll, 19 remembered: %.1f allocs/op", allocs)
-	if allocs > 9 {
-		t.Errorf("20-event poll with 19 remembered allocates %.1f/op, want <= 9", allocs)
+	t.Logf("20-event poll, %d members, 19 remembered: %.1f allocs/op", n, allocs)
+	if st := e.Stats(); st.ConditionSkips != int64(n*(runs+2)) || st.ActionsOK != 0 {
+		t.Errorf("stats %+v: every poll should have surfaced exactly one (skipped) event per member", st)
 	}
-	if st := e.Stats(); st.ConditionSkips != runs+2 || st.ActionsOK != 0 {
-		t.Errorf("stats %+v: every poll should have surfaced exactly one (skipped) event", st)
-	}
+	return allocs
 }
 
-// TestDispatchActionAllocs bounds one action execution: credential and
-// body rendered into pooled scratch and copied out as one string, the
-// request assembled in pooled scratch around the interned endpoint, ack
-// checked without decoding; the other two are the Doer's response.
-// Measured 3, + 2.
+// TestDispatchActionAllocs bounds one action execution of a polled
+// event's record, its ingredients expanded from the decoder's scratch:
+// credential and body rendered into pooled scratch and copied out as one
+// string, the request assembled in pooled scratch around the interned
+// endpoint, ack checked without decoding; the other two are the Doer's
+// response. Measured 3, + 2.
 func TestDispatchActionAllocs(t *testing.T) {
 	d := &cannedDoer{ack: []byte(`{"data":[{"id":"ok"}]}`)}
-	e, ra := allocRig(t, d)
-	ev := proto.TriggerEvent{
-		Ingredients: map[string]string{"eid": "1234.5", "at": "1490400000000000000"},
-		Meta:        proto.EventMeta{ID: "1234.5", Timestamp: 1490400000},
-	}
+	e, ra := allocRig(t, d, 1)
 	dec := &pollDecoder{span: obs.ExecSpan{ExecID: 1}}
-	e.dispatchAction(dec, ra, ev)
-	allocs := testing.AllocsPerRun(200, func() { e.dispatchAction(dec, ra, ev) })
+	if err := dec.scan.ScanPollResponse(append(benchEvent([]byte(`{"data":[`), 5), "]}"...)); err != nil {
+		t.Fatal(err)
+	}
+	ev := dec.record(0)
+	ing := dec.ingredients(&ev)
+	if ing.Get("eid") != "1234.5" || ing.Get("at") != "1490400000000000000" {
+		t.Fatalf("record's ingredients eid=%q at=%q", ing.Get("eid"), ing.Get("at"))
+	}
+	e.dispatchAction(dec, ra, &ev, ing)
+	allocs := testing.AllocsPerRun(200, func() { e.dispatchAction(dec, ra, &ev, dec.ingredients(&ev)) })
 	t.Logf("dispatchAction: %.1f allocs/op", allocs)
 	if allocs > 5 {
 		t.Errorf("dispatchAction allocates %.1f/op, want <= 5", allocs)

@@ -18,8 +18,9 @@ import (
 // Condition gates an applet execution.
 type Condition interface {
 	// Allows reports whether the action should run for an event with
-	// these ingredients at time now.
-	Allows(now time.Time, ingredients map[string]string) bool
+	// these ingredients, dispatched at now: the instant the engine
+	// evaluates the filter, not the event's own timestamp.
+	Allows(now time.Time, ingredients Ingredients) bool
 	// Describe returns a short human-readable form for logs.
 	Describe() string
 }
@@ -31,8 +32,8 @@ type IngredientEquals struct {
 }
 
 // Allows implements Condition.
-func (c IngredientEquals) Allows(_ time.Time, ing map[string]string) bool {
-	return strings.EqualFold(ing[c.Key], c.Value)
+func (c IngredientEquals) Allows(_ time.Time, ing Ingredients) bool {
+	return strings.EqualFold(ing.Get(c.Key), c.Value)
 }
 
 // Describe implements Condition.
@@ -45,8 +46,8 @@ type IngredientContains struct {
 }
 
 // Allows implements Condition.
-func (c IngredientContains) Allows(_ time.Time, ing map[string]string) bool {
-	return strings.Contains(strings.ToLower(ing[c.Key]), strings.ToLower(c.Substr))
+func (c IngredientContains) Allows(_ time.Time, ing Ingredients) bool {
+	return strings.Contains(strings.ToLower(ing.Get(c.Key)), strings.ToLower(c.Substr))
 }
 
 // Describe implements Condition.
@@ -60,8 +61,8 @@ type IngredientAbove struct {
 }
 
 // Allows implements Condition.
-func (c IngredientAbove) Allows(_ time.Time, ing map[string]string) bool {
-	v, err := strconv.ParseFloat(ing[c.Key], 64)
+func (c IngredientAbove) Allows(_ time.Time, ing Ingredients) bool {
+	v, err := strconv.ParseFloat(ing.Get(c.Key), 64)
 	return err == nil && v > c.Threshold
 }
 
@@ -70,14 +71,16 @@ func (c IngredientAbove) Describe() string {
 	return c.Key + " > " + strconv.FormatFloat(c.Threshold, 'g', -1, 64)
 }
 
-// TimeWindow passes when the event's wall-clock hour lies within
-// [FromHour, ToHour) in UTC. Windows may wrap midnight (From 22, To 6).
+// TimeWindow passes when the hour of the dispatch instant lies within
+// [FromHour, ToHour) in UTC — when the filter runs, as with IFTTT's
+// filter time, not when the event happened. Windows may wrap midnight
+// (From 22, To 6).
 type TimeWindow struct {
 	FromHour, ToHour int
 }
 
 // Allows implements Condition.
-func (c TimeWindow) Allows(now time.Time, _ map[string]string) bool {
+func (c TimeWindow) Allows(now time.Time, _ Ingredients) bool {
 	h := now.UTC().Hour()
 	if c.FromHour <= c.ToHour {
 		return h >= c.FromHour && h < c.ToHour
@@ -91,11 +94,60 @@ func (c TimeWindow) Describe() string {
 }
 
 // conditionsAllow evaluates all conditions; an empty list always passes.
-func conditionsAllow(conds []Condition, now time.Time, ingredients map[string]string) bool {
+func conditionsAllow(conds []Condition, now time.Time, ingredients Ingredients) bool {
 	for _, c := range conds {
 		if !c.Allows(now, ingredients) {
 			return false
 		}
 	}
 	return true
+}
+
+// Ingredients is a read-only view of one trigger event's ingredients,
+// valid for the call it is handed to. A pushed event's are the map it
+// arrived with; a polled event's are decoded values its execution
+// copied out of the poll response into pooled scratch, which the next
+// execution reuses.
+type Ingredients struct {
+	m      map[string]string // a pushed event's
+	fields []ingredient      // a polled event's, in wire order
+	vals   []byte            // what fields' value ranges index
+}
+
+// ingredient is one ingredient of a polled event: its key, interned by
+// the scanner, and where its value sits in the execution's scratch.
+type ingredient struct {
+	key    string
+	lo, hi int32
+}
+
+// Get returns the value of the ingredient named key: "" when the event
+// has none or it was null, the raw JSON text of a non-string value.
+// Kept small enough to inline, so a short value read by a condition is
+// converted on the caller's stack.
+func (in Ingredients) Get(key string) string {
+	if in.m != nil {
+		return in.m[key]
+	}
+	return string(in.value(key))
+}
+
+// value returns a polled event's value for key, nil when absent. A key
+// repeated in the event resolves to its last occurrence, as it did when
+// the event was decoded into a map.
+func (in Ingredients) value(key string) []byte {
+	for i := len(in.fields) - 1; i >= 0; i-- {
+		if f := &in.fields[i]; f.key == key {
+			return in.vals[f.lo:f.hi]
+		}
+	}
+	return nil
+}
+
+// appendValue appends key's value to dst.
+func (in Ingredients) appendValue(dst []byte, key string) []byte {
+	if in.m != nil {
+		return append(dst, in.m[key]...)
+	}
+	return append(dst, in.value(key)...)
 }

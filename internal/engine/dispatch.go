@@ -24,8 +24,8 @@ import (
 // shard lock together with auth and body (the two halves of sub.blob),
 // and is the poll's response target: the response is never held as a
 // value, the decoder scans it in the HTTP client's read buffer and
-// builds only the events some member has not seen (see collectFresh). A
-// subscription is never polled concurrently.
+// records only the events some member has not seen (see collectFresh).
+// A subscription is never polled concurrently.
 //
 // The first return value reports whether the poll itself succeeded (a
 // 200 with a decodable body); the worker feeds it to the backoff/
@@ -100,14 +100,33 @@ func (e *Engine) dispatchFresh(dec *pollDecoder) {
 	}
 	sh := dec.sub.shard
 	for _, mr := range dec.ranges {
-		for _, ev := range fresh[mr.start:mr.end] {
-			if !conditionsAllow(mr.ra.conditions, e.clock.Now(), ev.Ingredients) {
-				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: dec.span.ExecID, EventID: ev.Meta.ID})
+		for i := mr.start; i < mr.end; i++ {
+			ev := &fresh[i]
+			ing := dec.ingredients(ev)
+			if !conditionsAllow(mr.ra.conditions, e.clock.Now(), ing) {
+				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: dec.span.ExecID, EventID: ev.meta.ID})
 				continue
 			}
-			e.dispatchAction(dec, mr.ra, ev)
+			e.dispatchAction(dec, mr.ra, ev, ing)
 		}
 	}
+}
+
+// event is an execution's record of one fresh event: its meta, and
+// where its ingredients are (pollDecoder.ingredients). A polled event's
+// are ings[lo:hi] of the execution's decoder; a pushed event's are the
+// map of push[^lo].events[hi], the delivery's own.
+type event struct {
+	meta   proto.EventMeta
+	lo, hi int32
+}
+
+// ingredients is the view of ev's ingredients.
+func (d *pollDecoder) ingredients(ev *event) Ingredients {
+	if ev.lo < 0 {
+		return Ingredients{m: d.push[^ev.lo].events[ev.hi].Ingredients}
+	}
+	return Ingredients{fields: d.ings[ev.lo:ev.hi], vals: d.vals}
 }
 
 // pollDecoder is what one execution works in. For a poll it is the
@@ -118,16 +137,23 @@ func (e *Engine) dispatchFresh(dec *pollDecoder) {
 // between executions it keeps capacity and interned ingredient keys.
 type pollDecoder struct {
 	scan proto.EventScan
-	// built caches event i of the scan once some member needed it, so a
-	// coalesced subscription builds each event at most once. A merged
-	// push execution collects its deliveries' events in it.
-	built []proto.TriggerEvent
+	// built[i] is 1 + the index in fresh of scanned event i's record
+	// once some member took the event, so a coalesced subscription
+	// records each event at most once.
+	built []int32
+	// ings and vals hold the ingredients of the polled events recorded,
+	// copied out of the response: the client's read buffer is reused
+	// before the dispatch delay ends.
+	ings []ingredient
+	vals []byte
+	// push holds the deliveries a push execution runs, in arrival order.
+	push []pendingPush
 	// The execution's subject, snapshotted under the shard lock.
 	sub     *subscription
 	members []*runningApplet
 	// fresh holds every member's unseen events back to back; ranges marks
 	// each member's share.
-	fresh  []proto.TriggerEvent
+	fresh  []event
 	ranges []memberRange
 	// span is the execution's span up to its poll result (or push
 	// dispatch): ExecID and provenance always, timestamps only when the
@@ -143,11 +169,13 @@ type pollDecoder struct {
 }
 
 // What a decoder keeps between executions is bounded: the event buffers
-// (a protocol-sized response holds at most proto.DefaultLimit events) and
-// the action-request buffer.
+// (a protocol-sized response holds at most proto.DefaultLimit events),
+// the ingredient entries, and the byte buffers for ingredient values and
+// the action request.
 const (
-	maxPooledBuilt = 4 * proto.DefaultLimit
-	maxPooledBody  = 64 << 10
+	maxPooledBuilt  = 4 * proto.DefaultLimit
+	maxPooledFields = 4096
+	maxPooledBody   = 64 << 10
 )
 
 // borrowDecoder takes a decoder for an execution of sub, with the
@@ -158,11 +186,13 @@ func borrowDecoder(sub *subscription) *pollDecoder {
 	return d
 }
 
-// resetFresh empties the fresh-event buffer, dropping what it referenced.
+// resetFresh empties the fresh-event buffer and the ingredients it
+// referenced, dropping their references.
 func (d *pollDecoder) resetFresh() {
 	clear(d.fresh)
 	clear(d.ranges)
-	d.fresh, d.ranges = d.fresh[:0], d.ranges[:0]
+	clear(d.ings)
+	d.fresh, d.ranges, d.ings, d.vals = d.fresh[:0], d.ranges[:0], d.ings[:0], d.vals[:0]
 }
 
 // release returns the decoder to its pool: no references to the
@@ -171,13 +201,23 @@ func (d *pollDecoder) release() {
 	e := d.sub.shard.e
 	d.resetFresh()
 	clear(d.members[:cap(d.members)])
-	d.sub, d.span = nil, obs.ExecSpan{}
+	clear(d.push)
+	d.sub, d.span, d.push = nil, obs.ExecSpan{}, d.push[:0]
 	d.scan.Release()
 	if cap(d.built) > maxPooledBuilt {
 		d.built = nil
 	}
 	if cap(d.fresh) > maxPooledBuilt {
 		d.fresh = nil
+	}
+	if cap(d.push) > maxPooledBuilt {
+		d.push = nil
+	}
+	if cap(d.ings) > maxPooledFields {
+		d.ings = nil
+	}
+	if cap(d.vals) > maxPooledBody {
+		d.vals = nil
 	}
 	if cap(d.cpIDs) > maxPooledBuilt {
 		d.cpIDs = nil
@@ -205,18 +245,18 @@ func (d *pollDecoder) DecodeBody(status int, body []byte) error {
 // the wire order is newest first, and each member takes its unseen
 // events oldest first so actions replay the trigger order. It is the
 // loop the engine always ran — Add every event's ID to every member's
-// ring, keep what was new — except that an event is built (map, strings)
-// only when some ring reports its ID missing; for the re-served majority
-// the ID bytes in the body are looked up and nothing is allocated. Add
-// on a remembered ID never changed a ring, so skipping it changes
-// nothing, evictions included. The dedup rings are owned by this worker
-// — members cannot be polled through another subscription, and a
-// removed member's ring is never touched again after this poll.
+// ring, keep what was new — except that an event is recorded only when
+// some ring reports its ID missing; for the re-served majority the ID
+// bytes in the body are looked up and nothing is allocated. Add on a
+// remembered ID never changed a ring, so skipping it changes nothing,
+// evictions included. The dedup rings are owned by this worker —
+// members cannot be polled through another subscription, and a removed
+// member's ring is never touched again after this poll.
 func (d *pollDecoder) collectFresh() {
 	scan := &d.scan
 	n := scan.Len()
 	if cap(d.built) < n {
-		d.built = make([]proto.TriggerEvent, n)
+		d.built = make([]int32, n)
 	}
 	built := d.built[:n]
 	d.resetFresh()
@@ -228,12 +268,13 @@ func (d *pollDecoder) collectFresh() {
 			if len(id) == 0 || ra.dedup.Has(id) {
 				continue
 			}
-			ev := &built[i]
-			if ev.Ingredients == nil {
-				*ev = scan.Event(i)
+			if built[i] == 0 {
+				fresh = append(fresh, d.record(i))
+				built[i] = int32(len(fresh))
+			} else {
+				fresh = append(fresh, fresh[built[i]-1])
 			}
-			ra.dedup.Add(ev.Meta.ID)
-			fresh = append(fresh, *ev)
+			ra.dedup.Add(fresh[len(fresh)-1].meta.ID)
 		}
 		ranges = append(ranges, memberRange{ra: ra, start: start, end: len(fresh)})
 	}
@@ -241,11 +282,27 @@ func (d *pollDecoder) collectFresh() {
 	d.fresh, d.ranges = fresh, ranges
 }
 
+// record builds the record of scanned event i: its ID as the one string
+// the rings, trace, spans and journal share, and its ingredients copied
+// into the decoder's scratch.
+func (d *pollDecoder) record(i int) event {
+	ts, tsNanos := d.scan.Timestamps(i)
+	ev := event{meta: proto.EventMeta{ID: string(d.scan.ID(i)), Timestamp: ts, TimestampNanos: tsNanos},
+		lo: int32(len(d.ings))}
+	d.scan.EachIngredient(i, func(key string, val []byte) {
+		lo := len(d.vals)
+		d.vals = append(d.vals, val...)
+		d.ings = append(d.ings, ingredient{key: key, lo: int32(lo), hi: int32(len(d.vals))})
+	})
+	ev.hi = int32(len(d.ings))
+	return ev
+}
+
 // actionRequest renders what an action request carries beyond its
 // endpoint, in one string: ra's bearer credential, then the ActionRequest
 // for ra executing on an event with the given ingredients —
 // {{ingredient}} placeholders resolved — as json.Encoder wrote it.
-func (d *pollDecoder) actionRequest(ra *runningApplet, ingredients map[string]string) (auth, body string) {
+func (d *pollDecoder) actionRequest(ra *runningApplet, ingredients Ingredients) (auth, body string) {
 	b := append(append(d.buf[:0], "Bearer "...), ra.actionToken...)
 	n := len(b)
 	b = d.enc.Append(b, ra.actionFields, func(dst []byte, tmpl string) []byte {
@@ -264,15 +321,16 @@ type actionAck struct{}
 func (actionAck) DecodeBody(_ int, body []byte) error { return proto.ValidateActionResponse(body) }
 
 // dispatchAction POSTs one action execution, resolving {{ingredient}}
-// placeholders in the action fields from the trigger event. Acked or
-// failed, the action completes a span of dec's execution.
-func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev proto.TriggerEvent) {
-	eventTime := ev.Meta.Time()
+// placeholders in the action fields from the trigger event's
+// ingredients. Acked or failed, the action completes a span of dec's
+// execution.
+func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev *event, ing Ingredients) {
+	eventTime := ev.meta.Time()
 	sh := ra.sub.shard
 	execID := dec.span.ExecID
-	sentAt := e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID, EventTime: eventTime})
+	sentAt := e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: ra.id, ExecID: execID, EventID: ev.meta.ID, EventTime: eventTime})
 
-	auth, body := dec.actionRequest(ra, ev.Ingredients)
+	auth, body := dec.actionRequest(ra, ing)
 	status, err := e.client.DoEndpoint(ra.action.req, "", auth, body, actionAck{})
 	kind, msg := TraceActionAcked, ""
 	if err != nil || status != http.StatusOK {
@@ -286,13 +344,13 @@ func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev proto.Tr
 			msg = err.Error()
 		}
 	}
-	doneAt := e.emit(sh, TraceEvent{Kind: kind, AppletID: ra.id, ExecID: execID, EventID: ev.Meta.ID, Err: msg})
+	doneAt := e.emit(sh, TraceEvent{Kind: kind, AppletID: ra.id, ExecID: execID, EventID: ev.meta.ID, Err: msg})
 	if kind == TraceActionFailed && e.log != nil {
 		e.log.Warn("action failed", "applet", ra.id, "err", msg)
 	}
 	if e.spans {
 		s := dec.span
-		s.AppletID, s.EventID, s.EventAt = ra.id, ev.Meta.ID, eventTime
+		s.AppletID, s.EventID, s.EventAt = ra.id, ev.meta.ID, eventTime
 		s.ActionSentAt, s.ActionDoneAt = sentAt, doneAt
 		s.Failed, s.Err = kind == TraceActionFailed, msg
 		e.recordSpan(s)
@@ -320,7 +378,7 @@ func (e *Engine) deleteUpstream(sub *subscription) {
 // appendExpanded appends tmpl with its {{key}} placeholders replaced by
 // trigger event ingredients; unknown keys expand to the empty string,
 // mirroring IFTTT's lenient template behaviour.
-func appendExpanded(dst []byte, tmpl string, ingredients map[string]string) []byte {
+func appendExpanded(dst []byte, tmpl string, ingredients Ingredients) []byte {
 	for {
 		open := strings.Index(tmpl, "{{")
 		if open < 0 {
@@ -332,7 +390,7 @@ func appendExpanded(dst []byte, tmpl string, ingredients map[string]string) []by
 		}
 		dst = append(dst, tmpl[:open]...)
 		key := strings.TrimSpace(tmpl[open+2 : open+end])
-		dst = append(dst, ingredients[key]...)
+		dst = ingredients.appendValue(dst, key)
 		tmpl = tmpl[open+end+2:]
 	}
 }

@@ -17,7 +17,6 @@ package engine
 
 import (
 	"net/http"
-	"time"
 
 	"repro/internal/httpx"
 	"repro/internal/obs"
@@ -93,50 +92,46 @@ func (e *Engine) PushDeliveries(ds []proto.PushDelivery) proto.PushResponse {
 // dropped around the dispatch.
 func (s *shard) pushLocked(sub *subscription) {
 	m := sub.mail
-	n, events, at := len(m.push), m.push[0].events, m.push[0].at
+	n := len(m.push)
 	dec := borrowDecoder(sub)
-	if n > 1 {
-		// Merge in the decoder's scratch: each delivery's slice came
-		// from its own HTTP decode and must not be extended in place.
-		events = dec.built[:0]
-		for _, p := range m.push {
-			events = append(events, p.events...)
-		}
-	}
+	dec.push = append(dec.push, m.push...)
 	clear(m.push)
 	m.push = m.push[:0]
 	s.mu.Unlock()
 
-	s.e.dispatchPush(dec, events, at)
-	if n > 1 {
-		clear(events)
-		dec.built = events[:0]
-	}
+	s.e.dispatchPush(dec)
 	dec.release()
 
 	s.mu.Lock()
 	s.pushDepth -= n
 }
 
-// dispatchPush fans one push delivery out to the subscription's
-// members, mirroring pollSubscription's result half: per-member dedup
-// against the same rings the poll path uses (exactly-once across
-// paths), the engine's dispatch delay, conditions, and the shared
-// action path. events arrive oldest first, so unlike the poll wire no
-// reversal is needed. The caller owns the subscription dec carries.
-func (e *Engine) dispatchPush(dec *pollDecoder, events []proto.TriggerEvent, at time.Time) {
+// dispatchPush fans the push deliveries dec holds out to the
+// subscription's members, mirroring pollSubscription's result half:
+// per-member dedup against the same rings the poll path uses
+// (exactly-once across paths), the engine's dispatch delay, conditions,
+// and the shared action path. Each member walks the deliveries in
+// arrival order and their events oldest first, so unlike the poll wire
+// no reversal is needed; a fresh event's record refers to its
+// delivery's own ingredient map. The caller owns the subscription dec
+// carries.
+func (e *Engine) dispatchPush(dec *pollDecoder) {
 	sub := dec.sub
 	execID := e.execSeq.Add(1)
+	at := dec.push[0].at
 
 	dec.resetFresh()
 	fresh, ranges := dec.fresh, dec.ranges
 	for _, ra := range dec.members {
 		start := len(fresh)
-		for _, ev := range events {
-			if ev.Meta.ID == "" || !ra.dedup.Add(ev.Meta.ID) {
-				continue
+		for d, p := range dec.push {
+			for j := range p.events {
+				meta := &p.events[j].Meta
+				if meta.ID == "" || !ra.dedup.Add(meta.ID) {
+					continue
+				}
+				fresh = append(fresh, event{meta: *meta, lo: ^int32(d), hi: int32(j)})
 			}
-			fresh = append(fresh, ev)
 		}
 		ranges = append(ranges, memberRange{ra: ra, start: start, end: len(fresh)})
 	}

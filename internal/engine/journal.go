@@ -157,7 +157,7 @@ func (e *Engine) ApplyCheckpoint(cp Checkpoint) error {
 func (e *Engine) journalCheckpoint(dec *pollDecoder) {
 	ids := dec.cpIDs[:0]
 	for i := range dec.fresh {
-		ids = append(ids, dec.fresh[i].Meta.ID)
+		ids = append(ids, dec.fresh[i].meta.ID)
 	}
 	cp := &dec.cp
 	for _, mr := range dec.ranges {

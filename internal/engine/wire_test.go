@@ -60,16 +60,31 @@ func TestActionBodyBytesUnchanged(t *testing.T) {
 	for i := range cases {
 		a := &cases[i]
 		ra := &runningApplet{id: a.ID, user: a.UserID, actionFields: a.Action.Fields, actionToken: "tok"}
-		auth, got := dec.actionRequest(ra, ing)
+		auth, got := dec.actionRequest(ra, Ingredients{m: ing})
 		if want := old(a, ing); got != string(want) || auth != "Bearer tok" {
 			t.Errorf("case %d: auth %q\n got %s\nwant %s", i, auth, got, want)
 		}
 	}
 }
 
+// materialise builds the TriggerEvent an execution's record stands for,
+// through its ingredients view: a polled event's keys in wire order, so
+// the last occurrence of a key wins.
+func materialise(dec *pollDecoder, ev *event) proto.TriggerEvent {
+	ing := dec.ingredients(ev)
+	if ing.m != nil {
+		return proto.TriggerEvent{Ingredients: ing.m, Meta: ev.meta}
+	}
+	m := make(map[string]string, len(ing.fields))
+	for _, f := range ing.fields {
+		m[f.key] = string(ing.vals[f.lo:f.hi])
+	}
+	return proto.TriggerEvent{Ingredients: m, Meta: ev.meta}
+}
+
 // TestCollectFreshEquivalence proves dedup-before-materialise changes
 // nothing observable: over generated responses, scanning the body and
-// building only unseen events yields the same fresh slice, the same
+// recording only unseen events yields the same fresh events, the same
 // member ranges and the same ring contents as the path it replaced —
 // decode every event, then Add each to every member's ring. Rings are
 // small and staggered so evictions, late joiners, IDs repeated within a
@@ -134,8 +149,12 @@ func TestCollectFreshEquivalence(t *testing.T) {
 		if err := dec.DecodeBody(http.StatusOK, []byte(body.String())); err != nil {
 			t.Fatal(err)
 		}
-		if len(dec.fresh) != len(wantFresh) || (len(wantFresh) > 0 && !reflect.DeepEqual(dec.fresh, wantFresh)) {
-			t.Fatalf("trial %d %s\nfresh %v\n want %v", trial, body.String(), dec.fresh, wantFresh)
+		var gotFresh []proto.TriggerEvent
+		for i := range dec.fresh {
+			gotFresh = append(gotFresh, materialise(dec, &dec.fresh[i]))
+		}
+		if len(gotFresh) != len(wantFresh) || (len(wantFresh) > 0 && !reflect.DeepEqual(gotFresh, wantFresh)) {
+			t.Fatalf("trial %d %s\nfresh %v\n want %v", trial, body.String(), gotFresh, wantFresh)
 		}
 		for m, mr := range dec.ranges {
 			if mr.ra != members[m] || [2]int{mr.start, mr.end} != wantRanges[m] {
@@ -200,7 +219,7 @@ func TestMalformedActionAckIsRetriedFailure(t *testing.T) {
 		if err := e.Install(a); err != nil {
 			t.Fatal(err)
 		}
-		e.dispatchAction(new(pollDecoder), e.applets["a1"], proto.TriggerEvent{Meta: proto.EventMeta{ID: "e1"}})
+		e.dispatchAction(new(pollDecoder), e.applets["a1"], &event{meta: proto.EventMeta{ID: "e1"}}, Ingredients{})
 		st := e.Stats()
 		e.Stop()
 		wantCalls := 1

@@ -293,4 +293,15 @@ func TestScanAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { s.Event(3) }); n > 5 {
 		t.Errorf("building one two-ingredient event allocates %.1f/op, want <= 5", n)
 	}
+	// Walking its timestamps and ingredients costs nothing.
+	var seen int
+	if n := testing.AllocsPerRun(100, func() {
+		seen = 0
+		if ts, _ := s.Timestamps(3); ts != 1490400000 {
+			t.Fatalf("timestamp %d", ts)
+		}
+		s.EachIngredient(3, func(key string, val []byte) { seen += len(key) + len(val) })
+	}); n != 0 || seen != len("eid1234.17at1490400000000000000") {
+		t.Errorf("walking a two-ingredient event allocates %.1f/op (saw %d bytes), want 0", n, seen)
+	}
 }

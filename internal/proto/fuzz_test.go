@@ -222,6 +222,9 @@ func checkPollResponseDecode(t *testing.T, data []byte) {
 	if (scanErr == nil) != (gotErr == nil) {
 		t.Fatalf("ScanPollResponse (err %v) and json.Unmarshal (err %v) disagree", scanErr, gotErr)
 	}
+	if gotErr == nil {
+		checkAccessors(t, data, got.Data)
+	}
 	var gotEv TriggerEvent
 	gotEvErr := json.Unmarshal(data, &gotEv)
 	if caseVariant(data) {
@@ -244,6 +247,28 @@ func checkPollResponseDecode(t *testing.T, data []byte) {
 	}
 	if want := (TriggerEvent{Ingredients: refEv.Ingredients, Meta: refEv.Meta}); gotEvErr == nil && !reflect.DeepEqual(gotEv, want) {
 		t.Fatalf("event: scanner %#v\nreference %#v", gotEv, want)
+	}
+}
+
+// checkAccessors holds the allocation-free accessors to the events the
+// typed decoder built from the same body: each event's timestamps, and
+// its ingredients with the last occurrence of a key winning.
+func checkAccessors(t *testing.T, data []byte, events []TriggerEvent) {
+	var s EventScan
+	if err := s.ScanPollResponse(data); err != nil {
+		t.Fatalf("rescan: %v", err)
+	}
+	if s.Len() != len(events) {
+		t.Fatalf("rescan found %d events, decode %d", s.Len(), len(events))
+	}
+	for i, want := range events {
+		ts, tsNanos := s.Timestamps(i)
+		got := map[string]string{}
+		s.EachIngredient(i, func(key string, val []byte) { got[key] = string(val) })
+		if string(s.ID(i)) != want.Meta.ID || ts != want.Meta.Timestamp || tsNanos != want.Meta.TimestampNanos ||
+			!reflect.DeepEqual(got, want.Ingredients) {
+			t.Fatalf("event %d: accessors id %q ts %d/%d ingredients %#v\ndecoded %#v", i, s.ID(i), ts, tsNanos, got, want)
+		}
 	}
 }
 

@@ -11,10 +11,14 @@ import (
 // The event-path wire codec: one hand-written, single-pass JSON scanner
 // behind every decoder of trigger events (TriggerEvent,
 // TriggerPollResponse, PushBatch) and the action-ack shape check. It
-// validates the full JSON grammar, records where each event's
-// ingredients sit in the body, and builds Go values only on request —
-// which is what lets the engine's poll path look an event's meta.id up
-// in its dedup rings before paying for the ingredient map and strings.
+// validates the full JSON grammar and records where each event's
+// ingredients sit in the body. Reading an event out is up to the
+// caller: Event builds a TriggerEvent, for the typed decoders; ID,
+// Timestamps and EachIngredient hand out views of the body without
+// building anything, which is what lets the engine's poll path look an
+// event's meta.id up in its dedup rings and copy a fresh event's
+// ingredient values into its own scratch, with no map and no string
+// per value.
 //
 // Accepted input is what encoding/json accepted for the same types, with
 // three deliberate differences: protocol keys ("data", "meta", "id",
@@ -85,7 +89,8 @@ type eventSpan struct {
 // EventScan is the scanner plus the reusable scratch one decode needs.
 // The zero value is ready; a scan is not safe for concurrent use. After
 // a successful ScanPollResponse the events stay addressable — Len, ID,
-// Event — for as long as the scanned body does.
+// Timestamps, EachIngredient, Event — for as long as the scanned body
+// does.
 type EventScan struct {
 	data  []byte
 	pos   int
@@ -765,25 +770,44 @@ func (s *EventScan) ID(i int) []byte {
 	return s.data[ev.id.start:ev.id.end]
 }
 
+// Timestamps returns event i's meta.timestamp and meta.timestamp_ns.
+func (s *EventScan) Timestamps(i int) (ts, tsNanos int64) {
+	ev := &s.events[i]
+	return ev.ts, ev.tsNanos
+}
+
+// EachIngredient calls fn for every ingredient of event i, in wire
+// order, with its interned key and its value: a string's decoded
+// contents, any other value's raw JSON text, nil for null. A key that
+// repeats is passed each time; the last one is the ingredient's value.
+// val is a view of the scan's buffers, valid only during the call.
+// Nothing is allocated once the intern table holds the event's keys.
+func (s *EventScan) EachIngredient(i int, fn func(key string, val []byte)) {
+	ev := &s.events[i]
+	for _, f := range s.fields[ev.fields.start:ev.fields.end] {
+		// The key first: text reuses tmp, so unquoting the value before
+		// an escaped key was interned would overwrite the value.
+		key := s.internKey(f.key)
+		var val []byte
+		switch f.kind {
+		case valString:
+			val = s.text(f.val)
+		case valRaw:
+			val = s.data[f.val.start:f.val.end]
+		}
+		fn(key, val)
+	}
+}
+
 // Event builds event i. Everything it returns is freshly allocated
 // except the ingredient keys, which are interned.
 func (s *EventScan) Event(i int) TriggerEvent {
 	ev := &s.events[i]
-	fields := s.fields[ev.fields.start:ev.fields.end]
 	out := TriggerEvent{
-		Ingredients: make(map[string]string, len(fields)),
+		Ingredients: make(map[string]string, ev.fields.end-ev.fields.start),
 		Meta:        EventMeta{ID: string(s.ID(i)), Timestamp: ev.ts, TimestampNanos: ev.tsNanos},
 	}
-	for _, f := range fields {
-		var v string
-		switch f.kind {
-		case valString:
-			v = string(s.text(f.val))
-		case valRaw:
-			v = string(s.data[f.val.start:f.val.end])
-		}
-		out.Ingredients[s.internKey(f.key)] = v
-	}
+	s.EachIngredient(i, func(key string, val []byte) { out.Ingredients[key] = string(val) })
 	return out
 }
 
