@@ -489,7 +489,7 @@ func (c *Cluster) Handler() http.Handler {
 			if resp.Rejected > 0 {
 				code = http.StatusTooManyRequests
 			}
-			httpx.WriteJSON(w, code, resp)
+			httpx.WriteJSONBytes(w, code, resp.AppendJSON(nil))
 		})
 	}
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {

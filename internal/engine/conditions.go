@@ -104,18 +104,18 @@ func conditionsAllow(conds []Condition, now time.Time, ingredients Ingredients) 
 }
 
 // Ingredients is a read-only view of one trigger event's ingredients,
-// valid for the call it is handed to. A pushed event's are the map it
-// arrived with; a polled event's are decoded values its execution
-// copied out of the poll response into pooled scratch, which the next
-// execution reuses.
+// valid for the call it is handed to: the decoded values its execution
+// copied into pooled scratch — out of the poll response, or out of the
+// subscription's mailbox for a pushed event — which the next execution
+// reuses.
 type Ingredients struct {
-	m      map[string]string // a pushed event's
-	fields []ingredient      // a polled event's, in wire order
-	vals   []byte            // what fields' value ranges index
+	fields []ingredient // in the order they were recorded
+	vals   []byte       // what fields' value ranges index
 }
 
-// ingredient is one ingredient of a polled event: its key, interned by
-// the scanner, and where its value sits in the execution's scratch.
+// ingredient is one ingredient of a recorded event: its key (interned by
+// the scanner, or the pushing caller's own string), and where its value
+// sits in the arena's bytes.
 type ingredient struct {
 	key    string
 	lo, hi int32
@@ -126,13 +126,10 @@ type ingredient struct {
 // Kept small enough to inline, so a short value read by a condition is
 // converted on the caller's stack.
 func (in Ingredients) Get(key string) string {
-	if in.m != nil {
-		return in.m[key]
-	}
 	return string(in.value(key))
 }
 
-// value returns a polled event's value for key, nil when absent. A key
+// value returns the event's value for key, nil when absent. A key
 // repeated in the event resolves to its last occurrence, as it did when
 // the event was decoded into a map.
 func (in Ingredients) value(key string) []byte {
@@ -146,8 +143,5 @@ func (in Ingredients) value(key string) []byte {
 
 // appendValue appends key's value to dst.
 func (in Ingredients) appendValue(dst []byte, key string) []byte {
-	if in.m != nil {
-		return append(dst, in.m[key]...)
-	}
 	return append(dst, in.value(key)...)
 }

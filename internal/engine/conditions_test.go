@@ -37,7 +37,7 @@ func TestConditionPrimitives(t *testing.T) {
 		{TimeWindow{22, 6}, false},
 	}
 	for _, c := range cases {
-		if got := c.cond.Allows(now, Ingredients{m: ing}); got != c.want {
+		if got := c.cond.Allows(now, mapIngredients(ing)); got != c.want {
 			t.Errorf("%s = %v, want %v", c.cond.Describe(), got, c.want)
 		}
 		if c.cond.Describe() == "" {
@@ -165,7 +165,7 @@ func TestIngredientsViewMatchesEvent(t *testing.T) {
 				t.Fatalf("%s: record %d meta %+v, want %+v; Event's ingredients %q, encoding/json's %q",
 					body.String(), k, ev.meta, want.Meta, want.Ingredients, independent[n-1-k])
 			}
-			ing, mapped := dec.ingredients(ev), Ingredients{m: want.Ingredients}
+			ing, mapped := dec.ingredients(ev), mapIngredients(want.Ingredients)
 			for _, key := range probes {
 				if got := ing.Get(key); got != want.Ingredients[key] {
 					t.Fatalf("%s: record %d: %q = %q, want %q", body.String(), k, key, got, want.Ingredients[key])
@@ -235,7 +235,7 @@ func jsonIngredients(t *testing.T, body string) []map[string]string {
 func TestConditionsAllowProperty(t *testing.T) {
 	f := func(key, val string, hour uint8) bool {
 		now := time.Date(2017, 3, 25, int(hour%24), 0, 0, 0, time.UTC)
-		ing := Ingredients{m: map[string]string{key: val}}
+		ing := mapIngredients(map[string]string{key: val})
 		if !conditionsAllow(nil, now, ing) {
 			return false
 		}

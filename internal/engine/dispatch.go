@@ -112,21 +112,75 @@ func (e *Engine) dispatchFresh(dec *pollDecoder) {
 	}
 }
 
-// event is an execution's record of one fresh event: its meta, and
-// where its ingredients are (pollDecoder.ingredients). A polled event's
-// are ings[lo:hi] of the execution's decoder; a pushed event's are the
-// map of push[^lo].events[hi], the delivery's own.
+// event is the engine's record of one trigger event: its meta, and where
+// its ingredients are, ings[lo:hi] of the eventArena it was recorded in.
+// A polled event is recorded in its execution's decoder; a pushed one in
+// its subscription's mailbox, whose records and arena its execution's
+// decoder copies as they are (pushLocked), ranges and all.
 type event struct {
 	meta   proto.EventMeta
 	lo, hi int32
 }
 
+// eventArena holds recorded events' ingredients: each an interned key
+// and a range of vals, so an event costs no map and no string per value.
+type eventArena struct {
+	ings []ingredient
+	vals []byte
+}
+
 // ingredients is the view of ev's ingredients.
-func (d *pollDecoder) ingredients(ev *event) Ingredients {
-	if ev.lo < 0 {
-		return Ingredients{m: d.push[^ev.lo].events[ev.hi].Ingredients}
+func (a *eventArena) ingredients(ev *event) Ingredients {
+	return Ingredients{fields: a.ings[ev.lo:ev.hi], vals: a.vals}
+}
+
+// scanned records scanned event i with id as its ID, copying its
+// ingredients out of the scanned body.
+func (a *eventArena) scanned(scan *proto.EventScan, i int, id string) event {
+	ts, tsNanos := scan.Timestamps(i)
+	ev := event{meta: proto.EventMeta{ID: id, Timestamp: ts, TimestampNanos: tsNanos}, lo: int32(len(a.ings))}
+	scan.EachIngredient(i, func(key string, val []byte) { addIngredient(a, key, val) })
+	ev.hi = int32(len(a.ings))
+	return ev
+}
+
+// typed records ev, keeping its ID string and ingredient keys and copying
+// its values.
+func (a *eventArena) typed(ev *proto.TriggerEvent) event {
+	rec := event{meta: ev.Meta, lo: int32(len(a.ings))}
+	for key, val := range ev.Ingredients {
+		addIngredient(a, key, val)
 	}
-	return Ingredients{fields: d.ings[ev.lo:ev.hi], vals: d.vals}
+	rec.hi = int32(len(a.ings))
+	return rec
+}
+
+func addIngredient[V string | []byte](a *eventArena, key string, val V) {
+	lo := len(a.vals)
+	a.vals = append(a.vals, val...)
+	a.ings = append(a.ings, ingredient{key: key, lo: int32(lo), hi: int32(len(a.vals))})
+}
+
+// materialise builds the TriggerEvent ev stands for. Keys are applied in
+// the order they were recorded, so a repeated key's last value wins.
+func (a *eventArena) materialise(ev *event) proto.TriggerEvent {
+	m := make(map[string]string, ev.hi-ev.lo)
+	for _, f := range a.ings[ev.lo:ev.hi] {
+		m[f.key] = string(a.vals[f.lo:f.hi])
+	}
+	return proto.TriggerEvent{Ingredients: m, Meta: ev.meta}
+}
+
+// reset empties the arena, dropping its references to interned keys.
+func (a *eventArena) reset() {
+	clear(a.ings)
+	a.ings, a.vals = a.ings[:0], a.vals[:0]
+}
+
+// outsized reports an arena grown past what a pooled or free-listed
+// holder may keep.
+func (a *eventArena) outsized() bool {
+	return cap(a.ings) > maxPooledFields || cap(a.vals) > maxPooledBody
 }
 
 // pollDecoder is what one execution works in. For a poll it is the
@@ -141,13 +195,16 @@ type pollDecoder struct {
 	// once some member took the event, so a coalesced subscription
 	// records each event at most once.
 	built []int32
-	// ings and vals hold the ingredients of the polled events recorded,
-	// copied out of the response: the client's read buffer is reused
-	// before the dispatch delay ends.
-	ings []ingredient
-	vals []byte
-	// push holds the deliveries a push execution runs, in arrival order.
-	push []pendingPush
+	// The arena holds the ingredients of the execution's events: for a
+	// poll, the fresh ones, copied out of the response (the client's
+	// read buffer is reused before the dispatch delay ends); for a push,
+	// every event of the deliveries it runs, copied out of the mailbox.
+	eventArena
+	// push holds the events a push execution runs, delivery by delivery
+	// in arrival order, each oldest first; pushAt is when its first
+	// delivery was accepted.
+	push   []event
+	pushAt time.Time
 	// The execution's subject, snapshotted under the shard lock.
 	sub     *subscription
 	members []*runningApplet
@@ -191,8 +248,8 @@ func borrowDecoder(sub *subscription) *pollDecoder {
 func (d *pollDecoder) resetFresh() {
 	clear(d.fresh)
 	clear(d.ranges)
-	clear(d.ings)
-	d.fresh, d.ranges, d.ings, d.vals = d.fresh[:0], d.ranges[:0], d.ings[:0], d.vals[:0]
+	d.fresh, d.ranges = d.fresh[:0], d.ranges[:0]
+	d.reset()
 }
 
 // release returns the decoder to its pool: no references to the
@@ -202,7 +259,7 @@ func (d *pollDecoder) release() {
 	d.resetFresh()
 	clear(d.members[:cap(d.members)])
 	clear(d.push)
-	d.sub, d.span, d.push = nil, obs.ExecSpan{}, d.push[:0]
+	d.sub, d.span, d.push, d.pushAt = nil, obs.ExecSpan{}, d.push[:0], time.Time{}
 	d.scan.Release()
 	if cap(d.built) > maxPooledBuilt {
 		d.built = nil
@@ -213,11 +270,8 @@ func (d *pollDecoder) release() {
 	if cap(d.push) > maxPooledBuilt {
 		d.push = nil
 	}
-	if cap(d.ings) > maxPooledFields {
-		d.ings = nil
-	}
-	if cap(d.vals) > maxPooledBody {
-		d.vals = nil
+	if d.outsized() {
+		d.eventArena = eventArena{}
 	}
 	if cap(d.cpIDs) > maxPooledBuilt {
 		d.cpIDs = nil
@@ -284,18 +338,9 @@ func (d *pollDecoder) collectFresh() {
 
 // record builds the record of scanned event i: its ID as the one string
 // the rings, trace, spans and journal share, and its ingredients copied
-// into the decoder's scratch.
+// into the decoder's arena.
 func (d *pollDecoder) record(i int) event {
-	ts, tsNanos := d.scan.Timestamps(i)
-	ev := event{meta: proto.EventMeta{ID: string(d.scan.ID(i)), Timestamp: ts, TimestampNanos: tsNanos},
-		lo: int32(len(d.ings))}
-	d.scan.EachIngredient(i, func(key string, val []byte) {
-		lo := len(d.vals)
-		d.vals = append(d.vals, val...)
-		d.ings = append(d.ings, ingredient{key: key, lo: int32(lo), hi: int32(len(d.vals))})
-	})
-	ev.hi = int32(len(d.ings))
-	return ev
+	return d.scanned(&d.scan, i, string(d.scan.ID(i)))
 }
 
 // actionRequest renders what an action request carries beyond its
@@ -459,7 +504,7 @@ func (e *Engine) ApplyHint(hint proto.RealtimeHint) {
 	var nApplets int
 	switch {
 	case hint.TriggerIdentity != "":
-		if sub := e.lockIdentity(hint.TriggerIdentity); sub != nil {
+		if sub := lockIdentity(e, hint.TriggerIdentity); sub != nil {
 			targets = append(targets, sub)
 			firstID, nApplets = sub.members[0].id, len(sub.members)
 			sub.shard.mu.Unlock()

@@ -361,13 +361,18 @@ func (s *shard) releaseLocked(sub *subscription) {
 func (s *shard) dropPushLocked(sub *subscription) {
 	m := sub.mail
 	s.pushDepth -= len(m.push)
-	clear(m.push)
-	m.push = m.push[:0]
+	m.dropPush()
 	s.freeMailLocked(sub)
 }
 
-// freeMailLocked puts sub's emptied mailbox on the free list. Caller
-// holds s.mu.
+// freeMailLocked puts sub's emptied mailbox on the free list, unless its
+// buffers grew past the bounds a pooled decoder keeps: one outsized
+// delivery must not pin its memory on the free list. Caller holds s.mu.
 func (s *shard) freeMailLocked(sub *subscription) {
-	sub.mail.next, s.freeMail, sub.mail = s.freeMail, sub.mail, nil
+	m := sub.mail
+	sub.mail = nil
+	if cap(m.push) > maxPooledBuilt || cap(m.events) > maxPooledBuilt || m.outsized() {
+		return
+	}
+	m.next, s.freeMail = s.freeMail, m
 }

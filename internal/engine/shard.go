@@ -87,11 +87,43 @@ const (
 // mailbox is the work a subscription holds for its executor: push
 // deliveries waiting to run, and members removed while it ran, whose
 // dedup rings may still be absorbing the run's events and are retained
-// (journal.go) once final. Shards recycle emptied mailboxes.
+// (journal.go) once final. A delivery is a range of events, each
+// recorded as it arrived, its ingredients in the mailbox's arena. Shards
+// recycle emptied mailboxes.
 type mailbox struct {
 	push   []pendingPush
+	events []event
+	eventArena
 	retire []*runningApplet
 	next   *mailbox // free-list link
+}
+
+// pushScanned records a delivery of scanned events lo, lo+1, … whose ID
+// strings are ids, accepted at at.
+func (m *mailbox) pushScanned(scan *proto.EventScan, lo int, ids []string, at time.Time) {
+	first := len(m.events)
+	for j, id := range ids {
+		m.events = append(m.events, m.scanned(scan, lo+j, id))
+	}
+	m.push = append(m.push, pendingPush{at: at, lo: int32(first), hi: int32(len(m.events))})
+}
+
+// pushTyped records a delivery of typed events, accepted at at.
+func (m *mailbox) pushTyped(events []proto.TriggerEvent, at time.Time) {
+	first := len(m.events)
+	for i := range events {
+		m.events = append(m.events, m.typed(&events[i]))
+	}
+	m.push = append(m.push, pendingPush{at: at, lo: int32(first), hi: int32(len(m.events))})
+}
+
+// dropPush empties the mailbox of push deliveries, dropping the
+// references their events held.
+func (m *mailbox) dropPush() {
+	clear(m.push)
+	clear(m.events)
+	m.push, m.events = m.push[:0], m.events[:0]
+	m.reset()
 }
 
 // mailLocked returns sub's mailbox, taking one from the free list when
@@ -107,11 +139,12 @@ func (s *shard) mailLocked(sub *subscription) *mailbox {
 	return sub.mail
 }
 
-// pendingPush is one accepted push delivery: its events, oldest first,
-// and the ingress-accept instant for the span's ingest segment.
+// pendingPush is one accepted push delivery: the ingress-accept instant,
+// for the span's ingest segment, and its events, oldest first,
+// mailbox.events[lo:hi].
 type pendingPush struct {
-	events []proto.TriggerEvent
 	at     time.Time
+	lo, hi int32
 }
 
 // memberRange marks one member's slice of an execution's shared
@@ -312,10 +345,10 @@ func (s *shard) leaveLocked(ra *runningApplet) (last bool) {
 // subscription on whichever shard owns it (uncoalesced ones shard by
 // applet ID) and returns it with that shard's mutex held; nil, with no
 // lock held, when none is live.
-func (e *Engine) lockIdentity(identity string) *subscription {
+func lockIdentity[S string | []byte](e *Engine, identity S) *subscription {
 	for _, s := range e.shards {
 		s.mu.Lock()
-		if sub := s.subs[identity]; sub != nil && len(sub.members) > 0 {
+		if sub := s.subs[string(identity)]; sub != nil && len(sub.members) > 0 {
 			return sub
 		}
 		s.mu.Unlock()

@@ -86,9 +86,13 @@ func (e *Engine) snapshotSubLocked(sub *subscription) *SubscriptionSnapshot {
 			SeenEvents: ra.dedup.snapshotIDs(),
 		}
 	}
-	if sub.mail != nil {
-		for _, p := range sub.mail.push {
-			snap.PendingPush = append(snap.PendingPush, PendingPushSnapshot{Events: p.events, At: p.at})
+	if m := sub.mail; m != nil {
+		for _, p := range m.push {
+			events := make([]proto.TriggerEvent, 0, p.hi-p.lo)
+			for i := p.lo; i < p.hi; i++ {
+				events = append(events, m.materialise(&m.events[i]))
+			}
+			snap.PendingPush = append(snap.PendingPush, PendingPushSnapshot{Events: events, At: p.at})
 		}
 	}
 	if sub.brState != brClosed {
@@ -185,7 +189,7 @@ func (e *Engine) SubscriptionKeys() []string {
 // subscription's members (the cluster router serializes this by
 // parking operations on moving identities).
 func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
-	sub := e.lockIdentity(key)
+	sub := lockIdentity(e, key)
 	if sub == nil {
 		return nil, nil
 	}
@@ -332,7 +336,7 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 	if len(snap.PendingPush) > 0 {
 		m := sh.mailLocked(sub)
 		for _, p := range snap.PendingPush {
-			m.push = append(m.push, pendingPush{events: p.Events, at: p.At})
+			m.pushTyped(p.Events, p.At)
 		}
 		sh.pushDepth += len(snap.PendingPush)
 		if sh.enqueueLocked(sub) {

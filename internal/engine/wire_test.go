@@ -60,26 +60,11 @@ func TestActionBodyBytesUnchanged(t *testing.T) {
 	for i := range cases {
 		a := &cases[i]
 		ra := &runningApplet{id: a.ID, user: a.UserID, actionFields: a.Action.Fields, actionToken: "tok"}
-		auth, got := dec.actionRequest(ra, Ingredients{m: ing})
+		auth, got := dec.actionRequest(ra, mapIngredients(ing))
 		if want := old(a, ing); got != string(want) || auth != "Bearer tok" {
 			t.Errorf("case %d: auth %q\n got %s\nwant %s", i, auth, got, want)
 		}
 	}
-}
-
-// materialise builds the TriggerEvent an execution's record stands for,
-// through its ingredients view: a polled event's keys in wire order, so
-// the last occurrence of a key wins.
-func materialise(dec *pollDecoder, ev *event) proto.TriggerEvent {
-	ing := dec.ingredients(ev)
-	if ing.m != nil {
-		return proto.TriggerEvent{Ingredients: ing.m, Meta: ev.meta}
-	}
-	m := make(map[string]string, len(ing.fields))
-	for _, f := range ing.fields {
-		m[f.key] = string(ing.vals[f.lo:f.hi])
-	}
-	return proto.TriggerEvent{Ingredients: m, Meta: ev.meta}
 }
 
 // TestCollectFreshEquivalence proves dedup-before-materialise changes
@@ -151,7 +136,7 @@ func TestCollectFreshEquivalence(t *testing.T) {
 		}
 		var gotFresh []proto.TriggerEvent
 		for i := range dec.fresh {
-			gotFresh = append(gotFresh, materialise(dec, &dec.fresh[i]))
+			gotFresh = append(gotFresh, dec.materialise(&dec.fresh[i]))
 		}
 		if len(gotFresh) != len(wantFresh) || (len(wantFresh) > 0 && !reflect.DeepEqual(gotFresh, wantFresh)) {
 			t.Fatalf("trial %d %s\nfresh %v\n want %v", trial, body.String(), gotFresh, wantFresh)

@@ -48,12 +48,20 @@ func readBody(buf *scratchBuf, r io.Reader) error {
 // ReadJSON decodes the request body into v, rejecting bodies over
 // MaxBodyBytes (ErrBodyTooLarge) and trailing garbage.
 func ReadJSON(r *http.Request, v any) error {
+	return ReadBody(r, func(body []byte) error { return json.Unmarshal(body, v) })
+}
+
+// ReadBody reads the request body into pooled scratch, rejecting bodies
+// over MaxBodyBytes (ErrBodyTooLarge), and hands it to decode. The bytes
+// are valid only during the call. Errors wrap as ReadJSON's do, so
+// WriteBodyError answers them.
+func ReadBody(r *http.Request, decode func(body []byte) error) error {
 	buf := getBuf()
 	defer putBuf(buf)
 	if err := readBody(buf, r.Body); err != nil {
 		return fmt.Errorf("read body: %w", err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+	if err := decode(buf.Bytes()); err != nil {
 		return fmt.Errorf("decode body: %w", err)
 	}
 	return nil
@@ -71,14 +79,25 @@ func WriteBodyError(w http.ResponseWriter, err error) {
 
 // WriteJSON encodes v with the given status code.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
+	writeHeader(w, status)
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(v); err != nil {
 		// Headers are out; nothing more we can do but surface it in
 		// the body for a human reading a capture.
 		fmt.Fprintf(w, `{"errors":[{"message":%q}]}`, err.Error())
 	}
+}
+
+// WriteJSONBytes writes body, an encoded JSON document, with the given
+// status code and WriteJSON's headers.
+func WriteJSONBytes(w http.ResponseWriter, status int, body []byte) {
+	writeHeader(w, status)
+	w.Write(body)
+}
+
+func writeHeader(w http.ResponseWriter, status int) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
 }
 
 // ErrorBody is the error envelope used by the IFTTT partner-service

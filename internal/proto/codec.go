@@ -53,64 +53,37 @@ func (r *TriggerPollResponse) UnmarshalJSON(data []byte) error {
 	})
 }
 
-// UnmarshalJSON decodes a push batch through the event scanner; Data is
-// replaced — emptied by a null or absent "data", as for a poll response
-// — each delivery and each event a fresh value.
+// UnmarshalJSON decodes a push batch through the event scanner — the
+// grammar the engine's push ingress reads bodies with (ScanPushBatch) —
+// and builds what it found. Data is replaced, emptied by a null or
+// absent "data" as for a poll response, each delivery and each event a
+// fresh value; a delivery's Events is nil unless its "events" was an
+// array.
 func (b *PushBatch) UnmarshalJSON(data []byte) error {
 	return withScan(data, func(s *EventScan) error {
-		b.Data = b.Data[:0]
-		return s.object("push batch", func(k strSpan) error {
-			if !s.keyIs(k, "data") {
-				return s.skipValue()
-			}
-			var err error
-			b.Data, err = s.deliveries(b.Data[:0])
+		if err := s.pushBatch(); err != nil {
 			return err
-		})
-	})
-}
-
-// deliveries decodes the value at pos — null, or an array of deliveries
-// — onto dst.
-func (s *EventScan) deliveries(dst []PushDelivery) ([]PushDelivery, error) {
-	isArray, err := s.array("push batch data", func() error {
-		var d PushDelivery
-		err := s.object("push delivery", func(k strSpan) error {
-			switch string(s.text(k)) {
-			case "trigger_identity":
-				switch s.data[s.pos] {
-				case '"':
-					id, err := s.str()
-					if err == nil {
-						d.TriggerIdentity = string(s.text(id))
-					}
-					return err
-				case 'n':
-					return s.literal("null")
+		}
+		if !s.isArray {
+			b.Data = nil
+			return nil
+		}
+		if b.Data = b.Data[:0]; b.Data == nil {
+			b.Data = make([]PushDelivery, 0, len(s.deliveries))
+		}
+		for i := range s.deliveries {
+			identity, lo, hi := s.Delivery(i)
+			d := PushDelivery{TriggerIdentity: string(identity)}
+			if s.deliveries[i].isArray {
+				d.Events = make([]TriggerEvent, 0, hi-lo)
+				for j := lo; j < hi; j++ {
+					d.Events = append(d.Events, s.Event(j))
 				}
-				return s.mismatch("trigger_identity")
-			case "events":
-				if err := s.eventArray("push delivery events"); err != nil {
-					return err
-				}
-				d.Events = nil
-				if s.isArray {
-					d.Events = s.appendEvents(make([]TriggerEvent, 0, len(s.events)))
-				}
-				return nil
 			}
-			return s.skipValue()
-		})
-		dst = append(dst, d)
-		return err
+			b.Data = append(b.Data, d)
+		}
+		return nil
 	})
-	if err != nil || !isArray {
-		return nil, err
-	}
-	if dst == nil {
-		dst = []PushDelivery{}
-	}
-	return dst, nil
 }
 
 // ValidateActionResponse checks that body has the shape of an

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -129,6 +130,22 @@ func TestActionEncoderMatchesEncoder(t *testing.T) {
 // TestPollRequestAppendJSONMatchesMarshal holds the hand-written poll
 // request encoder to json.Marshal over every member the struct has, not
 // only the ones the engine sets.
+// TestPushResponseAppendJSONMatchesEncoder pins the push ingress's
+// answer to the bytes json.Encoder wrote for it, trailing newline
+// included.
+func TestPushResponseAppendJSONMatchesEncoder(t *testing.T) {
+	for _, r := range []PushResponse{{}, {Accepted: 50}, {Accepted: 1, Rejected: 22, Unmatched: 333},
+		{Accepted: -1, Rejected: math.MaxInt, Unmatched: math.MinInt}} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.AppendJSON([]byte("prefix")); string(got) != "prefix"+want.String() {
+			t.Errorf("%+v: AppendJSON %q, json.Encoder %q", r, got, want.String())
+		}
+	}
+}
+
 func TestPollRequestAppendJSONMatchesMarshal(t *testing.T) {
 	zero, fifty, neg := 0, 50, -3
 	cases := []TriggerPollRequest{

@@ -216,3 +216,16 @@ func (e *ActionEncoder) Append(dst []byte, fields map[string]string, value func(
 	}
 	return append(b, "}}\n"...)
 }
+
+// AppendJSON appends the response as json.NewEncoder(w).Encode writes
+// it, trailing newline included, without reflection: the push ingress
+// answers every batch with one.
+func (r PushResponse) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"accepted":`...)
+	dst = strconv.AppendInt(dst, int64(r.Accepted), 10)
+	dst = append(dst, `,"rejected":`...)
+	dst = strconv.AppendInt(dst, int64(r.Rejected), 10)
+	dst = append(dst, `,"unmatched":`...)
+	dst = strconv.AppendInt(dst, int64(r.Unmatched), 10)
+	return append(dst, "}\n"...)
+}

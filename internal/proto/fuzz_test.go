@@ -174,13 +174,17 @@ func seedEnvelopes(f *testing.F, envelopes []string, extra []string) {
 func checkScratchBounded(t *testing.T, data []byte) error {
 	var s EventScan
 	err := s.ScanPollResponse(data)
-	s.Release()
-	if cap(s.events) > maxPooledSpans || cap(s.fields) > maxPooledSpans || len(s.intern) > maxInternKeys ||
-		cap(s.arena)+cap(s.stack)+cap(s.tmp) > maxPooledBytes || s.data != nil {
-		t.Fatalf("released scanner retains events=%d fields=%d bytes=%d intern=%d data=%v", cap(s.events),
-			cap(s.fields), cap(s.arena)+cap(s.stack)+cap(s.tmp), len(s.intern), s.data != nil)
-	}
+	checkReleased(t, &s)
 	return err
+}
+
+func checkReleased(t *testing.T, s *EventScan) {
+	s.Release()
+	if cap(s.events) > maxPooledSpans || cap(s.fields) > maxPooledSpans || cap(s.deliveries) > maxPooledSpans ||
+		len(s.intern) > maxInternKeys || cap(s.arena)+cap(s.stack)+cap(s.tmp) > maxPooledBytes || s.data != nil {
+		t.Fatalf("released scanner retains events=%d fields=%d deliveries=%d bytes=%d intern=%d data=%v", cap(s.events),
+			cap(s.fields), cap(s.deliveries), cap(s.arena)+cap(s.stack)+cap(s.tmp), len(s.intern), s.data != nil)
+	}
 }
 
 func FuzzPollResponseDecode(f *testing.F) {
@@ -287,10 +291,22 @@ func FuzzPushBatchDecode(f *testing.F) {
 			`{"data":[{"trigger_identity":"a","events":[{"meta":{"id":"1"}}]}],"data":[{"events":[{"meta":{}}]}]}`,
 			`{"data":[{"Trigger_Identity":"a","Events":[]}]}`,
 			`{"data":[]} trailing`,
+			`{"data":[{"trigger_identity":"t\u0069-1","events":[{"meta":{"id":"1"}}]},{"trigger_identity":"ti-2","events":[{"meta":{"id":"2"}}],"events":[{"k":"v","meta":{"id":"3"}}]}]}`,
+			`{"data":[{"events":[{"meta":{"id":"a"}},{"meta":{"id":"b"}}],"events":null,"trigger_identity":"x"},{"events":[{"meta":{"id":"c"}}]}]}`,
+			`{"data":[{"trigger_identity":"a","events":[{"meta":{"id":"1"}}]}],"data":[{"trigger_identity":"b","events":[{"meta":{"id":"2"}}]}]}`,
+			`{"data":[{"trigger_identity":"ok","events":[{"meta":{"id":"1"}}]},{"trigger_identity":"bad","events":[{"k":"v"}]}]}`,
 		})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var scan EventScan
+		scanErr := scan.ScanPushBatch(data)
+		defer checkReleased(t, &scan)
 		var got PushBatch
 		gotErr := json.Unmarshal(data, &got)
+		// The engine's push ingress scans raw bodies: the scanner alone
+		// must refuse what json.Unmarshal refuses.
+		if (scanErr == nil) != (gotErr == nil) {
+			t.Fatalf("ScanPushBatch (err %v) and json.Unmarshal (err %v) disagree", scanErr, gotErr)
+		}
 		if caseVariant(data) {
 			return
 		}
@@ -312,5 +328,31 @@ func FuzzPushBatchDecode(f *testing.F) {
 		if !reflect.DeepEqual(got.Data, want) {
 			t.Fatalf("push batch: scanner %#v\nreference %#v", got.Data, want)
 		}
+		checkDeliveries(t, &scan, want)
 	})
+}
+
+// checkDeliveries holds ScanPushBatch's accessors to the reference
+// decode of the same body: each delivery's identity, and each of its
+// events' ID, timestamps and ingredients, the last occurrence of a key
+// winning.
+func checkDeliveries(t *testing.T, s *EventScan, want []PushDelivery) {
+	if s.Deliveries() != len(want) {
+		t.Fatalf("scan found %d deliveries, reference %d", s.Deliveries(), len(want))
+	}
+	for i, d := range want {
+		identity, lo, hi := s.Delivery(i)
+		if string(identity) != d.TriggerIdentity || hi-lo != len(d.Events) {
+			t.Fatalf("delivery %d: scan identity %q, %d events; reference %q, %d", i, identity, hi-lo, d.TriggerIdentity, len(d.Events))
+		}
+		for j, ev := range d.Events {
+			ts, tsNanos := s.Timestamps(lo + j)
+			ings := map[string]string{}
+			s.EachIngredient(lo+j, func(key string, val []byte) { ings[key] = string(val) })
+			if string(s.ID(lo+j)) != ev.Meta.ID || ts != ev.Meta.Timestamp || tsNanos != ev.Meta.TimestampNanos ||
+				!reflect.DeepEqual(ings, ev.Ingredients) {
+				t.Fatalf("delivery %d event %d: scan id %q ts %d/%d ingredients %#v\nreference %#v", i, j, s.ID(lo+j), ts, tsNanos, ings, ev)
+			}
+		}
+	}
 }

@@ -12,13 +12,14 @@ import (
 // behind every decoder of trigger events (TriggerEvent,
 // TriggerPollResponse, PushBatch) and the action-ack shape check. It
 // validates the full JSON grammar and records where each event's
-// ingredients sit in the body. Reading an event out is up to the
+// ingredients sit in the body, and for a push batch where each
+// delivery's identity and events are. Reading an event out is up to the
 // caller: Event builds a TriggerEvent, for the typed decoders; ID,
 // Timestamps and EachIngredient hand out views of the body without
-// building anything, which is what lets the engine's poll path look an
-// event's meta.id up in its dedup rings and copy a fresh event's
-// ingredient values into its own scratch, with no map and no string
-// per value.
+// building anything, which is what lets the engine's poll and push
+// paths look an event's meta.id up in its dedup rings and copy an
+// event's ingredient values into their own scratch, with no map and no
+// string per value.
 //
 // Accepted input is what encoding/json accepted for the same types, with
 // three deliberate differences: protocol keys ("data", "meta", "id",
@@ -42,7 +43,7 @@ const maxDepth = 10000
 const (
 	maxInternKeys   = 256
 	maxInternKeyLen = 64
-	maxPooledSpans  = 4096     // events, and fields
+	maxPooledSpans  = 4096     // events, fields, and deliveries
 	maxPooledBytes  = 64 << 10 // arena + stack + tmp
 )
 
@@ -86,23 +87,37 @@ type eventSpan struct {
 	fields  span // into EventScan.fields
 }
 
+// deliverySpan is one scanned push delivery: its trigger identity and
+// its events, EventScan.events[events.start:events.end].
+type deliverySpan struct {
+	ident      span // into the body, or into the arena when identArena
+	identArena bool
+	events     span
+	// isArray records that the events came from a JSON array (even an
+	// empty one) rather than null or an absent key.
+	isArray bool
+}
+
 // EventScan is the scanner plus the reusable scratch one decode needs.
 // The zero value is ready; a scan is not safe for concurrent use. After
-// a successful ScanPollResponse the events stay addressable — Len, ID,
-// Timestamps, EachIngredient, Event — for as long as the scanned body
+// a successful ScanPollResponse or ScanPushBatch the events stay
+// addressable — Len, ID, Timestamps, EachIngredient, Event, and a push
+// batch's Deliveries and Delivery — for as long as the scanned body
 // does.
 type EventScan struct {
 	data  []byte
 	pos   int
 	depth int
 
-	events []eventSpan
-	fields []fieldSpan
-	arena  []byte // unquoted event IDs
-	stack  []byte // open containers while skipping a value
-	tmp    []byte // unquote scratch for keys and values
-	// isArray records that the events came from a JSON array (even an
-	// empty one) rather than null or an absent key.
+	events     []eventSpan
+	fields     []fieldSpan
+	deliveries []deliverySpan
+	arena      []byte // unquoted event IDs and trigger identities
+	stack      []byte // open containers while skipping a value
+	tmp        []byte // unquote scratch for keys and values
+	// isArray records that the document's list — a poll response's
+	// events, a push batch's deliveries — came from a JSON array (even
+	// an empty one) rather than null or an absent key.
 	isArray bool
 	// intern shares ingredient key strings across events: a service
 	// names the same few ingredients in every event it ever sends.
@@ -121,7 +136,7 @@ func (s *EventScan) reset(data []byte) error {
 }
 
 func (s *EventScan) resetEvents() {
-	s.events, s.fields, s.arena = s.events[:0], s.fields[:0], s.arena[:0]
+	s.events, s.fields, s.deliveries, s.arena = s.events[:0], s.fields[:0], s.deliveries[:0], s.arena[:0]
 	s.isArray = false
 }
 
@@ -129,7 +144,7 @@ func (s *EventScan) resetEvents() {
 // before the scan goes back to a pool.
 func (s *EventScan) Release() {
 	s.data = nil
-	if cap(s.events) > maxPooledSpans || cap(s.fields) > maxPooledSpans ||
+	if cap(s.events) > maxPooledSpans || cap(s.fields) > maxPooledSpans || cap(s.deliveries) > maxPooledSpans ||
 		cap(s.arena)+cap(s.stack)+cap(s.tmp) > maxPooledBytes {
 		*s = EventScan{intern: s.intern}
 	}
@@ -574,7 +589,7 @@ func (s *EventScan) meta(ev *eventSpan) (bad bool, err error) {
 			case '"':
 				var id strSpan
 				if id, err = s.str(); err == nil {
-					s.setID(ev, id)
+					ev.id, ev.idArena = s.stable(id)
 				}
 			case 'n':
 				err = s.literal("null")
@@ -595,16 +610,25 @@ func (s *EventScan) meta(ev *eventSpan) (bad bool, err error) {
 	}
 }
 
-// setID records an event's ID. One that needs unquoting is resolved now,
-// into the arena, so ID can hand out its bytes without scratch.
-func (s *EventScan) setID(ev *eventSpan, id strSpan) {
-	if id.plain {
-		ev.id, ev.idArena = id.span, false
-		return
+// stable locates the value of a string that must stay readable after the
+// scan — an event ID, a trigger identity. One that needs unquoting is
+// resolved now, into the arena (inArena), so the accessors can hand out
+// its bytes without scratch.
+func (s *EventScan) stable(sp strSpan) (v span, inArena bool) {
+	if sp.plain {
+		return sp.span, false
 	}
 	start := len(s.arena)
-	s.arena = appendUnquoted(s.arena, s.data[id.start:id.end])
-	ev.id, ev.idArena = span{int32(start), int32(len(s.arena))}, true
+	s.arena = appendUnquoted(s.arena, s.data[sp.start:sp.end])
+	return span{int32(start), int32(len(s.arena))}, true
+}
+
+// view returns the bytes a stable span locates.
+func (s *EventScan) view(v span, inArena bool) []byte {
+	if inArena {
+		return s.arena[v.start:v.end]
+	}
+	return s.data[v.start:v.end]
 }
 
 // event scans the event object at pos and appends its span.
@@ -756,6 +780,82 @@ func (s *EventScan) pollResponse() error {
 	})
 }
 
+// ScanPushBatch validates body as a PushBatch and records its deliveries
+// without building any of them: each delivery's trigger identity, and
+// its events, read through the same accessors as a poll response's. The
+// whole body is validated before the scan returns, so a batch whose
+// last delivery is malformed yields nothing. Duplicate "data", "events"
+// and "trigger_identity" keys are processed in order, the last one
+// winning, and a null "trigger_identity" leaves the identity as it was.
+// The scan keeps referring to body, as ScanPollResponse's does.
+func (s *EventScan) ScanPushBatch(body []byte) error {
+	err := s.reset(body)
+	if err == nil {
+		err = s.pushBatch()
+	}
+	if err == nil {
+		err = s.finish()
+	}
+	return err
+}
+
+func (s *EventScan) pushBatch() error {
+	return s.object("push batch", func(k strSpan) error {
+		if !s.keyIs(k, "data") {
+			return s.skipValue()
+		}
+		s.resetEvents()
+		var err error
+		s.isArray, err = s.array("push batch data", s.delivery)
+		return err
+	})
+}
+
+// delivery scans the push delivery at pos — an object, or null for an
+// empty one — and appends its span. Its events are the scan's last, so
+// a later "events" key replaces them by truncating back to its start.
+func (s *EventScan) delivery() error {
+	d := deliverySpan{events: span{start: int32(len(s.events))}}
+	fields := len(s.fields)
+	err := s.object("push delivery", func(k strSpan) error {
+		switch string(s.text(k)) {
+		case "trigger_identity":
+			switch s.data[s.pos] {
+			case '"':
+				id, err := s.str()
+				if err == nil {
+					d.ident, d.identArena = s.stable(id)
+				}
+				return err
+			case 'n':
+				return s.literal("null")
+			}
+			return s.mismatch("trigger_identity")
+		case "events":
+			s.events, s.fields = s.events[:d.events.start], s.fields[:fields]
+			var err error
+			d.isArray, err = s.array("push delivery events", s.event)
+			return err
+		}
+		return s.skipValue()
+	})
+	d.events.end = int32(len(s.events))
+	s.deliveries = append(s.deliveries, d)
+	return err
+}
+
+// Deliveries returns the number of push deliveries ScanPushBatch found.
+func (s *EventScan) Deliveries() int { return len(s.deliveries) }
+
+// Delivery returns push delivery i's trigger identity — a view of the
+// scanned body, not to be retained; empty when absent or null — and the
+// range [lo, hi) of its events, oldest first as the wire carries them,
+// for ID, Timestamps, EachIngredient and Event.
+func (s *EventScan) Delivery(i int) (identity []byte, lo, hi int) {
+	d := &s.deliveries[i]
+	return s.view(d.ident, d.identArena), int(d.events.start), int(d.events.end)
+}
+
 // Len returns the number of scanned events.
 func (s *EventScan) Len() int { return len(s.events) }
 
@@ -764,10 +864,7 @@ func (s *EventScan) Len() int { return len(s.events) }
 // deciding the event is worth building.
 func (s *EventScan) ID(i int) []byte {
 	ev := &s.events[i]
-	if ev.idArena {
-		return s.arena[ev.id.start:ev.id.end]
-	}
-	return s.data[ev.id.start:ev.id.end]
+	return s.view(ev.id, ev.idArena)
 }
 
 // Timestamps returns event i's meta.timestamp and meta.timestamp_ns.
