@@ -6,55 +6,128 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
 
-// wallClock matches the durable section's wall-clock readings: the
-// recovery time, the two install rates and their ratio.
-var wallClock = regexp.MustCompile(`[0-9][0-9,.]*( ms \(complete| installs/s vs | with it off|x overhead)`)
+// wallClock matches the wall-clock readings of the sections that take
+// them: the crawl's duration, the scale study's throughput row and
+// bullets, and the durable study's recovery time, install rates and
+// their ratio. The submatch is the text that follows the reading.
+var wallClock = []*regexp.Regexp{
+	regexp.MustCompile(`[0-9][0-9.]*m?s( over the enumerated)`),
+	regexp.MustCompile(`[0-9,]+ \| [0-9,]+ \| [0-9,]+( \|\n\n)`),
+	regexp.MustCompile(`[-+]?[0-9][0-9,.]*(s of wall time| MB\.|s\n| polls/s\)|% vs\. the bare)`),
+	regexp.MustCompile(`[0-9][0-9,.]*( ms \(complete| installs/s vs | with it off|x overhead)`),
+}
 
-// TestGoldenSeededStudies runs the push-vs-poll, cluster and durable
-// studies at cmd/report -quick's size and seed and compares each
-// formatted section byte for byte with testdata/<name>.golden. Every
-// number in them comes from a simulated clock and a seeded RNG, so a
-// moved line is a behaviour change. Run with -update to rewrite the
-// files after an intended one.
+// maskWallClock replaces every wall-clock reading in s with "?".
+func maskWallClock(s string) string {
+	for _, re := range wallClock {
+		s = re.ReplaceAllString(s, "?$1")
+	}
+	return s
+}
+
+// TestGoldenSeededStudies runs every section of cmd/report -quick at
+// seed 1 and compares each formatted section byte for byte with
+// testdata/<name>.golden. Numbers from a simulated clock and a seeded
+// RNG are compared as they are, so a moved line is a behaviour change;
+// the sections that also read the wall clock have those readings
+// masked. Run with -update to rewrite the files after an intended
+// change.
 func TestGoldenSeededStudies(t *testing.T) {
 	const seed = 1
-	studies := []struct {
-		name string
-		run  func() (string, error)
+	sections := []struct {
+		name   string
+		seeded bool
+		run    func() (string, error)
 	}{
-		{"push_vs_poll", func() (string, error) {
+		{"ecosystem", true, func() (string, error) {
+			return FormatEco(RunEcosystem(seed, 1)), nil
+		}},
+		{"crawl", false, func() (string, error) {
+			start := time.Now()
+			cs, err := RunCrawlStudy(seed, 0.01, 4000)
+			if err != nil {
+				return "", err
+			}
+			return FormatCrawl(cs, time.Since(start)), nil
+		}},
+		{"performance", true, func() (string, error) {
+			r, err := RunPerformance(PerfConfig{Seed: seed, Fig4Trials: 5, Fig5Trials: 5, Fig7Trials: 5,
+				SeqTriggers: 20, LoopWindow: 20 * time.Minute})
+			if err != nil {
+				return "", err
+			}
+			return FormatPerf(r), nil
+		}},
+		{"t2a_breakdown", true, func() (string, error) {
+			r, err := RunT2ABreakdown(BreakdownConfig{Seed: seed, Trials: 5})
+			if err != nil {
+				return "", err
+			}
+			return FormatBreakdown(r), nil
+		}},
+		{"engine_scale", false, func() (string, error) {
+			return FormatScale(RunEngineScale(ScaleConfig{Seed: seed, Applets: 20_000, Virtual: 6 * time.Minute})), nil
+		}},
+		{"ablations", true, func() (string, error) {
+			r, err := RunAblations(AblationConfig{Seed: seed, Trials: 4})
+			if err != nil {
+				return "", err
+			}
+			return FormatAblations(r), nil
+		}},
+		{"adaptive_pareto", true, func() (string, error) {
+			r, err := RunAdaptivePareto(ParetoConfig{Seed: seed, Subs: 200, Hot: 4,
+				Budgets: []float64{1, 4}, Horizon: time.Hour})
+			if err != nil {
+				return "", err
+			}
+			return FormatAdaptivePareto(r), nil
+		}},
+		{"chaos", true, func() (string, error) {
+			r, err := RunChaos(ChaosConfig{Seed: seed, Trials: 5, Applets: 40})
+			if err != nil {
+				return "", err
+			}
+			return FormatChaos(r), nil
+		}},
+		{"push_vs_poll", true, func() (string, error) {
 			r, err := RunPushVsPoll(QuickPushVsPollConfig(seed))
 			if err != nil {
 				return "", err
 			}
 			return FormatPushVsPoll(r), nil
 		}},
-		{"cluster_chaos", func() (string, error) {
+		{"cluster_chaos", true, func() (string, error) {
 			r, err := RunClusterChaos(QuickClusterChaosConfig(seed))
 			if err != nil {
 				return "", err
 			}
 			return FormatClusterChaos(r), nil
 		}},
-		{"durable_churn", func() (string, error) {
+		{"durable_churn", false, func() (string, error) {
 			r, err := RunDurableChurn(QuickDurableChurnConfig(seed))
 			if err != nil {
 				return "", err
 			}
-			return wallClock.ReplaceAllString(FormatDurableChurn(r), "?$1"), nil
+			return FormatDurableChurn(r), nil
 		}},
 	}
-	for _, st := range studies {
-		t.Run(st.name, func(t *testing.T) {
-			got, err := st.run()
+	for _, sec := range sections {
+		t.Run(sec.name, func(t *testing.T) {
+			t.Parallel()
+			got, err := sec.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", st.name+".golden")
+			if !sec.seeded {
+				got = maskWallClock(got)
+			}
+			path := filepath.Join("testdata", sec.name+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -69,7 +142,7 @@ func TestGoldenSeededStudies(t *testing.T) {
 				t.Fatalf("%v (run with -update to create it)", err)
 			}
 			if got != string(want) {
-				t.Errorf("%s moved from %s:\n--- got\n%s\n--- want\n%s", st.name, path, got, want)
+				t.Errorf("%s moved from %s:\n--- got\n%s\n--- want\n%s", sec.name, path, got, want)
 			}
 		})
 	}
