@@ -41,12 +41,17 @@ type AblationResults struct {
 	FailoverWorked bool
 }
 
+// QuickAblationConfig is the study at cmd/report -quick's size: four
+// trials per measurement point.
+func QuickAblationConfig(seed uint64) AblationConfig {
+	return AblationConfig{Seed: seed, Trials: 4}
+}
+
 // RunAblations executes the §6 design-space studies.
 func RunAblations(cfg AblationConfig) (*AblationResults, error) {
-	if cfg.Trials <= 0 {
-		cfg.Trials = 10
-	}
+	orDefault(&cfg.Trials, 10)
 	res := &AblationResults{PollSweep: make(map[time.Duration]float64)}
+	var err error
 
 	// Smart polling: one hot applet among 20 under the budget of a
 	// uniform 200 s interval, 30 % of it spent on the hot applet and the
@@ -59,128 +64,90 @@ func RunAblations(cfg AblationConfig) (*AblationResults, error) {
 	res.SmartFast = time.Duration(1 / hotBudget * float64(time.Second))
 	res.SmartSlow = time.Duration((nApplets - 1) / (budget - hotBudget) * float64(time.Second))
 	res.SmartBudgetInterval = uniform
-	{
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed, Poll: engine.FixedInterval{Interval: uniform}})
-		var err error
-		tb.Run(func() {
-			var lats []time.Duration
-			lats, err = tb.MeasureT2A(testbed.A2(), testbed.T2AOptions{Trials: cfg.Trials})
-			res.SmartUniform = stats.Durations(lats)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("smart baseline: %w", err)
-		}
+	if res.SmartUniform, err = measureT2A(testbed.Config{Seed: cfg.Seed, Poll: engine.FixedInterval{Interval: uniform}}, testbed.A2(), cfg.Trials); err != nil {
+		return nil, fmt.Errorf("smart baseline: %w", err)
 	}
-	{
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 1, Poll: engine.FixedInterval{Interval: res.SmartFast}})
-		var err error
-		tb.Run(func() {
-			var lats []time.Duration
-			lats, err = tb.MeasureT2A(testbed.A2(), testbed.T2AOptions{Trials: cfg.Trials})
-			res.SmartHot = stats.Durations(lats)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("smart hot: %w", err)
-		}
+	if res.SmartHot, err = measureT2A(testbed.Config{Seed: cfg.Seed + 1, Poll: engine.FixedInterval{Interval: res.SmartFast}}, testbed.A2(), cfg.Trials); err != nil {
+		return nil, fmt.Errorf("smart hot: %w", err)
 	}
 
 	// Poll interval sweep.
 	for i, iv := range []time.Duration{time.Second, 15 * time.Second, time.Minute, 4 * time.Minute} {
-		tb := testbed.New(testbed.Config{
-			Seed: cfg.Seed + 10 + uint64(i), Poll: engine.FixedInterval{Interval: iv},
-		})
-		var err error
-		tb.Run(func() {
-			var lats []time.Duration
-			lats, err = tb.MeasureT2A(testbed.A2E2(), testbed.T2AOptions{Trials: cfg.Trials})
-			res.PollSweep[iv] = stats.Percentile(stats.Durations(lats), 50)
-		})
+		xs, err := measureT2A(testbed.Config{Seed: cfg.Seed + 10 + uint64(i), Poll: engine.FixedInterval{Interval: iv}}, testbed.A2E2(), cfg.Trials)
 		if err != nil {
 			return nil, fmt.Errorf("poll sweep %v: %w", iv, err)
 		}
+		res.PollSweep[iv] = stats.Percentile(xs, 50)
 	}
 
 	// Cloud baseline for the local comparison.
-	{
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 20})
-		var err error
-		tb.Run(func() {
-			var lats []time.Duration
-			lats, err = tb.MeasureT2A(testbed.A2(), testbed.T2AOptions{Trials: cfg.Trials})
-			res.CloudT2A = stats.Durations(lats)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cloud baseline: %w", err)
-		}
+	if res.CloudT2A, err = measureT2A(testbed.Config{Seed: cfg.Seed + 20}, testbed.A2(), cfg.Trials); err != nil {
+		return nil, fmt.Errorf("cloud baseline: %w", err)
 	}
 
 	// Local engine: event-driven, LAN-only.
-	{
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 21})
+	if _, err = onTestbed(testbed.Config{Seed: cfg.Seed + 21}, func(tb *testbed.Testbed) error {
 		le := localengine.New(tb.Clock, stats.Constant(0.002), tb.RNG.Split("ablation-local"))
 		le.Attach(&tb.Wemo.Bus)
 		if err := le.Install(localRuleA2(tb)); err != nil {
-			return nil, err
+			return err
 		}
-		tb.Run(func() {
-			w := tb.NewWatcher()
-			tb.Hue.Subscribe(func(ev devices.Event) {
-				if ev.Type == "light_on" && ev.Attrs["lamp"] == "1" {
-					w.Bump()
-				}
-			})
-			for i := 0; i < cfg.Trials; i++ {
-				off := false
-				tb.Hue.SetLampState("1", devices.StateChange{On: &off})
-				tb.Wemo.SetState(false, "controller")
-				tb.Clock.Sleep(time.Minute)
-				target := w.Count() + 1
-				start := tb.Clock.Now()
-				tb.Wemo.Press()
-				ta := w.WaitFor(target)
-				res.LocalT2A = append(res.LocalT2A, ta.Sub(start).Seconds())
+		w := tb.NewWatcher()
+		tb.Hue.Subscribe(func(ev devices.Event) {
+			if ev.Type == "light_on" && ev.Attrs["lamp"] == "1" {
+				w.Bump()
 			}
 		})
+		for i := 0; i < cfg.Trials; i++ {
+			off := false
+			tb.Hue.SetLampState("1", devices.StateChange{On: &off})
+			tb.Wemo.SetState(false, "controller")
+			tb.Clock.Sleep(time.Minute)
+			target := w.Count() + 1
+			start := tb.Clock.Now()
+			tb.Wemo.Press()
+			ta := w.WaitFor(target)
+			res.LocalT2A = append(res.LocalT2A, ta.Sub(start).Seconds())
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Hybrid failover scenario.
-	{
-		tb := testbed.New(testbed.Config{
-			Seed: cfg.Seed + 22, Poll: engine.FixedInterval{Interval: 20 * time.Second},
-		})
+	_, err = onTestbed(testbed.Config{
+		Seed: cfg.Seed + 22, Poll: engine.FixedInterval{Interval: 20 * time.Second},
+	}, func(tb *testbed.Testbed) error {
 		le := localengine.New(tb.Clock, stats.Constant(0.002), tb.RNG.Split("ablation-hybrid"))
 		le.Attach(&tb.Wemo.Bus)
 		sup := localengine.NewSupervisor(tb.Clock, le, tb.Engine, 10*time.Second,
 			testbed.A2().Applet(tb), localRuleA2(tb))
-		worked := true
-		tb.Run(func() {
-			if err := sup.Start(); err != nil {
-				worked = false
-				return
-			}
-			check := func() bool {
-				off := false
-				tb.Hue.SetLampState("1", devices.StateChange{On: &off})
-				tb.Wemo.SetState(false, "controller")
-				tb.Clock.Sleep(time.Minute)
-				tb.Wemo.Press()
-				tb.Clock.Sleep(2 * time.Minute)
-				s, _ := tb.Hue.LampState("1")
-				return s.On
-			}
-			worked = check() // local
-			le.SetDown(true)
-			tb.Clock.Sleep(30 * time.Second)
-			worked = worked && check() // cloud failover
-			le.SetDown(false)
-			tb.Clock.Sleep(30 * time.Second)
-			worked = worked && check() // back local
-			sup.Stop()
-		})
+		if err := sup.Start(); err != nil {
+			return fmt.Errorf("hybrid failover: %w", err)
+		}
+		check := func() bool {
+			off := false
+			tb.Hue.SetLampState("1", devices.StateChange{On: &off})
+			tb.Wemo.SetState(false, "controller")
+			tb.Clock.Sleep(time.Minute)
+			tb.Wemo.Press()
+			tb.Clock.Sleep(2 * time.Minute)
+			s, _ := tb.Hue.LampState("1")
+			return s.On
+		}
+		worked := check() // local
+		le.SetDown(true)
+		tb.Clock.Sleep(30 * time.Second)
+		worked = worked && check() // cloud failover
+		le.SetDown(false)
+		tb.Clock.Sleep(30 * time.Second)
+		worked = worked && check() // back local
+		sup.Stop()
 		res.FailoverTransitions = sup.Transitions()
 		res.FailoverWorked = worked
-	}
-	return res, nil
+		return nil
+	})
+	return res, err
 }
 
 func localRuleA2(tb *testbed.Testbed) localengine.Rule {

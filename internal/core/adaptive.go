@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 )
@@ -69,21 +68,13 @@ func NewSkewedLoad(clock simtime.Clock, hotPeriod, coldPeriod time.Duration) *Sk
 }
 
 func (d *SkewedLoad) Do(req *http.Request) (*http.Response, error) {
-	ok := func(body string) (*http.Response, error) {
-		return &http.Response{
-			StatusCode: http.StatusOK,
-			Body:       io.NopCloser(strings.NewReader(body)),
-			Header:     make(http.Header),
-			Request:    req,
-		}, nil
-	}
 	if !strings.Contains(req.URL.Path, "/triggers/") || req.Body == nil {
-		return ok(`{}`)
+		return reply(req, `{}`)
 	}
 	raw, _ := io.ReadAll(req.Body)
 	marker := fieldN(string(raw))
 	if marker == "" {
-		return ok(`{"data":[]}`)
+		return reply(req, `{"data":[]}`)
 	}
 	avail := d.EventsOccurred(marker, d.clock.Now())
 
@@ -108,7 +99,7 @@ func (d *SkewedLoad) Do(req *http.Request) (*http.Response, error) {
 			marker, i, ts.Unix(), ts.UnixNano())
 	}
 	b.WriteString(`]}`)
-	return ok(b.String())
+	return reply(req, b.String())
 }
 
 // periodOf resolves a marker's event cadence.
@@ -193,6 +184,12 @@ type ParetoConfig struct {
 	Target float64
 }
 
+// QuickParetoConfig is the study at cmd/report -quick's size: 200
+// subscriptions of which 4 are hot, budgets of 1 and 4 QPS, one hour.
+func QuickParetoConfig(seed uint64) ParetoConfig {
+	return ParetoConfig{Seed: seed, Subs: 200, Hot: 4, Budgets: []float64{1, 4}, Horizon: time.Hour}
+}
+
 // ParetoPoint is one (policy, budget) measurement.
 type ParetoPoint struct {
 	BudgetQPS float64
@@ -227,27 +224,15 @@ type ParetoResults struct {
 // (FixedInterval sized to spend exactly the budget) and an adaptive arm
 // (EWMA cadence shaped by the same admission controller) at each.
 func RunAdaptivePareto(cfg ParetoConfig) (*ParetoResults, error) {
-	if cfg.Subs <= 0 {
-		cfg.Subs = 2000
-	}
-	if cfg.Hot <= 0 {
-		cfg.Hot = 20
-	}
-	if cfg.HotPeriod <= 0 {
-		cfg.HotPeriod = 30 * time.Second
-	}
-	if cfg.ColdPeriod <= 0 {
-		cfg.ColdPeriod = 4 * time.Hour
-	}
+	orDefault(&cfg.Subs, 2000)
+	orDefault(&cfg.Hot, 20)
+	orDefault(&cfg.HotPeriod, 30*time.Second)
+	orDefault(&cfg.ColdPeriod, 4*time.Hour)
 	if len(cfg.Budgets) == 0 {
 		cfg.Budgets = []float64{4, 8, 16, 32}
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2 * time.Hour
-	}
-	if cfg.Target <= 0 {
-		cfg.Target = 0.3
-	}
+	orDefault(&cfg.Horizon, 2*time.Hour)
+	orDefault(&cfg.Target, 0.3)
 	res := &ParetoResults{Cfg: cfg}
 	for i, qps := range cfg.Budgets {
 		for _, adaptive := range []bool{false, true} {
@@ -262,23 +247,14 @@ func RunAdaptivePareto(cfg ParetoConfig) (*ParetoResults, error) {
 }
 
 func runParetoArm(cfg ParetoConfig, seed uint64, adaptive bool, qps float64) (ParetoPoint, error) {
-	clock := simtime.NewSimDefault()
-	doer := NewSkewedLoad(clock, cfg.HotPeriod, cfg.ColdPeriod)
-	cutoff := clock.Now().Add(cfg.Horizon / 4)
-
-	var mu sync.Mutex
-	var t2as []float64
+	rig := newSimRig()
+	doer := NewSkewedLoad(rig.clock, cfg.HotPeriod, cfg.ColdPeriod)
+	rig.cutoff = rig.clock.Now().Add(cfg.Horizon / 4)
 	ecfg := engine.Config{
-		Clock: clock, RNG: stats.NewRNG(seed), Doer: doer,
+		Clock: rig.clock, RNG: stats.NewRNG(seed), Doer: doer,
 		DispatchDelay: -1, Shards: 8, ShardWorkers: 8,
 		PollBudgetQPS: qps,
-		OnSpan: func(sp obs.ExecSpan) {
-			if sp.PollSentAt.After(cutoff) {
-				mu.Lock()
-				t2as = append(t2as, sp.T2A().Seconds())
-				mu.Unlock()
-			}
-		},
+		OnSpan:        rig.onSpan,
 	}
 	if adaptive {
 		ecfg.Adaptive = &engine.AdaptiveConfig{
@@ -292,34 +268,27 @@ func runParetoArm(cfg ParetoConfig, seed uint64, adaptive bool, qps float64) (Pa
 		ecfg.Poll = engine.FixedInterval{Interval: interval}
 	}
 	eng := engine.New(ecfg)
-	var installErr error
-	clock.Run(func() {
-		for j := 0; j < cfg.Subs; j++ {
-			if err := eng.Install(paretoApplet(j, cfg.Hot)); err != nil {
-				installErr = err
-				return
-			}
+	if err := rig.run(func() error {
+		defer eng.Stop()
+		if err := installN(eng.Install, cfg.Subs, func(j int) engine.Applet { return paretoApplet(j, cfg.Hot) }); err != nil {
+			return err
 		}
-		clock.Sleep(cfg.Horizon)
-		eng.Stop()
-	})
-	if installErr != nil {
-		return ParetoPoint{}, installErr
+		rig.clock.Sleep(cfg.Horizon)
+		return nil
+	}); err != nil {
+		return ParetoPoint{}, err
 	}
-	st := eng.Stats()
-	pt := ParetoPoint{
+	st, t2a := eng.Stats(), summary(rig.t2a)
+	return ParetoPoint{
 		BudgetQPS:   qps,
 		Adaptive:    adaptive,
-		Events:      len(t2as),
+		P50:         t2a.P50,
+		P90:         t2a.P90,
+		Events:      t2a.N,
 		MeasuredQPS: float64(st.Polls) / cfg.Horizon.Seconds(),
 		Deferred:    st.PollsDeferred,
 		Polls:       st.Polls,
-	}
-	if len(t2as) > 0 {
-		pt.P50 = stats.Percentile(t2as, 50)
-		pt.P90 = stats.Percentile(t2as, 90)
-	}
-	return pt, nil
+	}, nil
 }
 
 // paretoApplet builds subscription j: the first hot applets carry an

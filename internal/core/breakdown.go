@@ -19,6 +19,12 @@ type BreakdownConfig struct {
 	Trials int
 }
 
+// QuickBreakdownConfig is the study at cmd/report -quick's size: five
+// trials per scenario.
+func QuickBreakdownConfig(seed uint64) BreakdownConfig {
+	return BreakdownConfig{Seed: seed, Trials: 5}
+}
+
 // BreakdownRow is one scenario's segment decomposition, computed purely
 // from the engine's execution spans — no testbed-internal timers are
 // consulted.
@@ -53,10 +59,7 @@ type BreakdownResults struct {
 // polling gap dominates end-to-end latency, and everything else is
 // seconds at most — falls directly out of the span segments.
 func RunT2ABreakdown(cfg BreakdownConfig) (*BreakdownResults, error) {
-	trials := cfg.Trials
-	if trials <= 0 {
-		trials = 20
-	}
+	orDefault(&cfg.Trials, 20)
 	scenarios := []struct {
 		spec     testbed.AppletSpec
 		name     string
@@ -69,33 +72,28 @@ func RunT2ABreakdown(cfg BreakdownConfig) (*BreakdownResults, error) {
 	for i, sc := range scenarios {
 		var mu sync.Mutex
 		var spans []obs.ExecSpan
-		tb := testbed.New(testbed.Config{
+		tb, err := onTestbed(testbed.Config{
 			Seed: cfg.Seed + 800 + uint64(i),
 			OnSpan: func(s obs.ExecSpan) {
 				mu.Lock()
 				spans = append(spans, s)
 				mu.Unlock()
 			},
-		})
-		var err error
-		tb.Run(func() {
-			_, err = tb.MeasureT2A(sc.spec, testbed.T2AOptions{Trials: trials})
+		}, func(tb *testbed.Testbed) error {
+			_, err := t2a(tb, sc.spec, cfg.Trials)
+			return err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("breakdown %s: %w", sc.spec.ID, err)
 		}
 		// tb.Run returned with the engine stopped, so spans is complete.
-		row := BreakdownRow{
-			ID:       sc.spec.ID,
-			Name:     sc.name,
-			Realtime: sc.realtime,
-		}
+		row := BreakdownRow{ID: sc.spec.ID, Name: sc.name, Realtime: sc.realtime}
 		for _, ev := range tb.Traces() {
 			if ev.Kind == engine.TraceActionAcked && ev.AppletID == sc.spec.ID {
 				row.Acked++
 			}
 		}
-		var gap, rtt, proc, deliv, t2a, hint []float64
+		var gap, rtt, proc, deliv, total, hint []float64
 		for _, s := range spans {
 			if s.AppletID != sc.spec.ID || s.Failed {
 				continue
@@ -105,23 +103,17 @@ func RunT2ABreakdown(cfg BreakdownConfig) (*BreakdownResults, error) {
 			rtt = append(rtt, s.PollRTT().Seconds())
 			proc = append(proc, s.Processing().Seconds())
 			deliv = append(deliv, s.Delivery().Seconds())
-			t2a = append(t2a, s.T2A().Seconds())
+			total = append(total, s.T2A().Seconds())
 			if !s.HintAt.IsZero() {
 				hint = append(hint, s.HintLag().Seconds())
 			}
 		}
-		sum := func(xs []float64) stats.Summary {
-			if len(xs) == 0 {
-				return stats.Summary{}
-			}
-			return stats.Summarize(xs)
-		}
-		row.PollingGap = sum(gap)
-		row.PollRTT = sum(rtt)
-		row.Processing = sum(proc)
-		row.Delivery = sum(deliv)
-		row.T2A = sum(t2a)
-		row.HintLag = sum(hint)
+		row.PollingGap = summary(gap)
+		row.PollRTT = summary(rtt)
+		row.Processing = summary(proc)
+		row.Delivery = summary(deliv)
+		row.T2A = summary(total)
+		row.HintLag = summary(hint)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -21,12 +21,18 @@ type ChaosConfig struct {
 	Applets int
 }
 
+// QuickChaosConfig is the study at cmd/report -quick's size: five trials
+// per fault rate, 40 applets in the blackout.
+func QuickChaosConfig(seed uint64) ChaosConfig {
+	return ChaosConfig{Seed: seed, Trials: 5, Applets: 40}
+}
+
 // chaos timeline constants. The blackout study runs a fixed three-hour
 // schedule: warm-up, a one-hour blackout, recovery, steady state.
 const (
 	chaosBlackoutStart = 1 * time.Hour
 	chaosBlackoutEnd   = 2 * time.Hour
-	chaosRunEnd = 3 * time.Hour
+	chaosRunEnd        = 3 * time.Hour
 	// chaosProbeIvl spaces half-open probes well above the ~140s paper
 	// polling cadence, so an open breaker visibly caps the blackout's
 	// wasted-poll cost.
@@ -105,30 +111,19 @@ type ChaosResults struct {
 // make whole-run results bit-reproducible from the seed (see package
 // faults).
 func RunChaos(cfg ChaosConfig) (*ChaosResults, error) {
-	trials := cfg.Trials
-	if trials <= 0 {
-		trials = 20
-	}
-	applets := cfg.Applets
-	if applets <= 0 {
-		applets = 100
-	}
+	orDefault(&cfg.Trials, 20)
+	orDefault(&cfg.Applets, 100)
 	res := &ChaosResults{}
-
 	for i, rate := range []float64{0, 0.01, 0.10} {
-		row, err := chaosTail(cfg.Seed+900+uint64(i), rate, trials)
+		row, err := chaosTail(cfg.Seed+900+uint64(i), rate, cfg.Trials)
 		if err != nil {
 			return nil, err
 		}
 		res.Tails = append(res.Tails, row)
 	}
-
-	bc, err := chaosBlackout(cfg.Seed, applets)
-	if err != nil {
-		return nil, err
-	}
-	res.Blackout = bc
-	return res, nil
+	var err error
+	res.Blackout, err = chaosBlackout(cfg.Seed, cfg.Applets)
+	return res, err
 }
 
 // chaosTail measures A2's T2A distribution with every request to the
@@ -142,23 +137,18 @@ func chaosTail(seed uint64, rate float64, trials int) (ChaosTailRow, error) {
 			Rate5xx:   rate / 2,
 		}}
 	}
-	tb := testbed.New(testbed.Config{
+	var xs []float64
+	tb, err := onTestbed(testbed.Config{
 		Seed:         seed,
 		Shards:       1,
 		ShardWorkers: 1,
 		FaultRules:   rules,
-	})
-	var lat []time.Duration
-	var err error
-	tb.Run(func() {
-		lat, err = tb.MeasureT2A(testbed.A2(), testbed.T2AOptions{Trials: trials})
+	}, func(tb *testbed.Testbed) (err error) {
+		xs, err = t2a(tb, testbed.A2(), trials)
+		return err
 	})
 	if err != nil {
 		return ChaosTailRow{}, fmt.Errorf("chaos tail at rate %.2f: %w", rate, err)
-	}
-	xs := make([]float64, len(lat))
-	for i, d := range lat {
-		xs[i] = d.Seconds()
 	}
 	st := tb.Engine.Stats()
 	return ChaosTailRow{
@@ -179,15 +169,14 @@ func chaosBlackout(seed uint64, applets int) (BlackoutComparison, error) {
 		Window:        chaosBlackoutEnd - chaosBlackoutStart,
 		ProbeInterval: chaosProbeIvl,
 	}
-	for _, arm := range []struct {
-		name      string
-		resilient bool
-	}{{"resilient", true}, {"disabled", false}} {
+	for _, resilient := range []bool{true, false} {
 		rc := engine.ResilienceConfig{ProbeInterval: chaosProbeIvl}
-		if !arm.resilient {
+		if !resilient {
 			rc = engine.ResilienceConfig{Disable: true}
 		}
-		tb := testbed.New(testbed.Config{
+		var row BlackoutRow
+		var recovery time.Duration
+		_, err := onTestbed(testbed.Config{
 			// Same seed for both arms: identical applets, identical
 			// poll-gap draws, identical fault schedule.
 			Seed:         seed,
@@ -198,18 +187,15 @@ func chaosBlackout(seed uint64, applets int) (BlackoutComparison, error) {
 				Host:      testbed.HostWemo,
 				Blackouts: []faults.Window{{Start: chaosBlackoutStart, End: chaosBlackoutEnd}},
 			}},
-		})
-		var row BlackoutRow
-		var recovery time.Duration
-		tb.Run(func() {
+		}, func(tb *testbed.Testbed) error {
 			start := tb.Clock.Now()
 			spec := testbed.A2()
-			for i := 0; i < applets; i++ {
+			if err := installN(tb.Engine.Install, applets, func(i int) engine.Applet {
 				a := spec.Applet(tb)
 				a.ID = fmt.Sprintf("A2-chaos-%d", i)
-				if err := tb.Engine.Install(a); err != nil {
-					panic(fmt.Sprintf("chaos blackout install %d: %v", i, err))
-				}
+				return a
+			}); err != nil {
+				return fmt.Errorf("chaos blackout: %w", err)
 			}
 			sleepUntil := func(off time.Duration) {
 				if dt := start.Add(off).Sub(tb.Clock.Now()); dt > 0 {
@@ -244,8 +230,12 @@ func chaosBlackout(seed uint64, applets int) (BlackoutComparison, error) {
 				BreakerProbes: final.BreakerProbes,
 				SteadyPolls:   final.Polls - afterRecovery.Polls,
 			}
+			return nil
 		})
-		if arm.resilient {
+		if err != nil {
+			return bc, err
+		}
+		if resilient {
 			bc.Resilient = row
 			bc.RecoveryLag = recovery
 		} else {

@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/proto"
-	"repro/internal/simtime"
 	"repro/internal/stats"
 )
 
@@ -106,59 +104,31 @@ type ClusterChaosResults struct {
 
 // RunClusterChaos runs the kill-and-rebalance study.
 func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResults, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.Subs <= 0 {
-		cfg.Subs = 20_000
-	}
-	if cfg.Hot <= 0 {
-		cfg.Hot = 2_000
-	}
-	if cfg.HotPeriod <= 0 {
-		cfg.HotPeriod = 30 * time.Second
-	}
-	if cfg.ColdPeriod <= 0 {
-		cfg.ColdPeriod = 4 * time.Hour
-	}
-	if cfg.BudgetQPS <= 0 {
-		cfg.BudgetQPS = 200
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 30 * time.Minute
-	}
+	orDefault(&cfg.Nodes, 4)
+	orDefault(&cfg.Subs, 20_000)
+	orDefault(&cfg.Hot, 2_000)
+	orDefault(&cfg.HotPeriod, 30*time.Second)
+	orDefault(&cfg.ColdPeriod, 4*time.Hour)
+	orDefault(&cfg.BudgetQPS, 200)
+	orDefault(&cfg.Horizon, 30*time.Minute)
 	if cfg.KillAt <= 0 || cfg.KillAt >= cfg.Horizon {
 		cfg.KillAt = cfg.Horizon / 2
 	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cluster.DefaultSweepInterval
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = time.Second
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
-	}
+	orDefault(&cfg.SweepInterval, cluster.DefaultSweepInterval)
+	orDefault(&cfg.FlushInterval, time.Second)
+	orDefault(&cfg.Window, time.Minute)
 
-	clock := simtime.NewSimDefault()
+	rig := newSimRig()
+	clock := rig.clock
 	start := clock.Now()
 	doer := NewSkewedLoad(clock, cfg.HotPeriod, cfg.ColdPeriod)
 
-	// Ack tally per applet+event (synchronous trace, shared by every
-	// node) proves exactly-once; the windowed T2A timeline comes from
-	// the nodes' execution spans via OnSpan.
+	// The rig's ack tally (synchronous trace, shared by every node)
+	// proves exactly-once; the windowed T2A timeline comes from the
+	// nodes' execution spans via OnSpan.
 	var mu sync.Mutex
-	acked := make(map[string]int)
 	nWindows := int(cfg.Horizon/cfg.Window) + 1
 	winT2A := make([][]float64, nWindows)
-	trace := func(ev engine.TraceEvent) {
-		if ev.Kind != engine.TraceActionAcked {
-			return
-		}
-		mu.Lock()
-		acked[ev.AppletID+"/"+ev.EventID]++
-		mu.Unlock()
-	}
 	onSpan := func(node string, sp obs.ExecSpan) {
 		if sp.Failed {
 			return
@@ -178,65 +148,27 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResults, error) {
 			DispatchDelay: 10 * time.Millisecond,
 			Shards:        4, ShardWorkers: 8,
 			PollBudgetQPS: cfg.BudgetQPS / float64(cfg.Nodes),
-			Adaptive: &engine.AdaptiveConfig{
-				HalfLife: 2 * time.Minute, FastFloor: 10 * time.Second,
-				SlowCeiling: 15 * time.Minute, TargetEventsPerPoll: 0.3,
-			},
-			Push:  true,
-			Trace: trace,
+			Adaptive:      pushStudyAdaptive(),
+			Push:          true,
+			Trace:         rig.trace,
 		},
 		OnSpan: onSpan,
 	})
 
 	res := &ClusterChaosResults{Cfg: cfg}
-	var runErr error
-	clock.Run(func() {
-		identities := make([]string, cfg.Hot)
-		markers := make([]string, cfg.Hot)
-		for j := 0; j < cfg.Subs; j++ {
-			a := paretoApplet(j, cfg.Hot)
-			if err := c.Install(a); err != nil {
-				runErr = err
-				return
-			}
-			if j < cfg.Hot {
-				identities[j] = a.TriggerIdentity()
-				markers[j] = a.Trigger.Fields["n"]
-			}
+	if err := rig.run(func() error {
+		defer c.Stop()
+		if err := installN(c.Install, cfg.Subs, func(j int) engine.Applet { return paretoApplet(j, cfg.Hot) }); err != nil {
+			return err
 		}
 		c.StartCoordinator(cfg.SweepInterval)
 
-		// Push partner: flushes the events that occurred since the last
-		// flush, routed through the cluster (deliveries for an identity
-		// mid-migration park and drain on the winner).
+		// The partner flushes through the cluster router: deliveries for
+		// an identity mid-migration park and drain on the winner.
 		stop := clock.NewStopper()
-		clock.Go(func() {
-			next := make([]int, cfg.Hot)
-			for clock.SleepOrStop(stop, cfg.FlushInterval) {
-				now := clock.Now()
-				var ds []proto.PushDelivery
-				for j := 0; j < cfg.Hot; j++ {
-					hi := doer.EventsOccurred(markers[j], now)
-					if hi <= next[j] {
-						continue
-					}
-					evs := make([]proto.TriggerEvent, 0, hi-next[j])
-					for i := next[j]; i < hi; i++ {
-						t := doer.EventTime(markers[j], i)
-						evs = append(evs, proto.TriggerEvent{Meta: proto.EventMeta{
-							ID:             fmt.Sprintf("%s-%06d", markers[j], i),
-							Timestamp:      t.Unix(),
-							TimestampNanos: t.UnixNano(),
-						}})
-					}
-					next[j] = hi
-					ds = append(ds, proto.PushDelivery{TriggerIdentity: identities[j], Events: evs})
-				}
-				if len(ds) > 0 {
-					c.PushDeliveries(ds)
-				}
-			}
-		})
+		pushPartner(clock, doer, cfg.Hot, func() bool {
+			return clock.SleepOrStop(stop, cfg.FlushInterval)
+		}, func(ds []proto.PushDelivery) { c.PushDeliveries(ds) })
 
 		clock.Sleep(cfg.KillAt)
 		var victim *cluster.Node
@@ -248,8 +180,7 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResults, error) {
 		res.VictimNode = victim.Name
 		res.VictimSubs = victim.Engine.Stats().Subscriptions
 		if err := c.FailNode(victim.Name); err != nil {
-			runErr = err
-			return
+			return err
 		}
 
 		clock.Sleep(cfg.Horizon - cfg.KillAt)
@@ -261,10 +192,9 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResults, error) {
 		res.NodesAlive = st.NodesAlive
 		res.Rejected429 = st.IngressRejected
 		res.AggregateQPS = float64(st.Polls) / cfg.Horizon.Seconds()
-		c.Stop()
-	})
-	if runErr != nil {
-		return nil, runErr
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Exactly-once audit. An event is "due" when it occurred at least
@@ -272,18 +202,14 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResults, error) {
 	// must have executed exactly once; no event may execute twice.
 	margin := 2*cfg.HotPeriod + 30*time.Second
 	end := start.Add(cfg.Horizon)
-	res.Executed = len(acked)
-	for _, n := range acked {
-		if n > 1 {
-			res.Duplicates++
-		}
-	}
+	res.Executed = len(rig.acks)
+	res.Duplicates = rig.duplicates()
 	for j := 0; j < cfg.Hot; j++ {
 		a := paretoApplet(j, cfg.Hot)
 		marker := a.Trigger.Fields["n"]
 		due := doer.EventsOccurred(marker, end.Add(-margin))
 		for i := 0; i < due; i++ {
-			if acked[fmt.Sprintf("%s/%s-%06d", a.ID, marker, i)] == 0 {
+			if rig.acks[fmt.Sprintf("%s/%s-%06d", a.ID, marker, i)] == 0 {
 				res.Lost++
 			}
 		}
@@ -292,30 +218,20 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResults, error) {
 	// T2A timeline: windowed p50s, steady state from the window before
 	// the kill, recovery from the last degraded window.
 	steadyW := int(cfg.KillAt/cfg.Window) - 1
-	for w := 0; w < nWindows; w++ {
-		if len(winT2A[w]) == 0 {
+	for w, xs := range winT2A {
+		if len(xs) == 0 {
 			continue
 		}
-		p50 := stats.Percentile(winT2A[w], 50)
-		res.Timeline = append(res.Timeline, ClusterChaosWindow{
-			Start:  time.Duration(w) * cfg.Window,
-			P50:    p50,
-			Events: len(winT2A[w]),
-		})
-		if w == steadyW {
-			res.SteadyP50 = p50
-		}
-	}
-	sort.Slice(res.Timeline, func(i, j int) bool { return res.Timeline[i].Start < res.Timeline[j].Start })
-	for _, w := range res.Timeline {
-		if w.Start < cfg.KillAt {
-			continue
-		}
-		if w.P50 > res.PeakP50 {
-			res.PeakP50 = w.P50
-		}
-		if res.SteadyP50 > 0 && w.P50 > 2*res.SteadyP50 {
-			res.RecoverySeconds = (w.Start + cfg.Window - cfg.KillAt).Seconds()
+		win := ClusterChaosWindow{Start: time.Duration(w) * cfg.Window, P50: stats.Percentile(xs, 50), Events: len(xs)}
+		res.Timeline = append(res.Timeline, win)
+		switch {
+		case w == steadyW:
+			res.SteadyP50 = win.P50
+		case win.Start >= cfg.KillAt:
+			res.PeakP50 = max(res.PeakP50, win.P50)
+			if res.SteadyP50 > 0 && win.P50 > 2*res.SteadyP50 {
+				res.RecoverySeconds = (win.Start + cfg.Window - cfg.KillAt).Seconds()
+			}
 		}
 	}
 	return res, nil

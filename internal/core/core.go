@@ -17,7 +17,6 @@ import (
 	"repro/internal/devices"
 	"repro/internal/engine"
 	"repro/internal/perm"
-	"repro/internal/stats"
 	"repro/internal/testbed"
 )
 
@@ -39,21 +38,18 @@ type PerfConfig struct {
 }
 
 func (c *PerfConfig) fill() {
-	if c.Fig4Trials <= 0 {
-		c.Fig4Trials = 50
-	}
-	if c.Fig5Trials <= 0 {
-		c.Fig5Trials = 20
-	}
-	if c.Fig7Trials <= 0 {
-		c.Fig7Trials = 20
-	}
-	if c.SeqTriggers <= 0 {
-		c.SeqTriggers = 60
-	}
-	if c.LoopWindow <= 0 {
-		c.LoopWindow = time.Hour
-	}
+	orDefault(&c.Fig4Trials, 50)
+	orDefault(&c.Fig5Trials, 20)
+	orDefault(&c.Fig7Trials, 20)
+	orDefault(&c.SeqTriggers, 60)
+	orDefault(&c.LoopWindow, time.Hour)
+}
+
+// QuickPerfConfig is the suite at cmd/report -quick's size: five trials
+// per figure, 20 sequential activations, 20-minute loop windows.
+func QuickPerfConfig(seed uint64) PerfConfig {
+	return PerfConfig{Seed: seed, Fig4Trials: 5, Fig5Trials: 5, Fig7Trials: 5,
+		SeqTriggers: 20, LoopWindow: 20 * time.Minute}
 }
 
 // PerfResults carries every §4 experiment outcome.
@@ -89,16 +85,9 @@ func RunPerformance(cfg PerfConfig) (*PerfResults, error) {
 
 	// Fig 4: A1–A7 against official services under the paper's poll
 	// model.
-	specs := append(testbed.Group14(), testbed.Group57()...)
-	for i, spec := range specs {
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + uint64(i)})
+	for i, spec := range append(testbed.Group14(), testbed.Group57()...) {
 		var err error
-		tb.Run(func() {
-			var lats []time.Duration
-			lats, err = tb.MeasureT2A(spec, testbed.T2AOptions{Trials: cfg.Fig4Trials})
-			res.Fig4[spec.ID] = stats.Durations(lats)
-		})
-		if err != nil {
+		if res.Fig4[spec.ID], err = measureT2A(testbed.Config{Seed: cfg.Seed + uint64(i)}, spec, cfg.Fig4Trials); err != nil {
 			return nil, fmt.Errorf("fig4 %s: %w", spec.ID, err)
 		}
 	}
@@ -115,87 +104,56 @@ func RunPerformance(cfg PerfConfig) (*PerfResults, error) {
 		{"E3", testbed.A2E2(), engine.FixedInterval{Interval: time.Second}},
 	}
 	for i, sc := range scenarios {
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 100 + uint64(i), Poll: sc.poll})
 		var err error
-		tb.Run(func() {
-			var lats []time.Duration
-			lats, err = tb.MeasureT2A(sc.spec, testbed.T2AOptions{Trials: cfg.Fig5Trials})
-			res.Fig5[sc.name] = stats.Durations(lats)
-		})
-		if err != nil {
+		if res.Fig5[sc.name], err = measureT2A(testbed.Config{Seed: cfg.Seed + 100 + uint64(i), Poll: sc.poll}, sc.spec, cfg.Fig5Trials); err != nil {
 			return nil, fmt.Errorf("fig5 %s: %w", sc.name, err)
 		}
 	}
 
-	// Table 5: one instrumented execution of A2 under E2.
-	{
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 200})
-		var err error
-		tb.Run(func() { res.Table5, err = tb.RunTimeline() })
-		if err != nil {
-			return nil, fmt.Errorf("table5: %w", err)
-		}
-	}
-
-	// Fig 6: sequential activations every 5 s.
-	{
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 300})
-		var err error
-		tb.Run(func() {
+	// The infinite loops run on a fast-polling engine so the window
+	// bounds the experiment rather than the polling gap.
+	loopPoll := engine.FixedInterval{Interval: 15 * time.Second}
+	for _, run := range []struct {
+		name string
+		cfg  testbed.Config
+		body func(tb *testbed.Testbed) error
+	}{
+		// Table 5: one instrumented execution of A2 under E2.
+		{"table5", testbed.Config{Seed: cfg.Seed + 200}, func(tb *testbed.Testbed) (err error) {
+			res.Table5, err = tb.RunTimeline()
+			return err
+		}},
+		// Fig 6: sequential activations every 5 s.
+		{"fig6", testbed.Config{Seed: cfg.Seed + 300}, func(tb *testbed.Testbed) (err error) {
 			res.Fig6, err = tb.RunSequential(testbed.A2(), cfg.SeqTriggers, 5*time.Second)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig6: %w", err)
-		}
-	}
-
-	// Fig 7: two applets sharing the Gmail trigger.
-	{
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 400})
-		var err error
-		tb.Run(func() {
+			return err
+		}},
+		// Fig 7: two applets sharing the Gmail trigger.
+		{"fig7", testbed.Config{Seed: cfg.Seed + 400}, func(tb *testbed.Testbed) (err error) {
 			res.Fig7, err = tb.RunConcurrent(testbed.A3(), concurrentPartner(tb), fireSharedEmail, cfg.Fig7Trials)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig7: %w", err)
-		}
-	}
-
-	// Realtime API study: hints from a non-allow-listed service change
-	// nothing.
-	for _, hinted := range []bool{false, true} {
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 500, OurServiceRealtime: hinted})
-		var err error
-		tb.Run(func() {
-			var lats []time.Duration
-			lats, err = tb.MeasureT2A(testbed.A2E2(), testbed.T2AOptions{Trials: cfg.Fig5Trials})
-			if hinted {
-				res.RealtimeHinted = stats.Durations(lats)
-			} else {
-				res.RealtimeUnhinted = stats.Durations(lats)
-			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("realtime study: %w", err)
-		}
-	}
-
-	// Infinite loops, on a fast-polling engine so the window bounds the
-	// experiment rather than the polling gap.
-	{
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 600, Poll: engine.FixedInterval{Interval: 15 * time.Second}})
-		var err error
-		tb.Run(func() { res.ExplicitLoop, err = tb.RunExplicitLoop(cfg.LoopWindow) })
-		if err != nil {
-			return nil, fmt.Errorf("explicit loop: %w", err)
-		}
-	}
-	{
-		tb := testbed.New(testbed.Config{Seed: cfg.Seed + 700, Poll: engine.FixedInterval{Interval: 15 * time.Second}})
-		var err error
-		tb.Run(func() { res.ImplicitLoop, err = tb.RunImplicitLoop(cfg.LoopWindow) })
-		if err != nil {
-			return nil, fmt.Errorf("implicit loop: %w", err)
+			return err
+		}},
+		// Realtime API study: hints from a non-allow-listed service
+		// change nothing.
+		{"realtime study", testbed.Config{Seed: cfg.Seed + 500}, func(tb *testbed.Testbed) (err error) {
+			res.RealtimeUnhinted, err = t2a(tb, testbed.A2E2(), cfg.Fig5Trials)
+			return err
+		}},
+		{"realtime study", testbed.Config{Seed: cfg.Seed + 500, OurServiceRealtime: true}, func(tb *testbed.Testbed) (err error) {
+			res.RealtimeHinted, err = t2a(tb, testbed.A2E2(), cfg.Fig5Trials)
+			return err
+		}},
+		{"explicit loop", testbed.Config{Seed: cfg.Seed + 600, Poll: loopPoll}, func(tb *testbed.Testbed) (err error) {
+			res.ExplicitLoop, err = tb.RunExplicitLoop(cfg.LoopWindow)
+			return err
+		}},
+		{"implicit loop", testbed.Config{Seed: cfg.Seed + 700, Poll: loopPoll}, func(tb *testbed.Testbed) (err error) {
+			res.ImplicitLoop, err = tb.RunImplicitLoop(cfg.LoopWindow)
+			return err
+		}},
+	} {
+		if _, err := onTestbed(run.cfg, run.body); err != nil {
+			return nil, fmt.Errorf("%s: %w", run.name, err)
 		}
 	}
 	return res, nil
@@ -207,7 +165,7 @@ func concurrentPartner(tb *testbed.Testbed) testbed.AppletSpec {
 	return testbed.AppletSpec{
 		ID: "A3b", Name: "new gmail → activate wemo",
 		Applet: func(tb *testbed.Testbed) engine.Applet {
-			ap := engine.Applet{
+			return engine.Applet{
 				ID: "A3b", UserID: testbed.UserID, Name: "A3b",
 				Trigger: engine.ServiceRef{
 					Service: "gmail", BaseURL: "http://" + testbed.HostGmail,
@@ -219,7 +177,6 @@ func concurrentPartner(tb *testbed.Testbed) testbed.AppletSpec {
 					Slug: "turn_on", ServiceKey: testbed.ServiceKey,
 				},
 			}
-			return ap
 		},
 		Prepare: func(tb *testbed.Testbed) { tb.Wemo.SetState(false, "controller") },
 		Watch: func(tb *testbed.Testbed, w *testbed.Watcher) {

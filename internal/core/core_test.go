@@ -178,7 +178,10 @@ func TestWriteFigureCSVs(t *testing.T) {
 }
 
 func TestRunEngineScaleSmall(t *testing.T) {
-	r := RunEngineScale(ScaleConfig{Seed: 5, Applets: 2000, Virtual: 6 * time.Minute})
+	r, err := RunEngineScale(ScaleConfig{Seed: 5, Applets: 2000, Virtual: 6 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Polls < 2000 {
 		t.Errorf("Polls = %d, want ≥ 2000 (every applet polls once at +5m)", r.Polls)
 	}

@@ -20,7 +20,12 @@ import (
 //	fig7_diff.csv        — T2A difference CDF
 //	fig3_addcounts.csv   — rank vs add count (from eco when non-nil)
 //	fig2_heatmap.csv     — trigger×action category add-count matrix
+//
+// An empty dir writes nothing; a nil perf or eco skips its files.
 func WriteFigureCSVs(dir string, perf *PerfResults, eco *EcoResults) error {
+	if dir == "" {
+		return nil
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("csv: mkdir: %w", err)
 	}
@@ -118,9 +123,5 @@ func writeSeries(path string, header []string, rows [][]string) error {
 	if err := w.Write(header); err != nil {
 		return err
 	}
-	if err := w.WriteAll(rows); err != nil {
-		return err
-	}
-	w.Flush()
-	return w.Error()
+	return w.WriteAll(rows)
 }

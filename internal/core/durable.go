@@ -2,11 +2,8 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/durable"
@@ -74,38 +71,16 @@ type DurableChurnResults struct {
 	WALOverheadX         float64
 }
 
-// churnDoer serves the same three events to every trigger poll, so a
-// recovered engine is immediately re-offered everything the crashed one
-// executed — dedup recovery is the only duplicate guard.
-type churnDoer struct{}
+// churnPolls is the body every trigger poll of the durability study
+// gets: the same three events, so a recovered engine is immediately
+// re-offered everything the crashed one executed — dedup recovery is the
+// only duplicate guard.
+const churnPolls cannedPolls = `{"data":[` +
+	`{"meta":{"id":"ev-1","timestamp":100}},` +
+	`{"meta":{"id":"ev-2","timestamp":101}},` +
+	`{"meta":{"id":"ev-3","timestamp":102}}]}`
 
-func (churnDoer) Do(req *http.Request) (*http.Response, error) {
-	body := `{}`
-	if strings.Contains(req.URL.Path, "/triggers/") {
-		body = `{"data":[` +
-			`{"meta":{"id":"ev-1","timestamp":100}},` +
-			`{"meta":{"id":"ev-2","timestamp":101}},` +
-			`{"meta":{"id":"ev-3","timestamp":102}}]}`
-	}
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Body:       io.NopCloser(strings.NewReader(body)),
-		Header:     make(http.Header),
-		Request:    req,
-	}, nil
-}
-
-func churnApplet(i int) engine.Applet {
-	return engine.Applet{
-		ID:     fmt.Sprintf("d%06d", i),
-		UserID: fmt.Sprintf("u%05d", i%10000),
-		Trigger: engine.ServiceRef{
-			Service: "churnsvc", BaseURL: "http://svc.sim", Slug: "fired",
-			Fields: map[string]string{"n": fmt.Sprint(i)},
-		},
-		Action: engine.ServiceRef{Service: "churnsvc", BaseURL: "http://svc.sim", Slug: "act"},
-	}
-}
+var churnApplet = numberedApplets("d", "churnsvc")
 
 // RunDurableChurn runs the crash-recovery study: populate, churn at the
 // paper-calibrated rate with the WAL on, kill the engine mid-horizon
@@ -113,26 +88,11 @@ func churnApplet(i int) engine.Applet {
 // the directory, and finish the horizon. Alongside, a WAL-on/off
 // install microbenchmark prices the journal on the install path.
 func RunDurableChurn(cfg DurableChurnConfig) (*DurableChurnResults, error) {
-	base := cfg.Base
-	if base == 0 {
-		base = 2000
-	}
-	virtual := cfg.Virtual
-	if virtual == 0 {
-		virtual = 30 * time.Minute
-	}
-	rate := cfg.Rate
-	if rate == 0 {
-		rate = 1.47 // 23M adds / six months, the paper's §3.2 growth
-	}
-	snapEvery := cfg.SnapshotInterval
-	if snapEvery == 0 {
-		snapEvery = 5 * time.Minute
-	}
-	benchN := cfg.BenchInstalls
-	if benchN == 0 {
-		benchN = 10_000
-	}
+	orDefault(&cfg.Base, 2000)
+	orDefault(&cfg.Virtual, 30*time.Minute)
+	orDefault(&cfg.Rate, 1.47) // 23M adds / six months, the paper's §3.2 growth
+	orDefault(&cfg.SnapshotInterval, 5*time.Minute)
+	orDefault(&cfg.BenchInstalls, 10_000)
 	dir := cfg.Dir
 	if dir == "" {
 		td, err := os.MkdirTemp("", "durable-churn-*")
@@ -143,75 +103,62 @@ func RunDurableChurn(cfg DurableChurnConfig) (*DurableChurnResults, error) {
 		dir = td
 	}
 
-	r := &DurableChurnResults{Base: base, Virtual: virtual, Rate: rate}
+	r := &DurableChurnResults{Base: cfg.Base, Virtual: cfg.Virtual, Rate: cfg.Rate}
 
-	var mu sync.Mutex
-	acked := map[string]int{}
-	trace := func(ev engine.TraceEvent) {
-		if ev.Kind != engine.TraceActionAcked {
-			return
+	// Both phases' engines report acks to the crash phase's rig, so its
+	// tally spans the crash.
+	crash := newSimRig()
+	mkEngine := func(clock *simtime.SimClock) (*engine.Engine, *durable.Store, error) {
+		st, err := durable.Open(durable.Options{Dir: dir, Clock: clock, SnapshotInterval: cfg.SnapshotInterval})
+		if err != nil {
+			return nil, nil, err
 		}
-		mu.Lock()
-		acked[ev.AppletID+"/"+ev.EventID]++
-		mu.Unlock()
-	}
-
-	mkEngine := func(clock *simtime.SimClock, st *durable.Store) (*engine.Engine, error) {
 		eng := engine.New(engine.Config{
-			Clock: clock, RNG: stats.NewRNG(cfg.Seed), Doer: churnDoer{},
+			Clock: clock, RNG: stats.NewRNG(cfg.Seed), Doer: churnPolls,
 			Poll:          engine.FixedInterval{Interval: 5 * time.Minute},
 			DispatchDelay: -1,
 			Journal:       st,
-			Trace:         trace,
+			Trace:         crash.trace,
 		})
 		if err := st.Restore(eng); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		st.Start()
-		return eng, nil
+		return eng, st, nil
 	}
 
 	// --- Phase 1: populate, churn, crash at mid-horizon. ---
-	clock1 := simtime.NewSimDefault()
-	st1, err := durable.Open(durable.Options{Dir: dir, Clock: clock1, SnapshotInterval: snapEvery})
+	eng1, st1, err := mkEngine(crash.clock)
 	if err != nil {
 		return nil, err
 	}
-	eng1, err := mkEngine(clock1, st1)
-	if err != nil {
-		return nil, err
-	}
-	var liveAtCrash map[string]bool
-	var runErr error
-	clock1.Run(func() {
-		for i := 0; i < base; i++ {
-			if err := eng1.Install(churnApplet(i)); err != nil {
-				runErr = err
-				return
-			}
+	liveAtCrash := map[string]bool{}
+	if err := crash.run(func() error {
+		defer st1.Abandon() // the crash: WAL tail only, no final snapshot
+		defer eng1.Stop()
+		if err := installN(eng1.Install, cfg.Base, churnApplet); err != nil {
+			return err
 		}
 		// Churn actor: alternate installs of new IDs with removes of the
 		// oldest churn-installed survivors, one op every 1/rate seconds.
 		rng := stats.NewRNG(cfg.Seed).Split("churn")
-		next, oldest := base, base
-		step := time.Duration(float64(time.Second) / rate)
-		deadline := clock1.Now().Add(virtual / 2)
-		for clock1.Now().Before(deadline) {
-			clock1.Sleep(step)
+		next, oldest := cfg.Base, cfg.Base
+		step := time.Duration(float64(time.Second) / cfg.Rate)
+		deadline := crash.clock.Now().Add(cfg.Virtual / 2)
+		for crash.clock.Now().Before(deadline) {
+			crash.clock.Sleep(step)
 			if rng.Float64() < 0.5 && oldest < next {
 				eng1.Remove(churnApplet(oldest).ID)
 				oldest++
 				r.Removes++
 			} else {
 				if err := eng1.Install(churnApplet(next)); err != nil {
-					runErr = err
-					return
+					return err
 				}
 				next++
 				r.Installs++
 			}
 		}
-		liveAtCrash = map[string]bool{}
 		for _, id := range eng1.Applets() {
 			liveAtCrash[id] = true
 		}
@@ -219,22 +166,16 @@ func RunDurableChurn(cfg DurableChurnConfig) (*DurableChurnResults, error) {
 		r.WALRecords = st1.WALSeq()
 		r.WALBytes = st1.WALSizeOnDisk()
 		r.Snapshots = st1.Snapshots()
-		eng1.Stop()
-		st1.Abandon() // the crash: WAL tail only, no final snapshot
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	preCrash := len(acked)
-
-	// --- Phase 2: recover and finish the horizon. ---
-	clock2 := simtime.NewSimDefault()
-	wallStart := time.Now()
-	st2, err := durable.Open(durable.Options{Dir: dir, Clock: clock2, SnapshotInterval: snapEvery})
-	if err != nil {
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	eng2, err := mkEngine(clock2, st2)
+	preCrash := len(crash.acks)
+
+	// --- Phase 2: recover on a second clock and finish the horizon. ---
+	recovery := newSimRig()
+	wallStart := time.Now()
+	eng2, st2, err := mkEngine(recovery.clock)
 	if err != nil {
 		return nil, err
 	}
@@ -247,30 +188,25 @@ func RunDurableChurn(cfg DurableChurnConfig) (*DurableChurnResults, error) {
 			r.RecoveryComplete = false
 		}
 	}
-	clock2.Run(func() {
-		clock2.Sleep(virtual / 2)
+	recovery.clock.Run(func() {
+		recovery.clock.Sleep(cfg.Virtual / 2)
 		eng2.Stop()
 		st2.Close()
 	})
-	r.PostRecoveryExecs = len(acked) - preCrash
-	for _, n := range acked {
-		if n > 1 {
-			r.DuplicateExecs++
-		}
-	}
+	r.PostRecoveryExecs = len(crash.acks) - preCrash
+	r.DuplicateExecs = crash.duplicates()
 
 	// --- Install-throughput arms. ---
 	arm := func(walDir string) (float64, error) {
-		clock := simtime.NewSimDefault()
+		rig := newSimRig()
 		ecfg := engine.Config{
-			Clock: clock, RNG: stats.NewRNG(cfg.Seed), Doer: churnDoer{},
+			Clock: rig.clock, RNG: stats.NewRNG(cfg.Seed), Doer: churnPolls,
 			Poll: engine.FixedInterval{Interval: time.Hour}, DispatchDelay: -1,
 		}
 		var st *durable.Store
 		if walDir != "" {
 			var err error
-			st, err = durable.Open(durable.Options{Dir: walDir, Clock: clock})
-			if err != nil {
+			if st, err = durable.Open(durable.Options{Dir: walDir, Clock: rig.clock}); err != nil {
 				return 0, err
 			}
 			ecfg.Journal = st
@@ -282,24 +218,17 @@ func RunDurableChurn(cfg DurableChurnConfig) (*DurableChurnResults, error) {
 			}
 		}
 		var elapsed time.Duration
-		clock.Run(func() {
-			start := time.Now()
-			for i := 0; i < benchN; i++ {
-				if err := eng.Install(churnApplet(i)); err != nil {
-					runErr = err
-					return
-				}
-			}
-			elapsed = time.Since(start)
-			eng.Stop()
+		err := rig.run(func() error {
 			if st != nil {
-				st.Abandon()
+				defer st.Abandon()
 			}
+			defer eng.Stop()
+			start := time.Now()
+			err := installN(eng.Install, cfg.BenchInstalls, churnApplet)
+			elapsed = time.Since(start)
+			return err
 		})
-		if runErr != nil {
-			return 0, runErr
-		}
-		return float64(benchN) / elapsed.Seconds(), nil
+		return float64(cfg.BenchInstalls) / elapsed.Seconds(), err
 	}
 	if r.WALOffInstallsPerSec, err = arm(""); err != nil {
 		return nil, err

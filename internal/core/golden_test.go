@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
-	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
@@ -30,104 +29,24 @@ func maskWallClock(s string) string {
 	return s
 }
 
-// TestGoldenSeededStudies runs every section of cmd/report -quick at
-// seed 1 and compares each formatted section byte for byte with
-// testdata/<name>.golden. Numbers from a simulated clock and a seeded
-// RNG are compared as they are, so a moved line is a behaviour change;
-// the sections that also read the wall clock have those readings
-// masked. Run with -update to rewrite the files after an intended
-// change.
+// TestGoldenSeededStudies runs every report section as cmd/report
+// -quick does at seed 1 and compares its markdown byte for byte with
+// testdata/<name>.golden. Seeded sections are compared as they are, so
+// a moved line is a behaviour change; the others have their wall-clock
+// readings masked. Run with -update to rewrite the files after an
+// intended change.
 func TestGoldenSeededStudies(t *testing.T) {
-	const seed = 1
-	sections := []struct {
-		name   string
-		seeded bool
-		run    func() (string, error)
-	}{
-		{"ecosystem", true, func() (string, error) {
-			return FormatEco(RunEcosystem(seed, 1)), nil
-		}},
-		{"crawl", false, func() (string, error) {
-			start := time.Now()
-			cs, err := RunCrawlStudy(seed, 0.01, 4000)
-			if err != nil {
-				return "", err
-			}
-			return FormatCrawl(cs, time.Since(start)), nil
-		}},
-		{"performance", true, func() (string, error) {
-			r, err := RunPerformance(PerfConfig{Seed: seed, Fig4Trials: 5, Fig5Trials: 5, Fig7Trials: 5,
-				SeqTriggers: 20, LoopWindow: 20 * time.Minute})
-			if err != nil {
-				return "", err
-			}
-			return FormatPerf(r), nil
-		}},
-		{"t2a_breakdown", true, func() (string, error) {
-			r, err := RunT2ABreakdown(BreakdownConfig{Seed: seed, Trials: 5})
-			if err != nil {
-				return "", err
-			}
-			return FormatBreakdown(r), nil
-		}},
-		{"engine_scale", false, func() (string, error) {
-			return FormatScale(RunEngineScale(ScaleConfig{Seed: seed, Applets: 20_000, Virtual: 6 * time.Minute})), nil
-		}},
-		{"ablations", true, func() (string, error) {
-			r, err := RunAblations(AblationConfig{Seed: seed, Trials: 4})
-			if err != nil {
-				return "", err
-			}
-			return FormatAblations(r), nil
-		}},
-		{"adaptive_pareto", true, func() (string, error) {
-			r, err := RunAdaptivePareto(ParetoConfig{Seed: seed, Subs: 200, Hot: 4,
-				Budgets: []float64{1, 4}, Horizon: time.Hour})
-			if err != nil {
-				return "", err
-			}
-			return FormatAdaptivePareto(r), nil
-		}},
-		{"chaos", true, func() (string, error) {
-			r, err := RunChaos(ChaosConfig{Seed: seed, Trials: 5, Applets: 40})
-			if err != nil {
-				return "", err
-			}
-			return FormatChaos(r), nil
-		}},
-		{"push_vs_poll", true, func() (string, error) {
-			r, err := RunPushVsPoll(QuickPushVsPollConfig(seed))
-			if err != nil {
-				return "", err
-			}
-			return FormatPushVsPoll(r), nil
-		}},
-		{"cluster_chaos", true, func() (string, error) {
-			r, err := RunClusterChaos(QuickClusterChaosConfig(seed))
-			if err != nil {
-				return "", err
-			}
-			return FormatClusterChaos(r), nil
-		}},
-		{"durable_churn", false, func() (string, error) {
-			r, err := RunDurableChurn(QuickDurableChurnConfig(seed))
-			if err != nil {
-				return "", err
-			}
-			return FormatDurableChurn(r), nil
-		}},
-	}
-	for _, sec := range sections {
-		t.Run(sec.name, func(t *testing.T) {
+	for _, sec := range Sections {
+		t.Run(sec.Name, func(t *testing.T) {
 			t.Parallel()
-			got, err := sec.run()
+			got, err := sec.Run(ReportArgs{Seed: 1, Quick: true, EcoScale: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sec.seeded {
+			if !sec.Seeded {
 				got = maskWallClock(got)
 			}
-			path := filepath.Join("testdata", sec.name+".golden")
+			path := filepath.Join("testdata", sec.Name+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -142,7 +61,7 @@ func TestGoldenSeededStudies(t *testing.T) {
 				t.Fatalf("%v (run with -update to create it)", err)
 			}
 			if got != string(want) {
-				t.Errorf("%s moved from %s:\n--- got\n%s\n--- want\n%s", sec.name, path, got, want)
+				t.Errorf("%s moved from %s:\n--- got\n%s\n--- want\n%s", sec.Name, path, got, want)
 			}
 		})
 	}

@@ -18,13 +18,10 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/proto"
-	"repro/internal/simtime"
 	"repro/internal/stats"
 )
 
@@ -52,9 +49,8 @@ type PushVsPollConfig struct {
 	IngressQueue int
 	// FlushInterval is the push partner's batching cadence: events that
 	// occurred since the previous flush are POSTed together at each
-	// flush. Default 1s — so a pushed event waits up to one flush
-	// interval before ingestion, which is the realistic sub-second
-	// latency the push arm measures. Default 1s.
+	// flush. Default 1s, so a pushed event waits up to one second before
+	// ingestion: the realistic sub-second latency the push arm measures.
 	FlushInterval time.Duration
 }
 
@@ -107,30 +103,14 @@ func (r *PushVsPollResults) Speedup() float64 {
 
 // RunPushVsPoll runs the two arms and returns their T2A distributions.
 func RunPushVsPoll(cfg PushVsPollConfig) (*PushVsPollResults, error) {
-	if cfg.Subs <= 0 {
-		cfg.Subs = 100_000
-	}
-	if cfg.Hot <= 0 {
-		cfg.Hot = 10_000
-	}
-	if cfg.HotPeriod <= 0 {
-		cfg.HotPeriod = 30 * time.Second
-	}
-	if cfg.ColdPeriod <= 0 {
-		cfg.ColdPeriod = 4 * time.Hour
-	}
-	if cfg.BudgetQPS <= 0 {
-		cfg.BudgetQPS = 200
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 40 * time.Minute
-	}
-	if cfg.IngressQueue <= 0 {
-		cfg.IngressQueue = 4096
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = time.Second
-	}
+	orDefault(&cfg.Subs, 100_000)
+	orDefault(&cfg.Hot, 10_000)
+	orDefault(&cfg.HotPeriod, 30*time.Second)
+	orDefault(&cfg.ColdPeriod, 4*time.Hour)
+	orDefault(&cfg.BudgetQPS, 200)
+	orDefault(&cfg.Horizon, 40*time.Minute)
+	orDefault(&cfg.IngressQueue, 4096)
+	orDefault(&cfg.FlushInterval, time.Second)
 	res := &PushVsPollResults{Cfg: cfg}
 	var err error
 	if res.Poll, err = runPushVsPollArm(cfg, false); err != nil {
@@ -142,26 +122,21 @@ func RunPushVsPoll(cfg PushVsPollConfig) (*PushVsPollResults, error) {
 	return res, nil
 }
 
-func runPushVsPollArm(cfg PushVsPollConfig, push bool) (PushVsPollArm, error) {
-	clock := simtime.NewSimDefault()
-	doer := NewSkewedLoad(clock, cfg.HotPeriod, cfg.ColdPeriod)
-	cutoff := clock.Now().Add(cfg.Horizon / 2)
-
-	var mu sync.Mutex
-	var t2as, ingests []float64
-	pushed := 0
-	onSpan := func(sp obs.ExecSpan) {
-		if !sp.PollSentAt.After(cutoff) {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		t2as = append(t2as, sp.T2A().Seconds())
-		if sp.Pushed {
-			pushed++
-			ingests = append(ingests, sp.Ingest().Seconds())
-		}
+// pushStudyAdaptive is the adaptive polling of the push-vs-poll and
+// cluster studies: the engine's best non-push configuration, not a
+// strawman, and the reconciliation path of the push tier.
+func pushStudyAdaptive() *engine.AdaptiveConfig {
+	return &engine.AdaptiveConfig{
+		HalfLife: 2 * time.Minute, FastFloor: 10 * time.Second,
+		SlowCeiling: 15 * time.Minute, TargetEventsPerPoll: 0.3,
 	}
+}
+
+func runPushVsPollArm(cfg PushVsPollConfig, push bool) (PushVsPollArm, error) {
+	rig := newSimRig()
+	clock := rig.clock
+	doer := NewSkewedLoad(clock, cfg.HotPeriod, cfg.ColdPeriod)
+	rig.cutoff = clock.Now().Add(cfg.Horizon / 2)
 	ecfg := engine.Config{
 		Clock: clock, RNG: stats.NewRNG(cfg.Seed), Doer: doer,
 		// A small but nonzero dispatch delay (both arms, so the
@@ -171,103 +146,58 @@ func runPushVsPollArm(cfg PushVsPollConfig, push bool) (PushVsPollArm, error) {
 		DispatchDelay: 10 * time.Millisecond,
 		Shards:        8, ShardWorkers: 8,
 		PollBudgetQPS: cfg.BudgetQPS,
-		// Both arms poll adaptively: the poll arm is the engine's best
-		// non-push configuration, not a strawman; the push arm keeps the
-		// same loop as its reconciliation path.
-		Adaptive: &engine.AdaptiveConfig{
-			HalfLife: 2 * time.Minute, FastFloor: 10 * time.Second,
-			SlowCeiling: 15 * time.Minute, TargetEventsPerPoll: 0.3,
-		},
-		OnSpan: onSpan,
+		// Both arms poll adaptively; the push arm keeps the same loop.
+		Adaptive: pushStudyAdaptive(),
+		OnSpan:   rig.onSpan,
 	}
 	if push {
 		ecfg.Push = true
 		ecfg.IngressQueue = cfg.IngressQueue
 	}
 	eng := engine.New(ecfg)
-	var installErr error
-	clock.Run(func() {
-		identities := make([]string, cfg.Hot)
-		markers := make([]string, cfg.Hot)
-		for j := 0; j < cfg.Subs; j++ {
-			a := paretoApplet(j, cfg.Hot)
-			if err := eng.Install(a); err != nil {
-				installErr = err
-				return
-			}
-			if j < cfg.Hot {
-				identities[j] = a.TriggerIdentity()
-				markers[j] = a.Trigger.Fields["n"]
-			}
+	if err := rig.run(func() error {
+		defer eng.Stop()
+		if err := installN(eng.Install, cfg.Subs, func(j int) engine.Applet { return paretoApplet(j, cfg.Hot) }); err != nil {
+			return err
 		}
 		if push {
-			// Push driver: the partner side of the tier. Every
-			// FlushInterval it POSTs one batch carrying the events that
-			// occurred since the previous flush — same IDs and (nanosecond)
-			// timestamps SkewedLoad serves to polls, so dedup reconciles
-			// the paths, and each event's T2A includes its real wait for
-			// the partner's flush. In-process against the engine handler:
-			// the study measures the ingestion tier, not a simulated WAN
-			// hop.
+			// The partner POSTs a batch every FlushInterval, in-process
+			// against the engine handler: the study measures the
+			// ingestion tier, not a simulated WAN hop.
 			handler := eng.Handler()
 			flushes := int(cfg.Horizon / cfg.FlushInterval)
-			next := make([]int, cfg.Hot)
-			clock.Go(func() {
-				for k := 1; k < flushes; k++ {
-					clock.Sleep(cfg.FlushInterval)
-					now := clock.Now()
-					var ds []proto.PushDelivery
-					for j := 0; j < cfg.Hot; j++ {
-						hi := doer.EventsOccurred(markers[j], now)
-						if hi <= next[j] {
-							continue
-						}
-						evs := make([]proto.TriggerEvent, 0, hi-next[j])
-						for i := next[j]; i < hi; i++ {
-							t := doer.EventTime(markers[j], i)
-							evs = append(evs, proto.TriggerEvent{Meta: proto.EventMeta{
-								ID:             fmt.Sprintf("%s-%06d", markers[j], i),
-								Timestamp:      t.Unix(),
-								TimestampNanos: t.UnixNano(),
-							}})
-						}
-						next[j] = hi
-						ds = append(ds, proto.PushDelivery{
-							TriggerIdentity: identities[j], Events: evs,
-						})
-					}
-					if len(ds) == 0 {
-						continue
-					}
-					body, _ := json.Marshal(proto.PushBatch{Data: ds})
-					req := httptest.NewRequest("POST", proto.PushPath, bytes.NewReader(body))
-					handler.ServeHTTP(httptest.NewRecorder(), req)
+			pushPartner(clock, doer, cfg.Hot, func() bool {
+				if flushes--; flushes < 1 {
+					return false
 				}
+				clock.Sleep(cfg.FlushInterval)
+				return true
+			}, func(ds []proto.PushDelivery) {
+				body, _ := json.Marshal(proto.PushBatch{Data: ds})
+				req := httptest.NewRequest("POST", proto.PushPath, bytes.NewReader(body))
+				handler.ServeHTTP(httptest.NewRecorder(), req)
 			})
 		}
 		clock.Sleep(cfg.Horizon)
-		eng.Stop()
-	})
-	if installErr != nil {
-		return PushVsPollArm{}, installErr
+		return nil
+	}); err != nil {
+		return PushVsPollArm{}, err
 	}
-	st := eng.Stats()
+	st, t2a := eng.Stats(), summary(rig.t2a)
 	arm := PushVsPollArm{
 		Push:        push,
-		Events:      len(t2as),
+		P50:         t2a.P50,
+		P90:         t2a.P90,
+		P99:         t2a.P99,
+		Events:      t2a.N,
+		IngestP50:   summary(rig.ingest).P50,
 		MeasuredQPS: float64(st.Polls) / cfg.Horizon.Seconds(),
 		Polls:       st.Polls,
 		Accepted:    st.IngressAccepted,
 		Rejected:    st.IngressRejected,
 	}
-	if len(t2as) > 0 {
-		arm.P50 = stats.Percentile(t2as, 50)
-		arm.P90 = stats.Percentile(t2as, 90)
-		arm.P99 = stats.Percentile(t2as, 99)
-		arm.PushShare = float64(pushed) / float64(len(t2as))
-	}
-	if len(ingests) > 0 {
-		arm.IngestP50 = stats.Percentile(ingests, 50)
+	if t2a.N > 0 {
+		arm.PushShare = float64(rig.pushed) / float64(t2a.N)
 	}
 	return arm, nil
 }

@@ -14,6 +14,98 @@ import (
 	"repro/internal/stats"
 )
 
+// ReportArgs are cmd/report's flags, as every section reads them.
+type ReportArgs struct {
+	Seed uint64
+	// Quick runs each study at its Quick*Config size.
+	Quick bool
+	// EcoScale scales the §3 ecosystem dataset (1 = paper size).
+	EcoScale float64
+	// CSVDir, when set, receives the figure series of the §3 and §4
+	// sections (WriteFigureCSVs).
+	CSVDir string
+}
+
+// Section is one section of EXPERIMENTS.md.
+type Section struct {
+	// Name names the section in logs and in its golden file.
+	Name string
+	// Seeded is true when every number in the section comes from a
+	// simulated clock and a seeded RNG; the others also read the wall
+	// clock.
+	Seeded bool
+	// Run runs the section's study and returns its markdown.
+	Run func(a ReportArgs) (string, error)
+}
+
+// Sections are the report's sections, in order.
+var Sections = []Section{
+	{"ecosystem", true, func(a ReportArgs) (string, error) {
+		r := RunEcosystem(a.Seed, a.EcoScale)
+		return FormatEco(r), WriteFigureCSVs(a.CSVDir, nil, r)
+	}},
+	{"crawl", false, func(a ReportArgs) (string, error) {
+		ids := 10_000
+		if a.Quick {
+			ids = 4000
+		}
+		start := time.Now()
+		cs, err := RunCrawlStudy(a.Seed, 0.01, ids)
+		if err != nil {
+			return "", err
+		}
+		return FormatCrawl(cs, time.Since(start)), nil
+	}},
+	{"performance", true, func(a ReportArgs) (string, error) {
+		r, err := RunPerformance(pick(a, PerfConfig{Seed: a.Seed}, QuickPerfConfig))
+		if err != nil {
+			return "", err
+		}
+		return FormatPerf(r), WriteFigureCSVs(a.CSVDir, r, nil)
+	}},
+	{"t2a_breakdown", true, func(a ReportArgs) (string, error) {
+		return study(a, BreakdownConfig{Seed: a.Seed}, QuickBreakdownConfig, RunT2ABreakdown, FormatBreakdown)
+	}},
+	{"engine_scale", false, func(a ReportArgs) (string, error) {
+		return study(a, ScaleConfig{Seed: a.Seed}, QuickScaleConfig, RunEngineScale, FormatScale)
+	}},
+	{"ablations", true, func(a ReportArgs) (string, error) {
+		return study(a, AblationConfig{Seed: a.Seed}, QuickAblationConfig, RunAblations, FormatAblations)
+	}},
+	{"adaptive_pareto", true, func(a ReportArgs) (string, error) {
+		return study(a, ParetoConfig{Seed: a.Seed}, QuickParetoConfig, RunAdaptivePareto, FormatAdaptivePareto)
+	}},
+	{"chaos", true, func(a ReportArgs) (string, error) {
+		return study(a, ChaosConfig{Seed: a.Seed}, QuickChaosConfig, RunChaos, FormatChaos)
+	}},
+	{"push_vs_poll", true, func(a ReportArgs) (string, error) {
+		return study(a, PushVsPollConfig{Seed: a.Seed}, QuickPushVsPollConfig, RunPushVsPoll, FormatPushVsPoll)
+	}},
+	{"cluster_chaos", true, func(a ReportArgs) (string, error) {
+		return study(a, ClusterChaosConfig{Seed: a.Seed}, QuickClusterChaosConfig, RunClusterChaos, FormatClusterChaos)
+	}},
+	{"durable_churn", false, func(a ReportArgs) (string, error) {
+		return study(a, DurableChurnConfig{Seed: a.Seed}, QuickDurableChurnConfig, RunDurableChurn, FormatDurableChurn)
+	}},
+}
+
+// pick is full, or the quick config for a.Seed under -quick.
+func pick[C any](a ReportArgs, full C, quick func(seed uint64) C) C {
+	if a.Quick {
+		return quick(a.Seed)
+	}
+	return full
+}
+
+// study runs one study at its full or quick config and formats it.
+func study[C, R any](a ReportArgs, full C, quick func(seed uint64) C, run func(C) (R, error), format func(R) string) (string, error) {
+	r, err := run(pick(a, full, quick))
+	if err != nil {
+		return "", err
+	}
+	return format(r), nil
+}
+
 // CrawlStudy compares statistics computed from scraped pages against
 // ground truth, validating the measurement methodology end to end.
 type CrawlStudy struct {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"runtime"
 	"sort"
 	"strings"
@@ -11,7 +9,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/simtime"
 	"repro/internal/stats"
 )
 
@@ -54,127 +51,95 @@ type ScaleResults struct {
 	TracedOverheadPct float64 // wall-time regression of the traced pass
 }
 
-// emptyPollDoer answers every request instantly with an empty poll
-// result so the study measures the scheduler, not a simulated network.
-type emptyPollDoer struct{}
-
-func (emptyPollDoer) Do(req *http.Request) (*http.Response, error) {
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Body:       io.NopCloser(strings.NewReader(`{"data":[]}`)),
-		Header:     make(http.Header),
-		Request:    req,
-	}, nil
+// QuickScaleConfig is the study at cmd/report -quick's size: 20 000
+// applets polling for 6 minutes.
+func QuickScaleConfig(seed uint64) ScaleConfig {
+	return ScaleConfig{Seed: seed, Applets: 20_000, Virtual: 6 * time.Minute}
 }
 
-// scalePass runs one population through cfg.Virtual of polling; reg
-// non-nil enables the observability layer (registry + inline spans).
-type scalePassResult struct {
-	installWall    time.Duration
-	runWall        time.Duration
-	polls          int64
-	peakGoroutines int
-	heapMB         float64
-}
-
-func runScalePass(cfg ScaleConfig, n, shards, workers int, virtual time.Duration, reg *obs.Registry) scalePassResult {
+// runScalePass runs one population through cfg.Virtual of polling and
+// fills the run's walls, polls, goroutines and heap; reg non-nil enables
+// the observability layer (registry + inline spans). Every trigger poll
+// is answered instantly with an empty result, so the study measures the
+// scheduler, not a simulated network.
+func runScalePass(cfg ScaleConfig, reg *obs.Registry) (ScaleResults, error) {
 	// Collect the previous pass's garbage first so each pass starts from
 	// the same heap state — the runs are short enough (~1.5s at 100K)
 	// that inherited GC debt otherwise dominates the comparison.
 	runtime.GC()
-	clock := simtime.NewSimDefault()
+	rig := newSimRig()
 	eng := engine.New(engine.Config{
-		Clock: clock, RNG: stats.NewRNG(cfg.Seed), Doer: emptyPollDoer{},
+		Clock: rig.clock, RNG: stats.NewRNG(cfg.Seed), Doer: cannedPolls(`{"data":[]}`),
 		Poll:          engine.FixedInterval{Interval: 5 * time.Minute},
-		DispatchDelay: -1, Shards: shards, ShardWorkers: workers,
+		DispatchDelay: -1, Shards: cfg.Shards, ShardWorkers: cfg.Workers,
 		Metrics: reg,
 	})
 
-	var r scalePassResult
-	clock.Run(func() {
+	var r ScaleResults
+	err := rig.run(func() error {
+		defer eng.Stop()
 		start := time.Now()
-		for i := 0; i < n; i++ {
-			a := engine.Applet{
-				ID:     fmt.Sprintf("a%06d", i),
-				UserID: fmt.Sprintf("u%05d", i%10000),
-				Trigger: engine.ServiceRef{
-					Service: "scalesvc", BaseURL: "http://svc.sim", Slug: "fired",
-					Fields: map[string]string{"n": fmt.Sprint(i)},
-				},
-				Action: engine.ServiceRef{Service: "scalesvc", BaseURL: "http://svc.sim", Slug: "act"},
-			}
-			if err := eng.Install(a); err != nil {
-				panic("scale study install: " + err.Error())
-			}
+		if err := installN(eng.Install, cfg.Applets, numberedApplets("a", "scalesvc")); err != nil {
+			return fmt.Errorf("scale study: %w", err)
 		}
-		r.installWall = time.Since(start)
+		r.InstallWall = time.Since(start)
 
 		start = time.Now()
-		clock.Sleep(virtual)
-		if g := runtime.NumGoroutine(); g > r.peakGoroutines {
-			r.peakGoroutines = g
-		}
-		r.runWall = time.Since(start)
-		r.polls = eng.Stats().Polls
+		rig.clock.Sleep(cfg.Virtual)
+		r.PeakGoroutines = runtime.NumGoroutine()
+		r.RunWall = time.Since(start)
+		r.Polls = eng.Stats().Polls
 
 		var m runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m)
-		r.heapMB = float64(m.HeapAlloc) / (1 << 20)
-		eng.Stop()
+		r.HeapMB = float64(m.HeapAlloc) / (1 << 20)
+		return nil
 	})
-	return r
+	return r, err
 }
 
 // RunEngineScale installs cfg.Applets applets on a virtual clock, lets
 // them poll for cfg.Virtual, and reports throughput and footprint —
 // once bare, once with the observability layer enabled, so the tracing
 // overhead on the hot path is measured rather than assumed.
-func RunEngineScale(cfg ScaleConfig) *ScaleResults {
-	n := cfg.Applets
-	if n == 0 {
-		n = 100_000
-	}
-	shards, workers := cfg.Shards, cfg.Workers
-	if shards == 0 {
-		shards = 8
-	}
-	if workers == 0 {
-		workers = 8
-	}
-	virtual := cfg.Virtual
-	if virtual == 0 {
-		virtual = 10 * time.Minute
-	}
+func RunEngineScale(cfg ScaleConfig) (*ScaleResults, error) {
+	orDefault(&cfg.Applets, 100_000)
+	orDefault(&cfg.Shards, 8)
+	orDefault(&cfg.Workers, 8)
+	orDefault(&cfg.Virtual, 10*time.Minute)
 
 	// Each configuration is run three times and the median-wall pass is
 	// reported: one pass is ~1.5s at 100K applets, short enough that GC
 	// scheduling noise swamps the few-percent effect being measured.
-	medianPass := func(reg func() *obs.Registry) scalePassResult {
-		passes := make([]scalePassResult, 3)
+	medianPass := func(reg func() *obs.Registry) (ScaleResults, error) {
+		passes := make([]ScaleResults, 3)
 		for i := range passes {
-			passes[i] = runScalePass(cfg, n, shards, workers, virtual, reg())
+			var err error
+			if passes[i], err = runScalePass(cfg, reg()); err != nil {
+				return ScaleResults{}, err
+			}
 		}
-		sort.Slice(passes, func(i, j int) bool { return passes[i].runWall < passes[j].runWall })
-		return passes[1]
+		sort.Slice(passes, func(i, j int) bool { return passes[i].RunWall < passes[j].RunWall })
+		return passes[1], nil
 	}
 
-	r := &ScaleResults{Applets: n, Shards: shards, Workers: workers, Virtual: virtual}
-	plain := medianPass(func() *obs.Registry { return nil })
-	r.InstallWall = plain.installWall
-	r.InstallsPerSec = float64(n) / plain.installWall.Seconds()
-	r.RunWall = plain.runWall
-	r.Polls = plain.polls
-	r.PollsPerSec = float64(plain.polls) / plain.runWall.Seconds()
-	r.PeakGoroutines = plain.peakGoroutines
-	r.HeapMB = plain.heapMB
-
-	traced := medianPass(obs.NewRegistry)
-	r.TracedRunWall = traced.runWall
-	r.TracedPolls = traced.polls
-	r.TracedPollsPerSec = float64(traced.polls) / traced.runWall.Seconds()
-	r.TracedOverheadPct = 100 * (traced.runWall.Seconds() - plain.runWall.Seconds()) / plain.runWall.Seconds()
-	return r
+	r, err := medianPass(func() *obs.Registry { return nil })
+	if err != nil {
+		return nil, err
+	}
+	traced, err := medianPass(obs.NewRegistry)
+	if err != nil {
+		return nil, err
+	}
+	r.Applets, r.Shards, r.Workers, r.Virtual = cfg.Applets, cfg.Shards, cfg.Workers, cfg.Virtual
+	r.InstallsPerSec = float64(cfg.Applets) / r.InstallWall.Seconds()
+	r.PollsPerSec = float64(r.Polls) / r.RunWall.Seconds()
+	r.TracedRunWall = traced.RunWall
+	r.TracedPolls = traced.Polls
+	r.TracedPollsPerSec = float64(traced.Polls) / traced.RunWall.Seconds()
+	r.TracedOverheadPct = 100 * (traced.RunWall.Seconds() - r.RunWall.Seconds()) / r.RunWall.Seconds()
+	return &r, nil
 }
 
 // FormatScale renders the engine-scale study. The "seed engine" row is
@@ -208,15 +173,11 @@ func FormatScale(r *ScaleResults) string {
 	return b.String()
 }
 
+// groupThousands renders n with a comma between groups of three digits.
 func groupThousands(n int) string {
 	s := fmt.Sprint(n)
-	if len(s) <= 3 {
-		return s
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
 	}
-	var parts []string
-	for len(s) > 3 {
-		parts = append([]string{s[len(s)-3:]}, parts...)
-		s = s[:len(s)-3]
-	}
-	return s + "," + strings.Join(parts, ",")
+	return s
 }
