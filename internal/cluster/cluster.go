@@ -479,8 +479,10 @@ func (c *Cluster) Handler() http.Handler {
 	})
 	if c.tmpl.Push {
 		mux.HandleFunc("POST "+proto.PushPath, func(w http.ResponseWriter, r *http.Request) {
+			// One pass over the body: PushBatch's scanner validates as it
+			// decodes, so encoding/json's validity pass would be a second.
 			var b proto.PushBatch
-			if err := httpx.ReadJSON(r, &b); err != nil {
+			if err := httpx.ReadBody(r, b.UnmarshalJSON); err != nil {
 				httpx.WriteBodyError(w, err)
 				return
 			}
