@@ -9,6 +9,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo '== gofmt -l .'
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+    echo "verify: not gofmt-clean: $UNFORMATTED" >&2
+    exit 1
+fi
+
 echo '== go vet ./...'
 go vet ./...
 
