@@ -165,11 +165,12 @@ func runPushVsPollArm(cfg PushVsPollConfig, push bool) (PushVsPollArm, error) {
 			// against the engine handler: the study measures the
 			// ingestion tier, not a simulated WAN hop.
 			handler := eng.Handler()
-			flushes := int(cfg.Horizon / cfg.FlushInterval)
+			flushes := int(cfg.Horizon/cfg.FlushInterval) - 1 // the last one interval before the horizon
 			pushPartner(clock, doer, cfg.Hot, func() bool {
-				if flushes--; flushes < 1 {
+				if flushes <= 0 {
 					return false
 				}
+				flushes--
 				clock.Sleep(cfg.FlushInterval)
 				return true
 			}, func(ds []proto.PushDelivery) {
