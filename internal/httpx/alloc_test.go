@@ -1,6 +1,7 @@
 package httpx
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"strings"
@@ -86,5 +87,49 @@ func TestDoPreparedAllocsBounded(t *testing.T) {
 	t.Logf("DoPrepared: %.1f allocs/op", allocs)
 	if allocs > 6 {
 		t.Errorf("DoPrepared allocs/op = %.1f, want ≤ 6 (prototype path regressed?)", allocs)
+	}
+}
+
+// reusedDoer answers every request with the one response, reset, so a
+// test counts the client's allocations and none of the Doer's.
+type reusedDoer struct {
+	resp http.Response
+	body reusedBody
+	data []byte
+}
+
+type reusedBody struct{ bytes.Reader }
+
+func (*reusedBody) Close() error { return nil }
+
+func (d *reusedDoer) Do(req *http.Request) (*http.Response, error) {
+	io.Copy(io.Discard, req.Body)
+	req.Body.Close()
+	d.body.Reset(d.data)
+	d.resp = http.Response{StatusCode: http.StatusOK, Body: &d.body}
+	return &d.resp, nil
+}
+
+// TestDoEndpointAllocs: a request with a credential and a body, both
+// rendered into one reused caller buffer the way the engine renders an
+// action, is copied into the attempt's pooled scratch and sent without
+// an allocation on the client's side once the pools are warm.
+func TestDoEndpointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	c := NewClient(&reusedDoer{data: []byte(`{"data":[{"id":"ok"}]}`)}, simtime.NewReal(), 0)
+	ep := testEndpoint()
+	buf := []byte(`Bearer tok{"actionFields":{"k":"v"}}`)
+	auth, body := buf[:len("Bearer tok")], buf[len("Bearer tok"):]
+	var out rawTarget
+	send := func() {
+		if status, err := c.DoEndpoint(ep, "", auth, body, &out); err != nil || status != 200 || out.n == 0 {
+			t.Fatal(status, err, out.n)
+		}
+	}
+	send()
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Errorf("DoEndpoint allocates %.1f/op on the client's side, want 0", allocs)
 	}
 }

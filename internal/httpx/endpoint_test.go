@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func TestDoEndpointAssemblesRequest(t *testing.T) {
 		ep         *Endpoint
 		auth, body string
 	}{{ep, "Bearer a", `{"n":1}`}, {ep, "Bearer b", `{"n":22}`}, {other, "", ""}, {ep, "", `{}`}, {ep, "Bearer c", `{"n":3}`}} {
-		if status, err := c.DoEndpoint(call.ep, "", call.auth, call.body, nil); err != nil || status != 200 {
+		if status, err := c.DoEndpoint(call.ep, "", []byte(call.auth), []byte(call.body), nil); err != nil || status != 200 {
 			t.Fatal(status, err)
 		}
 	}
@@ -82,7 +83,7 @@ func TestScratchIsPerClient(t *testing.T) {
 	for _, who = range []string{"a", "b"} {
 		c := NewClient(d, simtime.NewReal(), 0)
 		for i := 0; i < 4; i++ {
-			if status, err := c.DoEndpoint(ep, "", "Bearer x", `{}`, nil); err != nil || status != 200 {
+			if status, err := c.DoEndpoint(ep, "", []byte("Bearer x"), []byte(`{}`), nil); err != nil || status != 200 {
 				t.Fatal(status, err)
 			}
 		}
@@ -98,7 +99,7 @@ func TestEndpointUnparsableURLFailsEveryAttempt(t *testing.T) {
 	c := NewClient(doerFunc(func(*http.Request) (*http.Response, error) { calls++; return nil, errors.New("reached") }), simtime.NewReal(), 2)
 	slept := 0
 	c.SetBackoff(func(int) time.Duration { slept++; return 0 })
-	status, err := c.DoEndpoint(ep, "", "Bearer a", "{}", nil)
+	status, err := c.DoEndpoint(ep, "", []byte("Bearer a"), []byte("{}"), nil)
 	if status != 0 || !errors.Is(err, ep.Err()) || !strings.HasPrefix(err.Error(), "POST http://bad host/%zz: parse ") {
 		t.Errorf("status %d, err %v: want status 0 and the parse error behind the request line", status, err)
 	}
@@ -187,9 +188,11 @@ func TestDoEndpointScratchDroppedUnlessExchangeCompleted(t *testing.T) {
 		}}
 	c := NewClient(l, simtime.NewReal(), 0)
 	ep := testEndpoint()
+	var buf []byte // every request is rendered into the one caller buffer
 	for i := 0; i < 200; i++ {
 		auth := fmt.Sprint("Bearer ", i)
-		_, err := c.DoEndpoint(ep, "", auth, `{"for":"`+auth+`"}`, nil)
+		buf = append(append(append(append(buf[:0], auth...), `{"for":"`...), auth...), `"}`...)
+		_, err := c.DoEndpoint(ep, "", buf[:len(auth)], buf[len(auth):], nil)
 		if mode := l.mode(auth); (err != nil) != (mode == "fail" || mode == "read error") {
 			t.Fatalf("request %d (%s): err = %v", i, mode, err)
 		}
@@ -202,5 +205,81 @@ func TestDoEndpointScratchDroppedUnlessExchangeCompleted(t *testing.T) {
 		if verdict := <-l.done; verdict != "" {
 			t.Error(verdict)
 		}
+	}
+}
+
+// TestDoEndpointAbandonedExchangeKeepsItsBytes: DoEndpoint copies the
+// credential and the body into the attempt's scratch, so a transport that
+// gave up on an attempt and goes on reading it sees the bytes it was
+// handed while the caller renders request after request into the buffer
+// it passed them from — after a call that failed, and after a first
+// attempt that failed and whose retry succeeded. Under -race a request
+// that still read the caller's buffer is also a reported data race.
+func TestDoEndpointAbandonedExchangeKeepsItsBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		retries int
+	}{{"call abandoned", 0}, {"first attempt abandoned, retry succeeds", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const want = `Bearer 0 {"n":0}`
+			release := make(chan struct{})
+			late := make(chan string, 1)
+			attempts := 0
+			d := doerFunc(func(req *http.Request) (*http.Response, error) {
+				if attempts++; attempts > 1 {
+					io.Copy(io.Discard, req.Body)
+					return &http.Response{StatusCode: 200, Body: io.NopCloser(strings.NewReader(`{}`))}, nil
+				}
+				go func() { // reads the request until released, then drains its body
+					verdict := ""
+					check := func(got string) {
+						if got != want && verdict == "" {
+							verdict = fmt.Sprintf("the abandoned attempt read %s, want %s", got, want)
+						}
+					}
+					for waiting := true; waiting; {
+						select {
+						case <-release:
+							waiting = false
+						default:
+							replay, err := req.GetBody()
+							if err != nil {
+								check(err.Error())
+								continue
+							}
+							body, _ := io.ReadAll(replay)
+							check(req.Header["Authorization"][0] + " " + string(body))
+						}
+					}
+					body, _ := io.ReadAll(req.Body)
+					check(req.Header["Authorization"][0] + " " + string(body))
+					late <- verdict
+				}()
+				return nil, errors.New("timed out")
+			})
+			c := NewClient(d, simtime.NewReal(), tc.retries)
+			c.SetBackoff(func(int) time.Duration { return 0 })
+			ep := testEndpoint()
+			var buf []byte
+			send := func(i int) error {
+				buf = append(strconv.AppendInt(append(buf[:0], "Bearer "...), int64(i), 10), `{"n":`...)
+				n := len(buf) - len(`{"n":`)
+				buf = append(strconv.AppendInt(buf, int64(i), 10), '}')
+				_, err := c.DoEndpoint(ep, "", buf[:n], buf[n:], nil)
+				return err
+			}
+			if err := send(0); (err != nil) != (tc.retries == 0) {
+				t.Fatalf("first call: err = %v with %d retries", err, tc.retries)
+			}
+			for i := 1; i <= 50; i++ {
+				if err := send(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(release)
+			if verdict := <-late; verdict != "" {
+				t.Error(verdict)
+			}
+		})
 	}
 }

@@ -14,9 +14,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/simtime"
 )
@@ -122,9 +122,27 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 
 // Doer issues HTTP requests. *http.Client satisfies it, as does the
 // simulated transport client.
+//
+// A Doer must not keep the request, its header values or its body past
+// the end of the exchange: once the response body has been read to its
+// end and closed, DoEndpoint reuses the memory all three live in for the
+// next request, the Authorization value and the body bytes included. A
+// value a Doer (or a handler it serves in process) needs later is copied
+// out during the exchange. The Doers in this repository are held to
+// that: *http.Client (net/http writes the request before the response
+// can be read to its end), simnet.Client (it reads the body into a copy
+// of its own before the handler runs, and the handler runs before the
+// response exists), faults' injector (it passes the request on or drops
+// it), the core study rigs (they read the body into a copy), and the
+// bench partner stub and its tracing wrapper (they parse the
+// Authorization value and the body during Do).
 type Doer interface {
 	Do(req *http.Request) (*http.Response, error)
 }
+
+// maxPooledBytes bounds the buffers the client's pools keep: one
+// oversized response or request must not pin its memory forever.
+const maxPooledBytes = 1 << 20
 
 // bufPool recycles scratch buffers for request encoding and response
 // reads. The engine's poll hot path issues one request per subscription
@@ -141,10 +159,9 @@ type scratchBuf struct {
 
 func getBuf() *scratchBuf { return bufPool.Get().(*scratchBuf) }
 
-// putBuf returns a buffer to the pool unless it grew abnormally large
-// (one oversized response must not pin a megabyte buffer forever).
+// putBuf returns a buffer to the pool unless it grew past maxPooledBytes.
 func putBuf(b *scratchBuf) {
-	if b.Cap() > 1<<20 {
+	if b.Cap() > maxPooledBytes {
 		return
 	}
 	b.Reset()
@@ -384,7 +401,7 @@ func (ep *Endpoint) Err() error { return ep.err }
 // body marshalled once, for a request that is sent repeatedly unchanged.
 type Prepared struct {
 	ep   *Endpoint
-	body string
+	body []byte
 }
 
 // NewPrepared builds a request prototype. body, when non-nil, is
@@ -412,25 +429,28 @@ func NewPrepared(method, rawURL string, body any, opts ...RequestOpt) (*Prepared
 		opt(carrier)
 	}
 	ep.header, ep.host = carrier.Header, carrier.Host
-	return &Prepared{ep: ep, body: string(payload)}, nil
+	return &Prepared{ep: ep, body: payload}, nil
 }
 
 // DoPrepared sends a prototype request with the same retry and decode
 // semantics as DoJSON.
 func (c *Client) DoPrepared(p *Prepared, out any) (int, error) {
-	return c.DoEndpoint(p.ep, "", "", p.body, out)
+	return c.DoEndpoint(p.ep, "", nil, p.body, out)
 }
 
 // DoEndpoint sends body (JSON already, sent as is; empty for none) to
 // ep with the same retry and decode semantics as DoJSON. suffix, when
 // not empty, is appended to ep's path (it must not need escaping): the
 // joined path is then the one string a call allocates. auth, when not
-// empty, is the request's Authorization header. Nothing is parsed,
-// marshalled or canonicalised, and the request itself is assembled in
-// pooled scratch (see reqScratch): ep's header, auth and body are
-// read-only to the Doer and must stay unchanged until DoEndpoint
-// returns.
-func (c *Client) DoEndpoint(ep *Endpoint, suffix, auth, body string, out any) (int, error) {
+// empty, is the request's Authorization value. Nothing is parsed,
+// marshalled or canonicalised, and each attempt's request is assembled
+// in pooled scratch (see reqScratch) that auth and body are copied into:
+// they are only read, and only until DoEndpoint returns, so the caller
+// may render the next request into the same buffer right away, whatever
+// a transport that gave up on an attempt still reads. Once the pools
+// are warm, a call without suffix allocates nothing of its own; what the
+// Doer allocates for its response is its own.
+func (c *Client) DoEndpoint(ep *Endpoint, suffix string, auth, body []byte, out any) (int, error) {
 	return c.attempts(ep.method, ep.target, suffix, func() (int, error) {
 		if ep.err != nil {
 			return 0, ep.err
@@ -443,11 +463,11 @@ func (c *Client) DoEndpoint(ep *Endpoint, suffix, auth, body string, out any) (i
 			return 0, err
 		}
 		status, clean, err := readJSONResponse(resp, out)
-		if clean {
-			// Pooled holding nothing of the request but the endpoint its
-			// header map is filled for.
+		if clean && cap(sc.buf) <= maxPooledBytes {
+			// Pooled holding no pointer of the request's but the endpoint
+			// its header map is filled for.
 			sc.auth[0] = ""
-			sc.body.Reset("")
+			sc.body.Reset(nil)
 			if suffix != "" {
 				sc.url = url.URL{}
 			}
@@ -458,17 +478,21 @@ func (c *Client) DoEndpoint(ep *Endpoint, suffix, auth, body string, out any) (i
 }
 
 // reqScratch is one outgoing request's memory: the http.Request, its
-// header map, the one-value slice behind the Authorization header and the
-// body reader. A Doer may go on reading a request after it has given up
-// on it — net/http's transport writes the request from a goroutine of
-// its own — so a scratch returns to the pool only from an exchange that
-// ran to its end (response body drained and closed without error);
-// otherwise it is left to the collector and the next request starts from
-// a new one.
+// header map, the one-value slice behind the Authorization header, the
+// bytes of the credential and the body, and the body reader. A Doer may
+// go on reading a request after it has given up on it — net/http's
+// transport writes the request from a goroutine of its own — so a
+// scratch returns to the pool only from an exchange that ran to its end
+// (response body drained and closed without error); otherwise it is left
+// to the collector and the next request starts from a new one. That is
+// also what makes buf safe to view as a string: its bytes are rewritten
+// only by the next request assembled in the scratch, after the exchange
+// that read them is over.
 type reqScratch struct {
 	req    http.Request
 	header http.Header
-	auth   [1]string
+	auth   [1]string // a view of buf[:len(auth)]
+	buf    []byte    // the credential, then the body
 	body   bodyReader
 	// url is the request's address when it extends the endpoint's path.
 	url url.URL
@@ -492,24 +516,28 @@ func newReqScratch() any {
 	return sc
 }
 
-// bodyReader is a request body over a string the caller owns: reader and
+// bodyReader is a request body over the scratch's bytes: reader and
 // no-op closer in one.
-type bodyReader struct{ strings.Reader }
+type bodyReader struct{ bytes.Reader }
 
 func (*bodyReader) Close() error { return nil }
 
-func (sc *reqScratch) request(ep *Endpoint, suffix, auth, body string) *http.Request {
-	if sc.ep != ep || sc.withAuth != (auth != "") {
+func (sc *reqScratch) request(ep *Endpoint, suffix string, auth, body []byte) *http.Request {
+	withAuth := len(auth) > 0
+	if sc.ep != ep || sc.withAuth != withAuth {
 		clear(sc.header)
 		for k, v := range ep.header {
 			sc.header[k] = v
 		}
-		if auth != "" {
+		if withAuth {
 			sc.header["Authorization"] = sc.auth[:]
 		}
-		sc.ep, sc.withAuth = ep, auth != ""
+		sc.ep, sc.withAuth = ep, withAuth
 	}
-	sc.auth[0] = auth
+	sc.buf = append(append(sc.buf[:0], auth...), body...)
+	if withAuth {
+		sc.auth[0] = unsafe.String(&sc.buf[0], len(auth))
+	}
 	sc.req = http.Request{
 		Method:     ep.method,
 		URL:        ep.url,
@@ -527,8 +555,8 @@ func (sc *reqScratch) request(ep *Endpoint, suffix, auth, body string) *http.Req
 		}
 		sc.req.URL = &sc.url
 	}
-	if body != "" {
-		sc.body.Reset(body)
+	if len(body) > 0 {
+		sc.body.Reset(sc.buf[len(auth):])
 		sc.req.Body = &sc.body
 		sc.req.ContentLength = int64(len(body))
 		sc.req.GetBody = sc.getBody
