@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"net/http"
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -39,6 +41,8 @@ type ScaleResults struct {
 	RunWall        time.Duration
 	Polls          int64
 	PollsPerSec    float64 // real (wall-clock) poll throughput
+	// PeakGoroutines is the largest goroutine count sampled during the
+	// run, one sample per poll while it is in flight (peakSampler).
 	PeakGoroutines int
 	HeapMB         float64 // live heap after the run, applets installed
 
@@ -57,19 +61,36 @@ func QuickScaleConfig(seed uint64) ScaleConfig {
 	return ScaleConfig{Seed: seed, Applets: 20_000, Virtual: 6 * time.Minute}
 }
 
+// peakSampler is a Doer that answers like cannedPolls and samples the
+// process's goroutine count at every request it is sent, so while that
+// poll and whatever else the engine has in flight is running; peak is
+// the largest sample.
+type peakSampler struct {
+	cannedPolls
+	peak atomic.Int64
+}
+
+func (d *peakSampler) Do(req *http.Request) (*http.Response, error) {
+	n := int64(runtime.NumGoroutine())
+	for p := d.peak.Load(); n > p && !d.peak.CompareAndSwap(p, n); p = d.peak.Load() {
+	}
+	return d.cannedPolls.Do(req)
+}
+
 // runScalePass runs one population through cfg.Virtual of polling and
-// fills the run's walls, polls, goroutines and heap; reg non-nil enables
-// the observability layer (registry + inline spans). Every trigger poll
-// is answered instantly with an empty result, so the study measures the
-// scheduler, not a simulated network.
+// fills the run's walls, polls, peak goroutines and heap; reg non-nil
+// enables the observability layer (registry + inline spans). Every
+// trigger poll is answered instantly with an empty result, so the study
+// measures the scheduler, not a simulated network.
 func runScalePass(cfg ScaleConfig, reg *obs.Registry) (ScaleResults, error) {
 	// Collect the previous pass's garbage first so each pass starts from
 	// the same heap state — the runs are short enough (~1.5s at 100K)
 	// that inherited GC debt otherwise dominates the comparison.
 	runtime.GC()
 	rig := newSimRig()
+	partner := &peakSampler{cannedPolls: `{"data":[]}`}
 	eng := engine.New(engine.Config{
-		Clock: rig.clock, RNG: stats.NewRNG(cfg.Seed), Doer: cannedPolls(`{"data":[]}`),
+		Clock: rig.clock, RNG: stats.NewRNG(cfg.Seed), Doer: partner,
 		Poll:          engine.FixedInterval{Interval: 5 * time.Minute},
 		DispatchDelay: -1, Shards: cfg.Shards, ShardWorkers: cfg.Workers,
 		Metrics: reg,
@@ -86,8 +107,8 @@ func runScalePass(cfg ScaleConfig, reg *obs.Registry) (ScaleResults, error) {
 
 		start = time.Now()
 		rig.clock.Sleep(cfg.Virtual)
-		r.PeakGoroutines = runtime.NumGoroutine()
 		r.RunWall = time.Since(start)
+		r.PeakGoroutines = int(partner.peak.Load())
 		r.Polls = eng.Stats().Polls
 
 		var m runtime.MemStats

@@ -10,13 +10,23 @@ import "math/rand/v2"
 // RNG is a deterministic random source. All randomness in this repository
 // flows through explicitly seeded RNGs so that every experiment and every
 // generated dataset is reproducible bit-for-bit.
+//
+// The generator and its source are one object (every subscription of the
+// engine holds an RNG of its own), and r draws from pcg through a pointer
+// into the same object: an RNG is used only through the *RNG NewRNG or
+// Split returned, never copied, or the copy would advance the original's
+// state.
 type RNG struct {
-	r *rand.Rand
+	pcg rand.PCG
+	r   rand.Rand
 }
 
 // NewRNG returns a deterministic generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	g := new(RNG)
+	g.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
+	g.r = *rand.New(&g.pcg)
+	return g
 }
 
 // Split derives an independent child generator. Children with distinct

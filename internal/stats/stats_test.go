@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
@@ -40,6 +41,48 @@ func TestRNGSplitIndependence(t *testing.T) {
 	if equal > 2 {
 		t.Fatalf("split streams look correlated: %d/64 equal draws", equal)
 	}
+}
+
+// TestRNGStreamUnchanged holds NewRNG and Split to the streams of a PCG
+// seeded (seed, seed^0x9e3779b97f4a7c15) behind its own rand.Rand, which
+// every seeded result in the repository was produced from.
+func TestRNGStreamUnchanged(t *testing.T) {
+	ref := func(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)) }
+	g, want := NewRNG(9), ref(9)
+	for i := 0; i < 100; i++ {
+		if got, w := g.Uint64(), want.Uint64(); got != w {
+			t.Fatalf("draw %d: %d, want %d", i, got, w)
+		}
+	}
+	child := g.Split("child")
+	h := uint64(14695981039346656037)
+	for _, c := range []byte("child") {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	wantChild := ref(h ^ want.Uint64())
+	for i := 0; i < 100; i++ {
+		if got, w := child.Float64(), wantChild.Float64(); got != w {
+			t.Fatalf("split draw %d: %v, want %v", i, got, w)
+		}
+	}
+}
+
+// TestNewRNGAllocs: a generator is one object, its source held by value.
+// The engine splits one per subscription it creates.
+func TestNewRNGAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	parent := NewRNG(1)
+	var sink *RNG
+	if allocs := testing.AllocsPerRun(100, func() { sink = NewRNG(7) }); allocs != 1 {
+		t.Errorf("NewRNG allocates %.1f objects, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sink = parent.Split("sub") }); allocs != 1 {
+		t.Errorf("Split allocates %.1f objects, want 1", allocs)
+	}
+	_ = sink
 }
 
 func TestUniformBounds(t *testing.T) {
