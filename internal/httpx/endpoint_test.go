@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -262,9 +261,9 @@ func TestDoEndpointAbandonedExchangeKeepsItsBytes(t *testing.T) {
 			ep := testEndpoint()
 			var buf []byte
 			send := func(i int) error {
-				buf = append(strconv.AppendInt(append(buf[:0], "Bearer "...), int64(i), 10), `{"n":`...)
-				n := len(buf) - len(`{"n":`)
-				buf = append(strconv.AppendInt(buf, int64(i), 10), '}')
+				buf = fmt.Appendf(buf[:0], "Bearer %d", i)
+				n := len(buf)
+				buf = fmt.Appendf(buf, `{"n":%d}`, i)
 				_, err := c.DoEndpoint(ep, "", buf[:n], buf[n:], nil)
 				return err
 			}

@@ -129,13 +129,17 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 // next request, the Authorization value and the body bytes included. A
 // value a Doer (or a handler it serves in process) needs later is copied
 // out during the exchange. The Doers in this repository are held to
-// that: *http.Client (net/http writes the request before the response
-// can be read to its end), simnet.Client (it reads the body into a copy
-// of its own before the handler runs, and the handler runs before the
-// response exists), faults' injector (it passes the request on or drops
-// it), the core study rigs (they read the body into a copy), and the
-// bench partner stub and its tracing wrapper (they parse the
-// Authorization value and the body during Do).
+// that: *http.Client (its transport has written the request by the time
+// the response body reads to its end, unless a server answers before
+// reading the whole request and the write stalls past the transport's
+// short wait for it, in which case the connection is closed under the
+// writer; the partner protocol's servers read the request first),
+// simnet.Client (it reads the body into a copy of its own before the
+// handler runs, and the handler runs before the response exists),
+// faults' injector (it passes the request on or drops it), the core
+// study rigs (they read the body into a copy), and the bench partner
+// stub and its tracing wrapper (they parse the Authorization value and
+// the body during Do).
 type Doer interface {
 	Do(req *http.Request) (*http.Response, error)
 }
@@ -464,8 +468,8 @@ func (c *Client) DoEndpoint(ep *Endpoint, suffix string, auth, body []byte, out 
 		}
 		status, clean, err := readJSONResponse(resp, out)
 		if clean && cap(sc.buf) <= maxPooledBytes {
-			// Pooled holding no pointer of the request's but the endpoint
-			// its header map is filled for.
+			// Pooled pointing at nothing of the request's but the
+			// endpoint its header map is filled for.
 			sc.auth[0] = ""
 			sc.body.Reset(nil)
 			if suffix != "" {
