@@ -62,9 +62,8 @@ func QuickScaleConfig(seed uint64) ScaleConfig {
 }
 
 // peakSampler is a Doer that answers like cannedPolls and samples the
-// process's goroutine count at every request it is sent, so while that
-// poll and whatever else the engine has in flight is running; peak is
-// the largest sample.
+// process's goroutine count at every request it is sent, that is while a
+// poll is in flight; peak is the largest sample.
 type peakSampler struct {
 	cannedPolls
 	peak atomic.Int64
