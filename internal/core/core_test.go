@@ -185,8 +185,8 @@ func TestRunEngineScaleSmall(t *testing.T) {
 	if r.Polls < 2000 {
 		t.Errorf("Polls = %d, want ≥ 2000 (every applet polls once at +5m)", r.Polls)
 	}
-	if r.PeakGoroutines > 200 {
-		t.Errorf("PeakGoroutines = %d, want O(shards+workers)", r.PeakGoroutines)
+	if r.Goroutines > 200 {
+		t.Errorf("Goroutines = %d, want O(shards+workers)", r.Goroutines)
 	}
 	if r.InstallsPerSec <= 0 || r.PollsPerSec <= 0 {
 		t.Errorf("throughput not measured: installs/s=%.0f polls/s=%.0f",

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"net/http"
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -41,10 +39,11 @@ type ScaleResults struct {
 	RunWall        time.Duration
 	Polls          int64
 	PollsPerSec    float64 // real (wall-clock) poll throughput
-	// PeakGoroutines is the largest goroutine count sampled during the
-	// run, one sample per poll while it is in flight (peakSampler).
-	PeakGoroutines int
-	HeapMB         float64 // live heap after the run, applets installed
+	// Goroutines is the process's goroutine count as the run's virtual
+	// time ends. A sample at every poll reads the same at 20K and at 100K
+	// applets: the sim clock runs one poll at a time.
+	Goroutines int
+	HeapMB     float64 // live heap after the run, applets installed
 
 	// Traced* repeat the run with the observability layer enabled — a
 	// metrics registry, which every completed span also feeds — to
@@ -61,35 +60,19 @@ func QuickScaleConfig(seed uint64) ScaleConfig {
 	return ScaleConfig{Seed: seed, Applets: 20_000, Virtual: 6 * time.Minute}
 }
 
-// peakSampler is a Doer that answers like cannedPolls and samples the
-// process's goroutine count at every request it is sent, that is while a
-// poll is in flight; peak is the largest sample.
-type peakSampler struct {
-	cannedPolls
-	peak atomic.Int64
-}
-
-func (d *peakSampler) Do(req *http.Request) (*http.Response, error) {
-	n := int64(runtime.NumGoroutine())
-	for p := d.peak.Load(); n > p && !d.peak.CompareAndSwap(p, n); p = d.peak.Load() {
-	}
-	return d.cannedPolls.Do(req)
-}
-
 // runScalePass runs one population through cfg.Virtual of polling and
-// fills the run's walls, polls, peak goroutines and heap; reg non-nil
-// enables the observability layer (registry + inline spans). Every
-// trigger poll is answered instantly with an empty result, so the study
-// measures the scheduler, not a simulated network.
+// fills the run's walls, polls, goroutines and heap; reg non-nil enables
+// the observability layer (registry + inline spans). Every trigger poll
+// is answered instantly with an empty result, so the study measures the
+// scheduler, not a simulated network.
 func runScalePass(cfg ScaleConfig, reg *obs.Registry) (ScaleResults, error) {
 	// Collect the previous pass's garbage first so each pass starts from
 	// the same heap state — the runs are short enough (~1.5s at 100K)
 	// that inherited GC debt otherwise dominates the comparison.
 	runtime.GC()
 	rig := newSimRig()
-	partner := &peakSampler{cannedPolls: `{"data":[]}`}
 	eng := engine.New(engine.Config{
-		Clock: rig.clock, RNG: stats.NewRNG(cfg.Seed), Doer: partner,
+		Clock: rig.clock, RNG: stats.NewRNG(cfg.Seed), Doer: cannedPolls(`{"data":[]}`),
 		Poll:          engine.FixedInterval{Interval: 5 * time.Minute},
 		DispatchDelay: -1, Shards: cfg.Shards, ShardWorkers: cfg.Workers,
 		Metrics: reg,
@@ -106,8 +89,8 @@ func runScalePass(cfg ScaleConfig, reg *obs.Registry) (ScaleResults, error) {
 
 		start = time.Now()
 		rig.clock.Sleep(cfg.Virtual)
+		r.Goroutines = runtime.NumGoroutine()
 		r.RunWall = time.Since(start)
-		r.PeakGoroutines = int(partner.peak.Load())
 		r.Polls = eng.Stats().Polls
 
 		var m runtime.MemStats
@@ -176,11 +159,11 @@ func FormatScale(r *ScaleResults) string {
 	b.WriteString("isolates scheduler cost. The paper's dataset has 320K applets and\n")
 	b.WriteString("~600K installs (§3), which a per-applet-goroutine engine cannot\n")
 	b.WriteString("hold comfortably in one process.\n\n")
-	b.WriteString("| engine | applets | goroutines | installs/s | polls/s (real) |\n")
+	b.WriteString("| engine | applets | goroutines at run end | installs/s | polls/s (real) |\n")
 	b.WriteString("|---|---|---|---|---|\n")
 	b.WriteString("| seed (goroutine per applet, measured pre-refactor) | 50,000 | 50,003 | 39,569 | 21,414 |\n")
 	fmt.Fprintf(&b, "| sharded scheduler (this run) | %s | %d | %s | %s |\n\n",
-		groupThousands(r.Applets), r.PeakGoroutines,
+		groupThousands(r.Applets), r.Goroutines,
 		groupThousands(int(r.InstallsPerSec)), groupThousands(int(r.PollsPerSec)))
 	fmt.Fprintf(&b, "- %d polls completed in %.2fs of wall time; live heap after the run %.1f MB.\n",
 		r.Polls, r.RunWall.Seconds(), r.HeapMB)

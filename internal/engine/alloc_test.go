@@ -175,7 +175,7 @@ func allocRig(t *testing.T, d *cannedDoer, n int, conds ...Condition) (*Engine, 
 func pollOnce(e *Engine, sub *subscription) (ok bool, fresh int) {
 	sub.shard.mu.Lock()
 	dec := borrowDecoder(sub)
-	auth, body := dec.pollRequest(sub)
+	auth, body := sub.blob[:sub.authLen], sub.blob[sub.authLen:]
 	sub.shard.mu.Unlock()
 	ok, fresh = e.pollSubscription(dec, time.Time{}, auth, body)
 	dec.release()

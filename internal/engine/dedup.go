@@ -8,19 +8,20 @@ package engine
 // backing array leaks evicted entries until the slice is reallocated.
 //
 // The ring is owned by the single worker polling its applet at any
-// moment; it needs no lock.
+// moment; it needs no lock. Its two counters are int32 so that a
+// runningApplet, which embeds the ring, fits the 192-byte size class.
 type dedupRing struct {
-	cap  int
 	seen map[string]struct{}
 	buf  []string
-	head int // index of the oldest entry once the ring is full
+	cap  int32
+	head int32 // index of the oldest entry once the ring is full
 }
 
 // newDedupRing returns a ring remembering at most capacity IDs. The
 // backing storage is allocated lazily so that installed-but-quiet
 // applets cost a few words each.
 func newDedupRing(capacity int) dedupRing {
-	return dedupRing{cap: capacity}
+	return dedupRing{cap: int32(capacity)}
 }
 
 // Add records id, reporting false when it is already remembered. When
@@ -32,7 +33,7 @@ func (r *dedupRing) Add(id string) bool {
 	if r.seen == nil {
 		r.seen = make(map[string]struct{})
 	}
-	if len(r.buf) < r.cap {
+	if len(r.buf) < int(r.cap) {
 		r.buf = append(r.buf, id)
 	} else {
 		delete(r.seen, r.buf[r.head])

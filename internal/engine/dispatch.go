@@ -21,11 +21,10 @@ import (
 // provenance rides on the action/skip events' AppletID.
 //
 // dec carries the worker's snapshot of the subscription, taken under the
-// shard lock together with auth and body (pollRequest's copy of the two
-// halves of sub.blob), and is the poll's response target: the response
-// is never held as a value, the decoder scans it in the HTTP client's
-// read buffer and records only the events some member has not seen (see
-// collectFresh).
+// shard lock together with auth and body (the two halves of sub.blob),
+// and is the poll's response target: the response is never held as a
+// value, the decoder scans it in the HTTP client's read buffer and
+// records only the events some member has not seen (see collectFresh).
 // A subscription is never polled concurrently.
 //
 // The first return value reports whether the poll itself succeeded (a
@@ -35,7 +34,7 @@ import (
 // of events new to the subscription — the lead member's fresh events,
 // so late joiners replaying their backlog do not inflate it — which
 // the worker feeds to the adaptive EWMA.
-func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body []byte) (bool, int) {
+func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body string) (bool, int) {
 	sub, members := dec.sub, dec.members
 	sh := sub.shard
 	leadID := members[0].id
@@ -49,7 +48,9 @@ func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body
 		e.fanout.Observe(float64(len(members)))
 	}
 
-	status, err := e.client.DoEndpoint(sub.ep.req, "", auth, body, dec)
+	// DoEndpoint only reads body, so the compiler passes the string's own
+	// bytes (TestPollIdleAllocs fails if the conversion ever copies).
+	status, err := e.client.DoEndpoint(sub.ep.req, "", auth, []byte(body), dec)
 	if err != nil || status != http.StatusOK {
 		// status 0 means no attempt ever got an HTTP response (pure
 		// transport failure); anything else is the endpoint answering
@@ -217,10 +218,9 @@ type pollDecoder struct {
 	// dispatch): ExecID and provenance always, timestamps only when the
 	// engine has a span sink. dispatchAction completes one copy per action.
 	span obs.ExecSpan
-	// enc and buf are what the execution's requests are rendered in: the
-	// poll's, copied from the subscription's blob, then each action's.
-	// httpx copies a request into scratch of its own, so buf is free
-	// again once DoEndpoint returns.
+	// enc and buf are what each action request's body is rendered in.
+	// httpx copies the body into scratch of its own, so buf is free again
+	// once DoEndpoint returns.
 	enc proto.ActionEncoder
 	buf []byte
 	// cp and cpIDs are what the execution's checkpoint is journaled in
@@ -340,15 +340,6 @@ func (d *pollDecoder) collectFresh() {
 	d.fresh, d.ranges = fresh, ranges
 }
 
-// pollRequest copies what sub's poll sends beyond the endpoint, its
-// blob, into the request buffer and returns its halves: the bearer
-// credential and the rendered TriggerPollRequest. Caller holds the shard
-// lock.
-func (d *pollDecoder) pollRequest(sub *subscription) (auth, body []byte) {
-	d.buf = append(d.buf[:0], sub.blob...)
-	return d.buf[:sub.authLen], d.buf[sub.authLen:]
-}
-
 // record builds the record of scanned event i: its ID as the one string
 // the rings, trace, spans and journal share, and its ingredients copied
 // into the decoder's arena.
@@ -356,18 +347,16 @@ func (d *pollDecoder) record(i int) event {
 	return d.scanned(&d.scan, i, string(d.scan.ID(i)))
 }
 
-// actionRequest renders what an action request carries beyond its
-// endpoint into the request buffer: ra's bearer credential, then the
-// ActionRequest for ra executing on an event with the given ingredients —
-// {{ingredient}} placeholders resolved — as json.Encoder wrote it.
-func (d *pollDecoder) actionRequest(ra *runningApplet, ingredients Ingredients) (auth, body []byte) {
-	b := append(append(d.buf[:0], "Bearer "...), ra.actionToken...)
-	n := len(b)
-	b = d.enc.Append(b, ra.actionFields, func(dst []byte, tmpl string) []byte {
+// actionRequest returns what an action request carries beyond its
+// endpoint: ra's bearer credential (actionAuth), and the ActionRequest
+// for ra executing on an event with the given ingredients —
+// {{ingredient}} placeholders resolved — as json.Encoder wrote it,
+// rendered into the request buffer.
+func (d *pollDecoder) actionRequest(ra *runningApplet, ingredients Ingredients) (auth string, body []byte) {
+	d.buf = d.enc.Append(d.buf[:0], ra.actionFields, func(dst []byte, tmpl string) []byte {
 		return appendExpanded(dst, tmpl, ingredients)
 	}, ra.user, ra.id)
-	d.buf = b
-	return b[:n], b[n:]
+	return ra.actionAuth(), d.buf
 }
 
 // actionAck is the response target of an action request. The engine
@@ -426,7 +415,7 @@ func (e *Engine) deleteUpstream(sub *subscription) {
 		// is about to be discarded anyway.
 		return
 	}
-	status, err := e.client.DoEndpoint(sub.ep.del, sub.key, nil, nil, nil)
+	status, err := e.client.DoEndpoint(sub.ep.del, sub.key, "", nil, nil)
 	if (err != nil || status >= 300) && e.log != nil {
 		e.log.Warn("subscription delete failed", "identity", sub.key, "status", status, "err", err)
 	}

@@ -514,7 +514,9 @@ type runningApplet struct {
 	triggerFields, actionFields map[string]string
 	conditions                  []Condition
 	sub                         *subscription
-	dedup                       dedupRing
+	// auth is what actionAuth returns, nil until ra's first action.
+	auth  *string
+	dedup dedupRing
 }
 
 func (e *Engine) newRunningApplet(a *Applet, dedup dedupRing) *runningApplet {
@@ -526,6 +528,20 @@ func (e *Engine) newRunningApplet(a *Applet, dedup dedupRing) *runningApplet {
 		conditions: a.Conditions,
 		dedup:      dedup,
 	}
+}
+
+// actionAuth returns the Authorization value of ra's action requests,
+// "Bearer " then the action token. It is rendered at ra's first action,
+// so an applet that never fires holds no copy, and never rewritten:
+// net/http's HTTP/2 client keeps header values in its HPACK table for
+// the connection's life. Only the worker executing ra's subscription
+// calls it, as only that worker touches dedup.
+func (ra *runningApplet) actionAuth() string {
+	if ra.auth == nil {
+		auth := "Bearer " + ra.actionToken
+		ra.auth = &auth
+	}
+	return *ra.auth
 }
 
 // applet is the definition ra was installed from.

@@ -311,7 +311,7 @@ func (s *shard) pollLocked(sub *subscription) {
 		hintAt, sub.hintAt = s.e.timeAt(sub.hintAt), 0
 	}
 	dec := borrowDecoder(sub)
-	auth, body := dec.pollRequest(sub)
+	auth, body := sub.blob[:sub.authLen], sub.blob[sub.authLen:]
 	s.mu.Unlock()
 
 	if probe {

@@ -61,7 +61,7 @@ func TestActionBodyBytesUnchanged(t *testing.T) {
 		a := &cases[i]
 		ra := &runningApplet{id: a.ID, user: a.UserID, actionFields: a.Action.Fields, actionToken: "tok"}
 		auth, got := dec.actionRequest(ra, mapIngredients(ing))
-		if want := old(a, ing); string(got) != string(want) || string(auth) != "Bearer tok" {
+		if want := old(a, ing); string(got) != string(want) || auth != "Bearer tok" {
 			t.Errorf("case %d: auth %q\n got %s\nwant %s", i, auth, got, want)
 		}
 	}

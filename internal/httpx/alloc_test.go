@@ -110,18 +110,17 @@ func (d *reusedDoer) Do(req *http.Request) (*http.Response, error) {
 	return &d.resp, nil
 }
 
-// TestDoEndpointAllocs: a request with a credential and a body, both
-// rendered into one reused caller buffer the way the engine renders an
-// action, is copied into the attempt's pooled scratch and sent without
-// an allocation on the client's side once the pools are warm.
+// TestDoEndpointAllocs: a request with a credential and a body rendered
+// into a reused caller buffer, the way the engine sends an action, is
+// assembled in the attempt's pooled scratch and sent without an
+// allocation on the client's side once the pools are warm.
 func TestDoEndpointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
 	}
 	c := NewClient(&reusedDoer{data: []byte(`{"data":[{"id":"ok"}]}`)}, simtime.NewReal(), 0)
 	ep := testEndpoint()
-	buf := []byte(`Bearer tok{"actionFields":{"k":"v"}}`)
-	auth, body := buf[:len("Bearer tok")], buf[len("Bearer tok"):]
+	auth, body := "Bearer tok", []byte(`{"actionFields":{"k":"v"}}`)
 	var out rawTarget
 	send := func() {
 		if status, err := c.DoEndpoint(ep, "", auth, body, &out); err != nil || status != 200 || out.n == 0 {

@@ -1,10 +1,12 @@
 package httpx
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +49,7 @@ func TestDoEndpointAssemblesRequest(t *testing.T) {
 		ep         *Endpoint
 		auth, body string
 	}{{ep, "Bearer a", `{"n":1}`}, {ep, "Bearer b", `{"n":22}`}, {other, "", ""}, {ep, "", `{}`}, {ep, "Bearer c", `{"n":3}`}} {
-		if status, err := c.DoEndpoint(call.ep, "", []byte(call.auth), []byte(call.body), nil); err != nil || status != 200 {
+		if status, err := c.DoEndpoint(call.ep, "", call.auth, []byte(call.body), nil); err != nil || status != 200 {
 			t.Fatal(status, err)
 		}
 	}
@@ -82,7 +84,7 @@ func TestScratchIsPerClient(t *testing.T) {
 	for _, who = range []string{"a", "b"} {
 		c := NewClient(d, simtime.NewReal(), 0)
 		for i := 0; i < 4; i++ {
-			if status, err := c.DoEndpoint(ep, "", []byte("Bearer x"), []byte(`{}`), nil); err != nil || status != 200 {
+			if status, err := c.DoEndpoint(ep, "", "Bearer x", []byte(`{}`), nil); err != nil || status != 200 {
 				t.Fatal(status, err)
 			}
 		}
@@ -98,7 +100,7 @@ func TestEndpointUnparsableURLFailsEveryAttempt(t *testing.T) {
 	c := NewClient(doerFunc(func(*http.Request) (*http.Response, error) { calls++; return nil, errors.New("reached") }), simtime.NewReal(), 2)
 	slept := 0
 	c.SetBackoff(func(int) time.Duration { slept++; return 0 })
-	status, err := c.DoEndpoint(ep, "", []byte("Bearer a"), []byte("{}"), nil)
+	status, err := c.DoEndpoint(ep, "", "Bearer a", []byte("{}"), nil)
 	if status != 0 || !errors.Is(err, ep.Err()) || !strings.HasPrefix(err.Error(), "POST http://bad host/%zz: parse ") {
 		t.Errorf("status %d, err %v: want status 0 and the parse error behind the request line", status, err)
 	}
@@ -190,8 +192,8 @@ func TestDoEndpointScratchDroppedUnlessExchangeCompleted(t *testing.T) {
 	var buf []byte // every request is rendered into the one caller buffer
 	for i := 0; i < 200; i++ {
 		auth := fmt.Sprint("Bearer ", i)
-		buf = append(append(append(append(buf[:0], auth...), `{"for":"`...), auth...), `"}`...)
-		_, err := c.DoEndpoint(ep, "", buf[:len(auth)], buf[len(auth):], nil)
+		buf = append(append(append(buf[:0], `{"for":"`...), auth...), `"}`...)
+		_, err := c.DoEndpoint(ep, "", auth, buf, nil)
 		if mode := l.mode(auth); (err != nil) != (mode == "fail" || mode == "read error") {
 			t.Fatalf("request %d (%s): err = %v", i, mode, err)
 		}
@@ -208,12 +210,13 @@ func TestDoEndpointScratchDroppedUnlessExchangeCompleted(t *testing.T) {
 }
 
 // TestDoEndpointAbandonedExchangeKeepsItsBytes: DoEndpoint copies the
-// credential and the body into the attempt's scratch, so a transport that
-// gave up on an attempt and goes on reading it sees the bytes it was
-// handed while the caller renders request after request into the buffer
-// it passed them from — after a call that failed, and after a first
-// attempt that failed and whose retry succeeded. Under -race a request
-// that still read the caller's buffer is also a reported data race.
+// body into the attempt's scratch, so a transport that gave up on an
+// attempt and goes on reading it sees the credential and the bytes it
+// was handed while the caller renders request after request into the
+// buffer it passed the body from — after a call that failed, and after
+// a first attempt that failed and whose retry succeeded. Under -race a
+// request that still read the caller's buffer is also a reported data
+// race.
 func TestDoEndpointAbandonedExchangeKeepsItsBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -261,10 +264,8 @@ func TestDoEndpointAbandonedExchangeKeepsItsBytes(t *testing.T) {
 			ep := testEndpoint()
 			var buf []byte
 			send := func(i int) error {
-				buf = fmt.Appendf(buf[:0], "Bearer %d", i)
-				n := len(buf)
-				buf = fmt.Appendf(buf, `{"n":%d}`, i)
-				_, err := c.DoEndpoint(ep, "", buf[:n], buf[n:], nil)
+				buf = fmt.Appendf(buf[:0], `{"n":%d}`, i)
+				_, err := c.DoEndpoint(ep, "", fmt.Sprint("Bearer ", i), buf, nil)
 				return err
 			}
 			if err := send(0); (err != nil) != (tc.retries == 0) {
@@ -280,5 +281,41 @@ func TestDoEndpointAbandonedExchangeKeepsItsBytes(t *testing.T) {
 				t.Error(verdict)
 			}
 		})
+	}
+}
+
+// TestDoEndpointOverHTTP2 sends requests over one HTTP/2 connection
+// through a *http.Client, each with a credential of its own and its body
+// rendered into one reused caller buffer. The client keeps header values
+// in its HPACK table for the connection's life, so a credential that
+// changed after it was sent would be indexed, evicted or sent back under
+// the wrong bytes; enough credentials of one length to cycle that table
+// several times must each reach the server as they were sent.
+func TestDoEndpointOverHTTP2(t *testing.T) {
+	const requests = 400
+	credential := func(n int) string { return fmt.Sprintf("Bearer tok%06d", n) }
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct{ N int }
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || r.ProtoMajor != 2 {
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("%s, body: %v", r.Proto, err))
+			return
+		}
+		if got, want := r.Header.Get("Authorization"), credential(req.N); got != want {
+			WriteError(w, http.StatusUnauthorized, fmt.Sprintf("request %d carried %q, want %q", req.N, got, want))
+			return
+		}
+		WriteJSON(w, http.StatusOK, struct{}{})
+	}))
+	srv.EnableHTTP2 = true
+	srv.StartTLS()
+	defer srv.Close()
+	c := NewClient(srv.Client(), simtime.NewReal(), 0)
+	ep := NewEndpoint("POST", srv.URL+"/v1/t", http.Header{"Content-Type": {"application/json"}})
+	var buf []byte
+	for i := range requests {
+		buf = fmt.Appendf(buf[:0], `{"n":%d}`, i)
+		if status, err := c.DoEndpoint(ep, "", credential(i), buf, nil); err != nil || status != http.StatusOK {
+			t.Fatalf("request %d: status %d, %v", i, status, err)
+		}
 	}
 }

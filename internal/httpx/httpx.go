@@ -16,7 +16,6 @@ import (
 	"net/url"
 	"sync"
 	"time"
-	"unsafe"
 
 	"repro/internal/simtime"
 )
@@ -123,22 +122,23 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 // Doer issues HTTP requests. *http.Client satisfies it, as does the
 // simulated transport client.
 //
-// A Doer must not keep the request, its header values or its body past
-// the end of the exchange: once the response body has been read to its
-// end and closed, DoEndpoint reuses the memory all three live in for the
-// next request, the Authorization value and the body bytes included. A
-// value a Doer (or a handler it serves in process) needs later is copied
-// out during the exchange. The Doers in this repository are held to
-// that: *http.Client (its transport has written the request by the time
-// the response body reads to its end, unless a server answers before
-// reading the whole request and the write stalls past the transport's
-// short wait for it, in which case the connection is closed under the
-// writer; the partner protocol's servers read the request first),
-// simnet.Client (it reads the body into a copy of its own before the
-// handler runs, and the handler runs before the response exists),
-// faults' injector (it passes the request on or drops it), the core
-// study rigs (they read the body into a copy), and the bench partner
-// stub and its tracing wrapper (they parse the Authorization value and
+// A Doer must not keep the request or its body past the end of the
+// exchange: once the response body has been read to its end and closed,
+// DoEndpoint reuses the memory both live in for the next request, the
+// body bytes included. A body a Doer (or a handler it serves in process)
+// needs later is copied out during the exchange. Header values are
+// strings nobody rewrites, so a Doer may keep those: net/http's HTTP/2
+// client does, in its HPACK table, for the connection's life. The Doers
+// in this repository are held to that: *http.Client (its transport has
+// written the request by the time the response body reads to its end,
+// unless a server answers before reading the whole request and the
+// write stalls past the transport's short wait for it, in which case
+// the connection is closed under the writer; the partner protocol's
+// servers read the request first), simnet.Client (it reads the body
+// into a copy of its own before the handler runs, and the handler runs
+// before the response exists), faults' injector (it passes the request
+// on or drops it), the core study rigs (they read the body into a
+// copy), and the bench partner stub and its tracing wrapper (they parse
 // the body during Do).
 type Doer interface {
 	Do(req *http.Request) (*http.Response, error)
@@ -439,22 +439,23 @@ func NewPrepared(method, rawURL string, body any, opts ...RequestOpt) (*Prepared
 // DoPrepared sends a prototype request with the same retry and decode
 // semantics as DoJSON.
 func (c *Client) DoPrepared(p *Prepared, out any) (int, error) {
-	return c.DoEndpoint(p.ep, "", nil, p.body, out)
+	return c.DoEndpoint(p.ep, "", "", p.body, out)
 }
 
 // DoEndpoint sends body (JSON already, sent as is; empty for none) to
 // ep with the same retry and decode semantics as DoJSON. suffix, when
 // not empty, is appended to ep's path (it must not need escaping): the
 // joined path is then the one string a call allocates. auth, when not
-// empty, is the request's Authorization value. Nothing is parsed,
-// marshalled or canonicalised, and each attempt's request is assembled
-// in pooled scratch (see reqScratch) that auth and body are copied into:
-// they are only read, and only until DoEndpoint returns, so the caller
-// may render the next request into the same buffer right away, whatever
-// a transport that gave up on an attempt still reads. Once the pools
-// are warm, a call without suffix allocates nothing of its own; what the
-// Doer allocates for its response is its own.
-func (c *Client) DoEndpoint(ep *Endpoint, suffix string, auth, body []byte, out any) (int, error) {
+// empty, is the request's Authorization value; the Doer may keep it (see
+// Doer). Nothing is parsed, marshalled or canonicalised, and each
+// attempt's request is assembled in pooled scratch (see reqScratch) that
+// body is copied into: body is only read, and only until DoEndpoint
+// returns, so the caller may render the next request into the same
+// buffer right away, whatever a transport that gave up on an attempt
+// still reads. Once the pools are warm, a call without suffix allocates
+// nothing of its own; what the Doer allocates for its response is its
+// own.
+func (c *Client) DoEndpoint(ep *Endpoint, suffix, auth string, body []byte, out any) (int, error) {
 	return c.attempts(ep.method, ep.target, suffix, func() (int, error) {
 		if ep.err != nil {
 			return 0, ep.err
@@ -482,21 +483,18 @@ func (c *Client) DoEndpoint(ep *Endpoint, suffix string, auth, body []byte, out 
 }
 
 // reqScratch is one outgoing request's memory: the http.Request, its
-// header map, the one-value slice behind the Authorization header, the
-// bytes of the credential and the body, and the body reader. A Doer may
-// go on reading a request after it has given up on it — net/http's
-// transport writes the request from a goroutine of its own — so a
-// scratch returns to the pool only from an exchange that ran to its end
-// (response body drained and closed without error); otherwise it is left
-// to the collector and the next request starts from a new one. That is
-// also what makes buf safe to view as a string: its bytes are rewritten
-// only by the next request assembled in the scratch, after the exchange
-// that read them is over.
+// header map, the one-value slice behind the Authorization header, a
+// copy of the body and the body reader. A Doer may go on reading a
+// request after it has given up on it — net/http's transport writes the
+// request from a goroutine of its own — so a scratch returns to the pool
+// only from an exchange that ran to its end (response body drained and
+// closed without error); otherwise it is left to the collector and the
+// next request starts from a new one.
 type reqScratch struct {
 	req    http.Request
 	header http.Header
-	auth   [1]string // a view of buf[:len(auth)]
-	buf    []byte    // the credential, then the body
+	auth   [1]string
+	buf    []byte // the body
 	body   bodyReader
 	// url is the request's address when it extends the endpoint's path.
 	url url.URL
@@ -526,8 +524,8 @@ type bodyReader struct{ bytes.Reader }
 
 func (*bodyReader) Close() error { return nil }
 
-func (sc *reqScratch) request(ep *Endpoint, suffix string, auth, body []byte) *http.Request {
-	withAuth := len(auth) > 0
+func (sc *reqScratch) request(ep *Endpoint, suffix, auth string, body []byte) *http.Request {
+	withAuth := auth != ""
 	if sc.ep != ep || sc.withAuth != withAuth {
 		clear(sc.header)
 		for k, v := range ep.header {
@@ -538,10 +536,7 @@ func (sc *reqScratch) request(ep *Endpoint, suffix string, auth, body []byte) *h
 		}
 		sc.ep, sc.withAuth = ep, withAuth
 	}
-	sc.buf = append(append(sc.buf[:0], auth...), body...)
-	if withAuth {
-		sc.auth[0] = unsafe.String(&sc.buf[0], len(auth))
-	}
+	sc.auth[0] = auth
 	sc.req = http.Request{
 		Method:     ep.method,
 		URL:        ep.url,
@@ -560,7 +555,8 @@ func (sc *reqScratch) request(ep *Endpoint, suffix string, auth, body []byte) *h
 		sc.req.URL = &sc.url
 	}
 	if len(body) > 0 {
-		sc.body.Reset(sc.buf[len(auth):])
+		sc.buf = append(sc.buf[:0], body...)
+		sc.body.Reset(sc.buf)
 		sc.req.Body = &sc.body
 		sc.req.ContentLength = int64(len(body))
 		sc.req.GetBody = sc.getBody
