@@ -1,7 +1,8 @@
-// The v2 binary codec shared by WAL records and snapshot images. The
-// layout is given once, in the package comment (wal.go); this file is
-// its only implementation. Encoding appends to a caller-owned buffer and
-// allocates nothing once that buffer and the key scratch have grown.
+// The binary codec shared by WAL records and snapshot images, version 3
+// (and version 2, read-only). The layout is given once, in the package
+// comment (wal.go); this file is its only implementation. Encoding
+// appends to a caller-owned buffer and allocates nothing once that
+// buffer and the key scratch have grown.
 // Decoding treats its input as hostile: every count and length is
 // checked against the bytes left before anything is allocated for it,
 // and the first violation poisons the decoder (every later read yields
@@ -20,11 +21,12 @@ import (
 )
 
 // formatVersion is the on-disk version this build writes. It also reads
+// version 2, whose dedup windows are lists of event ID strings, and
 // version 1 (the JSON format, v1.go).
-const formatVersion = 2
+const formatVersion = 3
 
-// errCorrupt reports bytes that are not a valid v2 encoding.
-var errCorrupt = errors.New("durable: malformed v2 encoding")
+// errCorrupt reports bytes that are not a valid binary encoding.
+var errCorrupt = errors.New("durable: malformed binary encoding")
 
 // On-disk op codes, one byte after the seq.
 const (
@@ -35,8 +37,8 @@ const (
 	opDetach
 )
 
-// encoder appends v2 encodings to b. keys is scratch for sorting a map's
-// keys, so map fields are written in key order and files stay
+// encoder appends version 3 encodings to b. keys is scratch for sorting
+// a map's keys, so map fields are written in key order and files stay
 // byte-deterministic.
 type encoder struct {
 	b    []byte
@@ -63,6 +65,14 @@ func (e *encoder) strs(ss []string) {
 	e.uvarint(uint64(len(ss)))
 	for _, s := range ss {
 		e.str(s)
+	}
+}
+
+// window writes a dedup window as a count and raw 8-byte LE words.
+func (e *encoder) window(w []uint64) {
+	e.uvarint(uint64(len(w)))
+	for _, h := range w {
+		e.b = binary.LittleEndian.AppendUint64(e.b, h)
 	}
 }
 
@@ -120,7 +130,7 @@ func (e *encoder) sub(ss *engine.SubscriptionSnapshot) {
 	e.uvarint(uint64(len(ss.Members)))
 	for i := range ss.Members {
 		e.applet(&ss.Members[i].Applet)
-		e.strs(ss.Members[i].SeenEvents)
+		e.window(ss.Members[i].SeenEvents)
 	}
 	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(ss.Rate))
 	e.time(ss.RateAt)
@@ -193,7 +203,7 @@ func (e *encoder) snapshotBody(s *Snapshot) {
 	e.uvarint(uint64(len(s.Retired)))
 	for _, r := range s.Retired {
 		e.str(r.AppletID)
-		e.strs(r.SeenEvents)
+		e.window(r.SeenEvents)
 	}
 }
 
@@ -212,11 +222,12 @@ const (
 	minRetired = minStr + 1                         // applet ID, event count
 )
 
-// decoder reads v2 encodings from b. After the first error every read
-// returns a zero value and b stays empty.
+// decoder reads encodings of the given version (2 or 3) from b. After
+// the first error every read returns a zero value and b stays empty.
 type decoder struct {
-	b   []byte
-	err error
+	b       []byte
+	err     error
+	version uint32
 }
 
 func (d *decoder) fail() {
@@ -303,6 +314,37 @@ func (d *decoder) strs() []string {
 	return out
 }
 
+// window reads a dedup window: raw words in version 3, a list of event
+// ID strings, hashed as the engine remembers them, in version 2. It
+// returns nil for an empty window.
+func (d *decoder) window() []uint64 {
+	if d.version < 3 {
+		return hashIDs(d.strs())
+	}
+	n := d.count(8)
+	if n == 0 {
+		return nil
+	}
+	w := make([]uint64, n)
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(d.b[8*i:])
+	}
+	d.b = d.b[8*n:]
+	return w
+}
+
+// hashIDs is the dedup window of event IDs ids, nil when empty.
+func hashIDs(ids []string) []uint64 {
+	if len(ids) == 0 {
+		return nil
+	}
+	w := make([]uint64, len(ids))
+	for i, id := range ids {
+		w[i] = engine.IDHash(id)
+	}
+	return w
+}
+
 // fields reads a map written by encoder.fields; keys must be strictly
 // increasing, so each map has exactly one encoding.
 func (d *decoder) fields() map[string]string {
@@ -358,7 +400,7 @@ func (d *decoder) sub() *engine.SubscriptionSnapshot {
 		ss.Members = make([]engine.MemberSnapshot, n)
 		for i := range ss.Members {
 			d.applet(&ss.Members[i].Applet)
-			ss.Members[i].SeenEvents = d.strs()
+			ss.Members[i].SeenEvents = d.window()
 		}
 	}
 	if len(d.b) < 8 {
@@ -391,9 +433,15 @@ func (d *decoder) sub() *engine.SubscriptionSnapshot {
 	return ss
 }
 
-// decodeRecord decodes one WAL payload; the whole payload must be used.
-func decodeRecord(payload []byte) (Record, error) {
-	d := decoder{b: payload}
+// decodeRecord decodes one version 3 WAL payload; the whole payload
+// must be used.
+func decodeRecord(payload []byte) (Record, error) { return decodeRecordOf(3, payload) }
+
+// decodeRecordV2 decodes one version 2 WAL payload.
+func decodeRecordV2(payload []byte) (Record, error) { return decodeRecordOf(2, payload) }
+
+func decodeRecordOf(version uint32, payload []byte) (Record, error) {
+	d := decoder{b: payload, version: version}
 	rec := Record{Seq: d.uvarint()}
 	switch d.byte() {
 	case opInstall:
@@ -423,10 +471,10 @@ func decodeRecord(payload []byte) (Record, error) {
 	return rec, d.err
 }
 
-// decodeSnapshotBody decodes a snapshot image's body; the whole body
-// must be used.
-func decodeSnapshotBody(body []byte) (*Snapshot, error) {
-	d := decoder{b: body}
+// decodeSnapshotBody decodes the body of a snapshot image of the given
+// version (2 or 3); the whole body must be used.
+func decodeSnapshotBody(version uint32, body []byte) (*Snapshot, error) {
+	d := decoder{b: body, version: version}
 	s := &Snapshot{WALSeq: d.uvarint(), Coalesce: d.bool()}
 	if n := d.count(minSub); n > 0 {
 		s.Subs = make([]*engine.SubscriptionSnapshot, n)
@@ -437,7 +485,7 @@ func decodeSnapshotBody(body []byte) (*Snapshot, error) {
 	if n := d.count(minRetired); n > 0 {
 		s.Retired = make([]engine.RetiredDedup, n)
 		for i := range s.Retired {
-			s.Retired[i] = engine.RetiredDedup{AppletID: d.str(), SeenEvents: d.strs()}
+			s.Retired[i] = engine.RetiredDedup{AppletID: d.str(), SeenEvents: d.window()}
 		}
 	}
 	if d.err == nil && len(d.b) != 0 {

@@ -35,7 +35,7 @@ func recoverView(t *testing.T, dir string) (recoveredView, *storeRig) {
 // windows of removed applets.
 type recoveredView struct {
 	Members map[string][]string                    // key -> applet IDs
-	Rings   map[string][]string                    // applet ID -> seen events, oldest first
+	Rings   map[string][]uint64                    // applet ID -> seen events' hashes, oldest first
 	Carried map[string]engine.SubscriptionSnapshot // key -> Rate, FailStreak, BreakerOpen, PollCount, PendingPush (Members cleared)
 	Retired []engine.RetiredDedup
 }
@@ -61,14 +61,14 @@ func parkedPushes(t *testing.T, name string) []engine.PendingPushSnapshot {
 func viewOf(subs []*engine.SubscriptionSnapshot, retired []engine.RetiredDedup) recoveredView {
 	v := recoveredView{
 		Members: map[string][]string{},
-		Rings:   map[string][]string{},
+		Rings:   map[string][]uint64{},
 		Carried: map[string]engine.SubscriptionSnapshot{},
 		Retired: retired,
 	}
 	for _, ss := range subs {
 		for _, m := range ss.Members {
 			v.Members[ss.Key] = append(v.Members[ss.Key], m.Applet.ID)
-			v.Rings[m.Applet.ID] = append([]string{}, m.SeenEvents...)
+			v.Rings[m.Applet.ID] = append([]uint64{}, m.SeenEvents...)
 		}
 		c := *ss
 		c.Members, c.RateAt = nil, c.RateAt.UTC()
@@ -81,8 +81,8 @@ func viewOf(subs []*engine.SubscriptionSnapshot, retired []engine.RetiredDedup) 
 // one snapshot image plus a WAL tail holding all five record ops and a
 // torn final frame — into an engine and pins what the engine holds. The
 // v1 reader exists for exactly this: an operator's existing directory
-// must survive the codec change with the same membership, dedup rings
-// and retired windows.
+// must survive the codec changes with the same membership, dedup rings
+// (the hashes of the fixture's event ID strings) and retired windows.
 func TestRecoverV1Fixture(t *testing.T) {
 	got, r := recoverView(t, fixtureDir(t, "v1"))
 	defer r.crash()
@@ -94,15 +94,15 @@ func TestRecoverV1Fixture(t *testing.T) {
 		"ti-b4670c3a881dd7a0": {"a3"},
 		"ti-e3aa00b595df16a7": {"a1"},
 	}
-	wantRings := map[string][]string{
-		"a1": {"e1", "e2"},       // tail checkpoint onto a snapshot member
-		"a3": {},                 // never executed
-		"a4": {"p1", "p2"},       // retired window taken back at reinstall
-		"a6": {"q1", "q3"},       // attached in the tail, then the parked q3 dispatched
-		"a7": {"q1", "q2", "q3"}, // attached, then checkpointed
-		"a9": {"s1", "s2", "s3"}, // snapshot ring
+	wantRings := map[string][]uint64{
+		"a1": hashIDs([]string{"e1", "e2"}),       // tail checkpoint onto a snapshot member
+		"a3": {},                                  // never executed
+		"a4": hashIDs([]string{"p1", "p2"}),       // retired window taken back at reinstall
+		"a6": hashIDs([]string{"q1", "q3"}),       // attached in the tail, then the parked q3 dispatched
+		"a7": hashIDs([]string{"q1", "q2", "q3"}), // attached, then checkpointed
+		"a9": hashIDs([]string{"s1", "s2", "s3"}), // snapshot ring
 	}
-	wantRetired := []engine.RetiredDedup{{AppletID: "a5", SeenEvents: []string{"f1"}}}
+	wantRetired := []engine.RetiredDedup{{AppletID: "a5", SeenEvents: hashIDs([]string{"f1"})}}
 	if !reflect.DeepEqual(got.Members, wantMembers) {
 		t.Errorf("membership = %v, want %v", got.Members, wantMembers)
 	}

@@ -16,7 +16,7 @@ import (
 	"repro/internal/simtime"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/v2 from testdata/v1")
+var update = flag.Bool("update", false, "rewrite testdata/v3 from testdata/v1")
 
 // tornFrame is a frame header promising more payload than follows.
 func tornFrame() []byte {
@@ -25,10 +25,10 @@ func tornFrame() []byte {
 	return append(b, "torn"...)
 }
 
-// writeV2Fixture writes into dir the content of fixture src in the v2
+// writeFixture writes into dir the content of fixture src in the current
 // format: its snapshot image, its surviving records under the same
 // sequence numbers, and a torn final frame.
-func writeV2Fixture(t *testing.T, src, dir string) {
+func writeFixture(t *testing.T, src, dir string) {
 	t.Helper()
 	img, err := Inspect(filepath.Join("testdata", src))
 	if err != nil {
@@ -76,15 +76,15 @@ func dirFiles(tb testing.TB, dir string) map[string][]byte {
 	return files
 }
 
-// TestV2FixtureMatchesV1 re-encodes the v1 fixture in the v2 format and
-// requires it byte-equal to testdata/v2 (the encoding is deterministic:
-// -update rewrites it) and to testdata/v2 read and written again (what
-// the codec decodes it encodes back unchanged), then recovers
-// testdata/v2 to exactly what the v1 directory recovers to.
-func TestV2FixtureMatchesV1(t *testing.T) {
+// TestV3FixtureMatchesV1 re-encodes the v1 fixture in the version 3
+// format and requires it byte-equal to testdata/v3 (the encoding is
+// deterministic: -update rewrites it) and to testdata/v3 read and
+// written again (what the codec decodes it encodes back unchanged), then
+// recovers testdata/v3 to exactly what the v1 directory recovers to.
+func TestV3FixtureMatchesV1(t *testing.T) {
 	dir := t.TempDir()
-	writeV2Fixture(t, "v1", dir)
-	golden := filepath.Join("testdata", "v2")
+	writeFixture(t, "v1", dir)
+	golden := filepath.Join("testdata", "v3")
 	if *update {
 		os.RemoveAll(golden)
 		os.MkdirAll(golden, 0o755)
@@ -95,37 +95,58 @@ func TestV2FixtureMatchesV1(t *testing.T) {
 		}
 	}
 	if got, want := dirFiles(t, dir), dirFiles(t, golden); !reflect.DeepEqual(got, want) {
-		t.Fatal("re-encoding testdata/v1 does not reproduce testdata/v2 byte for byte (go test ./internal/durable -run TestV2FixtureMatchesV1 -update rewrites it)")
+		t.Fatal("re-encoding testdata/v1 does not reproduce testdata/v3 byte for byte (go test ./internal/durable -run TestV3FixtureMatchesV1 -update rewrites it)")
 	}
 	again := t.TempDir()
-	writeV2Fixture(t, "v2", again)
+	writeFixture(t, "v3", again)
 	if !reflect.DeepEqual(dirFiles(t, again), dirFiles(t, golden)) {
-		t.Fatal("testdata/v2 does not round-trip through the codec byte for byte")
+		t.Fatal("testdata/v3 does not round-trip through the codec byte for byte")
 	}
+	sameRecovery(t, "v1", "v3")
+}
 
+// TestV2FixtureMatchesV1: testdata/v2, written by the version 2 code from
+// testdata/v1, holds its dedup windows as event ID strings; read and
+// written again it is testdata/v3 byte for byte (its windows hashed as
+// the v1 reader hashes them), and it recovers to exactly what the v1
+// directory recovers to.
+func TestV2FixtureMatchesV1(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, "v2", dir)
+	if !reflect.DeepEqual(dirFiles(t, dir), dirFiles(t, filepath.Join("testdata", "v3"))) {
+		t.Fatal("re-encoding testdata/v2 does not reproduce testdata/v3 byte for byte")
+	}
+	sameRecovery(t, "v1", "v2")
+}
+
+// sameRecovery requires fixtures a and b to recover to the same engine
+// state and to decode the same parked pushes.
+func sameRecovery(t *testing.T, a, b string) {
+	t.Helper()
 	recover := func(name string) recoveredView {
 		v, r := recoverView(t, fixtureDir(t, name))
 		r.crash()
 		return v
 	}
-	if v1, v2 := recover("v1"), recover("v2"); !reflect.DeepEqual(v1, v2) {
-		t.Fatalf("v2 fixture recovers to\n %+v\nv1 to\n %+v", v2, v1)
+	if va, vb := recover(a), recover(b); !reflect.DeepEqual(va, vb) {
+		t.Fatalf("%s fixture recovers to\n %+v\n%s to\n %+v", b, vb, a, va)
 	}
 	// Recovery dispatches the parked push, so compare it as decoded.
-	if v1, v2 := parkedPushes(t, "v1"), parkedPushes(t, "v2"); !reflect.DeepEqual(v1, v2) {
-		t.Fatalf("v2 fixture's parked pushes\n %+v\nv1's\n %+v", v2, v1)
+	if pa, pb := parkedPushes(t, a), parkedPushes(t, b); !reflect.DeepEqual(pa, pb) {
+		t.Fatalf("%s fixture's parked pushes\n %+v\n%s's\n %+v", b, pb, a, pa)
 	}
 }
 
-// TestV1DirectoryUpgrades: a v1 directory takes v2 appends in a new
-// segment — through a crash before any append, a crash after one and a
-// snapshot after one — recovers them across restarts, and loses its v1
-// files to the first v2 snapshot that covers them. testdata/v1-restart was
-// written by the version 1 code installing r0 and r1, closing cleanly
-// (snapshot at seq 2, then an empty wal-3), reopening, installing r2 and
-// crashing. That restart numbered r2's record 1, so wal-3 holds a record
-// the snapshot seems to cover and both versions recover r0 and r1 only;
-// the v2 segment must still be named past wal-3.
+// TestV1DirectoryUpgrades: a directory of an older version takes
+// version 3 appends in a new segment — through a crash before any
+// append, a crash after one and a snapshot after one — recovers them
+// across restarts, and loses its old files to the version 3 snapshots
+// that cover them. testdata/v1-restart was written by the version 1 code
+// installing r0 and r1, closing cleanly (snapshot at seq 2, then an
+// empty wal-3), reopening, installing r2 and crashing. That restart
+// numbered r2's record 1, so wal-3 holds a record the snapshot seems to
+// cover and every version recovers r0 and r1 only; the new segment must
+// still be named past wal-3.
 func TestV1DirectoryUpgrades(t *testing.T) {
 	for _, tc := range []struct {
 		fixture, v1Segment, v2Segment string
@@ -133,6 +154,7 @@ func TestV1DirectoryUpgrades(t *testing.T) {
 	}{
 		{"v1", "wal-00000000000000000008.log", "wal-00000000000000000017.log", []string{"a1", "a3", "a4", "a6", "a7", "a9"}},
 		{"v1-restart", "wal-00000000000000000003.log", "wal-00000000000000000004.log", []string{"r0", "r1"}},
+		{"v2", "wal-00000000000000000008.log", "wal-00000000000000000017.log", []string{"a1", "a3", "a4", "a6", "a7", "a9"}},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
 			dir := fixtureDir(t, tc.fixture)
@@ -163,7 +185,7 @@ func TestV1DirectoryUpgrades(t *testing.T) {
 			r := open()
 			r.crash() // before any append but that checkpoint
 			if seg := lastSegment(t, dir); !strings.HasSuffix(seg, tc.v2Segment) {
-				t.Fatalf("the v2 segment is %s, want %s after the v1 one", seg, tc.v2Segment)
+				t.Fatalf("the new segment is %s, want %s after the old one", seg, tc.v2Segment)
 			}
 			r = open()
 			r.clock.Run(func() {
@@ -194,8 +216,8 @@ func TestV1DirectoryUpgrades(t *testing.T) {
 				}
 			})
 			for name := range dirFiles(t, dir) {
-				if strings.HasSuffix(name, snapSuffixV1) || name == tc.v1Segment {
-					t.Errorf("v1 file %s survived the v2 snapshots", name)
+				if strings.HasSuffix(name, snapSuffixV1) || name == tc.v1Segment || name == "snap-00000000000000000007.bin" {
+					t.Errorf("old file %s survived the version 3 snapshots", name)
 				}
 			}
 			open().crash()
@@ -479,7 +501,7 @@ func TestStoreAppendAllocs(t *testing.T) {
 
 // fuzzSeeds adds the fixtures' files that want accepts.
 func fuzzSeeds(f *testing.F, want func(name string) bool) {
-	for _, v := range []string{"v1", "v2"} {
+	for _, v := range []string{"v1", "v2", "v3"} {
 		for name, data := range dirFiles(f, filepath.Join("testdata", v)) {
 			if want(name) {
 				f.Add(data)
@@ -525,16 +547,21 @@ func recordFixedPoint(t *testing.T, rec *Record) {
 // FuzzReadSegment: any segment bytes scan without panicking, and every
 // record read re-encodes to a fixed point. The CRC keeps random bytes
 // from ever reaching the record decoder through a frame, so the input
-// is also decoded as one bare payload. Seeds: both fixtures' segments
-// and the v2 fixture's payloads.
+// is also decoded as one bare payload. Seeds: the fixtures' segments
+// and the v2 and v3 fixtures' payloads.
 func FuzzReadSegment(f *testing.F) {
 	fuzzSeeds(f, func(name string) bool { return strings.HasPrefix(name, walPrefix) })
-	for name, data := range dirFiles(f, filepath.Join("testdata", "v2")) {
-		if sc, err := scanSegment(name, data, 0); err == nil && sc.v2 {
-			for off := int64(fileHdr); off < sc.good; {
-				n := int64(binary.LittleEndian.Uint32(data[off:]))
-				f.Add(data[off+frameHdr : off+frameHdr+n])
-				off += frameHdr + n
+	for _, v := range []string{"v2", "v3"} {
+		for name, data := range dirFiles(f, filepath.Join("testdata", v)) {
+			if !strings.HasPrefix(name, walPrefix) {
+				continue
+			}
+			if sc, err := scanSegment(name, data, 0); err == nil {
+				for off := int64(fileHdr); off < sc.good; {
+					n := int64(binary.LittleEndian.Uint32(data[off:]))
+					f.Add(data[off+frameHdr : off+frameHdr+n])
+					off += frameHdr + n
+				}
 			}
 		}
 	}
@@ -549,27 +576,31 @@ func FuzzReadSegment(f *testing.F) {
 			t.Fatalf("good prefix %d of %d bytes", sc.good, sc.size)
 		}
 		for i := range sc.recs {
-			if sc.v2 {
+			if sc.current {
 				recordFixedPoint(t, &sc.recs[i])
 			}
 		}
-		var rec Record
-		decodeBounded(t, len(data), func() { rec, err = decodeRecord(data) })
-		if err == nil {
-			recordFixedPoint(t, &rec)
+		for _, decode := range []func([]byte) (Record, error){decodeRecord, decodeRecordV2} {
+			var rec Record
+			decodeBounded(t, len(data), func() { rec, err = decode(data) })
+			if err == nil {
+				recordFixedPoint(t, &rec)
+			}
 		}
 	})
 }
 
 // FuzzDecodeSnapshot: any image bytes decode without panicking in
-// either version, and as a bare v2 body without allocating out of
-// proportion; a decoded body re-encodes to a fixed point. Seeds: both
-// fixtures' images and the v2 image's body.
+// every version, and as a bare version 2 or 3 body without allocating
+// out of proportion; a decoded body re-encodes to a fixed point. Seeds:
+// the fixtures' images and the v2 and v3 images' bodies.
 func FuzzDecodeSnapshot(f *testing.F) {
 	fuzzSeeds(f, func(name string) bool { return strings.HasPrefix(name, snapPrefix) })
-	for name, data := range dirFiles(f, filepath.Join("testdata", "v2")) {
-		if strings.HasPrefix(name, snapPrefix) {
-			f.Add(data[fileHdr : len(data)-4])
+	for _, v := range []string{"v2", "v3"} {
+		for name, data := range dirFiles(f, filepath.Join("testdata", v)) {
+			if strings.HasPrefix(name, snapPrefix) {
+				f.Add(data[fileHdr : len(data)-4])
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -577,21 +608,23 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			decodeSnapshot("snap.bin", data)
 			decodeSnapshot("snap.json", data)
 		})
-		var snap *Snapshot
-		var err error
-		decodeBounded(t, len(data), func() { snap, err = decodeSnapshotBody(data) })
-		if err != nil {
-			return
-		}
-		var e, e2 encoder
-		e.snapshotBody(snap)
-		again, err := decodeSnapshotBody(e.b)
-		if err != nil {
-			t.Fatalf("re-encoded image does not decode: %v", err)
-		}
-		e2.snapshotBody(again)
-		if !bytes.Equal(e.b, e2.b) {
-			t.Fatal("image encoding is not a fixed point")
+		for _, v := range []uint32{2, 3} {
+			var snap *Snapshot
+			var err error
+			decodeBounded(t, len(data), func() { snap, err = decodeSnapshotBody(v, data) })
+			if err != nil {
+				continue
+			}
+			var e, e2 encoder
+			e.snapshotBody(snap)
+			again, err := decodeSnapshotBody(formatVersion, e.b)
+			if err != nil {
+				t.Fatalf("re-encoded image does not decode: %v", err)
+			}
+			e2.snapshotBody(again)
+			if !bytes.Equal(e.b, e2.b) {
+				t.Fatal("image encoding is not a fixed point")
+			}
 		}
 	})
 }

@@ -2,8 +2,8 @@
 // subscription's portable snapshot (the migration encoding: dedup
 // rings, EWMA rate, breaker state, parked pushes) plus the retained
 // dedup windows of removed applets — stamped with the WAL position it
-// covers, written as snap-<seq>.bin in the v2 layout of the package
-// comment (header, body, CRC32 of both).
+// covers, written as snap-<seq>.bin in the version 3 layout of the
+// package comment (header, body, CRC32 of both).
 //
 // Consistency does not require stopping the engine. The snapshot
 // procedure reads the WAL's head sequence S first, then exports
@@ -97,14 +97,15 @@ func decodeSnapshot(path string, data []byte) (*Snapshot, error) {
 	if len(data) < fileHdr+4 || !bytes.HasPrefix(data, snapMagic) {
 		return nil, errCorrupt
 	}
-	if v := binary.LittleEndian.Uint32(data[len(snapMagic):]); v != formatVersion {
+	v := binary.LittleEndian.Uint32(data[len(snapMagic):])
+	if v != formatVersion && v != 2 {
 		return nil, &formatError{path, v}
 	}
 	n := len(data) - 4
 	if crc32.ChecksumIEEE(data[:n]) != binary.LittleEndian.Uint32(data[n:]) {
 		return nil, errCorrupt
 	}
-	return decodeSnapshotBody(data[fileHdr:n])
+	return decodeSnapshotBody(v, data[fileHdr:n])
 }
 
 // loadSnapshot returns the newest readable snapshot in dir and its file

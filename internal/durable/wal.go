@@ -15,7 +15,7 @@
 // crash interrupted the write itself) is detected by the length/CRC
 // frame on open and truncated away; everything before it replays.
 //
-// # Format, version 2
+// # Format, version 3
 //
 // Every file begins with an 8-byte header, a 4-byte magic and the format
 // version as a little-endian uint32: "IWAL" for a WAL segment, "ISNP"
@@ -28,13 +28,15 @@
 // record. Strings are uvarint(len) + bytes, lists uvarint(count) +
 // elements, maps uvarint(count) + key-sorted (key, value) pairs — files
 // are byte-deterministic — times a 0 byte for the zero time or a 1 byte,
-// varint(Unix seconds), uvarint(nanoseconds):
+// varint(Unix seconds), uvarint(nanoseconds), and a dedup window
+// uvarint(count) + that many 8-byte LE words, the remembered event IDs'
+// hashes (engine.IDHash) oldest first:
 //
 //	1 install     applet = ID, Name, UserID, trigger ref, action ref
 //	              ref    = Service, BaseURL, Slug, Fields map, ServiceKey, UserToken
 //	2 remove      applet ID
 //	3 checkpoint  key, list of (applet ID, list of event IDs)
-//	4 attach      subscription = key, list of (applet, seen-event list),
+//	4 attach      subscription = key, list of (applet, window),
 //	              rate (8-byte LE float64 bits), rate time, varint fail
 //	              streak, breaker byte, varint poll count, list of parked
 //	              pushes (time, list of events: ID, varint timestamp,
@@ -43,20 +45,22 @@
 //
 // A snapshot image is its header, uvarint(WAL seq), the coalesce byte,
 // a list of subscriptions as in attach, a list of retired windows
-// (applet ID, event list), then a 4-byte LE CRC32-IEEE of everything
-// before it. Applet Conditions are never written (an interface with no
+// (applet ID, window), then a 4-byte LE CRC32-IEEE of everything before
+// it. Applet Conditions are never written (an interface with no
 // portable encoding).
 //
-// Version 1 — no header, JSON payloads, snap-*.json images — is still
-// read (v1.go) so an existing directory upgrades in place: Open starts a
-// v2 segment if the active one is v1, and the first v2 snapshot
-// compacts the v1 files away. Version 1 numbered records from 1 again
-// after a clean restart, so its last segment may be named past its
-// records; the v2 segment is named past it in turn, and a segment's
-// name is therefore at least, not always equal to, its first seq. A
-// file whose magic matches but whose version is unknown fails Open with
-// the file's name and version, leaving the directory untouched; only a
-// torn tail is ever truncated.
+// Version 2 is version 3 but for windows, which it wrote as lists of
+// event ID strings. Version 1 — no header, JSON payloads, snap-*.json
+// images — is v1.go. Both are still read, their windows hashed as they
+// are, so an existing directory upgrades in place: Open starts a
+// version 3 segment if the active one is older, and the version 3
+// snapshots compact the old files away. Version 1 numbered records
+// from 1 again after a clean restart, so its last segment may be named
+// past its records; the new segment is named past it in turn, and a
+// segment's name is therefore at least, not always equal to, its first
+// seq. A file whose magic matches but whose version is unknown fails
+// Open with the file's name and version, leaving the directory
+// untouched; only a torn tail is ever truncated.
 //
 // Open also refuses a gap: the log must hold every record after the
 // snapshot it loads (the first segment starts at or before snapshot
@@ -128,7 +132,8 @@ const (
 
 var walMagic = []byte("IWAL")
 
-// fileHeader is the first 8 bytes of a v2 file with the given magic.
+// fileHeader is the first 8 bytes of a file of formatVersion with the
+// given magic.
 func fileHeader(magic []byte) []byte {
 	return binary.LittleEndian.AppendUint32(append([]byte(nil), magic...), formatVersion)
 }
@@ -141,7 +146,7 @@ type formatError struct {
 }
 
 func (e *formatError) Error() string {
-	return fmt.Sprintf("durable: %s has format version %d; this build reads versions 1 and %d", e.path, e.version, formatVersion)
+	return fmt.Sprintf("durable: %s has format version %d; this build reads versions 1 to %d", e.path, e.version, formatVersion)
 }
 
 // walSegment is one on-disk log file; first is the number in its file
@@ -170,7 +175,7 @@ type wal struct {
 	fsync    bool
 	segBytes int64
 
-	f      segmentFile // active segment, always v2
+	f      segmentFile // active segment, always of formatVersion
 	fBytes int64       // active segment size, header included
 	seq    uint64      // last assigned sequence number
 	segs   []walSegment
@@ -210,17 +215,17 @@ func listSegments(dir string) ([]walSegment, error) {
 
 // segmentScan is what reading one segment found.
 type segmentScan struct {
-	recs []Record
-	good int64 // offset of the first bad frame; the file size when clean
-	size int64
-	v2   bool // the file has a complete v2 header (appendable)
+	recs    []Record
+	good    int64 // offset of the first bad frame; the file size when clean
+	size    int64
+	current bool // the file has a complete header of formatVersion (appendable)
 }
 
 // readSegment decodes one segment's frames without modifying it.
 // prevSeq is the last sequence number of the previous segment; a
 // non-increasing sequence is treated as corruption. A file whose magic
-// matches but whose version is not 2 is an error; a file without the
-// magic is version 1.
+// matches but whose version is neither 2 nor 3 is an error; a file
+// without the magic is version 1.
 func readSegment(path string, prevSeq uint64) (segmentScan, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -233,11 +238,15 @@ func scanSegment(path string, data []byte, prevSeq uint64) (segmentScan, error) 
 	sc := segmentScan{size: int64(len(data))}
 	switch {
 	case len(data) >= fileHdr && bytes.HasPrefix(data, walMagic):
-		if v := binary.LittleEndian.Uint32(data[len(walMagic):]); v != formatVersion {
+		switch v := binary.LittleEndian.Uint32(data[len(walMagic):]); v {
+		case formatVersion:
+			sc.current = true
+			sc.recs, sc.good = readFrames(data, fileHdr, prevSeq, decodeRecord)
+		case 2:
+			sc.recs, sc.good = readFrames(data, fileHdr, prevSeq, decodeRecordV2)
+		default:
 			return sc, &formatError{path, v}
 		}
-		sc.v2 = true
-		sc.recs, sc.good = readFrames(data, fileHdr, prevSeq, decodeRecord)
 	case bytes.HasPrefix(fileHeader(walMagic), data):
 		// Empty, or torn inside the header: nothing was ever appended.
 	default:
@@ -386,13 +395,14 @@ func openWAL(dir string, fsync bool, segBytes int64, snapSeq uint64) (*wal, []Re
 		w.seq = max(w.seq, records[n-1].Seq)
 	}
 
-	// Append into the last segment if it is a v2 one. An empty one (or
-	// one torn inside its header) is started over under the same name;
-	// a v1 one is kept for reading and a v2 segment follows it.
+	// Append into the last segment if it is of the current version. An
+	// empty one (or one torn inside its header) is started over under the
+	// same name; an older one is kept for reading and a current segment
+	// follows it.
 	if n := len(w.segs); n > 0 {
 		last, sc := w.segs[n-1], scans[n-1]
 		switch {
-		case sc.v2:
+		case sc.current:
 			f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return nil, nil, fmt.Errorf("durable: open segment: %w", err)

@@ -81,12 +81,13 @@ func TestExpandIngredientsNoPlaceholderAllocs(t *testing.T) {
 func TestDedupRingDuplicateAddAllocs(t *testing.T) {
 	r := newDedupRing(64)
 	for i := 0; i < 64; i++ {
-		r.Add(fmt.Sprintf("ev-%03d", i))
+		r.Add(idHash(fmt.Sprintf("ev-%03d", i)))
 	}
 	// The steady state of a quiet trigger: every poll re-serves event
 	// IDs the ring already remembers.
+	h := idHash("ev-007")
 	allocs := testing.AllocsPerRun(100, func() {
-		if r.Add("ev-007") {
+		if r.Add(h) {
 			t.Fatal("duplicate reported fresh")
 		}
 	})
@@ -95,20 +96,22 @@ func TestDedupRingDuplicateAddAllocs(t *testing.T) {
 	}
 }
 
+// TestDedupRingHasAllocs: an ID is looked up as it sits in a response
+// body, hashed from its bytes.
 func TestDedupRingHasAllocs(t *testing.T) {
 	r := newDedupRing(64)
 	for i := 0; i < 64; i++ {
-		r.Add(fmt.Sprintf("ev-%03d", i))
+		r.Add(idHash(fmt.Sprintf("ev-%03d", i)))
 	}
 	body := []byte(`{"id":"ev-007"},{"id":"ev-999"}`)
 	seen, unseen := body[7:13], body[23:29]
 	allocs := testing.AllocsPerRun(100, func() {
-		if !r.Has(seen) || r.Has(unseen) {
+		if !r.Has(idHash(seen)) || r.Has(idHash(unseen)) {
 			t.Fatal("Has disagrees with the ring's contents")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("dedupRing.Has([]byte) allocates %.1f/op, want 0", allocs)
+		t.Errorf("dedupRing.Has(idHash([]byte)) allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -193,22 +196,22 @@ func benchEvent(b []byte, seq int) []byte {
 // TestPollOneFreshOfTwentyAllocs is the hot-poll steady state the wire
 // codec exists for: a service re-serving its 20-event buffer, of which
 // the applet has executed 19. The 19 must cost nothing, and neither does
-// the request (pooled scratch) or the fresh event's ingredients (copied
-// into the decoder's scratch, read there by the condition); the bound is
-// the measured cost of the Doer's response plus the fresh event's ID
-// string (its condition then skips the action, which has its own
-// guard), 3, + 1.
+// the request (pooled scratch) or the fresh event: its ID is hashed from
+// the body's bytes and its record, ID and ingredients are copied into
+// the decoder's scratch, where the condition reads them (and then skips
+// the action, which has its own guard). No ID string is made. The bound
+// is the measured cost, the Doer's response, 2, + 1.
 func TestPollOneFreshOfTwentyAllocs(t *testing.T) {
 	allocs := pollOneFreshOfTwentyAllocs(t, 1)
-	if allocs > 4 {
-		t.Errorf("20-event poll with 19 remembered allocates %.1f/op, want <= 4", allocs)
+	if allocs > 3 {
+		t.Errorf("20-event poll with 19 remembered allocates %.1f/op, want <= 3", allocs)
 	}
 }
 
 // TestPollCoalescedFreshAllocs is the same poll on a subscription of
-// four members, each with one event to take: the event's record and its
-// ID are built once, the other members share them, so the poll costs no
-// more than the one-member case.
+// four members, each with one event to take: each ID is hashed once and
+// the event's record built once, the other members share them, so the
+// poll costs no more than the one-member case.
 func TestPollCoalescedFreshAllocs(t *testing.T) {
 	single := pollOneFreshOfTwentyAllocs(t, 1)
 	if coalesced := pollOneFreshOfTwentyAllocs(t, 4); coalesced > single {
@@ -234,7 +237,7 @@ func pollOneFreshOfTwentyAllocs(t *testing.T, n int) float64 {
 	e, ra := allocRig(t, d, n, IngredientEquals{Key: "eid", Value: "never"})
 	for _, m := range ra.sub.members {
 		for seq := 0; seq < 19; seq++ {
-			m.dedup.Add("1234." + strconv.Itoa(seq))
+			m.remember(idHash("1234." + strconv.Itoa(seq)))
 		}
 	}
 	poll := func() {
@@ -265,7 +268,7 @@ func TestDispatchActionAllocs(t *testing.T) {
 	if err := dec.scan.ScanPollResponse(append(benchEvent([]byte(`{"data":[`), 5), "]}"...)); err != nil {
 		t.Fatal(err)
 	}
-	ev := dec.record(0)
+	ev := dec.scanned(&dec.scan, 0, idHash(dec.scan.ID(0)))
 	ing := dec.ingredients(&ev)
 	if ing.Get("eid") != "1234.5" || ing.Get("at") != "1490400000000000000" {
 		t.Fatalf("record's ingredients eid=%q at=%q", ing.Get("eid"), ing.Get("at"))
@@ -340,12 +343,12 @@ func (r *reusedRequest) serve(h http.Handler) {
 // TestPushBatchAllocs bounds the push ingress: a batch of 50
 // single-event deliveries, each for its own subscription, through
 // Handler(). The body is read into httpx's pooled buffer and scanned by
-// a pooled scanner, identities resolve from its bytes, each event's
-// ingredients are copied into its mailbox (recycled), and the response
-// is rendered into pooled scratch: the event's ID string is the only
-// allocation per event. Each batch is counted inside a Replay window, so
-// its executions wait on the ready queue and run after the count.
-// Measured 54 per batch, + 0.2 per event.
+// a pooled scanner, identities resolve from its bytes, each event's ID
+// is hashed from them and its ID and ingredients are copied into its
+// mailbox (recycled), and the response is rendered into pooled scratch:
+// nothing is allocated per event. Each batch is counted inside a Replay
+// window, so its executions wait on the ready queue and run after the
+// count. Measured 4 per batch, + 0.2 per event.
 func TestPushBatchAllocs(t *testing.T) {
 	const deliveries, runs = 50, 100
 	e, idents := pushAllocRig(t, deliveries)
@@ -378,8 +381,8 @@ func TestPushBatchAllocs(t *testing.T) {
 	}
 	allocs := float64(total) / runs
 	t.Logf("50-delivery push batch: %.1f allocs/op, %.2f per event", allocs, allocs/deliveries)
-	if allocs > 54+0.2*deliveries {
-		t.Errorf("50-delivery push batch allocates %.1f/op, want <= %.0f", allocs, 54+0.2*deliveries)
+	if allocs > 4+0.2*deliveries {
+		t.Errorf("50-delivery push batch allocates %.1f/op, want <= %.0f", allocs, 4+0.2*deliveries)
 	}
 	if st := e.Stats(); st.PushEvents != deliveries || st.ActionsOK != deliveries || st.IngressDepth != 0 {
 		t.Errorf("stats %+v: each event should have executed once, the later copies dedup away", st)

@@ -94,7 +94,7 @@ func TestTimeWindowUsesDispatchTime(t *testing.T) {
 			sub.shard.mu.Lock()
 			dec := borrowDecoder(sub)
 			sub.shard.mu.Unlock()
-			dec.fresh = append(dec.fresh, event{meta: proto.EventMeta{ID: "e1", Timestamp: c.stamped.Unix()}})
+			dec.fresh = append(dec.fresh, dec.typed(&proto.TriggerEvent{Meta: proto.EventMeta{ID: "e1", Timestamp: c.stamped.Unix()}}))
 			dec.ranges = append(dec.ranges, memberRange{ra: dec.members[0], start: 0, end: 1})
 			e.dispatchFresh(dec)
 			dec.release()
@@ -161,9 +161,10 @@ func TestIngredientsViewMatchesEvent(t *testing.T) {
 		for k := range dec.fresh {
 			ev := &dec.fresh[k]
 			want := ref.Event(n - 1 - k) // records are oldest first
-			if ev.meta != want.Meta || !reflect.DeepEqual(want.Ingredients, independent[n-1-k]) {
-				t.Fatalf("%s: record %d meta %+v, want %+v; Event's ingredients %q, encoding/json's %q",
-					body.String(), k, ev.meta, want.Meta, want.Ingredients, independent[n-1-k])
+			meta := dec.materialise(ev).Meta
+			if meta != want.Meta || ev.hash != idHash(want.Meta.ID) || !reflect.DeepEqual(want.Ingredients, independent[n-1-k]) {
+				t.Fatalf("%s: record %d meta %+v (hash %x), want %+v; Event's ingredients %q, encoding/json's %q",
+					body.String(), k, meta, ev.hash, want.Meta, want.Ingredients, independent[n-1-k])
 			}
 			ing, mapped := dec.ingredients(ev), mapIngredients(want.Ingredients)
 			for _, key := range probes {

@@ -106,7 +106,7 @@ func (e *Engine) dispatchFresh(dec *pollDecoder) {
 			ev := &fresh[i]
 			ing := dec.ingredients(ev)
 			if !conditionsAllow(mr.ra.conditions, e.clock.Now(), ing) {
-				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: dec.span.ExecID, EventID: ev.meta.ID})
+				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: dec.span.ExecID, EventID: e.traceID(dec, ev)})
 				continue
 			}
 			e.dispatchAction(dec, mr.ra, ev, ing)
@@ -114,18 +114,28 @@ func (e *Engine) dispatchFresh(dec *pollDecoder) {
 	}
 }
 
-// event is the engine's record of one trigger event: its meta, and where
-// its ingredients are, ings[lo:hi] of the eventArena it was recorded in.
+// event is the engine's record of one trigger event: the hash its ID is
+// remembered by, its meta timestamps, and where its ID and ingredients
+// are, vals[id:idEnd] and ings[lo:hi] of the eventArena it was recorded
+// in. The ID's string is made only when something reads it (idString).
 // A polled event is recorded in its execution's decoder; a pushed one in
 // its subscription's mailbox, whose records and arena its execution's
 // decoder copies as they are (pushLocked), ranges and all.
 type event struct {
-	meta   proto.EventMeta
-	lo, hi int32
+	hash        uint64
+	ts, tsNanos int64 // proto.EventMeta's Timestamp and TimestampNanos
+	id, idEnd   int32
+	lo, hi      int32
 }
 
-// eventArena holds recorded events' ingredients: each an interned key
-// and a range of vals, so an event costs no map and no string per value.
+// time is the event's occurrence time, as proto.EventMeta.Time reads it.
+func (ev *event) time() time.Time {
+	return proto.EventMeta{Timestamp: ev.ts, TimestampNanos: ev.tsNanos}.Time()
+}
+
+// eventArena holds recorded events' IDs and ingredients: each ingredient
+// an interned key and a range of vals, so an event costs no map and no
+// string per value.
 type eventArena struct {
 	ings []ingredient
 	vals []byte
@@ -136,20 +146,32 @@ func (a *eventArena) ingredients(ev *event) Ingredients {
 	return Ingredients{fields: a.ings[ev.lo:ev.hi], vals: a.vals}
 }
 
-// scanned records scanned event i with id as its ID, copying its
-// ingredients out of the scanned body.
-func (a *eventArena) scanned(scan *proto.EventScan, i int, id string) event {
+// idString makes ev's ID string, for a reader that keeps it.
+func (a *eventArena) idString(ev *event) string { return string(a.vals[ev.id:ev.idEnd]) }
+
+// recordID starts the record of an event with the given ID, hash and
+// timestamps, copying the ID into the arena; the ingredients the caller
+// adds next are the record's, up to the hi it then sets.
+func recordID[S string | []byte](a *eventArena, id S, h uint64, ts, tsNanos int64) event {
+	lo := len(a.vals)
+	a.vals = append(a.vals, id...)
+	return event{hash: h, ts: ts, tsNanos: tsNanos, id: int32(lo), idEnd: int32(len(a.vals)), lo: int32(len(a.ings))}
+}
+
+// scanned records scanned event i, whose ID hashes to h, copying its ID
+// and ingredients out of the scanned body.
+func (a *eventArena) scanned(scan *proto.EventScan, i int, h uint64) event {
 	ts, tsNanos := scan.Timestamps(i)
-	ev := event{meta: proto.EventMeta{ID: id, Timestamp: ts, TimestampNanos: tsNanos}, lo: int32(len(a.ings))}
+	ev := recordID(a, scan.ID(i), h, ts, tsNanos)
 	scan.EachIngredient(i, func(key string, val []byte) { addIngredient(a, key, val) })
 	ev.hi = int32(len(a.ings))
 	return ev
 }
 
-// typed records ev, keeping its ID string and ingredient keys and copying
-// its values.
+// typed records ev, keeping its ingredient keys and copying its ID and
+// values.
 func (a *eventArena) typed(ev *proto.TriggerEvent) event {
-	rec := event{meta: ev.Meta, lo: int32(len(a.ings))}
+	rec := recordID(a, ev.Meta.ID, idHash(ev.Meta.ID), ev.Meta.Timestamp, ev.Meta.TimestampNanos)
 	for key, val := range ev.Ingredients {
 		addIngredient(a, key, val)
 	}
@@ -170,7 +192,7 @@ func (a *eventArena) materialise(ev *event) proto.TriggerEvent {
 	for _, f := range a.ings[ev.lo:ev.hi] {
 		m[f.key] = string(a.vals[f.lo:f.hi])
 	}
-	return proto.TriggerEvent{Ingredients: m, Meta: ev.meta}
+	return proto.TriggerEvent{Ingredients: m, Meta: proto.EventMeta{ID: a.idString(ev), Timestamp: ev.ts, TimestampNanos: ev.tsNanos}}
 }
 
 // reset empties the arena, dropping its references to interned keys.
@@ -195,8 +217,9 @@ type pollDecoder struct {
 	scan proto.EventScan
 	// built[i] is 1 + the index in fresh of scanned event i's record
 	// once some member took the event, so a coalesced subscription
-	// records each event at most once.
-	built []int32
+	// records each event at most once; hashes[i] is its ID's hash.
+	built  []int32
+	hashes []uint64
 	// The arena holds the ingredients of the execution's events: for a
 	// poll, the fresh ones, copied out of the response (the client's
 	// read buffer is reused before the dispatch delay ends); for a push,
@@ -224,9 +247,11 @@ type pollDecoder struct {
 	enc proto.ActionEncoder
 	buf []byte
 	// cp and cpIDs are what the execution's checkpoint is journaled in
-	// (journalCheckpoint); empty between checkpoints.
-	cp    Checkpoint
-	cpIDs []string
+	// (journalCheckpoint), empty between checkpoints; its ID strings are
+	// carved out of cpStrs (journalID).
+	cp     Checkpoint
+	cpIDs  []string
+	cpStrs strings.Builder
 }
 
 // What a decoder keeps between executions is bounded: the event buffers
@@ -266,7 +291,7 @@ func (d *pollDecoder) release() {
 	d.sub, d.span, d.push, d.pushAt = nil, obs.ExecSpan{}, d.push[:0], time.Time{}
 	d.scan.Release()
 	if cap(d.built) > maxPooledBuilt {
-		d.built = nil
+		d.built, d.hashes = nil, nil
 	}
 	if cap(d.fresh) > maxPooledBuilt {
 		d.fresh = nil
@@ -279,6 +304,9 @@ func (d *pollDecoder) release() {
 	}
 	if cap(d.cpIDs) > maxPooledBuilt {
 		d.cpIDs = nil
+	}
+	if d.cpStrs.Cap() > journalIDChunk {
+		d.cpStrs.Reset()
 	}
 	if cap(d.buf) > maxPooledBody {
 		d.buf, d.enc = nil, proto.ActionEncoder{}
@@ -303,36 +331,37 @@ func (d *pollDecoder) DecodeBody(status int, body []byte) error {
 // the wire order is newest first, and each member takes its unseen
 // events oldest first so actions replay the trigger order. It is the
 // loop the engine always ran — Add every event's ID to every member's
-// ring, keep what was new — except that an event is recorded only when
-// some ring reports its ID missing; for the re-served majority the ID
-// bytes in the body are looked up and nothing is allocated. Add on a
-// remembered ID never changed a ring, so skipping it changes nothing,
-// evictions included. The dedup rings are owned by this worker —
-// members cannot be polled through another subscription, and a removed
-// member's ring is never touched again after this poll.
+// ring, keep what was new — with each ID hashed once, from its bytes in
+// the body, and an event recorded only when some ring reports its hash
+// new; for the re-served majority nothing is copied or allocated. Add
+// on a remembered hash never changes a ring, evictions included. The
+// dedup rings are owned by this worker — members cannot be polled
+// through another subscription, and a removed member's ring is never
+// touched again after this poll.
 func (d *pollDecoder) collectFresh() {
 	scan := &d.scan
 	n := scan.Len()
 	if cap(d.built) < n {
-		d.built = make([]int32, n)
+		d.built, d.hashes = make([]int32, n), make([]uint64, n)
 	}
-	built := d.built[:n]
+	built, hashes := d.built[:n], d.hashes[:n]
+	for i := range hashes {
+		hashes[i] = idHash(scan.ID(i))
+	}
 	d.resetFresh()
 	fresh, ranges := d.fresh, d.ranges
 	for _, ra := range d.members {
 		start := len(fresh)
 		for i := n - 1; i >= 0; i-- {
-			id := scan.ID(i)
-			if len(id) == 0 || ra.dedup.Has(id) {
+			if len(scan.ID(i)) == 0 || !ra.remember(hashes[i]) {
 				continue
 			}
 			if built[i] == 0 {
-				fresh = append(fresh, d.record(i))
+				fresh = append(fresh, d.scanned(scan, i, hashes[i]))
 				built[i] = int32(len(fresh))
 			} else {
 				fresh = append(fresh, fresh[built[i]-1])
 			}
-			ra.dedup.Add(fresh[len(fresh)-1].meta.ID)
 		}
 		ranges = append(ranges, memberRange{ra: ra, start: start, end: len(fresh)})
 	}
@@ -340,11 +369,13 @@ func (d *pollDecoder) collectFresh() {
 	d.fresh, d.ranges = fresh, ranges
 }
 
-// record builds the record of scanned event i: its ID as the one string
-// the rings, trace, spans and journal share, and its ingredients copied
-// into the decoder's arena.
-func (d *pollDecoder) record(i int) event {
-	return d.scanned(&d.scan, i, string(d.scan.ID(i)))
+// traceID is ev's ID for a trace event, made only when a trace observer
+// is there to read it.
+func (e *Engine) traceID(dec *pollDecoder, ev *event) string {
+	if e.trace == nil {
+		return ""
+	}
+	return dec.idString(ev)
 }
 
 // actionRequest returns what an action request carries beyond its
@@ -371,10 +402,14 @@ func (actionAck) DecodeBody(_ int, body []byte) error { return proto.ValidateAct
 // ingredients. Acked or failed, the action completes a span of dec's
 // execution.
 func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev *event, ing Ingredients) {
-	eventTime := ev.meta.Time()
+	eventTime := ev.time()
 	sh := ra.sub.shard
 	execID := dec.span.ExecID
-	sentAt := e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: ra.id, ExecID: execID, EventID: ev.meta.ID, EventTime: eventTime})
+	var eventID string // read only by a trace observer or a span sink
+	if e.trace != nil || e.spans {
+		eventID = dec.idString(ev)
+	}
+	sentAt := e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: ra.id, ExecID: execID, EventID: eventID, EventTime: eventTime})
 
 	auth, body := dec.actionRequest(ra, ing)
 	status, err := e.client.DoEndpoint(ra.action.req, "", auth, body, actionAck{})
@@ -390,13 +425,13 @@ func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev *event, 
 			msg = err.Error()
 		}
 	}
-	doneAt := e.emit(sh, TraceEvent{Kind: kind, AppletID: ra.id, ExecID: execID, EventID: ev.meta.ID, Err: msg})
+	doneAt := e.emit(sh, TraceEvent{Kind: kind, AppletID: ra.id, ExecID: execID, EventID: eventID, Err: msg})
 	if kind == TraceActionFailed && e.log != nil {
 		e.log.Warn("action failed", "applet", ra.id, "err", msg)
 	}
 	if e.spans {
 		s := dec.span
-		s.AppletID, s.EventID, s.EventAt = ra.id, ev.meta.ID, eventTime
+		s.AppletID, s.EventID, s.EventAt = ra.id, eventID, eventTime
 		s.ActionSentAt, s.ActionDoneAt = sentAt, doneAt
 		s.Failed, s.Err = kind == TraceActionFailed, msg
 		e.recordSpan(s)

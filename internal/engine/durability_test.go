@@ -223,7 +223,7 @@ func TestApplyCheckpointReachesRetainedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []RetiredDedup{{AppletID: "a1", SeenEvents: []string{"e1", "e2"}}}
+	want := []RetiredDedup{{AppletID: "a1", SeenEvents: hashIDs([]string{"e1", "e2"})}}
 	if got := r.engine.ExportRetiredDedup(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("retained windows = %v, want %v", got, want)
 	}

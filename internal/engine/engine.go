@@ -389,7 +389,7 @@ type Engine struct {
 	// removal order. retMu is a leaf lock: safe to take under e.mu or a
 	// shard's mutex, and nothing is acquired while holding it.
 	retMu    sync.Mutex
-	retired  map[string][]string
+	retired  map[string][]uint64
 	retiredQ []string
 
 	// endpoints interns what every request to one trigger or action
@@ -514,12 +514,13 @@ type runningApplet struct {
 	triggerFields, actionFields map[string]string
 	conditions                  []Condition
 	sub                         *subscription
-	// auth is what actionAuth returns, nil until ra's first action.
+	// auth is what actionAuth returns, nil until ra's first action;
+	// dedup is nil until its first event (remember).
 	auth  *string
-	dedup dedupRing
+	dedup *dedupRing
 }
 
-func (e *Engine) newRunningApplet(a *Applet, dedup dedupRing) *runningApplet {
+func (e *Engine) newRunningApplet(a *Applet, dedup *dedupRing) *runningApplet {
 	return &runningApplet{
 		id: a.ID, name: a.Name, user: a.UserID,
 		trigger: e.endpointFor(&a.Trigger, false), action: e.endpointFor(&a.Action, true),
@@ -602,7 +603,7 @@ func New(cfg Config) *Engine {
 		endpoints: make(map[endpointKey]*endpoint),
 		decoders:  &sync.Pool{New: func() any { return new(pollDecoder) }},
 		journal:   cfg.Journal,
-		retired:   make(map[string][]string),
+		retired:   make(map[string][]uint64),
 	}
 	res := cfg.Resilience
 	e.resilient = !res.Disable
@@ -793,7 +794,7 @@ func (e *Engine) Install(a Applet) error {
 	if a.ID == "" {
 		return fmt.Errorf("engine: applet ID required")
 	}
-	ra := e.newRunningApplet(&a, newDedupRing(e.dedupCap))
+	ra := e.newRunningApplet(&a, nil)
 	key := e.subscriptionKey(&a)
 	// Without coalescing, subscriptions shard by applet ID — the exact
 	// placement (and therefore RNG stream assignment) of the
@@ -832,9 +833,7 @@ func (e *Engine) Install(a Applet) error {
 	}
 	// A reinstall of a removed applet ID resumes its dedup window, so
 	// events the previous installation executed stay executed-once.
-	if ids := e.takeRetiredDedup(a.ID); ids != nil {
-		ra.dedup = restoreDedupRing(e.dedupCap, ids)
-	}
+	ra.dedup = restoreDedupRing(e.dedupCap, e.takeRetiredDedup(a.ID))
 	sh.joinLocked(ra, key)
 	sh.mu.Unlock()
 	e.applets[a.ID] = ra

@@ -25,12 +25,12 @@ import (
 )
 
 // pushScratch is what one /v1/push request is handled in: the scanner
-// its body is read with, the ID strings of the delivery being admitted,
+// its body is read with, the ID hashes of the delivery being admitted,
 // and the response bytes.
 type pushScratch struct {
-	scan proto.EventScan
-	ids  []string
-	out  []byte
+	scan   proto.EventScan
+	hashes []uint64
+	out    []byte
 }
 
 var pushScratches = sync.Pool{New: func() any { return new(pushScratch) }}
@@ -52,8 +52,8 @@ func (e *Engine) handlePush(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	p.scan.Release()
-	if cap(p.ids) > maxPooledBuilt {
-		p.ids = nil
+	if cap(p.hashes) > maxPooledBuilt {
+		p.hashes = nil
 	}
 	if err != nil {
 		httpx.WriteBodyError(w, err)
@@ -69,8 +69,9 @@ func (e *Engine) handlePush(w http.ResponseWriter, r *http.Request) {
 }
 
 // pushScanned is PushDeliveries for the batch p.scan holds. A delivery's
-// ID strings, its only allocations, are made before its shard lock is
-// taken; its ingredients are copied into the mailbox under the lock.
+// IDs are hashed before its shard lock is taken; its IDs and ingredients
+// are copied into the mailbox under the lock. Nothing is allocated per
+// event.
 func (e *Engine) pushScanned(p *pushScratch) proto.PushResponse {
 	scan := &p.scan
 	now := e.clock.Now()
@@ -80,17 +81,16 @@ func (e *Engine) pushScanned(p *pushScratch) proto.PushResponse {
 		if len(identity) == 0 || lo == hi {
 			continue
 		}
-		ids := p.ids[:0]
+		hashes := p.hashes[:0]
 		for j := lo; j < hi; j++ {
-			ids = append(ids, string(scan.ID(j)))
+			hashes = append(hashes, idHash(scan.ID(j)))
 		}
 		if sub, m := admitPush(e, identity, hi-lo, &resp); sub != nil {
-			m.pushScanned(scan, lo, ids, now)
+			m.pushScanned(scan, lo, hashes, now)
 			e.commitPush(sub)
 			resp.Accepted += hi - lo
 		}
-		clear(ids)
-		p.ids = ids
+		p.hashes = hashes
 	}
 	e.countPush(resp)
 	return resp
@@ -101,8 +101,8 @@ func (e *Engine) pushScanned(p *pushScratch) proto.PushResponse {
 // can forward routed deliveries without an HTTP round-trip. The
 // response accounts every event: accepted into a mailbox, rejected by a
 // full shard or a stopped engine, or unmatched to any installed
-// subscription. The engine copies what it keeps — ingredient values
-// into the mailbox's arena; ID and key strings are immutable and shared
+// subscription. The engine copies what it keeps — IDs and ingredient
+// values into the mailbox's arena; key strings are immutable and shared
 // — so the caller may reuse its slices and maps once the call returns.
 // Every event of a batch is rejected when the engine was built without
 // Config.Push.
@@ -209,7 +209,7 @@ func (e *Engine) dispatchPush(dec *pollDecoder) {
 		start := len(fresh)
 		for j := range dec.push {
 			ev := &dec.push[j]
-			if ev.meta.ID == "" || !ra.dedup.Add(ev.meta.ID) {
+			if ev.id == ev.idEnd || !ra.remember(ev.hash) { // an event without an ID never runs
 				continue
 			}
 			fresh = append(fresh, *ev)

@@ -66,10 +66,11 @@ type MemberEvents struct {
 
 // RetiredDedup is the preserved dedup window of a removed applet: what
 // makes a remove-then-reinstall of the same applet ID exactly-once for
-// events the first installation already executed.
+// events the first installation already executed. SeenEvents holds the
+// remembered IDs' hashes (IDHash), oldest first.
 type RetiredDedup struct {
 	AppletID   string   `json:"applet_id"`
-	SeenEvents []string `json:"seen_events"`
+	SeenEvents []uint64 `json:"seen_events"`
 }
 
 // DefaultRetiredDedup bounds how many removed applets' dedup windows
@@ -128,17 +129,17 @@ func (e *Engine) ApplyCheckpoint(cp Checkpoint) error {
 		e.mu.Unlock()
 		if ra != nil { // no execution owns a ring while the timers are held
 			for _, id := range m.EventIDs {
-				changed = ra.dedup.Add(id) || changed
+				changed = ra.remember(idHash(id)) || changed
 			}
 			continue
 		}
 		e.retMu.Lock()
-		if ids, ok := e.retired[m.AppletID]; ok {
-			ring := restoreDedupRing(e.dedupCap, ids)
+		if window, ok := e.retired[m.AppletID]; ok { // never empty
+			ring := restoreDedupRing(e.dedupCap, window)
 			for _, id := range m.EventIDs {
-				changed = ring.Add(id) || changed
+				changed = ring.Add(idHash(id)) || changed
 			}
-			e.retired[m.AppletID] = ring.snapshotIDs()
+			e.retired[m.AppletID] = ring.window()
 		}
 		e.retMu.Unlock()
 	}
@@ -152,12 +153,15 @@ func (e *Engine) ApplyCheckpoint(cp Checkpoint) error {
 // push) dec carries. Called by the worker that owns the subscription,
 // after the rings absorbed the IDs and before any action dispatches.
 // The Checkpoint is the decoder's: one flat list of the fresh events'
-// IDs, which each member's entry slices, so a warm decoder journals
-// without allocating; it is emptied again once the journal returned.
+// IDs, which each member's entry slices. The ID strings are carved out
+// of the decoder's append-only chunk (journalID), so a warm decoder
+// allocates once per chunk, not per checkpoint. The Checkpoint is
+// emptied again once the journal returned.
 func (e *Engine) journalCheckpoint(dec *pollDecoder) {
 	ids := dec.cpIDs[:0]
 	for i := range dec.fresh {
-		ids = append(ids, dec.fresh[i].meta.ID)
+		ev := &dec.fresh[i]
+		ids = append(ids, dec.journalID(dec.vals[ev.id:ev.idEnd]))
 	}
 	cp := &dec.cp
 	for _, mr := range dec.ranges {
@@ -176,24 +180,43 @@ func (e *Engine) journalCheckpoint(dec *pollDecoder) {
 	dec.cpIDs, *cp = ids[:0], Checkpoint{Members: cp.Members[:0]}
 }
 
+// journalIDChunk is the size of the chunks journalID carves strings from.
+const journalIDChunk = 1 << 10
+
+// journalID returns id as a string carved out of the decoder's current
+// chunk. Bytes once written to a chunk are never written again — a full
+// chunk is dropped, not reused, and stays alive only while a string
+// carved from it does — so the strings are as immutable as any, and
+// journaling an ID costs an allocation only once per chunk.
+func (d *pollDecoder) journalID(id []byte) string {
+	sb := &d.cpStrs
+	if sb.Cap()-sb.Len() < len(id) {
+		sb.Reset()
+		sb.Grow(max(journalIDChunk, len(id)))
+	}
+	n := sb.Len()
+	sb.Write(id)
+	return sb.String()[n:]
+}
+
 // retainDedup remembers a removed applet's dedup window for a future
 // reinstall of the same ID. Called once per removed member, after its
 // final execution completed (so the ring is final): directly from
 // Remove when the subscription was idle, or from the owning worker's
 // release path when the removal interleaved with an execution.
 func (e *Engine) retainDedup(ra *runningApplet) {
-	ids := ra.dedup.snapshotIDs()
-	if len(ids) == 0 {
+	window := ra.dedup.window()
+	if len(window) == 0 {
 		return
 	}
 	e.retMu.Lock()
-	e.retireLocked(ra.id, ids)
+	e.retireLocked(ra.id, window)
 	e.retMu.Unlock()
 }
 
 // retireLocked records id's window, evicting the longest-removed
 // applet's window (FIFO) beyond DefaultRetiredDedup. retMu is held.
-func (e *Engine) retireLocked(id string, ids []string) {
+func (e *Engine) retireLocked(id string, window []uint64) {
 	if _, ok := e.retired[id]; !ok {
 		e.retiredQ = append(e.retiredQ, id)
 		if len(e.retiredQ) > DefaultRetiredDedup {
@@ -202,14 +225,14 @@ func (e *Engine) retireLocked(id string, ids []string) {
 			delete(e.retired, old)
 		}
 	}
-	e.retired[id] = ids
+	e.retired[id] = window
 }
 
 // takeRetiredDedup consumes the remembered dedup window for id, nil
 // when none is held.
-func (e *Engine) takeRetiredDedup(id string) []string {
+func (e *Engine) takeRetiredDedup(id string) []uint64 {
 	e.retMu.Lock()
-	ids, ok := e.retired[id]
+	window, ok := e.retired[id]
 	if ok {
 		delete(e.retired, id)
 		for i, q := range e.retiredQ {
@@ -223,7 +246,7 @@ func (e *Engine) takeRetiredDedup(id string) []string {
 	if !ok {
 		return nil
 	}
-	return ids
+	return window
 }
 
 // ExportRetiredDedup snapshots the retained dedup windows of removed
@@ -234,8 +257,8 @@ func (e *Engine) ExportRetiredDedup() []RetiredDedup {
 	defer e.retMu.Unlock()
 	out := make([]RetiredDedup, 0, len(e.retiredQ))
 	for _, id := range e.retiredQ {
-		if ids, ok := e.retired[id]; ok {
-			out = append(out, RetiredDedup{AppletID: id, SeenEvents: ids})
+		if window, ok := e.retired[id]; ok {
+			out = append(out, RetiredDedup{AppletID: id, SeenEvents: window})
 		}
 	}
 	return out

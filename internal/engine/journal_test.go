@@ -62,7 +62,7 @@ func TestJournalCheckpointAllocs(t *testing.T) {
 	dec := borrowDecoder(sub)
 	sub.shard.mu.Unlock()
 	defer dec.release()
-	ev := func(id string) event { return event{meta: proto.EventMeta{ID: id}} }
+	ev := func(id string) event { return dec.typed(&proto.TriggerEvent{Meta: proto.EventMeta{ID: id}}) }
 	dec.fresh = append(dec.fresh, ev("e1"), ev("e2"), ev("e2"))
 	dec.ranges = append(dec.ranges,
 		memberRange{ra: dec.members[0], start: 0, end: 2},

@@ -99,11 +99,11 @@ type mailbox struct {
 }
 
 // pushScanned records a delivery of scanned events lo, lo+1, … whose ID
-// strings are ids, accepted at at.
-func (m *mailbox) pushScanned(scan *proto.EventScan, lo int, ids []string, at time.Time) {
+// hashes are hashes, accepted at at.
+func (m *mailbox) pushScanned(scan *proto.EventScan, lo int, hashes []uint64, at time.Time) {
 	first := len(m.events)
-	for j, id := range ids {
-		m.events = append(m.events, m.scanned(scan, lo+j, id))
+	for j, h := range hashes {
+		m.events = append(m.events, m.scanned(scan, lo+j, h))
 	}
 	m.push = append(m.push, pendingPush{at: at, lo: int32(first), hi: int32(len(m.events))})
 }

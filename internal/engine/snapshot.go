@@ -24,11 +24,11 @@ import (
 const detachRetry = 10 * time.Millisecond
 
 // MemberSnapshot is one member applet of a detached subscription: its
-// definition plus its dedup window (remembered event IDs, oldest
-// first).
+// definition plus its dedup window (the remembered event IDs' hashes,
+// IDHash, oldest first).
 type MemberSnapshot struct {
 	Applet     Applet
-	SeenEvents []string
+	SeenEvents []uint64
 }
 
 // PendingPushSnapshot is one push delivery that was waiting in the
@@ -83,7 +83,7 @@ func (e *Engine) snapshotSubLocked(sub *subscription) *SubscriptionSnapshot {
 	for i, ra := range sub.members {
 		snap.Members[i] = MemberSnapshot{
 			Applet:     ra.applet(),
-			SeenEvents: ra.dedup.snapshotIDs(),
+			SeenEvents: ra.dedup.window(),
 		}
 	}
 	if m := sub.mail; m != nil {

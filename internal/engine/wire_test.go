@@ -88,7 +88,7 @@ func TestCollectFreshEquivalence(t *testing.T) {
 		mkMembers := func() []*runningApplet {
 			ms := make([]*runningApplet, nMembers)
 			for m := range ms {
-				ms[m] = &runningApplet{id: fmt.Sprint("a", m), dedup: restoreDedupRing(ringCap, seeds[m])}
+				ms[m] = &runningApplet{id: fmt.Sprint("a", m), dedup: ringOf(ringCap, seeds[m])}
 			}
 			return ms
 		}
@@ -121,7 +121,7 @@ func TestCollectFreshEquivalence(t *testing.T) {
 			start := len(wantFresh)
 			for i := len(resp.Data) - 1; i >= 0; i-- {
 				ev := resp.Data[i]
-				if ev.Meta.ID == "" || !ra.dedup.Add(ev.Meta.ID) {
+				if ev.Meta.ID == "" || !ra.dedup.Add(idHash(ev.Meta.ID)) {
 					continue
 				}
 				wantFresh = append(wantFresh, ev)
@@ -145,7 +145,7 @@ func TestCollectFreshEquivalence(t *testing.T) {
 			if mr.ra != members[m] || [2]int{mr.start, mr.end} != wantRanges[m] {
 				t.Fatalf("trial %d: member %d range [%d,%d), want %v", trial, m, mr.start, mr.end, wantRanges[m])
 			}
-			if got, want := members[m].dedup.snapshotIDs(), refMembers[m].dedup.snapshotIDs(); !reflect.DeepEqual(got, want) {
+			if got, want := members[m].dedup.window(), refMembers[m].dedup.window(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: member %d ring %v, want %v", trial, m, got, want)
 			}
 		}
@@ -158,8 +158,8 @@ func TestCollectFreshEquivalence(t *testing.T) {
 			t.Fatalf("202: err %v, fresh %v", err, dec.fresh)
 		}
 		for m := range members {
-			untouched := restoreDedupRing(ringCap, seeds[m])
-			if got, want := members[m].dedup.snapshotIDs(), untouched.snapshotIDs(); !reflect.DeepEqual(got, want) {
+			untouched := ringOf(ringCap, seeds[m])
+			if got, want := members[m].dedup.window(), untouched.window(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: a 202 changed member %d's ring", trial, m)
 			}
 		}
@@ -204,7 +204,9 @@ func TestMalformedActionAckIsRetriedFailure(t *testing.T) {
 		if err := e.Install(a); err != nil {
 			t.Fatal(err)
 		}
-		e.dispatchAction(new(pollDecoder), e.applets["a1"], &event{meta: proto.EventMeta{ID: "e1"}}, Ingredients{})
+		dec := new(pollDecoder)
+		ev := dec.typed(&proto.TriggerEvent{Meta: proto.EventMeta{ID: "e1"}})
+		e.dispatchAction(dec, e.applets["a1"], &ev, Ingredients{})
 		st := e.Stats()
 		e.Stop()
 		wantCalls := 1
