@@ -200,7 +200,7 @@ func (p *adaptiveParams) initialGap(rng *stats.RNG) time.Duration {
 func (p *adaptiveParams) nextGapLocked(sub *subscription) time.Duration {
 	g := p.gap(sub.rate)
 	if p.jitter > 0 {
-		g = jitterDur(g, p.jitter, sub.rng)
+		g = jitterDur(g, p.jitter, &sub.rng)
 	}
 	return g
 }

@@ -2,10 +2,16 @@ package engine
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -172,6 +178,65 @@ func TestCoalesceJoinLeaveMidPoll(t *testing.T) {
 	st := r.engine.Stats()
 	if st.Applets != 2 || st.Subscriptions != 1 {
 		t.Errorf("applets=%d subscriptions=%d after churn, want 2 on 1", st.Applets, st.Subscriptions)
+	}
+}
+
+// freshEventDoer serves every poll one event never served before and
+// acknowledges every action; safe for concurrent use.
+type freshEventDoer struct{ seq atomic.Int64 }
+
+func (d *freshEventDoer) Do(req *http.Request) (*http.Response, error) {
+	io.Copy(io.Discard, req.Body)
+	req.Body.Close()
+	body := `{"data":[{"id":"ok"}]}`
+	if !strings.HasPrefix(req.URL.Path, proto.ActionsPath) {
+		body = string(append(benchEvent([]byte(`{"data":[`), int(d.seq.Add(1))), "]}"...))
+	}
+	r := &emptyPollResponse{Response: http.Response{StatusCode: http.StatusOK}}
+	r.Reset(body)
+	r.Body = r
+	return &r.Response, nil
+}
+
+// TestCoalesceLeadChurnRace changes a coalesced subscription's lead
+// over and over on a real clock while its polls run and journal their
+// checkpoints, so the race detector sees the key and blob rendered
+// again beside executions that read them.
+func TestCoalesceLeadChurnRace(t *testing.T) {
+	j := &checkpointJournal{}
+	clock := simtime.NewReal()
+	e := New(Config{Clock: clock, RNG: stats.NewRNG(1), Doer: &freshEventDoer{},
+		Poll: FixedInterval{Interval: time.Millisecond}, DispatchDelay: -1, Shards: 2, Coalesce: true, Journal: j})
+	applet := func(i int) Applet {
+		a := residentApplet(0)
+		a.ID = "m" + strconv.Itoa(i)
+		return a
+	}
+	first := applet(0)
+	key := first.CoalescedTriggerIdentity()
+	if err := e.Install(first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 200; i++ {
+		if err := e.Install(applet(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Remove("m" + strconv.Itoa(i-1)); err != nil { // the lead
+			t.Fatal(err)
+		}
+		if i%20 == 0 {
+			e.ApplyHint(proto.RealtimeHint{TriggerIdentity: key})
+			time.Sleep(time.Millisecond)
+		}
+	}
+	time.Sleep(5 * time.Millisecond)
+	e.Stop()
+	clock.Wait()
+	if st := e.Stats(); st.Applets != 1 || st.Subscriptions != 1 || st.Polls == 0 {
+		t.Errorf("stats %+v: want one applet on one subscription, polled", st)
+	}
+	if j.n == 0 || j.last.Key != key {
+		t.Errorf("%d checkpoints, the first under %q, want them under %q", j.n, j.last.Key, key)
 	}
 }
 

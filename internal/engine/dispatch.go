@@ -2,6 +2,7 @@ package engine
 
 import (
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -105,7 +106,7 @@ func (e *Engine) dispatchFresh(dec *pollDecoder) {
 		for i := mr.start; i < mr.end; i++ {
 			ev := &fresh[i]
 			ing := dec.ingredients(ev)
-			if !conditionsAllow(mr.ra.conditions, e.clock.Now(), ing) {
+			if !conditionsAllow(mr.ra.conditions(), e.clock.Now(), ing) {
 				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: dec.span.ExecID, EventID: e.traceID(dec, ev)})
 				continue
 			}
@@ -232,6 +233,7 @@ type pollDecoder struct {
 	pushAt time.Time
 	// The execution's subject, snapshotted under the shard lock.
 	sub     *subscription
+	key     string
 	members []*runningApplet
 	// fresh holds every member's unseen events back to back; ranges marks
 	// each member's share.
@@ -268,7 +270,7 @@ const (
 // membership as it stands. Caller holds s.mu and runs sub.
 func borrowDecoder(sub *subscription) *pollDecoder {
 	d := sub.shard.e.decoders.Get().(*pollDecoder)
-	d.sub, d.members = sub, append(d.members[:0], sub.members...)
+	d.sub, d.key, d.members = sub, sub.key, append(d.members[:0], sub.members...)
 	return d
 }
 
@@ -288,7 +290,7 @@ func (d *pollDecoder) release() {
 	d.resetFresh()
 	clear(d.members[:cap(d.members)])
 	clear(d.push)
-	d.sub, d.span, d.push, d.pushAt = nil, obs.ExecSpan{}, d.push[:0], time.Time{}
+	d.sub, d.key, d.span, d.push, d.pushAt = nil, "", obs.ExecSpan{}, d.push[:0], time.Time{}
 	d.scan.Release()
 	if cap(d.built) > maxPooledBuilt {
 		d.built, d.hashes = nil, nil
@@ -563,8 +565,10 @@ func (e *Engine) ApplyHint(hint proto.RealtimeHint) {
 }
 
 // userSubscriptions resolves a user ID to the distinct subscriptions
-// the user's applets poll through, plus one member applet ID and the
-// total applet count (for hint tracing).
+// the user's applets poll through, in the order the applets were
+// installed, plus the oldest surviving applet's ID and the applet count
+// (for hint tracing). A user has few applets, so coalesced duplicates
+// are found by scanning the targets found so far.
 func (e *Engine) userSubscriptions(userID string) ([]*subscription, string, int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -573,19 +577,12 @@ func (e *Engine) userSubscriptions(userID string) ([]*subscription, string, int)
 		return nil, "", 0
 	}
 	targets := make([]*subscription, 0, len(owned))
-	seen := make(map[*subscription]struct{}, len(owned))
-	var firstID string
-	for id, ra := range owned {
-		if firstID == "" {
-			firstID = id
+	for _, ra := range owned {
+		if !slices.Contains(targets, ra.sub) {
+			targets = append(targets, ra.sub)
 		}
-		if _, dup := seen[ra.sub]; dup {
-			continue
-		}
-		seen[ra.sub] = struct{}{}
-		targets = append(targets, ra.sub)
 	}
-	return targets, firstID, len(owned)
+	return targets, owned[0].id, len(owned)
 }
 
 // pokeSubscription pulls a subscription's next poll forward to now (the

@@ -25,6 +25,7 @@ import (
 	"log/slog"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,8 +73,13 @@ type Applet struct {
 // configuration, so distinct applets — even with identical triggers —
 // poll distinct subscriptions, as the paper observed.
 func (a *Applet) TriggerIdentity() string {
+	var b [identityLen]byte
+	return string(a.appendTriggerIdentity(b[:0]))
+}
+
+func (a *Applet) appendTriggerIdentity(dst []byte) []byte {
 	h := fnvJoin(fnvJoin(fnvOffset64, 0, a.ID), '|', a.Trigger.BaseURL, a.Trigger.Slug)
-	return identity("ti-", a.hashTriggerFields(h))
+	return appendIdentity(dst, "ti-", a.hashTriggerFields(h))
 }
 
 // CoalescedTriggerIdentity is the subscription key used when poll
@@ -84,9 +90,14 @@ func (a *Applet) TriggerIdentity() string {
 // user*, and coalescing across credentials would leak one user's events
 // into another's applets.
 func (a *Applet) CoalescedTriggerIdentity() string {
+	var b [identityLen]byte
+	return string(a.appendCoalescedTriggerIdentity(b[:0]))
+}
+
+func (a *Applet) appendCoalescedTriggerIdentity(dst []byte) []byte {
 	h := fnvJoin(fnvJoin(fnvOffset64, 0, a.Trigger.Service), '|', a.Trigger.BaseURL,
 		a.Trigger.Slug, a.Trigger.ServiceKey, a.UserID, a.Trigger.UserToken)
-	return identity("ci-", a.hashTriggerFields(h))
+	return appendIdentity(dst, "ci-", a.hashTriggerFields(h))
 }
 
 // Identities are FNV-64a over the parts joined by '|', then "|k=v" per
@@ -125,16 +136,18 @@ func (a *Applet) hashTriggerFields(h uint64) uint64 {
 	return h
 }
 
-// identity is prefix followed by h as sixteen hex digits.
-func identity(prefix string, h uint64) string {
+// identityLen is the length of an identity: a three-byte prefix and
+// sixteen hex digits.
+const identityLen = 19
+
+// appendIdentity appends prefix followed by h as sixteen hex digits.
+func appendIdentity(dst []byte, prefix string, h uint64) []byte {
 	const hex = "0123456789abcdef"
-	var b [19]byte
-	n := copy(b[:], prefix)
-	for i := n + 15; i >= n; i-- {
-		b[i] = hex[h&0xf]
-		h >>= 4
+	dst = append(dst, prefix...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, hex[h>>shift&0xf])
 	}
-	return string(b[:n+16])
+	return dst
 }
 
 // TraceKind labels engine trace events.
@@ -379,7 +392,8 @@ type Engine struct {
 	// taken before a shard's mutex, never after.
 	mu      sync.Mutex
 	applets map[string]*runningApplet
-	byUser  map[string]map[string]*runningApplet
+	// byUser lists each user's applets in install order.
+	byUser map[string][]*runningApplet
 
 	// journal, when set, records durable state changes (journal.go).
 	journal Journal
@@ -504,31 +518,53 @@ type Stats struct {
 // runningApplet is one installed applet's execution state. Scheduling
 // lives on the subscription it belongs to; the applet keeps what cannot
 // be shared — its dedup window and its definition, minus the strings on
-// the two interned endpoints (applet rebuilds the public form). sub is
-// set once at install (under the shard lock) and immutable after; dedup
-// is touched only by the single worker polling the subscription.
+// the two interned endpoints (applet rebuilds the public form). What
+// few applets have or need is behind cold, so the struct fits the
+// 128-byte size class every installed applet pays for. sub is set at
+// install (under the shard lock) and immutable after; dedup, and cold
+// once installed, are touched only by the single worker executing the
+// subscription.
 type runningApplet struct {
-	id, name, user              string
+	id, user                    string
 	trigger, action             *endpoint
 	triggerToken, actionToken   string
 	triggerFields, actionFields map[string]string
-	conditions                  []Condition
 	sub                         *subscription
-	// auth is what actionAuth returns, nil until ra's first action;
-	// dedup is nil until its first event (remember).
-	auth  *string
+	// cold is nil until ra's first action unless the applet has a name or
+	// conditions; dedup is nil until its first event (remember).
+	cold  *appletCold
 	dedup *dedupRing
 }
 
+// appletCold is the part of an applet's state few applets have, or
+// have before they first act.
+type appletCold struct {
+	name       string
+	conditions []Condition
+	// auth is what actionAuth returns, "" until the first action.
+	auth string
+}
+
 func (e *Engine) newRunningApplet(a *Applet, dedup *dedupRing) *runningApplet {
-	return &runningApplet{
-		id: a.ID, name: a.Name, user: a.UserID,
+	ra := &runningApplet{
+		id: a.ID, user: a.UserID,
 		trigger: e.endpointFor(&a.Trigger, false), action: e.endpointFor(&a.Action, true),
 		triggerToken: a.Trigger.UserToken, actionToken: a.Action.UserToken,
 		triggerFields: a.Trigger.Fields, actionFields: a.Action.Fields,
-		conditions: a.Conditions,
-		dedup:      dedup,
+		dedup: dedup,
 	}
+	if a.Name != "" || a.Conditions != nil {
+		ra.cold = &appletCold{name: a.Name, conditions: a.Conditions}
+	}
+	return ra
+}
+
+// conditions are the conditions gating ra's action, nil for none.
+func (ra *runningApplet) conditions() []Condition {
+	if ra.cold == nil {
+		return nil
+	}
+	return ra.cold.conditions
 }
 
 // actionAuth returns the Authorization value of ra's action requests,
@@ -538,21 +574,27 @@ func (e *Engine) newRunningApplet(a *Applet, dedup *dedupRing) *runningApplet {
 // the connection's life. Only the worker executing ra's subscription
 // calls it, as only that worker touches dedup.
 func (ra *runningApplet) actionAuth() string {
-	if ra.auth == nil {
-		auth := "Bearer " + ra.actionToken
-		ra.auth = &auth
+	if ra.cold == nil {
+		ra.cold = new(appletCold)
 	}
-	return *ra.auth
+	if ra.cold.auth == "" {
+		ra.cold.auth = "Bearer " + ra.actionToken
+	}
+	return ra.cold.auth
 }
 
-// applet is the definition ra was installed from.
+// applet is the definition ra was installed from. Caller holds the
+// owning shard's mutex while no worker runs ra's subscription.
 func (ra *runningApplet) applet() Applet {
-	return Applet{
-		ID: ra.id, Name: ra.name, UserID: ra.user,
-		Trigger:    ra.trigger.serviceRef(ra.triggerFields, ra.triggerToken),
-		Action:     ra.action.serviceRef(ra.actionFields, ra.actionToken),
-		Conditions: ra.conditions,
+	a := Applet{
+		ID: ra.id, UserID: ra.user,
+		Trigger: ra.trigger.serviceRef(ra.triggerFields, ra.triggerToken),
+		Action:  ra.action.serviceRef(ra.actionFields, ra.actionToken),
 	}
+	if c := ra.cold; c != nil {
+		a.Name, a.Conditions = c.name, c.conditions
+	}
+	return a
 }
 
 // New creates an engine. It panics if required config is missing.
@@ -599,7 +641,7 @@ func New(cfg Config) *Engine {
 		workers:   workers,
 		coalesce:  cfg.Coalesce,
 		applets:   make(map[string]*runningApplet),
-		byUser:    make(map[string]map[string]*runningApplet),
+		byUser:    make(map[string][]*runningApplet),
 		endpoints: make(map[endpointKey]*endpoint),
 		decoders:  &sync.Pool{New: func() any { return new(pollDecoder) }},
 		journal:   cfg.Journal,
@@ -774,14 +816,14 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// subscriptionKey derives the grouping key an applet polls under: its
-// own TriggerIdentity normally, the applet-agnostic coalesced identity
-// when Config.Coalesce is set.
-func (e *Engine) subscriptionKey(a *Applet) string {
+// appendSubscriptionKey appends the grouping key an applet polls under:
+// its own TriggerIdentity normally, the applet-agnostic coalesced
+// identity when Config.Coalesce is set.
+func (e *Engine) appendSubscriptionKey(dst []byte, a *Applet) []byte {
 	if e.coalesce {
-		return a.CoalescedTriggerIdentity()
+		return a.appendCoalescedTriggerIdentity(dst)
 	}
-	return a.TriggerIdentity()
+	return a.appendTriggerIdentity(dst)
 }
 
 // Coalesce reports Config.Coalesce, the mode subscription keys follow.
@@ -795,16 +837,20 @@ func (e *Engine) Install(a Applet) error {
 		return fmt.Errorf("engine: applet ID required")
 	}
 	ra := e.newRunningApplet(&a, nil)
-	key := e.subscriptionKey(&a)
+	// The key is rendered on the stack; a new subscription keeps it as a
+	// view of its blob.
+	var kb [identityLen]byte
+	key := e.appendSubscriptionKey(kb[:0], &a)
 	// Without coalescing, subscriptions shard by applet ID — the exact
 	// placement (and therefore RNG stream assignment) of the
 	// per-applet design. With coalescing they shard by key, so every
 	// member of a subscription lands on the shard that owns it.
-	shardKey := a.ID
+	var sh *shard
 	if e.coalesce {
-		shardKey = key
+		sh = e.shardFor(string(key))
+	} else {
+		sh = e.shardFor(a.ID)
 	}
-	sh := e.shardFor(shardKey)
 
 	e.mu.Lock()
 	if e.stopped.Load() {
@@ -836,13 +882,7 @@ func (e *Engine) Install(a Applet) error {
 	ra.dedup = restoreDedupRing(e.dedupCap, e.takeRetiredDedup(a.ID))
 	sh.joinLocked(ra, key)
 	sh.mu.Unlock()
-	e.applets[a.ID] = ra
-	u := e.byUser[a.UserID]
-	if u == nil {
-		u = make(map[string]*runningApplet)
-		e.byUser[a.UserID] = u
-	}
-	u[a.ID] = ra
+	e.indexLocked(ra)
 	e.mu.Unlock()
 
 	e.emit(sh, TraceEvent{Kind: TraceInstall, AppletID: a.ID})
@@ -870,13 +910,7 @@ func (e *Engine) Remove(id string) error {
 			e.log.Warn("journal remove failed", "applet", id, "err", err)
 		}
 	}
-	delete(e.applets, id)
-	if u := e.byUser[ra.user]; u != nil {
-		delete(u, id)
-		if len(u) == 0 {
-			delete(e.byUser, ra.user)
-		}
-	}
+	e.unindexLocked(ra)
 	sub := ra.sub
 	sh := sub.shard
 	sh.mu.Lock()
@@ -909,6 +943,28 @@ func (e *Engine) Remove(id string) error {
 	return nil
 }
 
+// indexLocked enters ra in the engine-wide indexes, last in its
+// user's list. Caller holds e.mu.
+func (e *Engine) indexLocked(ra *runningApplet) {
+	e.applets[ra.id] = ra
+	e.byUser[ra.user] = append(e.byUser[ra.user], ra)
+}
+
+// unindexLocked removes ra from the engine-wide indexes, keeping its
+// user's list in install order. Caller holds e.mu.
+func (e *Engine) unindexLocked(ra *runningApplet) {
+	delete(e.applets, ra.id)
+	owned := e.byUser[ra.user]
+	if i := slices.Index(owned, ra); i >= 0 {
+		owned = slices.Delete(owned, i, i+1)
+	}
+	if len(owned) == 0 {
+		delete(e.byUser, ra.user)
+	} else {
+		e.byUser[ra.user] = owned
+	}
+}
+
 // Applets returns the IDs of installed applets (unordered).
 func (e *Engine) Applets() []string {
 	e.mu.Lock()
@@ -922,13 +978,14 @@ func (e *Engine) Applets() []string {
 
 // AppletKeys maps every installed applet ID to its subscription key.
 // The cluster re-indexes a node's recovered applets with this after a
-// durable restore.
+// durable restore. The keys are copies: a subscription's own key is a
+// view of its blob, which a caller holding it would keep alive.
 func (e *Engine) AppletKeys() map[string]string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make(map[string]string, len(e.applets))
 	for id, ra := range e.applets {
-		out[id] = ra.sub.key
+		out[id] = strings.Clone(ra.sub.key)
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -136,5 +138,73 @@ func TestHintDroppedWhileAppletMidPoll(t *testing.T) {
 	// hour-long gap that follows is untouched.
 	if polls := len(r.tracesOf(TracePollSent)); polls != 1 {
 		t.Errorf("polls = %d, want 1 (mid-poll poke must be dropped)", polls)
+	}
+}
+
+// TestUserHintFollowsInstallOrder: a user-scoped hint names the user's
+// oldest surviving applet and pokes the user's subscriptions in the
+// order their applets were installed, each once, with or without
+// coalescing (where a1 and a3 share one). The resolution is repeated,
+// so an order taken from map iteration would show.
+func TestUserHintFollowsInstallOrder(t *testing.T) {
+	for _, coalesce := range []bool{false, true} {
+		r := newRigCfg(t, FixedInterval{Interval: time.Hour}, map[string]bool{"testsvc": true},
+			func(c *Config) { c.Coalesce = coalesce })
+		check := func(ids ...string) bool {
+			t.Helper()
+			r.engine.mu.Lock()
+			var want []*subscription
+			for _, id := range ids {
+				if sub := r.engine.applets[id].sub; !slices.Contains(want, sub) {
+					want = append(want, sub)
+				}
+			}
+			r.engine.mu.Unlock()
+			for k := 0; k < 20; k++ {
+				targets, first, n := r.engine.userSubscriptions("u1")
+				if !slices.Equal(targets, want) || first != ids[0] || n != len(ids) {
+					t.Errorf("coalesce=%v: %d subscriptions, first %q, %d applets; want %d, %q, %d in install order",
+						coalesce, len(targets), first, n, len(want), ids[0], len(ids))
+					return false
+				}
+			}
+			return true
+		}
+		r.clock.Run(func() {
+			defer r.engine.Stop()
+			for i, id := range []string{"a1", "a2", "a3"} {
+				a := r.applet(id)
+				a.Trigger.Fields = map[string]string{"n": strconv.Itoa(i % 2)}
+				if err := r.engine.Install(a); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if !check("a1", "a2", "a3") {
+				return
+			}
+			r.postHints(t, `{"data":[{"user_id":"u1"}]}`)
+			r.clock.Sleep(time.Minute)
+			if err := r.engine.Remove("a1"); err != nil {
+				t.Error(err)
+				return
+			}
+			if !check("a2", "a3") {
+				return
+			}
+			r.postHints(t, `{"data":[{"user_id":"u1"}]}`)
+			r.clock.Sleep(time.Minute)
+		})
+		hints := r.tracesOf(TraceHintReceived)
+		if len(hints) != 2 || hints[0].AppletID != "a1" || hints[0].N != 3 || hints[1].AppletID != "a2" || hints[1].N != 2 {
+			t.Errorf("coalesce=%v: hints traced %+v, want a1 of 3 applets, then a2 of 2", coalesce, hints)
+		}
+		wantPolls := 3 + 2 // one poll per poked subscription
+		if coalesce {
+			wantPolls = 2 + 2
+		}
+		if polls := len(r.tracesOf(TracePollSent)); polls != wantPolls {
+			t.Errorf("coalesce=%v: %d polls, want %d (one per subscription a hint poked)", coalesce, polls, wantPolls)
+		}
 	}
 }

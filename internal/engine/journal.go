@@ -170,7 +170,7 @@ func (e *Engine) journalCheckpoint(dec *pollDecoder) {
 		}
 	}
 	if len(cp.Members) > 0 {
-		cp.Key = dec.sub.key
+		cp.Key = dec.key
 		if err := e.journal.AppendCheckpoint(*cp); err != nil && e.log != nil {
 			e.log.Warn("journal checkpoint failed", "key", cp.Key, "err", err)
 		}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/httpx"
 	"repro/internal/proto"
@@ -171,6 +172,35 @@ func TestPollRequestBytesUnchanged(t *testing.T) {
 		check(t, e, d, sub, &first, 0)
 		e.Remove("a1")
 		check(t, e, d, sub, &second, 0)
+		// The key was re-pointed at the new blob, and the index re-keyed.
+		if !keyViewsBlob(sub) {
+			t.Error("after the lead left, the key is not a view of the new blob")
+		}
+		if got := lockIdentity(e, sub.key); got != sub {
+			t.Fatalf("index resolves the key to %p, want %p", got, sub)
+		} else {
+			got.shard.mu.Unlock()
+		}
+	})
+
+	t.Run("foreign key", func(t *testing.T) {
+		// A key from another engine's snapshot that JSON escapes keeps a
+		// string of its own, and polls and resolves as sent.
+		d := &recordingDoer{}
+		e := newEngine(d, nil)
+		a := wire("a1", "u1", "tok", nil)
+		const key = `ti-"odd"\key<&>`
+		if err := e.AttachSubscription(&SubscriptionSnapshot{Key: key, Members: []MemberSnapshot{{Applet: a}}}); err != nil {
+			t.Fatal(err)
+		}
+		sub := e.applets["a1"].sub
+		if sub.key != key || keyViewsBlob(sub) {
+			t.Errorf("key %q (a view of the blob: %v), want its own %q", sub.key, keyViewsBlob(sub), key)
+		}
+		check(t, e, d, sub, &a, 0)
+		if snap, err := e.DetachSubscription(key); err != nil || snap == nil || snap.Key != key {
+			t.Errorf("detach by the foreign key: %+v, %v", snap, err)
+		}
 	})
 
 	t.Run("detach attach", func(t *testing.T) {
@@ -192,7 +222,16 @@ func TestPollRequestBytesUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, dst, d, dst.applets["a1"].sub, &a, 20)
+		if sub := dst.applets["a1"].sub; !keyViewsBlob(sub) {
+			t.Error("an attached subscription's key is not a view of its blob")
+		}
 	})
+}
+
+// keyViewsBlob reports whether sub's key is a view of its blob's bytes.
+func keyViewsBlob(sub *subscription) bool {
+	k, b := uintptr(unsafe.Pointer(unsafe.StringData(sub.key))), uintptr(unsafe.Pointer(unsafe.StringData(sub.blob)))
+	return k-b < uintptr(len(sub.blob))
 }
 
 // TestPollIdleAllocs bounds the empty poll, the one a silent

@@ -111,7 +111,7 @@ func (s *shard) policyGapLocked(sub *subscription) time.Duration {
 	if ap := e.adaptive; ap != nil {
 		gap = ap.nextGapLocked(sub)
 	} else {
-		gap = e.poll.NextGap(sub.members[0].id, sub.ep.ref.Service, sub.rng)
+		gap = e.poll.NextGap(sub.members[0].id, sub.ep.ref.Service, &sub.rng)
 	}
 	if e.cadenceHist != nil {
 		e.cadenceHist.Observe(gap.Seconds())
@@ -171,9 +171,9 @@ func (s *shard) nextPollDueLocked(sub *subscription, ok bool, events int) (time.
 	}
 	var delay time.Duration
 	if sub.brState == brOpen {
-		delay = jitterDur(e.probeIvl, 0.1, sub.rng)
+		delay = jitterDur(e.probeIvl, 0.1, &sub.rng)
 	} else {
-		delay = jitterDur(backoffDelay(e.backoffBase, e.backoffMax, int(sub.failStreak)), 0.5, sub.rng)
+		delay = jitterDur(backoffDelay(e.backoffBase, e.backoffMax, int(sub.failStreak)), 0.5, &sub.rng)
 	}
 	if e.backoffHist != nil {
 		e.backoffHist.Observe(delay.Seconds())

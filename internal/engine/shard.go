@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"hash/fnv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,25 +20,34 @@ import (
 // ID, so applets of one user watching the same trigger share one
 // upstream poll whose fresh events fan out to every member.
 //
-// Silent subscriptions are most of what an engine keeps resident, hence
-// the integer times and the one pointer-free string (DESIGN.md, "What is
-// resident"). key, shard and ep never change; the rest but rng is guarded
-// by the owning shard's mutex. The subscription is the unit of execution:
-// the shard's workers are its only executor, and run says whether one
-// has it queued or running (scheduler.go), so it never executes on two
-// goroutines at once. rng is touched only by that worker.
+// Silent subscriptions are most of what an engine keeps resident, so a
+// subscription is one object besides its blob (DESIGN.md, "What is
+// resident"): the gap stream and a lone member are held by value, and
+// the key is a view of the blob. shard and ep never change; key, blob
+// and members change only under both the engine's and the owning
+// shard's mutex, and the rest but rng is guarded by the shard's mutex.
+// The subscription is the unit of execution: the shard's workers are
+// its only executor, and run says whether one has it queued or running
+// (scheduler.go), so it never executes on two goroutines at once. rng
+// is touched only by that worker, or under the shard's mutex while no
+// worker runs the subscription.
 type subscription struct {
-	key   string // grouping key, presented on the wire as trigger_identity
+	// key is the grouping key, presented on the wire as trigger_identity:
+	// the bytes of blob that spell it (renderPollLocked), so the key costs
+	// no object of its own.
+	key   string
 	shard *shard
-	rng   *stats.RNG // gap stream, split when the subscription is created
-	ep    *endpoint  // the trigger all members watch
+	ep    *endpoint // the trigger all members watch
 
 	// blob is what a poll sends beyond the endpoint: "Bearer <token>" in
 	// its first authLen bytes, then the rendered TriggerPollRequest, both
 	// of the lead member — members[0], the oldest surviving one, whose ID
 	// also anchors gap draws.
-	blob    string
+	blob string
+	// members is one[:] while the subscription has one member, and a
+	// slice of its own from the second member on.
 	members []*runningApplet
+	one     [1]*runningApplet
 	// The pending poll, in place (there is at most one, so the shard's
 	// heap orders the subscriptions themselves): due in ns since the
 	// engine's epoch, seq the FIFO tie-break, heapPos the heap index + 1
@@ -61,6 +70,10 @@ type subscription struct {
 	// mail holds pending push deliveries and members removed mid-run;
 	// nil nearly always.
 	mail *mailbox
+
+	// rng is the gap stream, split in place when the subscription is
+	// created; the subscription is never copied.
+	rng stats.RNG
 
 	// failStreak counts consecutive poll failures and brState is the
 	// circuit breaker (resilience.go).
@@ -154,12 +167,18 @@ type memberRange struct {
 	start, end int
 }
 
-// renderPollLocked renders sub's blob from its lead member. Caller
-// holds s.mu.
-func (s *shard) renderPollLocked(sub *subscription) {
+// identityField is what a rendered poll request starts with, the key's
+// bytes following it.
+const identityField = `{"trigger_identity":"`
+
+// renderPollLocked renders sub's blob from its lead member, polling
+// under key, and points sub.key at the key's bytes in the blob. A key
+// that JSON escaping changes keeps a string of its own; key itself may
+// live on the caller's stack. Caller holds s.mu.
+func (s *shard) renderPollLocked(sub *subscription, key string) {
 	lead := sub.members[0]
 	req := proto.TriggerPollRequest{
-		TriggerIdentity: sub.key,
+		TriggerIdentity: key,
 		TriggerFields:   lead.triggerFields,
 		User:            proto.UserInfo{ID: lead.user},
 		Source:          proto.Source{ID: lead.id},
@@ -171,6 +190,12 @@ func (s *shard) renderPollLocked(sub *subscription) {
 	sub.authLen = int32(len(b))
 	b = req.AppendJSON(b)
 	sub.blob, s.blobBuf = string(b), b
+	if k, ok := strings.CutPrefix(sub.blob[sub.authLen:], identityField); ok &&
+		len(k) > len(key) && k[:len(key)] == key && k[len(key)] == '"' {
+		sub.key = k[:len(key)]
+	} else {
+		sub.key = strings.Clone(key)
+	}
 }
 
 // shard owns a partition of the poll subscriptions: the identity index
@@ -256,53 +281,61 @@ func newShard(e *Engine, id int, rng *stats.RNG) *shard {
 }
 
 // shardFor maps a scheduling key (applet ID, or subscription key under
-// coalescing) to its owning shard.
+// coalescing) to its owning shard: FNV-32a of the key, modulo the shard
+// count.
 func (e *Engine) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return e.shards[h.Sum32()%uint32(len(e.shards))]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return e.shards[h%uint32(len(e.shards))]
 }
 
 // newSubLocked creates, indexes and renders the subscription for key
-// with the given members (at least one), unscheduled. Caller holds s.mu.
-// The RNG split label is the founding applet's, so with coalescing off
-// (one applet per subscription) the poll schedule is draw-for-draw
-// identical to scheduling applets directly.
-func (s *shard) newSubLocked(key string, members []*runningApplet) *subscription {
-	sub := &subscription{
-		key:     key,
-		shard:   s,
-		rng:     s.rng.Split("applet-" + members[0].id),
-		ep:      members[0].trigger,
-		members: members,
-	}
-	for _, ra := range members {
+// with lead as its one member, unscheduled; key may live on the
+// caller's stack. Caller holds s.mu. The RNG split label is the lead's,
+// so with coalescing off (one applet per subscription) the poll
+// schedule is draw-for-draw identical to scheduling applets directly.
+func (s *shard) newSubLocked(key string, lead *runningApplet) *subscription {
+	sub := &subscription{shard: s, ep: lead.trigger}
+	sub.one[0] = lead
+	sub.members = sub.one[:]
+	s.rng.SplitInto(&sub.rng, "applet-"+lead.id)
+	lead.sub = sub
+	s.renderPollLocked(sub, key)
+	s.subs[sub.key] = sub
+	return sub
+}
+
+// addMembersLocked appends ras to sub's members. Caller holds s.mu.
+func (s *shard) addMembersLocked(sub *subscription, ras ...*runningApplet) {
+	// one holds at most one member, so a second one always moves the
+	// members to a slice of their own and one is stale from then on.
+	sub.members = append(sub.members, ras...)
+	sub.one[0] = nil
+	for _, ra := range ras {
 		ra.sub = sub
 	}
-	s.subs[key] = sub
-	s.renderPollLocked(sub)
-	return sub
 }
 
 // joinLocked adds ra to the subscription for key, creating and
 // scheduling the subscription when ra is its first member. Caller holds
 // s.mu.
-func (s *shard) joinLocked(ra *runningApplet, key string) {
-	if sub := s.subs[key]; sub != nil {
-		sub.members = append(sub.members, ra)
-		ra.sub = sub
+func (s *shard) joinLocked(ra *runningApplet, key []byte) {
+	if sub := s.subs[string(key)]; sub != nil {
+		s.addMembersLocked(sub, ra)
 		return
 	}
-	sub := s.newSubLocked(key, []*runningApplet{ra})
+	sub := s.newSubLocked(string(key), ra)
 	now := s.e.clock.Now()
 	var gap time.Duration
 	if ap := s.e.adaptive; ap != nil {
 		// New subscriptions start presumed-cold with a spread first
 		// poll; the first result (or a hint) reveals their heat.
 		sub.rateAt = s.e.sinceEpoch(now)
-		gap = ap.initialGap(sub.rng)
+		gap = ap.initialGap(&sub.rng)
 	} else {
-		gap = s.e.poll.NextGap(ra.id, sub.ep.ref.Service, sub.rng)
+		gap = s.e.poll.NextGap(ra.id, sub.ep.ref.Service, &sub.rng)
 	}
 	s.scheduleLocked(sub, now.Add(gap))
 }
@@ -310,7 +343,9 @@ func (s *shard) joinLocked(ra *runningApplet, key string) {
 // leaveLocked removes ra from its subscription; when ra was the last
 // member the subscription itself is retired (pending poll cancelled,
 // unindexed) and leaveLocked reports true so the caller can notify the
-// trigger service. Caller holds s.mu.
+// trigger service. When ra led, the blob is rendered again for the new
+// lead and the index re-keyed to the new blob's key, so the old blob
+// is garbage. Caller holds e.mu and s.mu.
 func (s *shard) leaveLocked(ra *runningApplet) (last bool) {
 	sub := ra.sub
 	wasLead := sub.members[0] == ra
@@ -336,7 +371,10 @@ func (s *shard) leaveLocked(ra *runningApplet) (last bool) {
 		return true
 	}
 	if wasLead {
-		s.renderPollLocked(sub)
+		old := sub.key
+		s.renderPollLocked(sub, old)
+		delete(s.subs, old)
+		s.subs[sub.key] = sub
 	}
 	return false
 }

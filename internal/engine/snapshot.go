@@ -234,13 +234,7 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 	// with a shard lock held, so this happens after the shard section).
 	e.mu.Lock()
 	for _, ra := range members {
-		delete(e.applets, ra.id)
-		if u := e.byUser[ra.user]; u != nil {
-			delete(u, ra.id)
-			if len(u) == 0 {
-				delete(e.byUser, ra.user)
-			}
-		}
+		e.unindexLocked(ra)
 	}
 	e.mu.Unlock()
 	return snap, nil
@@ -313,7 +307,10 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 		}
 	}
 	now := e.clock.Now()
-	sub := sh.newSubLocked(snap.Key, ras)
+	sub := sh.newSubLocked(snap.Key, lead)
+	if len(ras) > 1 {
+		sh.addMembersLocked(sub, ras[1:]...)
+	}
 	sub.rate, sub.rateAt = snap.Rate, e.sinceEpoch(now)
 	if !snap.RateAt.IsZero() { // zero: the source kept no estimate
 		sub.rateAt = e.sinceEpoch(snap.RateAt)
@@ -326,11 +323,11 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 	var gap time.Duration
 	switch {
 	case sub.brState == brOpen:
-		gap = jitterDur(e.probeIvl, 0.1, sub.rng)
+		gap = jitterDur(e.probeIvl, 0.1, &sub.rng)
 	case e.adaptive != nil:
 		gap = e.adaptive.nextGapLocked(sub)
 	default:
-		gap = e.poll.NextGap(lead.id, sub.ep.ref.Service, sub.rng)
+		gap = e.poll.NextGap(lead.id, sub.ep.ref.Service, &sub.rng)
 	}
 	sh.scheduleLocked(sub, now.Add(gap))
 	if len(snap.PendingPush) > 0 {
@@ -345,13 +342,7 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 	}
 	sh.mu.Unlock()
 	for _, ra := range ras {
-		e.applets[ra.id] = ra
-		u := e.byUser[ra.user]
-		if u == nil {
-			u = make(map[string]*runningApplet)
-			e.byUser[ra.user] = u
-		}
-		u[ra.id] = ra
+		e.indexLocked(ra)
 	}
 	e.mu.Unlock()
 	return nil

@@ -69,7 +69,6 @@ func TestRNGStreamUnchanged(t *testing.T) {
 }
 
 // TestNewRNGAllocs: a generator is one object, its source held by value.
-// The engine splits one per subscription it creates.
 func TestNewRNGAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -83,6 +82,45 @@ func TestNewRNGAllocs(t *testing.T) {
 		t.Errorf("Split allocates %.1f objects, want 1", allocs)
 	}
 	_ = sink
+}
+
+// TestRNGSplitIntoMatchesSplit: seeding an embedded generator in place
+// yields Split's stream draw for draw and advances the parent as Split
+// does, for several labels and parent states.
+func TestRNGSplitIntoMatchesSplit(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		for _, label := range []string{"", "x", "applet-a0000001-001", "shard-7"} {
+			viaSplit, viaInto := NewRNG(seed), NewRNG(seed)
+			for k := 0; k < 3; k++ { // three parent states: each split draws once
+				want := viaSplit.Split(label)
+				var got struct {
+					pad int
+					g   RNG
+				}
+				viaInto.SplitInto(&got.g, label)
+				for i := 0; i < 1000; i++ {
+					if a, b := got.g.Uint64(), want.Uint64(); a != b {
+						t.Fatalf("seed %d label %q split %d draw %d: %d, want %d", seed, label, k, i, a, b)
+					}
+				}
+			}
+			if a, b := viaInto.Uint64(), viaSplit.Uint64(); a != b {
+				t.Fatalf("seed %d label %q: parents diverged after splitting", seed, label)
+			}
+		}
+	}
+}
+
+// TestRNGSplitIntoAllocs: seeding a generator in place allocates
+// nothing, so a struct embedding one costs no object for it.
+func TestRNGSplitIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	parent, dst := NewRNG(1), new(RNG)
+	if allocs := testing.AllocsPerRun(100, func() { parent.SplitInto(dst, "applet-a0000001-001") }); allocs != 0 {
+		t.Errorf("SplitInto allocates %.1f objects, want 0", allocs)
+	}
 }
 
 func TestUniformBounds(t *testing.T) {
