@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,11 +57,11 @@ type Config struct {
 	Journal func(node string) engine.Journal
 	// Restore, when non-nil, runs right after each node's engine is
 	// built (journaling already wired): the durability tier replays
-	// the node's snapshot and WAL into it here. Applets the hook
-	// restores are re-indexed into the cluster's applet directory;
-	// with the same node names and VirtualNodes, ring placement is
-	// deterministic, so each key recovers on its ring owner. A failed
-	// restore is logged and leaves that node empty.
+	// the node's snapshot and WAL into it here. The restored engine is
+	// what routes the node's applets from then on; with the same node
+	// names and VirtualNodes, ring placement is deterministic, so each
+	// key recovers on its ring owner. A failed restore is logged and
+	// leaves that node empty.
 	Restore func(node string, e *engine.Engine) error
 }
 
@@ -70,18 +71,12 @@ type Config struct {
 type Node struct {
 	Name   string
 	Engine *engine.Engine
+	pos    int // index in Cluster.nodes
 	dead   atomic.Bool
 }
 
 // Alive reports whether the node has not been failed.
 func (n *Node) Alive() bool { return !n.dead.Load() }
-
-// appletLoc is the directory entry for one installed applet: the node
-// that runs it and the subscription key it routes under.
-type appletLoc struct {
-	node *Node
-	key  string
-}
 
 // pendingOps collects operations that arrived for an identity while it
 // was mid-migration; they replay against the new owner once the move
@@ -91,11 +86,11 @@ type pendingOps struct {
 }
 
 // Cluster routes work across N engine nodes by consistent-hashing
-// trigger identities. All routing state — the ring, the node set, the
-// applet directory, and the moving set — is guarded by one mutex;
-// engine calls happen with it held for installs/removes (serializing
-// placement against rebalancing) and outside it for the hot push/hint
-// paths.
+// trigger identities; the node engines are its only applet index. All
+// routing state — the ring, the node set, the moving set, and the
+// in-transit map — is guarded by one mutex; engine calls happen with it
+// held for installs/removes (serializing placement against
+// rebalancing) and outside it for the hot push/hint paths.
 type Cluster struct {
 	clock   simtime.Clock
 	tmpl    engine.Config
@@ -105,17 +100,19 @@ type Cluster struct {
 	journal func(node string) engine.Journal
 	restore func(node string, e *engine.Engine) error
 
-	mu      sync.Mutex
-	ring    *Ring
-	nodes   []*Node
-	byName  map[string]*Node
-	nextID  int
-	applets map[string]appletLoc
+	mu     sync.Mutex
+	ring   *Ring
+	nodes  []*Node // append-only: a Node's pos never changes
+	byName map[string]*Node
+	nextID int
 	// moving marks identities whose subscription is mid-migration.
 	// Installs, removes, pushes, and hints for a moving identity park
 	// here and replay against the winner — this is what makes the
 	// ownership flip atomic from the router's point of view.
-	moving    map[string]*pendingOps
+	moving map[string]*pendingOps
+	// transit maps the members of the subscriptions migrateKey is moving
+	// to their key: between detach and attach they are in no engine.
+	transit   map[string]string
 	coordStop simtime.Stopper
 	stopped   bool
 
@@ -123,6 +120,8 @@ type Cluster struct {
 	movedApplets atomic.Int64 // applets carried by those migrations
 	parkedOps    atomic.Int64 // operations parked on moving identities
 	failovers    atomic.Int64 // dead nodes drained off the ring
+
+	pushScratch sync.Pool // *[][]proto.PushDelivery: PushDeliveries' groups by Node.pos
 }
 
 // New builds and starts a cluster of cfg.Nodes engine nodes.
@@ -147,9 +146,10 @@ func New(cfg Config) *Cluster {
 		restore: cfg.Restore,
 		ring:    NewRing(cfg.VirtualNodes),
 		byName:  make(map[string]*Node),
-		applets: make(map[string]appletLoc),
 		moving:  make(map[string]*pendingOps),
+		transit: make(map[string]string),
 	}
+	c.pushScratch.New = func() any { return new([][]proto.PushDelivery) }
 	c.mu.Lock()
 	for i := 0; i < n; i++ {
 		c.newNodeLocked()
@@ -166,7 +166,7 @@ func (c *Cluster) newNodeLocked() *Node {
 	c.nextID++
 	ecfg := c.tmpl
 	ecfg.RNG = c.tmpl.RNG.Split("cluster-" + name)
-	node := &Node{Name: name}
+	node := &Node{Name: name, pos: len(c.nodes)}
 	if c.onSpan != nil {
 		own := c.tmpl.OnSpan
 		ecfg.OnSpan = func(sp obs.ExecSpan) {
@@ -183,12 +183,6 @@ func (c *Cluster) newNodeLocked() *Node {
 	if c.restore != nil {
 		if err := c.restore(name, node.Engine); err != nil {
 			c.warn("node restore failed; starting empty", "node", name, "err", err)
-		} else {
-			// Re-index recovered applets: placement is deterministic
-			// (same names, same ring), so this node owns these keys.
-			for id, key := range node.Engine.AppletKeys() {
-				c.applets[id] = appletLoc{node: node, key: key}
-			}
 		}
 	}
 	c.nodes = append(c.nodes, node)
@@ -211,6 +205,21 @@ func (c *Cluster) routingKey(a *engine.Applet) string {
 	return a.TriggerIdentity()
 }
 
+// locateLocked finds an installed applet: the key it routes under and
+// the node whose engine holds it, or a nil node while it is in transit.
+// Failed nodes not yet drained still hold theirs. Caller holds c.mu.
+func (c *Cluster) locateLocked(id string) (key string, n *Node, ok bool) {
+	if key, ok := c.transit[id]; ok {
+		return key, nil, true
+	}
+	for _, n := range c.nodes {
+		if key, ok := n.Engine.AppletKey(id); ok {
+			return key, n, true
+		}
+	}
+	return "", nil, false
+}
+
 // Install places an applet on the ring owner of its trigger identity.
 // Installs for a mid-migration identity park and replay on the winner.
 func (c *Cluster) Install(a engine.Applet) error {
@@ -223,7 +232,7 @@ func (c *Cluster) Install(a engine.Applet) error {
 	if c.stopped {
 		return fmt.Errorf("cluster: stopped")
 	}
-	if _, dup := c.applets[a.ID]; dup {
+	if _, _, dup := c.locateLocked(a.ID); dup {
 		return fmt.Errorf("cluster: applet %q already installed", a.ID)
 	}
 	if mv := c.moving[key]; mv != nil {
@@ -231,11 +240,7 @@ func (c *Cluster) Install(a engine.Applet) error {
 		mv.ops = append(mv.ops, func(n *Node) {
 			if err := n.Engine.Install(a); err != nil {
 				c.warn("parked install failed", "applet", a.ID, "node", n.Name, "err", err)
-				return
 			}
-			c.mu.Lock()
-			c.applets[a.ID] = appletLoc{node: n, key: key}
-			c.mu.Unlock()
 		})
 		return nil
 	}
@@ -245,11 +250,7 @@ func (c *Cluster) Install(a engine.Applet) error {
 	}
 	// Install with c.mu held: placement must not race a rebalance
 	// enumerating this node's subscriptions, and installs are cold-path.
-	if err := n.Engine.Install(a); err != nil {
-		return err
-	}
-	c.applets[a.ID] = appletLoc{node: n, key: key}
-	return nil
+	return n.Engine.Install(a)
 }
 
 // Remove uninstalls an applet wherever it lives. Removes for a moving
@@ -257,33 +258,33 @@ func (c *Cluster) Install(a engine.Applet) error {
 func (c *Cluster) Remove(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	loc, ok := c.applets[id]
+	key, n, ok := c.locateLocked(id)
 	if !ok {
 		return
 	}
-	if mv := c.moving[loc.key]; mv != nil {
+	if mv := c.moving[key]; mv != nil {
 		c.parkedOps.Add(1)
-		mv.ops = append(mv.ops, func(n *Node) {
-			n.Engine.Remove(id)
-			c.mu.Lock()
-			delete(c.applets, id)
-			c.mu.Unlock()
-		})
+		mv.ops = append(mv.ops, func(n *Node) { n.Engine.Remove(id) })
 		return
 	}
-	loc.node.Engine.Remove(id)
-	delete(c.applets, id)
+	n.Engine.Remove(id)
 }
 
 // PushDeliveries routes a push batch: deliveries group by ring owner
-// and forward in one engine call per node. Deliveries for a moving
-// identity park (counted accepted — they drain on the winner via the
-// same parking that keeps them exactly-once); deliveries owned by no
-// node count unmatched.
+// and forward in one engine call per node, in node order. Deliveries
+// for a moving identity park (counted accepted — they drain on the
+// winner via the same parking that keeps them exactly-once);
+// deliveries owned by no node count unmatched. The groups are reused
+// scratch: an engine keeps nothing of the slice it is handed.
 func (c *Cluster) PushDeliveries(ds []proto.PushDelivery) proto.PushResponse {
 	var resp proto.PushResponse
-	groups := make(map[*Node][]proto.PushDelivery)
+	g := c.pushScratch.Get().(*[][]proto.PushDelivery)
 	c.mu.Lock()
+	nodes := c.nodes
+	if len(*g) < len(nodes) {
+		*g = append(*g, make([][]proto.PushDelivery, len(nodes)-len(*g))...)
+	}
+	groups := *g
 	for _, d := range ds {
 		if d.TriggerIdentity == "" || len(d.Events) == 0 {
 			continue
@@ -301,15 +302,22 @@ func (c *Cluster) PushDeliveries(ds []proto.PushDelivery) proto.PushResponse {
 			resp.Unmatched += len(d.Events)
 			continue
 		}
-		groups[n] = append(groups[n], d)
+		groups[n.pos] = append(groups[n.pos], d)
 	}
 	c.mu.Unlock()
-	for n, g := range groups {
-		r := n.Engine.PushDeliveries(g)
+	for i, n := range nodes {
+		grp := groups[i]
+		if len(grp) == 0 {
+			continue
+		}
+		r := n.Engine.PushDeliveries(grp)
 		resp.Accepted += r.Accepted
 		resp.Rejected += r.Rejected
 		resp.Unmatched += r.Unmatched
+		clear(grp)
+		groups[i] = grp[:0]
 	}
+	c.pushScratch.Put(g)
 	return resp
 }
 
@@ -339,24 +347,14 @@ func (c *Cluster) ApplyHint(hint proto.RealtimeHint) {
 }
 
 func (c *Cluster) liveNodes() []*Node {
-	c.mu.Lock()
-	out := make([]*Node, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		if n.Alive() {
-			out = append(out, n)
-		}
-	}
-	c.mu.Unlock()
-	return out
+	return slices.DeleteFunc(c.Nodes(), func(n *Node) bool { return !n.Alive() })
 }
 
 // Nodes returns the current node list (live and failed).
 func (c *Cluster) Nodes() []*Node {
 	c.mu.Lock()
-	out := make([]*Node, len(c.nodes))
-	copy(out, c.nodes)
-	c.mu.Unlock()
-	return out
+	defer c.mu.Unlock()
+	return slices.Clone(c.nodes)
 }
 
 // Stats aggregates engine stats across every node (dead nodes keep
@@ -376,9 +374,7 @@ type Stats struct {
 // Stats sums every node's engine stats and adds the cluster counters.
 func (c *Cluster) Stats() Stats {
 	c.mu.Lock()
-	nodes := make([]*Node, len(c.nodes))
-	copy(nodes, c.nodes)
-	points := c.ring.Points()
+	nodes, points := c.nodes, c.ring.Points()
 	c.mu.Unlock()
 	var out Stats
 	out.Nodes = len(nodes)
@@ -443,9 +439,7 @@ type ClusterStatus struct {
 // rows).
 func (c *Cluster) Status() ClusterStatus {
 	c.mu.Lock()
-	nodes := make([]*Node, len(c.nodes))
-	copy(nodes, c.nodes)
-	points := c.ring.Points()
+	nodes, points := c.nodes, c.ring.Points()
 	c.mu.Unlock()
 	st := ClusterStatus{
 		RingPoints:   points,
@@ -527,9 +521,7 @@ func (c *Cluster) Stop() {
 		return
 	}
 	c.stopped = true
-	nodes := make([]*Node, len(c.nodes))
-	copy(nodes, c.nodes)
-	st := c.coordStop
+	nodes, st := c.nodes, c.coordStop
 	c.mu.Unlock()
 	if st != nil {
 		st.Stop()
@@ -583,12 +575,13 @@ func (c *Cluster) registerMetrics() {
 			return sum
 		}
 	}
-	reg.GaugeFunc("ifttt_engine_applets", "Installed applets across all nodes.", func() float64 {
-		return float64(agg(func(s engine.Stats) int64 { return int64(s.Applets) })())
-	})
-	reg.GaugeFunc("ifttt_engine_subscriptions", "Live upstream poll subscriptions across all nodes.", func() float64 {
-		return float64(agg(func(s engine.Stats) int64 { return int64(s.Subscriptions) })())
-	})
+	gauge := func(name, help string, f func(engine.Stats) int64) {
+		reg.GaugeFunc(name, help, func() float64 { return float64(agg(f)()) })
+	}
+	gauge("ifttt_engine_applets", "Installed applets across all nodes.",
+		func(s engine.Stats) int64 { return int64(s.Applets) })
+	gauge("ifttt_engine_subscriptions", "Live upstream poll subscriptions across all nodes.",
+		func(s engine.Stats) int64 { return int64(s.Subscriptions) })
 	reg.CounterFunc("ifttt_engine_polls_total", "Trigger polls issued, cluster-wide.",
 		agg(func(s engine.Stats) int64 { return s.Polls }))
 	reg.CounterFunc("ifttt_engine_poll_failures_total", "Trigger polls that failed, cluster-wide.",
@@ -601,9 +594,8 @@ func (c *Cluster) registerMetrics() {
 		agg(func(s engine.Stats) int64 { return s.ActionsFailed }))
 	reg.CounterFunc("ifttt_engine_hints_received_total", "Realtime notifications received, cluster-wide (user hints count once per node).",
 		agg(func(s engine.Stats) int64 { return s.HintsReceived }))
-	reg.GaugeFunc("ifttt_engine_breakers_open", "Open or half-open circuit breakers, cluster-wide.", func() float64 {
-		return float64(agg(func(s engine.Stats) int64 { return s.BreakersOpen })())
-	})
+	gauge("ifttt_engine_breakers_open", "Open or half-open circuit breakers, cluster-wide.",
+		func(s engine.Stats) int64 { return s.BreakersOpen })
 	reg.CounterFunc("ifttt_engine_polls_deferred_total", "Polls deferred by admission control, cluster-wide.",
 		agg(func(s engine.Stats) int64 { return s.PollsDeferred }))
 	if c.tmpl.Push {
@@ -615,9 +607,8 @@ func (c *Cluster) registerMetrics() {
 			agg(func(s engine.Stats) int64 { return s.IngressRejected }))
 		reg.CounterFunc("ifttt_ingest_unmatched_total", "Pushed events matching no installed subscription, cluster-wide.",
 			agg(func(s engine.Stats) int64 { return s.IngressUnmatched }))
-		reg.GaugeFunc("ifttt_ingest_queue_depth", "Queued push deliveries, cluster-wide.", func() float64 {
-			return float64(agg(func(s engine.Stats) int64 { return s.IngressDepth })())
-		})
+		gauge("ifttt_ingest_queue_depth", "Queued push deliveries, cluster-wide.",
+			func(s engine.Stats) int64 { return s.IngressDepth })
 	}
 }
 

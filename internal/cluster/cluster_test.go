@@ -113,7 +113,7 @@ func clusterKey(j int) string {
 
 // TestClusterPlacementAndRouting: installs land on the ring owner,
 // every node takes a share, push batches and identity hints reach only
-// the owner, user hints broadcast, removes come off the directory.
+// the owner, user hints broadcast, removes come off the owner.
 func TestClusterPlacementAndRouting(t *testing.T) {
 	clock := simtime.NewSimDefault()
 	doer := &markerDoer{clock: clock, start: clock.Now(), period: time.Hour}
@@ -147,9 +147,9 @@ func TestClusterPlacementAndRouting(t *testing.T) {
 		c.mu.Lock()
 		for j := 0; j < N; j += 37 {
 			a := clusterApplet(j, "a")
-			loc := c.applets[a.ID]
-			if want := c.ring.Owner(clusterKey(j)); loc.node == nil || loc.node.Name != want {
-				t.Errorf("applet %s placed on %v, ring owner is %s", a.ID, loc.node, want)
+			owner := c.byName[c.ring.Owner(clusterKey(j))]
+			if key, ok := owner.Engine.AppletKey(a.ID); !ok || key != clusterKey(j) {
+				t.Errorf("applet %s not on ring owner %s under its key (got %q, %v)", a.ID, owner.Name, key, ok)
 			}
 		}
 		c.mu.Unlock()

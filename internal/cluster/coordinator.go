@@ -162,12 +162,21 @@ func (c *Cluster) drainNode(n *Node) int {
 }
 
 // migrateKey moves one subscription from its (possibly stopped) source
-// node to the current ring owner: detach waits out in-flight execution
-// and captures the snapshot, attach restores it and queues its waiting
-// push deliveries, and the directory flips. Whatever happens, the
-// moving mark is cleared and parked router operations replay against
-// the final owner.
+// node to the current ring owner: its members enter the in-transit map,
+// detach waits out in-flight execution and captures the snapshot, and
+// attach restores it on the owner and queues its waiting push
+// deliveries. Whatever happens, the moving mark and the members'
+// in-transit entries clear together, and parked router operations
+// replay against the final owner.
 func (c *Cluster) migrateKey(key string, from *Node, mv *pendingOps) bool {
+	// Membership is frozen while the key is marked moving: every install
+	// and remove for it parks.
+	c.mu.Lock()
+	ids := from.Engine.SubscriptionMembers(key)
+	for _, id := range ids {
+		c.transit[id] = key
+	}
+	c.mu.Unlock()
 	moved := false
 	snap, err := from.Engine.DetachSubscription(key)
 	if err != nil {
@@ -182,11 +191,6 @@ func (c *Cluster) migrateKey(key string, from *Node, mv *pendingOps) bool {
 		} else if err := to.Engine.AttachSubscription(snap); err != nil {
 			c.warn("attach failed", "key", key, "node", to.Name, "err", err)
 		} else {
-			c.mu.Lock()
-			for _, m := range snap.Members {
-				c.applets[m.Applet.ID] = appletLoc{node: to, key: key}
-			}
-			c.mu.Unlock()
 			c.moves.Add(1)
 			c.movedApplets.Add(int64(len(snap.Members)))
 			moved = true
@@ -194,9 +198,12 @@ func (c *Cluster) migrateKey(key string, from *Node, mv *pendingOps) bool {
 	}
 	// Clear the moving mark and replay parked operations against the
 	// final owner. New operations route directly from here on; parked
-	// ones replay immediately after, each taking c.mu itself as needed.
+	// ones replay immediately after.
 	c.mu.Lock()
 	delete(c.moving, key)
+	for _, id := range ids {
+		delete(c.transit, id)
+	}
 	ops := mv.ops
 	mv.ops = nil
 	to := c.byName[c.ring.Owner(key)]

@@ -92,7 +92,7 @@ func TestClusterDurableRestart(t *testing.T) {
 		t.Fatalf("recovered %d applets across nodes, want %d", total, n-4)
 	}
 	clock2.Run(func() {
-		// The recovered directory must route lifecycle ops: removing a
+		// The recovered engines route lifecycle ops: removing a
 		// recovered applet and installing a fresh one both work.
 		c2.Remove(clusterApplet(4, "a").ID)
 		if err := c2.Install(clusterApplet(n, "a")); err != nil {

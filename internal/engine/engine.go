@@ -25,7 +25,6 @@ import (
 	"log/slog"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -976,18 +975,19 @@ func (e *Engine) Applets() []string {
 	return out
 }
 
-// AppletKeys maps every installed applet ID to its subscription key.
-// The cluster re-indexes a node's recovered applets with this after a
-// durable restore. The keys are copies: a subscription's own key is a
-// view of its blob, which a caller holding it would keep alive.
-func (e *Engine) AppletKeys() map[string]string {
+// AppletKey returns the subscription key installed applet id polls
+// under, and whether it is installed. The cluster router finds an
+// applet's node and routing key with this. The key is the
+// subscription's own, a view of its poll blob, so a caller should not
+// keep it.
+func (e *Engine) AppletKey(id string) (key string, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[string]string, len(e.applets))
-	for id, ra := range e.applets {
-		out[id] = strings.Clone(ra.sub.key)
+	ra := e.applets[id]
+	if ra == nil {
+		return "", false
 	}
-	return out
+	return ra.sub.key, true
 }
 
 // Stop halts all scheduling. In-flight polls finish their current

@@ -173,6 +173,23 @@ func (e *Engine) SubscriptionKeys() []string {
 	return keys
 }
 
+// SubscriptionMembers lists the applet IDs of the live subscription
+// polling under key, lead first, or nil when there is none. The cluster
+// coordinator records them before it detaches the subscription, so the
+// members stay findable while they are in no engine.
+func (e *Engine) SubscriptionMembers(key string) []string {
+	sub := lockIdentity(e, key)
+	if sub == nil {
+		return nil
+	}
+	ids := make([]string, len(sub.members))
+	for i, ra := range sub.members {
+		ids[i] = ra.id
+	}
+	sub.shard.mu.Unlock()
+	return ids
+}
+
 // DetachSubscription removes the subscription for key from this engine
 // and returns its portable snapshot, or (nil, nil) when no such
 // subscription is live (it was removed concurrently — a benign race

@@ -36,12 +36,13 @@ go test -race -count=50 -run 'TestStoreRecoveryDeterministic' ./internal/durable
 
 # The residency and allocation guards skip under -race (instrumentation
 # changes object sizes and counts), so the suite pass above never ran
-# them: what a silent subscription keeps on the heap, what an empty
-# poll, a hot poll and an action allocate, what the client sends a
-# request with, what the WAL codec and the event scanner allocate, and
-# what a subscription's gap RNG costs.
+# them: what a silent subscription keeps on the heap, and the cluster
+# router per applet, what an empty poll, a hot poll and an action
+# allocate, what a routed push batch allocates, what the client sends
+# a request with, what the WAL codec and the event scanner allocate,
+# and what a subscription's gap RNG costs.
 echo '== residency and allocation guards (race off)'
-go test -count=1 -run 'TestResidentBytesPerApplet|Allocs' ./internal/engine ./internal/httpx ./internal/durable ./internal/proto ./internal/stats
+go test -count=1 -run 'ResidentBytesPerApplet|Allocs' ./internal/engine ./internal/httpx ./internal/durable ./internal/proto ./internal/stats ./internal/cluster
 
 # The kill-and-rebalance soak is the cluster tier's handoff invariant
 # (no applet+event pair executes twice, none lost) under -race with
