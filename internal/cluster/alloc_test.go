@@ -34,9 +34,11 @@ func (ackDoer) Do(req *http.Request) (*http.Response, error) {
 // batch: 50 single-event deliveries for 50 subscriptions spread over
 // four nodes cost no more than handing each node its share directly.
 // The groups are pooled scratch, so the router adds nothing: measured 0
-// and 0 (a map and a slice per node cost 20 per batch). Each batch is
-// counted inside every node's Replay window, so the executions it
-// queues run after the count.
+// and 0 (a map and a slice per node cost 20 per batch). The bound
+// forgives a stray object of another goroutine's, seen once in a loaded
+// run, but not one per batch. Each batch is counted inside every
+// node's Replay window, so the executions it queues run after the
+// count.
 func TestClusterPushDeliveriesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -110,8 +112,8 @@ func TestClusterPushDeliveriesAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("50-delivery batch over 4 nodes: %.2f allocs routed, %.2f handed to the engines directly", routed, engineSide)
-	if routed > engineSide {
-		t.Errorf("routing a 50-delivery batch allocates %.2f/op, the engines' share is %.2f", routed, engineSide)
+	if routed > engineSide+0.1 {
+		t.Errorf("routing a 50-delivery batch allocates %.2f/op, the engines' share is %.2f, want at most 0.1 more", routed, engineSide)
 	}
 }
 
