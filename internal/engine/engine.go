@@ -273,9 +273,12 @@ type Config struct {
 	// uses a fixed count).
 	Shards int
 	// ShardWorkers caps concurrent executions (polls and push
-	// deliveries) per shard. Zero means DefaultShardWorkers. Total
-	// engine goroutines are O(Shards × ShardWorkers), independent of the
-	// applet population.
+	// deliveries) per shard. Zero means DefaultShardWorkers. It is a
+	// cap, not a count of goroutines started: a shard runs one worker
+	// and starts another only for work queued behind it — on the
+	// simulated clock only once those running block (scheduler.go), so
+	// work that never blocks runs on one. Total engine goroutines are
+	// O(Shards × ShardWorkers), independent of the applet population.
 	ShardWorkers int
 	// Resilience tunes per-subscription failure handling: capped
 	// exponential backoff and the circuit breaker of resilience.go. The

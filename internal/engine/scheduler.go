@@ -4,11 +4,16 @@
 // mutex on every gap draw and counter bump. Instead, each shard keeps a
 // min-heap of its subscriptions ordered by due time and one re-armable
 // clock timer on the heap's head. The actor the clock starts when that
-// timer comes due is the worker: it pops the due subscriptions, admits
-// or defers each against the poll budget in heap order, re-arms the
-// timer, starts further workers only for what it cannot poll itself,
-// and polls. Goroutine count is O(in-flight polls), independent of the
-// installed population; nothing is allocated between timer and poll.
+// timer comes due sweeps every shard: it pops the due subscriptions,
+// admits or defers each against the poll budget in heap order, re-arms
+// the timers, and gives each shard that got work a worker, being one
+// of them itself. A shard's further workers, up to ShardWorkers, come
+// from a second re-armable timer per shard, the spare, armed for now
+// whenever work is queued behind a running worker: on the simulated
+// clock it fires once every actor is blocked, so a helper starts only
+// when the workers running block. Goroutine count is O(in-flight
+// polls), independent of the installed population; nothing is
+// allocated between timer and poll.
 //
 // Scheduling semantics are identical to the per-goroutine design: each
 // subscription's next poll is drawn from its own RNG stream *after* the
@@ -16,8 +21,8 @@
 // spacing is gap + poll duration, exactly as before; realtime pokes
 // reschedule a pending poll to now and are dropped while the
 // subscription is mid-poll, matching the old stopper behaviour. The
-// timer is armed only while the heap is non-empty, so an idle engine
-// holds no timers and a simulation can quiesce.
+// timers are armed only while there is something to do, so an idle
+// engine holds no timers and a simulation can quiesce.
 package engine
 
 import (
@@ -137,10 +142,10 @@ func (s *shard) armLocked() {
 	if len(s.heap) > 0 && !s.stopped {
 		at = s.heap[0].due
 	}
-	if at == s.timerAt {
+	if at == s.timerAt.Load() {
 		return
 	}
-	s.timerAt = at
+	s.timerAt.Store(at)
 	if at == unarmed {
 		s.timer.Stop()
 	} else {
@@ -164,59 +169,120 @@ func (s *shard) pokeLocked(sub *subscription, due time.Time) {
 	}
 }
 
-// fire is the actor the shard timer starts when the heap's head comes
-// due. It takes the due subscriptions that pass admission off the heap,
-// which makes each owed a poll, and queues them; then it re-arms the
-// timer and becomes a worker, starting others only for the queued
-// subscriptions beyond its own, within the concurrency cap. With all of
-// them deferred, already queued or running, or every slot busy, it
-// starts none.
+// fire is the actor a shard timer starts when its heap's head comes
+// due. A fixed cadence puts the rounds of every shard on one instant, so
+// it sweeps every shard with something due, in shard-index order
+// (popDueLocked), and each shard that gets work and has no worker gets
+// one: the actor becomes the worker of its own shard if that has work,
+// else of the first that has, and Go starts the others. Shards due
+// together thus run in parallel, and their timers, re-armed past the
+// instant, do not fire for it. Further workers on a shard come from its
+// spare timer (enqueueLocked).
 func (s *shard) fire() {
-	s.mu.Lock()
-	s.timerAt = unarmed
-	if s.stopped || s.e.replaying.Load() { // a replay window re-arms when it closes
-		s.mu.Unlock()
-		return
+	var held *shard // a shard with work whose worker is not started yet
+	now := s.e.sinceEpoch(s.e.clock.Now())
+	for _, sh := range s.e.shards {
+		if sh != s && sh.timerAt.Load() > now {
+			continue // nothing due; what comes due meanwhile fires its own timer
+		}
+		sh.mu.Lock()
+		if sh == s {
+			sh.timerAt.Store(unarmed)
+		}
+		start := sh.popDueLocked()
+		sh.mu.Unlock()
+		if !start {
+			continue
+		}
+		if held == nil || sh == s {
+			held, sh = sh, held
+		}
+		if sh != nil {
+			s.e.clock.Go(sh.workFn)
+		}
+	}
+	if held != nil {
+		held.work()
+	}
+}
+
+// popDueLocked takes the due subscriptions that pass admission off the
+// heap, which makes each owed a poll, queues them and re-arms the
+// timer. It returns true when the caller must start a worker
+// (enqueueLocked). A replay window holds every poll; it re-arms the
+// timers when it closes. Caller holds s.mu.
+func (s *shard) popDueLocked() bool {
+	if s.stopped || s.e.replaying.Load() {
+		return false
 	}
 	now := s.e.clock.Now()
 	at := s.e.sinceEpoch(now)
-	n := 0
+	start := false
 	for len(s.heap) > 0 && s.heap[0].due <= at {
 		sub := s.heap[0]
 		s.heap.remove(sub)
 		if s.admitLocked(sub, now) && s.enqueueLocked(sub) {
-			n++
+			start = true
 		}
 	}
 	s.armLocked()
-	if n == 0 {
-		s.mu.Unlock()
-		return
-	}
-	for ; n > 1; n-- {
-		s.e.clock.Go(s.workFn)
-	}
-	s.mu.Unlock()
-	s.work()
+	return start
 }
 
 // enqueueLocked puts an idle sub on the ready queue. It returns true
-// when the caller must start a worker: fewer than ShardWorkers run, the
-// new one is already counted into s.inflight, and no replay window is
-// open (Replay works the queue itself when the window closes). A sub
-// already queued or running needs nothing: its worker finds the new
-// work. Caller holds s.mu.
+// when the caller must start a worker: none runs, the new one is
+// already counted into s.inflight, and no replay window is open (Replay
+// works the queue itself when the window closes). While a worker runs,
+// another can only help once it blocks, so the spare timer is armed
+// instead (spareLocked). A sub already queued or running needs nothing:
+// its worker finds the new work. Caller holds s.mu.
 func (s *shard) enqueueLocked(sub *subscription) bool {
 	if sub.run != idle {
 		return false
 	}
 	sub.run = queued
 	s.ready = append(s.ready, sub)
-	if s.inflight >= s.e.workers || s.e.replaying.Load() {
+	if s.e.replaying.Load() {
 		return false
 	}
+	if s.inflight == 0 {
+		s.inflight++
+		return true
+	}
+	s.spareLocked()
+	return false
+}
+
+// spareLocked arms the spare timer for now, unless it is armed already,
+// the shard is stopped or every worker slot is taken. On the simulated
+// clock it fires once every actor is blocked and before time moves, so
+// a worker blocked in a poll or a dispatch delay gets its helper at the
+// instant it blocked, while a worker that never blocks drains the queue
+// alone; on the real clock it fires at once. Caller holds s.mu.
+func (s *shard) spareLocked() {
+	if s.spareArmed || s.stopped || s.inflight >= s.e.workers {
+		return
+	}
+	s.spareArmed = true
+	s.spare.Reset(s.e.clock.Now())
+}
+
+// spareWork is the actor the spare timer starts. It becomes one more
+// worker if work and a slot remain, and re-arms the timer while more is
+// queued than it takes itself.
+func (s *shard) spareWork() {
+	s.mu.Lock()
+	s.spareArmed = false
+	if s.stopped || s.e.replaying.Load() || s.readyLenLocked() == 0 || s.inflight >= s.e.workers {
+		s.mu.Unlock()
+		return
+	}
 	s.inflight++
-	return true
+	if s.readyLenLocked() > 1 {
+		s.spareLocked()
+	}
+	s.mu.Unlock()
+	s.work()
 }
 
 // admitLocked decides whether a subscription fire just popped polls

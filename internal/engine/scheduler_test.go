@@ -3,24 +3,26 @@ package engine
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 )
 
-// countingClock counts the actors the scheduler starts — timer firings
-// and Go calls — and how often it moves the timer. Now can be frozen so
-// that subscriptions installed one after another come due at exactly
-// the same instant on either clock.
+// countingClock counts the workers the scheduler starts through Go and,
+// per timer, its firings and moves. Now can be frozen so that
+// subscriptions installed one after another come due at exactly the
+// same instant on either clock.
 type countingClock struct {
 	simtime.Clock
-	fires, goes, resets atomic.Int64
-	frozen              atomic.Pointer[time.Time]
+	goes   atomic.Int64
+	frozen atomic.Pointer[time.Time]
 }
 
 func (c *countingClock) Now() time.Time {
@@ -36,20 +38,41 @@ func (c *countingClock) Go(f func()) {
 }
 
 func (c *countingClock) NewTimer(f func()) simtime.Timer {
-	return countingTimer{c, c.Clock.NewTimer(func() {
-		c.fires.Add(1)
+	t := &countingTimer{}
+	t.Timer = c.Clock.NewTimer(func() {
+		t.fires.Add(1)
 		f()
-	})}
+	})
+	return t
+}
+
+// installFrozen installs the applets at one frozen instant.
+func (c *countingClock) installFrozen(t *testing.T, eng *Engine, apps []Applet) {
+	t0 := c.Clock.Now()
+	c.frozen.Store(&t0)
+	for _, a := range apps {
+		if err := eng.Install(a); err != nil {
+			t.Errorf("install: %v", err)
+		}
+	}
+	c.frozen.Store(nil)
 }
 
 type countingTimer struct {
-	c *countingClock
 	simtime.Timer
+	fires, resets atomic.Int64
 }
 
-func (t countingTimer) Reset(at time.Time) {
-	t.c.resets.Add(1)
+func (t *countingTimer) Reset(at time.Time) {
+	t.resets.Add(1)
 	t.Timer.Reset(at)
+}
+
+// timerCounts returns the firings and moves of a timer countingClock
+// made.
+func timerCounts(tm simtime.Timer) (fires, resets int64) {
+	ct := tm.(*countingTimer)
+	return ct.fires.Load(), ct.resets.Load()
 }
 
 // firstThen polls each subscription once after first, then at then.
@@ -69,32 +92,68 @@ func (p *firstThen) NextGap(id, _ string, _ *stats.RNG) time.Duration {
 	return p.then
 }
 
+// inflightDoer wraps a Doer and records the most calls it had in flight
+// at once and, relative to base, the clock instant each one returned.
+type inflightDoer struct {
+	httpx.Doer
+	clock     simtime.Clock
+	base      time.Time
+	mu        sync.Mutex
+	now, peak int
+	done      []time.Duration
+}
+
+func (d *inflightDoer) Do(req *http.Request) (*http.Response, error) {
+	d.mu.Lock()
+	d.now++
+	d.peak = max(d.peak, d.now)
+	d.mu.Unlock()
+	resp, err := d.Doer.Do(req)
+	d.mu.Lock()
+	d.now--
+	d.done = append(d.done, d.clock.Now().Sub(d.base))
+	d.mu.Unlock()
+	return resp, err
+}
+
+func (d *inflightDoer) peakInflight() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.peak
+}
+
 // TestSchedulerActorsPerDuePoll pins the hand-off's cost in actors: a
-// timer firing is the worker, further workers start only for due
-// subscriptions beyond the first and within the concurrency cap, and a
-// poll the budget defers goes back on the heap without starting one.
-// The timer moves once when the first install arms it and at most once
-// per firing after that (by the firing itself, or by the reschedule
-// that follows a firing which emptied the heap): a deferral inside a
-// burst must not point it at the still-due rest of the burst, which on
-// the real clock would start a firing for nothing.
+// timer firing is the worker, a poll the budget defers goes back on the
+// heap without starting one, and while a worker runs, further due polls
+// arm the shard's spare timer once instead of starting workers. Polls
+// that answer at once never block their worker, so on the simulated
+// clock the spare, which fires only when every actor is blocked, finds
+// the queue drained and starts none: one worker polls them all. On the
+// real clock the spare fires at once and may win a slot; each of its
+// firings is one move, and it never fires more often than there are
+// slots or polls. The shard timer moves once when the first install arms
+// it and at most once per firing after that (by the firing itself, or
+// by the reschedule that follows a firing which emptied the heap): a
+// deferral inside a burst must not point it at the still-due rest of
+// the burst, which on the real clock would start a firing for nothing.
 func TestSchedulerActorsPerDuePoll(t *testing.T) {
 	const workers = 4
 	cases := []struct {
-		name                             string
-		due                              int
-		qps                              float64
-		fires, goes, polls, defs, resets int64
+		name                       string
+		due                        int
+		qps                        float64
+		fires, polls, defs, resets int64
+		spare                      int64 // spare firings (= moves) on the simulated clock
 	}{
-		{name: "one due", due: 1, fires: 1, goes: 0, polls: 1, resets: 2},
-		{name: "two due", due: 2, fires: 1, goes: 1, polls: 2, resets: 2},
-		{name: "more due than workers", due: 10, fires: 1, goes: workers - 1, polls: 10, resets: 2},
+		{name: "one due", due: 1, fires: 1, polls: 1, resets: 2},
+		{name: "two due", due: 2, fires: 1, polls: 2, resets: 2, spare: 1},
+		{name: "more due than workers", due: 10, fires: 1, polls: 10, resets: 2, spare: 1},
 		// One token at a time, 10 per second: the second subscription is
 		// deferred by 100 ms and polls on the timer's second firing.
-		{name: "budget-deferred", due: 2, qps: 10, fires: 2, goes: 0, polls: 2, defs: 1, resets: 3},
+		{name: "budget-deferred", due: 2, qps: 10, fires: 2, polls: 2, defs: 1, resets: 3},
 		// Three due at once: the second is deferred while the third is
 		// still on the heap, due. One firing per token, none in between.
-		{name: "deferred inside a burst", due: 3, qps: 10, fires: 3, goes: 0, polls: 3, defs: 2, resets: 4},
+		{name: "deferred inside a burst", due: 3, qps: 10, fires: 3, polls: 3, defs: 2, resets: 4},
 	}
 	for _, tc := range cases {
 		for _, real := range []bool{false, true} {
@@ -113,24 +172,19 @@ func TestSchedulerActorsPerDuePoll(t *testing.T) {
 					sim = simtime.NewSimDefault()
 					cc.Clock = sim
 				}
+				doer := &inflightDoer{Doer: stubDoer{}, clock: cc}
 				eng := New(Config{
-					Clock: cc, RNG: stats.NewRNG(3), Doer: stubDoer{},
+					Clock: cc, RNG: stats.NewRNG(3), Doer: doer,
 					Poll:          &firstThen{first: 50 * time.Millisecond, then: time.Hour, seen: map[string]bool{}},
 					PollBudgetQPS: tc.qps, PollBudgetBurst: 1,
 					DispatchDelay: -1, Shards: 1, ShardWorkers: workers,
 				})
-				install := func() {
-					t0 := cc.Clock.Now()
-					cc.frozen.Store(&t0)
-					for i := 0; i < tc.due; i++ {
-						if err := eng.Install(scaleApplet(i)); err != nil {
-							t.Errorf("install: %v", err)
-						}
-					}
-					cc.frozen.Store(nil)
+				apps := make([]Applet, tc.due)
+				for i := range apps {
+					apps[i] = scaleApplet(i)
 				}
 				if real {
-					install()
+					cc.installFrozen(t, eng, apps)
 					// Done when every poll has run and is back on the heap
 					// for its next turn.
 					pending := func() int {
@@ -144,18 +198,18 @@ func TestSchedulerActorsPerDuePoll(t *testing.T) {
 						time.Sleep(time.Millisecond)
 					}
 					// The next polls are an hour away: Stop has to disarm
-					// the timer for Wait to return.
+					// the timers for Wait to return.
 					eng.Stop()
 					joined := make(chan struct{})
 					go func() { wall.Wait(); close(joined) }()
 					select {
 					case <-joined:
 					case <-time.After(10 * time.Second):
-						t.Fatal("RealClock.Wait did not return after Stop: the shard timer is still armed")
+						t.Fatal("RealClock.Wait did not return after Stop: a shard timer is still armed")
 					}
 				} else {
 					sim.Run(func() {
-						install()
+						cc.installFrozen(t, eng, apps)
 						sim.Sleep(10 * time.Second)
 						eng.Stop()
 					})
@@ -164,13 +218,173 @@ func TestSchedulerActorsPerDuePoll(t *testing.T) {
 				if st.Polls != tc.polls || st.PollsDeferred != tc.defs {
 					t.Errorf("polls %d deferred %d, want %d and %d", st.Polls, st.PollsDeferred, tc.polls, tc.defs)
 				}
-				if f, g := cc.fires.Load(), cc.goes.Load(); f != tc.fires || g != tc.goes {
-					t.Errorf("timer firings %d + workers started %d, want %d + %d", f, g, tc.fires, tc.goes)
+				if g := cc.goes.Load(); g != 0 {
+					t.Errorf("%d workers started through Go, want 0: the timers start them all", g)
 				}
-				if r := cc.resets.Load(); r != tc.resets {
-					t.Errorf("timer moved %d times, want %d", r, tc.resets)
+				if f, r := timerCounts(eng.shards[0].timer); f != tc.fires || r != tc.resets {
+					t.Errorf("shard timer fired %d times and moved %d, want %d and %d", f, r, tc.fires, tc.resets)
+				}
+				sf, sr := timerCounts(eng.shards[0].spare)
+				peak := doer.peakInflight()
+				if real {
+					// The spare fires at once, racing the worker for the
+					// queue, and a spare that wins a slot re-arms while
+					// more is queued. One due poll never arms it.
+					lo, hi := min(tc.spare, 1), int64(min(tc.due, workers))
+					if tc.due == 1 {
+						hi = 0
+					}
+					if sf < lo || sf > hi || sr != sf {
+						t.Errorf("spare fired %d times and moved %d, want one move per firing, %d to %d of them",
+							sf, sr, lo, hi)
+					}
+					if peak > workers {
+						t.Errorf("%d polls in flight at once, cap %d", peak, workers)
+					}
+					return
+				}
+				if sf != tc.spare || sr != tc.spare {
+					t.Errorf("spare fired %d times and moved %d, want %d and %d", sf, sr, tc.spare, tc.spare)
+				}
+				if peak != 1 {
+					t.Errorf("%d polls in flight at once, want 1: polls that never block need no second worker", peak)
 				}
 			})
+		}
+	}
+}
+
+// TestSpareWorkersKeepTimeline: workers that block get their helpers at
+// the very instant they block, so ten polls due together, each held 1 s
+// by its Doer, run four at a time, exactly as if all four workers had
+// started with the first firing. A spare armed even a nanosecond later
+// than now moves every completion after the first four.
+func TestSpareWorkersKeepTimeline(t *testing.T) {
+	const workers, due = 4, 10
+	sim := simtime.NewSimDefault()
+	cc := &countingClock{Clock: sim}
+	first := 50 * time.Millisecond
+	doer := &inflightDoer{Doer: slowDoer{sim, time.Second}, clock: sim, base: sim.Now().Add(first)}
+	eng := New(Config{
+		Clock: cc, RNG: stats.NewRNG(3), Doer: doer,
+		Poll:          &firstThen{first: first, then: time.Hour, seen: map[string]bool{}},
+		DispatchDelay: -1, Shards: 1, ShardWorkers: workers,
+	})
+	apps := make([]Applet, due)
+	for i := range apps {
+		apps[i] = scaleApplet(i)
+	}
+	sim.Run(func() {
+		cc.installFrozen(t, eng, apps)
+		sim.Sleep(10 * time.Second)
+		eng.Stop()
+	})
+	got := append([]time.Duration(nil), doer.done...)
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	s := time.Second
+	want := []time.Duration{s, s, s, s, 2 * s, 2 * s, 2 * s, 2 * s, 3 * s, 3 * s}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("polls completed at %v after they came due, want %v", got, want)
+	}
+	if peak := doer.peakInflight(); peak != workers {
+		t.Errorf("%d polls in flight at once, want %d", peak, workers)
+	}
+	if g := cc.goes.Load(); g != 0 {
+		t.Errorf("%d workers started through Go, want 0: the spare starts them", g)
+	}
+}
+
+// TestFireSweepsCoincidingShards: polls due at one instant on every
+// shard take one timer firing, which admits them in shard-index order
+// and starts a worker on each shard, its own actor being one of them.
+// Under a budget that admits only some, the lowest shard indices win
+// the tie, run after run.
+func TestFireSweepsCoincidingShards(t *testing.T) {
+	const shards = 8
+	// One applet per shard; apps[k] is shard k's.
+	apps := make([]Applet, shards)
+	probe := New(Config{Clock: simtime.NewSimDefault(), RNG: stats.NewRNG(1), Doer: stubDoer{}, Shards: shards})
+	for i, found := 0, 0; found < shards; i++ {
+		a := scaleApplet(i)
+		if k := probe.shardFor(a.ID).id; apps[k].ID == "" {
+			apps[k] = a
+			found++
+		}
+	}
+	probe.Stop()
+	shardOf := map[string]int{}
+	for k, a := range apps {
+		shardOf[a.ID] = k
+	}
+
+	// run installs apps in reverse shard order at one instant and
+	// returns the shards whose polls ran, in order, the instants they
+	// ran at and the engine.
+	run := func(burst int) ([]int, []time.Duration, *Engine, *countingClock) {
+		sim := simtime.NewSimDefault()
+		cc := &countingClock{Clock: sim}
+		first := 50 * time.Millisecond
+		doer := &inflightDoer{Doer: stubDoer{}, clock: sim, base: sim.Now().Add(first)}
+		var mu sync.Mutex
+		var polled []int
+		cfg := Config{
+			Clock: cc, RNG: stats.NewRNG(3), Doer: doer,
+			Poll:          &firstThen{first: first, then: time.Hour, seen: map[string]bool{}},
+			DispatchDelay: -1, Shards: shards, ShardWorkers: 4,
+			Trace: func(ev TraceEvent) {
+				if ev.Kind == TracePollSent {
+					mu.Lock()
+					polled = append(polled, shardOf[ev.AppletID])
+					mu.Unlock()
+				}
+			},
+		}
+		if burst > 0 {
+			cfg.PollBudgetQPS, cfg.PollBudgetBurst = 1e-6, float64(burst)
+		}
+		eng := New(cfg)
+		rev := append([]Applet(nil), apps...)
+		slices.Reverse(rev)
+		sim.Run(func() {
+			cc.installFrozen(t, eng, rev)
+			sim.Sleep(10 * time.Second)
+			eng.Stop()
+		})
+		return polled, doer.done, eng, cc
+	}
+
+	polled, at, eng, cc := run(0)
+	if len(polled) != shards {
+		t.Fatalf("%d polls, want one per shard (%d)", len(polled), shards)
+	}
+	for _, d := range at {
+		if d != 0 {
+			t.Errorf("polls ran at %v after they came due, want all at once", at)
+			break
+		}
+	}
+	var fires int64
+	for _, sh := range eng.shards {
+		f, _ := timerCounts(sh.timer)
+		fires += f
+	}
+	if fires != 1 {
+		t.Errorf("shard timers fired %d times, want 1: one firing sweeps every shard", fires)
+	}
+	if g := cc.goes.Load(); g != shards-1 {
+		t.Errorf("%d workers started through Go, want %d: the firing actor is the eighth", g, shards-1)
+	}
+
+	const burst = 3
+	for r := 0; r < 20; r++ {
+		polled, _, eng, _ := run(burst)
+		got := slices.Clone(polled)
+		slices.Sort(got)
+		if fmt.Sprint(got) != "[0 1 2]" {
+			t.Fatalf("run %d: shards %v polled under a budget of %d, want [0 1 2]", r, polled, burst)
+		}
+		if st := eng.Stats(); st.PollsDeferred != shards-burst {
+			t.Fatalf("run %d: %d polls deferred, want %d", r, st.PollsDeferred, shards-burst)
 		}
 	}
 }

@@ -208,6 +208,7 @@ type shard struct {
 	e      *Engine
 	id     int
 	timer  simtime.Timer // runs fire; Reset/Stop only under mu
+	spare  simtime.Timer // runs spareWork; Reset/Stop only under mu
 	workFn func()        // s.work, bound once so starting a worker allocates nothing
 
 	mu  sync.Mutex
@@ -222,9 +223,14 @@ type shard struct {
 	ready     []*subscription
 	readyHead int
 	inflight  int    // worker actors currently running
-	timerAt   int64  // the deadline timer is armed for (invariant: heap[0].due, or unarmed)
 	blobBuf   []byte // renderPollLocked's scratch
 	stopped   bool
+	// spareArmed: spare is armed and its actor has not taken mu yet.
+	spareArmed bool
+	// timerAt is the deadline timer is armed for (invariant: heap[0].due,
+	// or unarmed). It is written under mu; fire's sweep reads it without,
+	// to pass over shards with nothing due.
+	timerAt atomic.Int64
 	// pushDepth counts push deliveries accepted and not yet executed,
 	// bounded by Config.IngressQueue; freeMail lists emptied mailboxes.
 	pushDepth int
@@ -269,13 +275,14 @@ type shardCounters struct {
 
 func newShard(e *Engine, id int, rng *stats.RNG) *shard {
 	s := &shard{
-		e:       e,
-		id:      id,
-		rng:     rng,
-		subs:    make(map[string]*subscription),
-		timerAt: unarmed,
+		e:    e,
+		id:   id,
+		rng:  rng,
+		subs: make(map[string]*subscription),
 	}
+	s.timerAt.Store(unarmed)
 	s.timer = e.clock.NewTimer(s.fire)
+	s.spare = e.clock.NewTimer(s.spareWork)
 	s.workFn = s.work
 	return s
 }
@@ -394,12 +401,16 @@ func lockIdentity[S string | []byte](e *Engine, identity S) *subscription {
 	return nil
 }
 
-// stop marks the shard stopped and disarms its timer, so nothing of
+// stop marks the shard stopped and disarms its timers, so nothing of
 // the shard stays pending on the clock. Pending polls are abandoned;
 // in-flight polls finish their current round.
 func (s *shard) stop() {
 	s.mu.Lock()
 	s.stopped = true
 	s.armLocked()
+	if s.spareArmed {
+		s.spareArmed = false
+		s.spare.Stop()
+	}
 	s.mu.Unlock()
 }

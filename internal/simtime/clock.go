@@ -100,7 +100,10 @@ type Gate interface {
 type Timer interface {
 	// Reset arms the timer for the absolute instant t, replacing any
 	// deadline still pending. An instant that is not in the future
-	// fires as soon as the clock can run it.
+	// fires as soon as the clock can run it: on the simulated clock
+	// once every actor is blocked, before time moves on; on RealClock
+	// at once, on a goroutine of its own, so that such a firing has
+	// already started (and Stop returns false) when Reset returns.
 	Reset(t time.Time)
 	// Stop disarms the timer and reports whether a deadline was
 	// pending. A stopped timer holds nothing of the clock: it does not

@@ -72,15 +72,20 @@ func (g *realGate) Opened() bool {
 }
 
 // NewTimer returns an unarmed timer over one time.AfterFunc timer that
-// Reset moves; a pending deadline counts as a goroutine Wait joins.
+// Reset moves; a pending deadline counts as a goroutine Wait joins. A
+// deadline that is not in the future skips the runtime timer: Reset
+// starts the firing on a goroutine of its own at once.
 func (c *RealClock) NewTimer(f func()) Timer {
-	return &realTimer{c: c, f: f}
+	rt := &realTimer{c: c, f: f}
+	rt.runFn = rt.run
+	return rt
 }
 
 type realTimer struct {
-	c *RealClock
-	f func()
-	t *time.Timer // created by the first Reset
+	c     *RealClock
+	f     func()
+	runFn func()      // rt.run, bound once so that firing allocates no closure
+	t     *time.Timer // created by the first Reset to a future deadline
 }
 
 func (rt *realTimer) run() {
@@ -89,10 +94,17 @@ func (rt *realTimer) run() {
 }
 
 func (rt *realTimer) Reset(at time.Time) {
+	d := time.Until(at)
+	if d <= 0 {
+		rt.Stop() // the pending deadline, if any, is replaced
+		rt.c.wg.Add(1)
+		go rt.runFn()
+		return
+	}
 	rt.c.wg.Add(1)
 	if rt.t == nil {
-		rt.t = time.AfterFunc(time.Until(at), rt.run)
-	} else if rt.t.Reset(time.Until(at)) {
+		rt.t = time.AfterFunc(d, rt.runFn)
+	} else if rt.t.Reset(d) {
 		rt.c.wg.Done() // the pending firing was moved, not added
 	}
 }

@@ -185,3 +185,41 @@ func TestRealTimer(t *testing.T) {
 	default:
 	}
 }
+
+// A real timer reset to a deadline that is not in the future starts its
+// firing before Reset returns, replacing a pending deadline: nothing is
+// left for Stop to cancel, only one firing runs, and Wait joins it. The
+// engine's spare timer, which adds a worker to a busy shard, is always
+// reset to now and relies on this to skip the runtime's timer hop.
+func TestSpareRealTimerResetToNow(t *testing.T) {
+	c := NewReal()
+	release := make(chan struct{})
+	fired := make(chan struct{}, 4)
+	tm := c.NewTimer(func() {
+		fired <- struct{}{}
+		<-release
+	})
+	tm.Reset(time.Now().Add(time.Hour))
+	tm.Reset(time.Now())
+	if tm.Stop() {
+		t.Error("Stop right after a reset to now cancelled the firing")
+	}
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("real timer reset to now did not run")
+	}
+	close(release)
+	waited := make(chan struct{})
+	go func() { c.Wait(); close(waited) }()
+	select {
+	case <-waited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not return after the immediate firing")
+	}
+	select {
+	case <-fired:
+		t.Error("the replaced hour-long deadline fired as well")
+	default:
+	}
+}

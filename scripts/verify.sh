@@ -34,6 +34,13 @@ go test -race -count=20 ./internal/simtime
 go test -race -count=20 -run 'TestSchedulerActorsPerDuePoll|TestPollHeapRandomised|TestLeaveLastPendingPollQuiesces|TestRemovedAfterAdmissionRefundsBudget' ./internal/engine
 go test -race -count=50 -run 'TestStoreRecoveryDeterministic' ./internal/durable
 
+# A timer firing sweeps every shard due at its instant, in shard order,
+# and further workers start from a shard's spare timer once the running
+# ones block: the timeline and tie order those keep, and the golden
+# whose ties the sweep decides.
+echo '== scheduler sweep and spare workers (-race, repeated)'
+go test -race -count=5 -run 'Scheduler|Spare|Sweep|Golden/adaptive_pareto$' ./internal/engine ./internal/core ./internal/simtime
+
 # The residency and allocation guards skip under -race (instrumentation
 # changes object sizes and counts), so the suite pass above never ran
 # them: what a silent subscription keeps on the heap, and the cluster
