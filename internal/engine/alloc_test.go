@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -264,7 +263,7 @@ func pollOneFreshOfTwentyAllocs(t *testing.T, n int) float64 {
 func TestDispatchActionAllocs(t *testing.T) {
 	d := &cannedDoer{ack: []byte(`{"data":[{"id":"ok"}]}`)}
 	e, ra := allocRig(t, d, 1)
-	dec := &pollDecoder{span: obs.ExecSpan{ExecID: 1}}
+	dec := &pollDecoder{execID: 1}
 	if err := dec.scan.ScanPollResponse(append(benchEvent([]byte(`{"data":[`), 5), "]}"...)); err != nil {
 		t.Fatal(err)
 	}

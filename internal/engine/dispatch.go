@@ -17,9 +17,11 @@ import (
 // event that member has not seen, oldest first. Dispatch is sequential
 // within the poll, which is what shapes a backlog of trigger events
 // into the action clusters of Fig 6. hintAt is when a realtime poke
-// provoked this poll (zero for scheduled polls); every trace event and
-// span of the execution shares one freshly drawn ExecID, and per-applet
-// provenance rides on the action/skip events' AppletID.
+// provoked this poll (zero for scheduled polls). When something
+// observes the engine, every trace event and span of the execution
+// shares one freshly drawn ExecID, and per-applet provenance rides on
+// the action/skip events' AppletID; a silent poll nobody observes does
+// no more than count itself.
 //
 // dec carries the worker's snapshot of the subscription, taken under the
 // shard lock together with auth and body (the two halves of sub.blob),
@@ -38,10 +40,19 @@ import (
 func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body string) (bool, int) {
 	sub, members := dec.sub, dec.members
 	sh := sub.shard
-	leadID := members[0].id
-	execID := e.execSeq.Add(1)
-	dec.span = obs.ExecSpan{ExecID: execID, TriggerService: sub.ep.ref.Service, HintAt: hintAt}
-	dec.span.PollSentAt = e.emit(sh, TraceEvent{Kind: TracePollSent, AppletID: leadID, Service: sub.ep.ref.Service, ExecID: execID, HintAt: hintAt})
+	sh.counters.polls.Add(1)
+	if e.observed {
+		// A span sink needs the poll's send instant before it is known
+		// whether an action will complete a span.
+		at := e.clock.Now()
+		if e.spans {
+			dec.stamps = spanStamps{hintAt: hintAt, sentAt: at}
+		}
+		if e.trace != nil {
+			dec.execID = sh.nextExecID()
+			e.trace(TraceEvent{Time: at, Kind: TracePollSent, AppletID: members[0].id, Service: sub.ep.ref.Service, ExecID: dec.execID, HintAt: hintAt})
+		}
+	}
 	if n := len(members) - 1; n > 0 {
 		sh.counters.pollsCoalesced.Add(int64(n))
 	}
@@ -62,13 +73,16 @@ func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body
 		} else {
 			sh.counters.pollErrHTTP.Add(1)
 		}
+		sh.counters.pollFailures.Add(1)
 		msg := "status " + http.StatusText(status)
 		if err != nil {
 			msg = err.Error()
 		}
-		e.emit(sh, TraceEvent{Kind: TracePollFailed, AppletID: leadID, ExecID: execID, Err: msg})
+		if e.trace != nil {
+			e.trace(TraceEvent{Time: e.clock.Now(), Kind: TracePollFailed, AppletID: members[0].id, ExecID: dec.execID, Err: msg})
+		}
 		if e.log != nil {
-			e.log.Warn("trigger poll failed", "applet", leadID, "err", msg)
+			e.log.Warn("trigger poll failed", "applet", members[0].id, "err", msg)
 		}
 		return false, 0
 	}
@@ -85,9 +99,33 @@ func (e *Engine) pollSubscription(dec *pollDecoder, hintAt time.Time, auth, body
 	if e.journal != nil && len(dec.fresh) > 0 {
 		e.journalCheckpoint(dec)
 	}
-	dec.span.PollResultAt = e.emit(sh, TraceEvent{Kind: TracePollResult, AppletID: leadID, ExecID: execID, N: len(dec.fresh)})
+	sh.counters.eventsReceived.Add(int64(len(dec.fresh)))
+	if e.observes(dec) {
+		at := e.clock.Now()
+		if e.trace != nil {
+			e.trace(TraceEvent{Time: at, Kind: TracePollResult, AppletID: members[0].id, ExecID: dec.execID, N: len(dec.fresh)})
+		}
+		if e.spans {
+			dec.stamps.resultAt = at
+		}
+	}
 	e.dispatchFresh(dec)
 	return true, newEvents
+}
+
+// observes reports whether a trace observer or a span sink sees dec's
+// execution from this step on, and draws the execution's ID when one
+// does for the first time. A trace observer sees every step; a span sink
+// only an execution with fresh events, as only an action completes a
+// span. A silent poll, the common case, draws no ID even with a sink.
+func (e *Engine) observes(dec *pollDecoder) bool {
+	if e.trace == nil && (!e.spans || len(dec.fresh) == 0) {
+		return false
+	}
+	if dec.execID == 0 {
+		dec.execID = dec.sub.shard.nextExecID()
+	}
+	return true
 }
 
 // dispatchFresh is the last part of an execution, poll or push alike:
@@ -107,7 +145,10 @@ func (e *Engine) dispatchFresh(dec *pollDecoder) {
 			ev := &fresh[i]
 			ing := dec.ingredients(ev)
 			if !conditionsAllow(mr.ra.conditions(), e.clock.Now(), ing) {
-				e.emit(sh, TraceEvent{Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: dec.span.ExecID, EventID: e.traceID(dec, ev)})
+				sh.counters.conditionSkips.Add(1)
+				if e.trace != nil {
+					e.trace(TraceEvent{Time: e.clock.Now(), Kind: TraceConditionSkip, AppletID: mr.ra.id, ExecID: dec.execID, EventID: dec.idString(ev)})
+				}
 				continue
 			}
 			e.dispatchAction(dec, mr.ra, ev, ing)
@@ -239,10 +280,13 @@ type pollDecoder struct {
 	// each member's share.
 	fresh  []event
 	ranges []memberRange
-	// span is the execution's span up to its poll result (or push
-	// dispatch): ExecID and provenance always, timestamps only when the
-	// engine has a span sink. dispatchAction completes one copy per action.
-	span obs.ExecSpan
+	// execID is the ID the execution's trace events and spans carry,
+	// drawn only once something observes the execution (0 until then, see
+	// observes); stamps are what its spans share, taken only for a span
+	// sink. Each span is assembled only when an action completes it
+	// (dispatchAction).
+	execID uint64
+	stamps spanStamps
 	// enc and buf are what each action request's body is rendered in.
 	// httpx copies the body into scratch of its own, so buf is free again
 	// once DoEndpoint returns.
@@ -254,6 +298,14 @@ type pollDecoder struct {
 	cp     Checkpoint
 	cpIDs  []string
 	cpStrs strings.Builder
+}
+
+// spanStamps are the instants every span of one execution shares: the
+// hint that provoked a poll, or the push ingress accept; the poll's send
+// and result, both the dispatch start for a push.
+type spanStamps struct {
+	hintAt, ingestAt, sentAt, resultAt time.Time
+	pushed                             bool
 }
 
 // What a decoder keeps between executions is bounded: the event buffers
@@ -288,10 +340,17 @@ func (d *pollDecoder) resetFresh() {
 func (d *pollDecoder) release() {
 	e := d.sub.shard.e
 	d.resetFresh()
-	clear(d.members[:cap(d.members)])
+	clear(d.members)
 	clear(d.push)
-	d.sub, d.key, d.span, d.push, d.pushAt = nil, "", obs.ExecSpan{}, d.push[:0], time.Time{}
+	d.sub, d.key, d.members, d.push, d.pushAt = nil, "", d.members[:0], d.push[:0], time.Time{}
+	d.execID = 0
+	if e.spans {
+		d.stamps = spanStamps{}
+	}
 	d.scan.Release()
+	if cap(d.members) > maxPooledBuilt {
+		d.members = nil
+	}
 	if cap(d.built) > maxPooledBuilt {
 		d.built, d.hashes = nil, nil
 	}
@@ -371,15 +430,6 @@ func (d *pollDecoder) collectFresh() {
 	d.fresh, d.ranges = fresh, ranges
 }
 
-// traceID is ev's ID for a trace event, made only when a trace observer
-// is there to read it.
-func (e *Engine) traceID(dec *pollDecoder, ev *event) string {
-	if e.trace == nil {
-		return ""
-	}
-	return dec.idString(ev)
-}
-
 // actionRequest returns what an action request carries beyond its
 // endpoint: ra's bearer credential (actionAuth), and the ActionRequest
 // for ra executing on an event with the given ingredients —
@@ -402,41 +452,59 @@ func (actionAck) DecodeBody(_ int, body []byte) error { return proto.ValidateAct
 // dispatchAction POSTs one action execution, resolving {{ingredient}}
 // placeholders in the action fields from the trigger event's
 // ingredients. Acked or failed, the action completes a span of dec's
-// execution.
+// execution when the engine has a span sink.
 func (e *Engine) dispatchAction(dec *pollDecoder, ra *runningApplet, ev *event, ing Ingredients) {
-	eventTime := ev.time()
 	sh := ra.sub.shard
-	execID := dec.span.ExecID
-	var eventID string // read only by a trace observer or a span sink
-	if e.trace != nil || e.spans {
-		eventID = dec.idString(ev)
+	// The event's ID and time are read only by a trace observer or a span
+	// sink.
+	var eventID string
+	var eventTime, sentAt time.Time
+	if e.observed {
+		eventID, eventTime, sentAt = dec.idString(ev), ev.time(), e.clock.Now()
+		if e.trace != nil {
+			e.trace(TraceEvent{Time: sentAt, Kind: TraceActionSent, AppletID: ra.id, ExecID: dec.execID, EventID: eventID, EventTime: eventTime})
+		}
 	}
-	sentAt := e.emit(sh, TraceEvent{Kind: TraceActionSent, AppletID: ra.id, ExecID: execID, EventID: eventID, EventTime: eventTime})
 
 	auth, body := dec.actionRequest(ra, ing)
 	status, err := e.client.DoEndpoint(ra.action.req, "", auth, body, actionAck{})
-	kind, msg := TraceActionAcked, ""
-	if err != nil || status != http.StatusOK {
+	failed := err != nil || status != http.StatusOK
+	var msg string
+	if failed {
 		if status == 0 {
 			sh.counters.actionErrTransport.Add(1)
 		} else {
 			sh.counters.actionErrHTTP.Add(1)
 		}
-		kind, msg = TraceActionFailed, "status "+http.StatusText(status)
+		sh.counters.actionsFailed.Add(1)
+		msg = "status " + http.StatusText(status)
 		if err != nil {
 			msg = err.Error()
 		}
+	} else {
+		sh.counters.actionsOK.Add(1)
 	}
-	doneAt := e.emit(sh, TraceEvent{Kind: kind, AppletID: ra.id, ExecID: execID, EventID: eventID, Err: msg})
-	if kind == TraceActionFailed && e.log != nil {
+	if e.observed {
+		doneAt := e.clock.Now()
+		if e.trace != nil {
+			kind := TraceActionAcked
+			if failed {
+				kind = TraceActionFailed
+			}
+			e.trace(TraceEvent{Time: doneAt, Kind: kind, AppletID: ra.id, ExecID: dec.execID, EventID: eventID, Err: msg})
+		}
+		if e.spans {
+			st := &dec.stamps
+			e.recordSpan(obs.ExecSpan{
+				ExecID: dec.execID, AppletID: ra.id, EventID: eventID, TriggerService: dec.sub.ep.ref.Service,
+				HintAt: st.hintAt, IngestAt: st.ingestAt, PollSentAt: st.sentAt, PollResultAt: st.resultAt,
+				EventAt: eventTime, ActionSentAt: sentAt, ActionDoneAt: doneAt,
+				Pushed: st.pushed, Failed: failed, Err: msg,
+			})
+		}
+	}
+	if failed && e.log != nil {
 		e.log.Warn("action failed", "applet", ra.id, "err", msg)
-	}
-	if e.spans {
-		s := dec.span
-		s.AppletID, s.EventID, s.EventAt = ra.id, eventID, eventTime
-		s.ActionSentAt, s.ActionDoneAt = sentAt, doneAt
-		s.Failed, s.Err = kind == TraceActionFailed, msg
-		e.recordSpan(s)
 	}
 }
 
@@ -551,11 +619,8 @@ func (e *Engine) ApplyHint(hint proto.RealtimeHint) {
 		// A user-scoped hint covers every applet of that user.
 		targets, firstID, nApplets = e.userSubscriptions(hint.UserID)
 	}
-	ev := TraceEvent{Kind: TraceHintReceived, N: nApplets}
-	if nApplets > 0 {
-		ev.AppletID = firstID
-	}
-	e.emit(nil, ev)
+	e.hints.Add(1)
+	e.emit(TraceEvent{Kind: TraceHintReceived, AppletID: firstID, N: nApplets})
 	for _, sub := range targets {
 		if e.realtime == nil || !e.realtime[sub.ep.ref.Service] {
 			continue // hint ignored

@@ -242,17 +242,24 @@ type Config struct {
 	// the emitting goroutine. It must be fast and safe for concurrent
 	// use; a slow Trace func stalls the poll worker that emitted the
 	// event. Deterministic tests rely on this synchrony — events are
-	// visible the moment the emitting actor blocks.
+	// visible the moment the emitting actor blocks. Only with Trace set
+	// does an execution build TraceEvents and read the clock for each of
+	// its steps; Stats counts the same either way.
 	Trace func(TraceEvent)
 	// OnSpan, when non-nil, receives every completed execution span:
 	// one per dispatched action, acked or failed, built by the goroutine
 	// that ran the execution. It runs on that goroutine, concurrently
 	// with other executions, so it must be fast and safe for concurrent
-	// use.
+	// use. A span sink (OnSpan, Metrics or SLO) has an execution take
+	// its poll's timestamps, but a span is assembled only when an action
+	// completes one: a silent poll reads the clock once and builds none.
 	OnSpan func(obs.ExecSpan)
 	// Metrics, when non-nil, receives the engine's operational counters
 	// and gauges plus the T2A segment histograms every completed span
-	// feeds. Serve it over HTTP via Engine.Handler's GET /metrics.
+	// feeds. Serve it over HTTP via Engine.Handler's GET /metrics. The
+	// counters are the shard-local ones Stats reads, bumped whether or
+	// not anything observes; the histograms make the engine a span sink
+	// (see OnSpan).
 	Metrics *obs.Registry
 	// Logger receives warnings; nil disables logging.
 	Logger *slog.Logger
@@ -449,14 +456,14 @@ type Engine struct {
 	ingressAccepted atomic.Int64
 	ingressRejected atomic.Int64
 	ingressUnmatch  atomic.Int64
-	// execSeq numbers poll executions; every trace event of one poll
-	// carries the same ExecID.
-	execSeq atomic.Uint64
-	metrics *obs.Registry
+	metrics         *obs.Registry
 	// The span sink (recordSpan): spanMetrics is set with Metrics, onSpan
 	// is Config.OnSpan. spans is set when any sink (these two or the SLO
-	// tracker) is, and only then do executions read span timestamps.
+	// tracker) is, and only then do executions take span timestamps.
+	// observed is set when spans or trace is: only then does an execution
+	// draw an exec ID and read the clock for its steps.
 	spans       bool
+	observed    bool
 	spanMetrics *spanMetrics
 	onSpan      func(obs.ExecSpan)
 	// slo and tail are the burn-rate tracker and tail-based span store,
@@ -722,7 +729,7 @@ func New(cfg Config) *Engine {
 			case slo.StatePage:
 				kind = TraceSLOPage
 			}
-			e.emit(nil, TraceEvent{Kind: kind, Service: tr.Service,
+			e.emit(TraceEvent{Kind: kind, Service: tr.Service,
 				Err: fmt.Sprintf("%s->%s fast %.2fx slow %.2fx", tr.From, tr.To, tr.FastBurn, tr.SlowBurn)})
 			if userTr != nil {
 				userTr(tr)
@@ -735,6 +742,7 @@ func New(cfg Config) *Engine {
 		}
 	}
 	e.spans = e.spanMetrics != nil || e.slo != nil || e.onSpan != nil
+	e.observed = e.spans || e.trace != nil
 	return e
 }
 
@@ -743,38 +751,16 @@ func New(cfg Config) *Engine {
 // report it.
 func (e *Engine) TraceDrops() int64 { return 0 }
 
-// emit bumps the counter for ev on sh (nil for engine-level events) and
-// forwards it to the trace observer. It returns the event's time, read
-// only when a trace observer or a span sink is configured (zero
-// otherwise), so a span timestamp is the instant of its trace event.
-func (e *Engine) emit(sh *shard, ev TraceEvent) time.Time {
-	switch ev.Kind {
-	case TracePollSent:
-		sh.counters.polls.Add(1)
-	case TracePollFailed:
-		sh.counters.pollFailures.Add(1)
-	case TracePollResult:
-		sh.counters.eventsReceived.Add(int64(ev.N))
-	case TracePushDispatch:
-		sh.counters.pushBatches.Add(1)
-		sh.counters.pushEvents.Add(int64(ev.N))
-	case TraceActionAcked:
-		sh.counters.actionsOK.Add(1)
-	case TraceActionFailed:
-		sh.counters.actionsFailed.Add(1)
-	case TraceConditionSkip:
-		sh.counters.conditionSkips.Add(1)
-	case TraceHintReceived:
-		e.hints.Add(1)
-	}
-	if e.trace == nil && !e.spans {
-		return time.Time{}
-	}
-	ev.Time = e.clock.Now()
+// emit hands ev, stamped with the clock, to the trace observer, if there
+// is one. It is for the steps outside an execution (install, remove,
+// hints, breaker and SLO transitions); an execution's own steps are
+// traced where they happen (dispatch.go), with the instant their span
+// timestamp shares. Counters are bumped by the caller, traced or not.
+func (e *Engine) emit(ev TraceEvent) {
 	if e.trace != nil {
+		ev.Time = e.clock.Now()
 		e.trace(ev)
 	}
-	return ev.Time
 }
 
 // Stats returns a snapshot of the engine's operational counters, merged
@@ -887,7 +873,7 @@ func (e *Engine) Install(a Applet) error {
 	e.indexLocked(ra)
 	e.mu.Unlock()
 
-	e.emit(sh, TraceEvent{Kind: TraceInstall, AppletID: a.ID})
+	e.emit(TraceEvent{Kind: TraceInstall, AppletID: a.ID})
 	return nil
 }
 
@@ -931,7 +917,7 @@ func (e *Engine) Remove(id string) error {
 	sh.mu.Unlock()
 	e.mu.Unlock()
 
-	e.emit(sh, TraceEvent{Kind: TraceRemove, AppletID: id})
+	e.emit(TraceEvent{Kind: TraceRemove, AppletID: id})
 	if last {
 		// Serialized against Stop under delMu: a stopping engine spawns
 		// no new delete actors (see the field's comment). A replayed

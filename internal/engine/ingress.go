@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"repro/internal/httpx"
-	"repro/internal/obs"
 	"repro/internal/proto"
 )
 
@@ -201,8 +200,7 @@ func (s *shard) pushLocked(sub *subscription) {
 // carries.
 func (e *Engine) dispatchPush(dec *pollDecoder) {
 	sub := dec.sub
-	execID := e.execSeq.Add(1)
-	at := dec.pushAt
+	sh := sub.shard
 
 	fresh, ranges := dec.fresh, dec.ranges
 	for _, ra := range dec.members {
@@ -218,12 +216,20 @@ func (e *Engine) dispatchPush(dec *pollDecoder) {
 	}
 	dec.fresh, dec.ranges = fresh, ranges
 
-	// A push execution has no poll round-trip: both poll timestamps of
-	// its spans are the dispatch start.
-	dec.span = obs.ExecSpan{ExecID: execID, TriggerService: sub.ep.ref.Service, IngestAt: at, Pushed: true}
-	start := e.emit(sub.shard, TraceEvent{Kind: TracePushDispatch, AppletID: dec.members[0].id,
-		Service: sub.ep.ref.Service, ExecID: execID, N: len(fresh), IngestAt: at})
-	dec.span.PollSentAt, dec.span.PollResultAt = start, start
+	sh.counters.pushBatches.Add(1)
+	sh.counters.pushEvents.Add(int64(len(fresh)))
+	if e.observes(dec) {
+		at := e.clock.Now()
+		if e.trace != nil {
+			e.trace(TraceEvent{Time: at, Kind: TracePushDispatch, AppletID: dec.members[0].id,
+				Service: sub.ep.ref.Service, ExecID: dec.execID, N: len(fresh), IngestAt: dec.pushAt})
+		}
+		if e.spans {
+			// A push execution has no poll round-trip: both poll
+			// timestamps of its spans are the dispatch start.
+			dec.stamps = spanStamps{ingestAt: dec.pushAt, sentAt: at, resultAt: at, pushed: true}
+		}
+	}
 	if len(fresh) == 0 {
 		return
 	}

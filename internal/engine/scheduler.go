@@ -381,7 +381,7 @@ func (s *shard) pollLocked(sub *subscription) {
 	s.mu.Unlock()
 
 	if probe {
-		s.e.emit(s, TraceEvent{Kind: TraceBreakerProbe, AppletID: dec.members[0].id})
+		s.e.emit(TraceEvent{Kind: TraceBreakerProbe, AppletID: dec.members[0].id})
 	}
 	ok, events := s.e.pollSubscription(dec, hintAt, auth, body)
 	dec.release()
@@ -391,7 +391,7 @@ func (s *shard) pollLocked(sub *subscription) {
 	s.scheduleLocked(sub, due)
 	if brEv.Kind != "" {
 		s.mu.Unlock()
-		s.e.emit(s, brEv)
+		s.e.emit(brEv)
 		s.mu.Lock()
 	}
 }

@@ -237,6 +237,21 @@ type shard struct {
 	freeMail  *mailbox
 
 	counters shardCounters
+	// execSeq numbers the shard's observed executions (nextExecID).
+	execSeq atomic.Uint64
+}
+
+// execSeqBits is how many low bits of an exec ID number the executions
+// of one shard; the shard's index is above them.
+const execSeqBits = 48
+
+// nextExecID draws the ID every trace event and span of one execution
+// carries: the shard's index above the shard's own sequence, so shards
+// never share a counter and IDs stay unique within the engine (while a
+// shard draws fewer than 2^48). It is never 0, the ID of events outside
+// an execution. Only an execution something observes draws one.
+func (s *shard) nextExecID() uint64 {
+	return uint64(s.id)<<execSeqBits | s.execSeq.Add(1)
 }
 
 // shardCounters are the shard-local halves of Stats, bumped atomically

@@ -122,6 +122,12 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 // Doer issues HTTP requests. *http.Client satisfies it, as does the
 // simulated transport client.
 //
+// A Doer must not modify the request, as net/http's RoundTripper
+// contract already says (*http.Client forks a request before it changes
+// anything): DoEndpoint sends the next request to the same endpoint in
+// the same http.Request value, writing only its credential and body.
+// Reading and closing the body is the Doer's use of it, not a change.
+//
 // A Doer must not keep the request or its body past the end of the
 // exchange: once the response body has been read to its end and closed,
 // DoEndpoint reuses the memory both live in for the next request, the
@@ -469,13 +475,7 @@ func (c *Client) DoEndpoint(ep *Endpoint, suffix, auth string, body []byte, out 
 		}
 		status, clean, err := readJSONResponse(resp, out)
 		if clean && cap(sc.buf) <= maxPooledBytes {
-			// Pooled pointing at nothing of the request's but the
-			// endpoint its header map is filled for.
-			sc.auth[0] = ""
-			sc.body.Reset(nil)
-			if suffix != "" {
-				sc.url = url.URL{}
-			}
+			sc.recycle()
 			c.scratches.Put(sc)
 		}
 		return status, err
@@ -501,10 +501,12 @@ type reqScratch struct {
 	// getBody is bound to the scratch once, so handing the transport a
 	// way to replay the body costs a request nothing.
 	getBody func() (io.ReadCloser, error)
-	// The header map holds ep's entries, plus Authorization when
-	// withAuth; refilled only when the next request differs in either.
+	// req is built for ep, with the Authorization header when withAuth and
+	// ep's path extended by suffix; request builds it again only when the
+	// next request differs in one of the three.
 	ep       *Endpoint
 	withAuth bool
+	suffix   string
 }
 
 func newReqScratch() any {
@@ -524,8 +526,47 @@ type bodyReader struct{ bytes.Reader }
 
 func (*bodyReader) Close() error { return nil }
 
+// request assembles the request for ep, suffix, auth and body in the
+// scratch. A Doer does not modify the request (see Doer), so what the
+// previous request left is still as it was built: of a request to the
+// same endpoint, with or without a credential as before, under the same
+// suffix, only the credential's value and the body are written.
 func (sc *reqScratch) request(ep *Endpoint, suffix, auth string, body []byte) *http.Request {
 	withAuth := auth != ""
+	if sc.ep != ep || sc.withAuth != withAuth || sc.suffix != suffix {
+		sc.build(ep, suffix, withAuth)
+	}
+	sc.auth[0] = auth
+	if len(body) > 0 {
+		sc.buf = append(sc.buf[:0], body...)
+		sc.body.Reset(sc.buf)
+		if sc.req.Body == nil {
+			sc.req.Body, sc.req.GetBody = &sc.body, sc.getBody
+		}
+		sc.req.ContentLength = int64(len(body))
+	} else if sc.req.Body != nil {
+		sc.req.Body, sc.req.ContentLength, sc.req.GetBody = nil, 0, nil
+	}
+	return &sc.req
+}
+
+// recycle readies the scratch of an exchange that ran to its end for the
+// pool: pointing at nothing of the request's but the endpoint its
+// request is built for.
+func (sc *reqScratch) recycle() {
+	sc.auth[0] = ""
+	sc.body.Reset(nil)
+	if sc.suffix != "" {
+		// The joined path holds the caller's suffix: forget it, and the
+		// request built around it.
+		sc.url, sc.suffix, sc.ep = url.URL{}, "", nil
+	}
+}
+
+// build fills the header map with ep's entries, and Authorization when
+// withAuth, unless it holds them already, and builds the request around
+// it, to ep's address with suffix appended to the path.
+func (sc *reqScratch) build(ep *Endpoint, suffix string, withAuth bool) {
 	if sc.ep != ep || sc.withAuth != withAuth {
 		clear(sc.header)
 		for k, v := range ep.header {
@@ -534,9 +575,8 @@ func (sc *reqScratch) request(ep *Endpoint, suffix, auth string, body []byte) *h
 		if withAuth {
 			sc.header["Authorization"] = sc.auth[:]
 		}
-		sc.ep, sc.withAuth = ep, withAuth
 	}
-	sc.auth[0] = auth
+	sc.ep, sc.withAuth, sc.suffix = ep, withAuth, suffix
 	sc.req = http.Request{
 		Method:     ep.method,
 		URL:        ep.url,
@@ -554,12 +594,4 @@ func (sc *reqScratch) request(ep *Endpoint, suffix, auth string, body []byte) *h
 		}
 		sc.req.URL = &sc.url
 	}
-	if len(body) > 0 {
-		sc.buf = append(sc.buf[:0], body...)
-		sc.body.Reset(sc.buf)
-		sc.req.Body = &sc.body
-		sc.req.ContentLength = int64(len(body))
-		sc.req.GetBody = sc.getBody
-	}
-	return &sc.req
 }

@@ -41,6 +41,13 @@ go test -race -count=50 -run 'TestStoreRecoveryDeterministic' ./internal/durable
 echo '== scheduler sweep and spare workers (-race, repeated)'
 go test -race -count=5 -run 'Scheduler|Spare|Sweep|Golden/adaptive_pareto$' ./internal/engine ./internal/core ./internal/simtime
 
+# Observability work happens only for an observer and the request
+# scratch rewrites only what changed: observing must change nothing,
+# exec IDs stay unique across shards, a reused scratch builds what a
+# fresh one builds, and a pooled decoder keeps bounded members.
+echo '== observation, exec IDs and request scratch (-race, repeated)'
+go test -race -count=3 -run 'Observ|ExecID|Scratch|Decoder' ./internal/engine ./internal/httpx
+
 # The residency and allocation guards skip under -race (instrumentation
 # changes object sizes and counts), so the suite pass above never ran
 # them: what a silent subscription keeps on the heap, and the cluster
