@@ -216,19 +216,14 @@ func main() {
 		return st
 	}
 	if *nodes > 1 {
-		// Per-node engines cannot share one registry (duplicate names)
-		// or the SLO tier's debug endpoints; the cluster registers
-		// aggregate mirrors plus the ifttt_cluster_* family instead.
-		ecfg.Metrics = nil
-		if ecfg.SLO != nil {
-			log.Warn("slo tier disabled: not supported with -cluster-nodes")
-			ecfg.SLO = nil
-		}
+		// The cluster serves reg: every engine series summed over its
+		// nodes, beside the ifttt_cluster_* family. It turns the SLO
+		// tier off and logs so: the tier's debug endpoints serve one
+		// engine.
 		ccfg := cluster.Config{
-			Nodes:   *nodes,
-			Engine:  ecfg,
-			Metrics: reg,
-			Logger:  log,
+			Nodes:  *nodes,
+			Engine: ecfg,
+			Logger: log,
 		}
 		if *walDir != "" {
 			// One store per node, in a subdirectory keyed by the

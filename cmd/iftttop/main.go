@@ -175,10 +175,10 @@ func (c *console) snapshot() (string, error) {
 		}
 	}
 	c.prevAt, c.prevPolls, c.prevOK, c.prevPush = now, polls, ok, pushEvents
-	fmt.Fprintf(&b, "applets %.0f   subscriptions %.0f   pending %.0f   inflight %.0f/%.0fx%.0f\n",
+	fmt.Fprintf(&b, "applets %.0f   subscriptions %.0f   pending %.0f   inflight %.0f/%.0f   shards %.0f\n",
 		m.value("ifttt_engine_applets"), m.value("ifttt_engine_subscriptions"),
 		m.value("ifttt_engine_pending_polls"), m.value("ifttt_engine_inflight_workers"),
-		m.value("ifttt_engine_shards"), m.value("ifttt_engine_worker_cap"))
+		m.value("ifttt_engine_worker_slots"), m.value("ifttt_engine_shards"))
 	fmt.Fprintf(&b, "polls %.0f%s   failures %.0f   events %.0f   actions ok %.0f%s fail %.0f   hints %.0f\n",
 		polls, pollRate, m.value("ifttt_engine_poll_failures_total"),
 		m.value("ifttt_engine_events_received_total"), ok, okRate,

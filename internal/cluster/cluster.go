@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -31,16 +32,13 @@ type Config struct {
 	VirtualNodes int
 	// Engine is the per-node engine template. Clock, RNG, and Doer are
 	// required; every node gets the template verbatim except RNG (split
-	// per node, so nodes draw independent deterministic streams) and
-	// Metrics, which must be nil here — a shared obs.Registry would
-	// panic on the second node's duplicate registrations. Set Metrics
-	// on this Config instead and the cluster registers aggregates.
+	// per node, so nodes draw independent deterministic streams),
+	// Metrics and SLO. Metrics, when non-nil, is the registry the
+	// cluster serves: each node's engine registers into a child of it,
+	// so it carries every engine series summed over the nodes, beside
+	// the ifttt_cluster_* family. Without it the nodes are unobserved.
+	// SLO is turned off: the tier's debug endpoints serve one engine.
 	Engine engine.Config
-	// Metrics, when non-nil, receives the cluster-level series: the
-	// ifttt_cluster_* family plus aggregate mirrors of the standard
-	// ifttt_engine_* / ifttt_ingest_* names so dashboards and iftttop
-	// work against a cluster unchanged.
-	Metrics *obs.Registry
 	// Logger receives routing and migration warnings; nil disables.
 	Logger *slog.Logger
 	// OnSpan, when non-nil, receives every completed execution span
@@ -94,7 +92,6 @@ type pendingOps struct {
 type Cluster struct {
 	clock   simtime.Clock
 	tmpl    engine.Config
-	metrics *obs.Registry
 	log     *slog.Logger
 	onSpan  func(node string, sp obs.ExecSpan)
 	journal func(node string) engine.Journal
@@ -129,9 +126,6 @@ func New(cfg Config) *Cluster {
 	if cfg.Engine.Clock == nil || cfg.Engine.RNG == nil || cfg.Engine.Doer == nil {
 		panic("cluster: Engine template needs Clock, RNG, and Doer")
 	}
-	if cfg.Engine.Metrics != nil {
-		panic("cluster: set Metrics on cluster.Config, not the engine template (nodes would collide in one registry)")
-	}
 	n := cfg.Nodes
 	if n <= 0 {
 		n = DefaultNodes
@@ -139,7 +133,6 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{
 		clock:   cfg.Engine.Clock,
 		tmpl:    cfg.Engine,
-		metrics: cfg.Metrics,
 		log:     cfg.Logger,
 		onSpan:  cfg.OnSpan,
 		journal: cfg.Journal,
@@ -149,13 +142,17 @@ func New(cfg Config) *Cluster {
 		moving:  make(map[string]*pendingOps),
 		transit: make(map[string]string),
 	}
+	if c.tmpl.SLO != nil {
+		c.warn("slo tier disabled: not supported on a cluster")
+		c.tmpl.SLO = nil
+	}
 	c.pushScratch.New = func() any { return new([][]proto.PushDelivery) }
+	c.registerMetrics()
 	c.mu.Lock()
 	for i := 0; i < n; i++ {
 		c.newNodeLocked()
 	}
 	c.mu.Unlock()
-	c.registerMetrics()
 	return c
 }
 
@@ -179,6 +176,10 @@ func (c *Cluster) newNodeLocked() *Node {
 	if c.journal != nil {
 		ecfg.Journal = c.journal(name)
 	}
+	if c.tmpl.Metrics != nil {
+		ecfg.Metrics = obs.NewRegistry()
+		c.tmpl.Metrics.AddChild(ecfg.Metrics)
+	}
 	node.Engine = engine.New(ecfg)
 	if c.restore != nil {
 		if err := c.restore(name, node.Engine); err != nil {
@@ -188,7 +189,7 @@ func (c *Cluster) newNodeLocked() *Node {
 	c.nodes = append(c.nodes, node)
 	c.byName[name] = node
 	c.ring.Add(name)
-	if c.metrics != nil {
+	if c.tmpl.Metrics != nil {
 		c.registerNodeMetrics(node)
 	}
 	return node
@@ -383,39 +384,22 @@ func (c *Cluster) Stats() Stats {
 		if n.Alive() {
 			out.NodesAlive++
 		}
-		s := n.Engine.Stats()
-		out.Applets += s.Applets
-		out.Subscriptions += s.Subscriptions
-		out.Polls += s.Polls
-		out.PollFailures += s.PollFailures
-		out.PollErrorsTransport += s.PollErrorsTransport
-		out.PollErrorsHTTP += s.PollErrorsHTTP
-		out.ActionErrorsTransport += s.ActionErrorsTransport
-		out.ActionErrorsHTTP += s.ActionErrorsHTTP
-		out.BreakersOpen += s.BreakersOpen
-		out.BreakerOpens += s.BreakerOpens
-		out.BreakerCloses += s.BreakerCloses
-		out.BreakerProbes += s.BreakerProbes
-		out.PollsDeferred += s.PollsDeferred
-		out.BudgetGrants += s.BudgetGrants
-		out.PollsCoalesced += s.PollsCoalesced
-		out.EventsReceived += s.EventsReceived
-		out.ActionsOK += s.ActionsOK
-		out.ActionsFailed += s.ActionsFailed
-		out.HintsReceived += s.HintsReceived
-		out.ConditionSkips += s.ConditionSkips
-		out.PushBatches += s.PushBatches
-		out.PushEvents += s.PushEvents
-		out.IngressAccepted += s.IngressAccepted
-		out.IngressRejected += s.IngressRejected
-		out.IngressUnmatched += s.IngressUnmatched
-		out.IngressDepth += s.IngressDepth
+		addStats(&out.Stats, n.Engine.Stats())
 	}
 	out.Moves = c.moves.Load()
 	out.MovedApplets = c.movedApplets.Load()
 	out.ParkedOps = c.parkedOps.Load()
 	out.Failovers = c.failovers.Load()
 	return out
+}
+
+// addStats adds s into sum field by field: every engine.Stats field is
+// a count or a level that adds up across engines.
+func addStats(sum *engine.Stats, s engine.Stats) {
+	dst, src := reflect.ValueOf(sum).Elem(), reflect.ValueOf(s)
+	for i := range dst.NumField() {
+		dst.Field(i).SetInt(dst.Field(i).Int() + src.Field(i).Int())
+	}
 }
 
 // NodeStatus is one node's row in GET /v1/cluster.
@@ -494,7 +478,7 @@ func (c *Cluster) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, http.StatusOK, c.Status())
 	})
-	obs.Mount(mux, c.metrics)
+	obs.Mount(mux, c.tmpl.Metrics)
 	ready := obs.NewReadiness()
 	ready.Add("nodes", func() (bool, string) {
 		c.mu.Lock()
@@ -539,12 +523,12 @@ func (c *Cluster) warn(msg string, kv ...any) {
 	}
 }
 
-// registerMetrics publishes the ifttt_cluster_* family and aggregate
-// mirrors of the standard engine/ingest names, so one scrape of the
-// cluster registry looks like one very large engine plus placement
-// telemetry.
+// registerMetrics publishes the ifttt_cluster_* family. The engine
+// series are the nodes' own, summed by the registry (newNodeLocked), so
+// one scrape of a cluster reads like one very large engine plus its
+// placement telemetry.
 func (c *Cluster) registerMetrics() {
-	reg := c.metrics
+	reg := c.tmpl.Metrics
 	if reg == nil {
 		return
 	}
@@ -565,59 +549,15 @@ func (c *Cluster) registerMetrics() {
 	reg.CounterFunc("ifttt_cluster_moved_applets_total", "Applets carried by completed migrations.", c.movedApplets.Load)
 	reg.CounterFunc("ifttt_cluster_parked_ops_total", "Operations parked on moving identities and replayed after the handoff.", c.parkedOps.Load)
 	reg.CounterFunc("ifttt_cluster_failovers_total", "Dead nodes drained off the ring by the coordinator.", c.failovers.Load)
-
-	agg := func(f func(engine.Stats) int64) func() int64 {
-		return func() int64 {
-			var sum int64
-			for _, n := range c.Nodes() {
-				sum += f(n.Engine.Stats())
-			}
-			return sum
-		}
-	}
-	gauge := func(name, help string, f func(engine.Stats) int64) {
-		reg.GaugeFunc(name, help, func() float64 { return float64(agg(f)()) })
-	}
-	gauge("ifttt_engine_applets", "Installed applets across all nodes.",
-		func(s engine.Stats) int64 { return int64(s.Applets) })
-	gauge("ifttt_engine_subscriptions", "Live upstream poll subscriptions across all nodes.",
-		func(s engine.Stats) int64 { return int64(s.Subscriptions) })
-	reg.CounterFunc("ifttt_engine_polls_total", "Trigger polls issued, cluster-wide.",
-		agg(func(s engine.Stats) int64 { return s.Polls }))
-	reg.CounterFunc("ifttt_engine_poll_failures_total", "Trigger polls that failed, cluster-wide.",
-		agg(func(s engine.Stats) int64 { return s.PollFailures }))
-	reg.CounterFunc("ifttt_engine_events_received_total", "Fresh trigger events received, cluster-wide.",
-		agg(func(s engine.Stats) int64 { return s.EventsReceived }))
-	reg.CounterFunc("ifttt_engine_actions_ok_total", "Actions acknowledged, cluster-wide.",
-		agg(func(s engine.Stats) int64 { return s.ActionsOK }))
-	reg.CounterFunc("ifttt_engine_actions_failed_total", "Actions that failed, cluster-wide.",
-		agg(func(s engine.Stats) int64 { return s.ActionsFailed }))
-	reg.CounterFunc("ifttt_engine_hints_received_total", "Realtime notifications received, cluster-wide (user hints count once per node).",
-		agg(func(s engine.Stats) int64 { return s.HintsReceived }))
-	gauge("ifttt_engine_breakers_open", "Open or half-open circuit breakers, cluster-wide.",
-		func(s engine.Stats) int64 { return s.BreakersOpen })
-	reg.CounterFunc("ifttt_engine_polls_deferred_total", "Polls deferred by admission control, cluster-wide.",
-		agg(func(s engine.Stats) int64 { return s.PollsDeferred }))
-	if c.tmpl.Push {
-		reg.CounterFunc("ifttt_engine_push_events_total", "Fresh events delivered via push, cluster-wide.",
-			agg(func(s engine.Stats) int64 { return s.PushEvents }))
-		reg.CounterFunc("ifttt_ingest_accepted_total", "Pushed events accepted by the node ingresses, cluster-wide.",
-			agg(func(s engine.Stats) int64 { return s.IngressAccepted }))
-		reg.CounterFunc("ifttt_ingest_rejected_total", "Pushed events rejected by ingress backpressure, cluster-wide.",
-			agg(func(s engine.Stats) int64 { return s.IngressRejected }))
-		reg.CounterFunc("ifttt_ingest_unmatched_total", "Pushed events matching no installed subscription, cluster-wide.",
-			agg(func(s engine.Stats) int64 { return s.IngressUnmatched }))
-		gauge("ifttt_ingest_queue_depth", "Queued push deliveries, cluster-wide.",
-			func(s engine.Stats) int64 { return s.IngressDepth })
-	}
 }
 
 // registerNodeMetrics publishes one node's placement gauges under
 // ifttt_cluster_<name>_*. Nodes are never unregistered — a failed
-// node's _up gauge drops to 0 and its counters freeze, which is what
-// an operator wants to see during a failover.
+// node's _up gauge drops to 0 and its counters freeze (in the engine
+// sums too, as in Stats), which is what an operator wants to see
+// during a failover.
 func (c *Cluster) registerNodeMetrics(n *Node) {
-	reg := c.metrics
+	reg := c.tmpl.Metrics
 	reg.GaugeFunc("ifttt_cluster_"+n.Name+"_up", "1 while the node is alive.", func() float64 {
 		if n.Alive() {
 			return 1

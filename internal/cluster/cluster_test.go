@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -384,38 +386,158 @@ func TestClusterAddNode(t *testing.T) {
 
 // TestClusterMetricsNamingConvention runs the shared metric-name linter
 // over the full cluster registry — the ifttt_cluster_* family plus the
-// aggregate engine mirrors (satellite: naming audit covers the new
-// family).
+// engine series the nodes' child registries roll up — and checks the
+// roll-up: every series one engine registers with the same template is
+// there, each equal to the sum over the nodes' own registries, and each
+// counter Stats also reports equal to the cluster's summed Stats.
 func TestClusterMetricsNamingConvention(t *testing.T) {
 	clock := simtime.NewSimDefault()
-	doer := &markerDoer{clock: clock, start: clock.Now(), period: time.Hour}
+	doer := &markerDoer{clock: clock, start: clock.Now(), period: 40 * time.Second}
+	tmpl := engine.Config{
+		Clock: clock, RNG: stats.NewRNG(41), Doer: doer,
+		Poll: engine.FixedInterval{Interval: time.Minute}, DispatchDelay: -1,
+		Coalesce: true, Push: true, PollBudgetQPS: 100, Shards: 2, ShardWorkers: 3,
+	}
+	single := tmpl
+	single.Metrics = obs.NewRegistry()
+	one := engine.New(single)
+	one.Stop()
 	reg := obs.NewRegistry()
-	c := New(Config{
-		Nodes: 3,
-		Engine: engine.Config{
-			Clock: clock, RNG: stats.NewRNG(41), Doer: doer,
-			Poll: engine.FixedInterval{Interval: time.Hour}, DispatchDelay: -1,
-			Coalesce: true, Push: true,
-		},
-		Metrics: reg,
+	tmpl.Metrics = reg
+	c := New(Config{Nodes: 3, Engine: tmpl})
+	clock.Run(func() {
+		defer c.Stop()
+		for j := 0; j < 30; j++ {
+			for _, m := range []string{"a", "b"} {
+				if err := c.Install(clusterApplet(j, m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		c.PushDeliveries([]proto.PushDelivery{{TriggerIdentity: clusterKey(3),
+			Events: []proto.TriggerEvent{{Meta: proto.EventMeta{ID: "m0003-push", Timestamp: clock.Now().Unix()}}}}})
+		c.ApplyHint(proto.RealtimeHint{UserID: "u01"})
+		clock.Sleep(5 * time.Minute)
+		// A failed node's counters stay in the sums; its capacity does not.
+		if err := c.FailNode("node1"); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range reg.Snapshot() {
+			if want := map[string]float64{"ifttt_engine_shards": 4, "ifttt_engine_worker_slots": 12}[m.Name]; want != 0 && *m.Value != want {
+				t.Errorf("%s = %g with two live nodes, want %g", m.Name, *m.Value, want)
+			}
+		}
 	})
-	defer c.Stop()
+
 	snap := reg.Snapshot()
 	for _, v := range obs.LintMetricNames(snap) {
 		t.Error(v)
 	}
-	want := []string{
+	have := make(map[string]obs.MetricSnapshot, len(snap))
+	for _, m := range snap {
+		have[m.Name] = m
+	}
+	for _, name := range []string{
 		"ifttt_cluster_nodes", "ifttt_cluster_ring_points", "ifttt_cluster_moves_total",
 		"ifttt_cluster_node0_up", "ifttt_cluster_node2_subscriptions",
-		"ifttt_engine_polls_total", "ifttt_ingest_accepted_total",
-	}
-	have := make(map[string]bool, len(snap))
-	for _, m := range snap {
-		have[m.Name] = true
-	}
-	for _, name := range want {
-		if !have[name] {
+	} {
+		if _, ok := have[name]; !ok {
 			t.Errorf("metric %s not registered", name)
 		}
+	}
+	engineNames := single.Metrics.Snapshot()
+	if len(engineNames) < 40 {
+		t.Fatalf("one engine registers only %d series", len(engineNames))
+	}
+	for _, m := range engineNames {
+		if _, ok := have[m.Name]; !ok {
+			t.Errorf("engine series %s missing from the cluster registry", m.Name)
+		}
+	}
+
+	// Each node engine serves its own registry; the cluster's value is
+	// their sum.
+	type sum struct {
+		value        float64
+		count        int64
+		bucketCounts []int64
+	}
+	sums := map[string]*sum{}
+	for _, n := range c.Nodes() {
+		rec := httptest.NewRecorder()
+		n.Engine.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=json", nil))
+		var nodeSnap []obs.MetricSnapshot
+		if err := json.Unmarshal(rec.Body.Bytes(), &nodeSnap); err != nil {
+			t.Fatalf("%s /metrics: %v", n.Name, err)
+		}
+		for _, m := range nodeSnap {
+			s := sums[m.Name]
+			if s == nil {
+				s = &sum{}
+				sums[m.Name] = s
+			}
+			if m.Histogram != nil {
+				s.count += m.Histogram.Count
+				for i, b := range m.Histogram.Buckets {
+					if i == len(s.bucketCounts) {
+						s.bucketCounts = append(s.bucketCounts, 0)
+					}
+					s.bucketCounts[i] += b.Count
+				}
+			} else {
+				s.value += *m.Value
+			}
+		}
+	}
+	for name, s := range sums {
+		m := have[name]
+		if m.Histogram != nil {
+			for i, b := range m.Histogram.Buckets {
+				if b.Count != s.bucketCounts[i] {
+					t.Errorf("%s bucket %d = %d, nodes sum to %d", name, i, b.Count, s.bucketCounts[i])
+				}
+			}
+			if m.Histogram.Count != s.count {
+				t.Errorf("%s count = %d, nodes sum to %d", name, m.Histogram.Count, s.count)
+			}
+		} else if m.Value == nil || *m.Value != s.value {
+			t.Errorf("%s = %v, nodes sum to %g", name, m.Value, s.value)
+		}
+	}
+
+	st := c.Stats()
+	for name, want := range map[string]int64{
+		"ifttt_engine_polls_total":                   st.Polls,
+		"ifttt_engine_poll_failures_total":           st.PollFailures,
+		"ifttt_engine_poll_errors_transport_total":   st.PollErrorsTransport,
+		"ifttt_engine_poll_errors_http_total":        st.PollErrorsHTTP,
+		"ifttt_engine_action_errors_transport_total": st.ActionErrorsTransport,
+		"ifttt_engine_action_errors_http_total":      st.ActionErrorsHTTP,
+		"ifttt_engine_breaker_opens_total":           st.BreakerOpens,
+		"ifttt_engine_breaker_closes_total":          st.BreakerCloses,
+		"ifttt_engine_breaker_probes_total":          st.BreakerProbes,
+		"ifttt_engine_polls_deferred_total":          st.PollsDeferred,
+		"ifttt_engine_poll_budget_grants_total":      st.BudgetGrants,
+		"ifttt_engine_polls_coalesced_total":         st.PollsCoalesced,
+		"ifttt_engine_events_received_total":         st.EventsReceived,
+		"ifttt_engine_actions_ok_total":              st.ActionsOK,
+		"ifttt_engine_actions_failed_total":          st.ActionsFailed,
+		"ifttt_engine_hints_received_total":          st.HintsReceived,
+		"ifttt_engine_condition_skips_total":         st.ConditionSkips,
+		"ifttt_engine_push_batches_total":            st.PushBatches,
+		"ifttt_engine_push_events_total":             st.PushEvents,
+		"ifttt_ingest_accepted_total":                st.IngressAccepted,
+		"ifttt_ingest_rejected_total":                st.IngressRejected,
+		"ifttt_ingest_unmatched_total":               st.IngressUnmatched,
+	} {
+		if v := have[name].Value; v == nil || int64(*v) != want {
+			t.Errorf("%s = %v, Stats sum %d", name, v, want)
+		}
+	}
+	if st.Polls == 0 || st.ActionsOK == 0 || st.PushEvents == 0 || st.HintsReceived != 3 {
+		t.Errorf("the run exercised too little: %+v", st.Stats)
+	}
+	if h := have["ifttt_t2a_seconds"].Histogram; h == nil || h.Count != st.ActionsOK {
+		t.Errorf("ifttt_t2a_seconds = %+v, want %d executions", h, st.ActionsOK)
 	}
 }

@@ -829,16 +829,7 @@ func (e *Engine) Install(a Applet) error {
 	// view of its blob.
 	var kb [identityLen]byte
 	key := e.appendSubscriptionKey(kb[:0], &a)
-	// Without coalescing, subscriptions shard by applet ID — the exact
-	// placement (and therefore RNG stream assignment) of the
-	// per-applet design. With coalescing they shard by key, so every
-	// member of a subscription lands on the shard that owns it.
-	var sh *shard
-	if e.coalesce {
-		sh = e.shardFor(string(key))
-	} else {
-		sh = e.shardFor(a.ID)
-	}
+	sh := e.homeShard(string(key), a.ID)
 
 	e.mu.Lock()
 	if e.stopped.Load() {

@@ -347,7 +347,7 @@ func TestPaperPollModelRange(t *testing.T) {
 	g := stats.NewRNG(3)
 	var inflated int
 	for i := 0; i < 20000; i++ {
-		gap := m.NextGap("a1", "any", g)
+		gap := m.NextGap("any", g)
 		if gap < m.Min || gap > m.Max {
 			t.Fatalf("gap %v outside [%v, %v]", gap, m.Min, m.Max)
 		}
@@ -360,17 +360,16 @@ func TestPaperPollModelRange(t *testing.T) {
 	}
 }
 
-// recordingPolicy captures the arguments PerService forwards, proving
-// dispatch passes the applet identity through to the chosen policy.
+// recordingPolicy captures the service PerService forwards to the
+// chosen policy.
 type recordingPolicy struct {
 	gap     time.Duration
-	applet  string
 	service string
 	calls   int
 }
 
-func (p *recordingPolicy) NextGap(appletID, service string, _ *stats.RNG) time.Duration {
-	p.applet, p.service = appletID, service
+func (p *recordingPolicy) NextGap(service string, _ *stats.RNG) time.Duration {
+	p.service = service
 	p.calls++
 	return p.gap
 }
@@ -383,25 +382,25 @@ func TestPerServicePolicy(t *testing.T) {
 		Default:   def,
 	}
 	g := stats.NewRNG(4)
-	if got := p.NextGap("a1", "alexa", g); got != time.Second {
+	if got := p.NextGap("alexa", g); got != time.Second {
 		t.Errorf("alexa gap = %v", got)
 	}
-	if alexa.applet != "a1" || alexa.service != "alexa" {
-		t.Errorf("override saw (%q, %q), want (a1, alexa)", alexa.applet, alexa.service)
+	if alexa.service != "alexa" {
+		t.Errorf("override saw %q, want alexa", alexa.service)
 	}
 	if def.calls != 0 {
 		t.Errorf("default consulted %d times for an overridden service", def.calls)
 	}
 	// Any service without an override — including none at all — falls
 	// through to the default, with arguments intact.
-	if got := p.NextGap("a2", "hue", g); got != time.Minute {
+	if got := p.NextGap("hue", g); got != time.Minute {
 		t.Errorf("hue gap = %v", got)
 	}
-	if def.applet != "a2" || def.service != "hue" {
-		t.Errorf("default saw (%q, %q), want (a2, hue)", def.applet, def.service)
+	if def.service != "hue" {
+		t.Errorf("default saw %q, want hue", def.service)
 	}
 	none := PerService{Default: FixedInterval{Interval: 30 * time.Second}}
-	if got := none.NextGap("a3", "alexa", g); got != 30*time.Second {
+	if got := none.NextGap("alexa", g); got != 30*time.Second {
 		t.Errorf("nil-overrides gap = %v", got)
 	}
 	// A value policy serves as an override just as well.
@@ -409,7 +408,7 @@ func TestPerServicePolicy(t *testing.T) {
 		Overrides: map[string]PollPolicy{"alexa": FixedInterval{Interval: 2 * time.Second}},
 		Default:   def,
 	}
-	if got := fixed.NextGap("vip", "alexa", g); got != 2*time.Second {
+	if got := fixed.NextGap("alexa", g); got != 2*time.Second {
 		t.Errorf("fixed override gap = %v", got)
 	}
 }

@@ -203,7 +203,7 @@ func (d *spanDoer) Do(req *http.Request) (*http.Response, error) {
 // serviceGaps polls each trigger service at its own fixed gap.
 type serviceGaps map[string]time.Duration
 
-func (g serviceGaps) NextGap(_, service string, _ *stats.RNG) time.Duration { return g[service] }
+func (g serviceGaps) NextGap(service string, _ *stats.RNG) time.Duration { return g[service] }
 
 // TestExecSpanFields drives one execution of every shape through a
 // scripted partner and checks every field of every span against the

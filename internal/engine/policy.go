@@ -6,12 +6,12 @@ import (
 	"repro/internal/stats"
 )
 
-// PollPolicy schedules the gap until an applet's next trigger poll. The
-// applet ID and service name are available so a policy can treat
-// services differently (as IFTTT evidently does for Alexa-class
-// services) or applets differently.
+// PollPolicy schedules the gap until a subscription's next trigger
+// poll, drawing from the subscription's own RNG stream. The service
+// name is available so a policy can treat services differently (as
+// IFTTT evidently does for Alexa-class services).
 type PollPolicy interface {
-	NextGap(appletID, service string, g *stats.RNG) time.Duration
+	NextGap(service string, g *stats.RNG) time.Duration
 }
 
 // FixedInterval polls every Interval, deterministically. The paper's E3
@@ -22,7 +22,7 @@ type FixedInterval struct {
 }
 
 // NextGap returns the fixed interval.
-func (f FixedInterval) NextGap(_, _ string, _ *stats.RNG) time.Duration { return f.Interval }
+func (f FixedInterval) NextGap(_ string, _ *stats.RNG) time.Duration { return f.Interval }
 
 // PaperPollModel reproduces the polling behaviour the paper measured on
 // the production IFTTT engine: a long nominal gap with lognormal jitter,
@@ -60,7 +60,7 @@ func NewPaperPollModel() *PaperPollModel {
 }
 
 // NextGap draws one polling gap.
-func (m *PaperPollModel) NextGap(_, _ string, g *stats.RNG) time.Duration {
+func (m *PaperPollModel) NextGap(_ string, g *stats.RNG) time.Duration {
 	gap := stats.Lognormal{Median: m.Base.Seconds(), Sigma: m.Sigma}.Sample(g)
 	if m.InflateProb > 0 && g.Float64() < m.InflateProb {
 		gap *= m.Inflate.Sample(g)
@@ -86,9 +86,9 @@ type PerService struct {
 }
 
 // NextGap picks the override for the service, else the default.
-func (p PerService) NextGap(appletID, service string, g *stats.RNG) time.Duration {
+func (p PerService) NextGap(service string, g *stats.RNG) time.Duration {
 	if pol, ok := p.Overrides[service]; ok {
-		return pol.NextGap(appletID, service, g)
+		return pol.NextGap(service, g)
 	}
-	return p.Default.NextGap(appletID, service, g)
+	return p.Default.NextGap(service, g)
 }

@@ -111,7 +111,7 @@ func (s *shard) policyGapLocked(sub *subscription) time.Duration {
 	if ap := e.adaptive; ap != nil {
 		gap = ap.nextGapLocked(sub)
 	} else {
-		gap = e.poll.NextGap(sub.members[0].id, sub.ep.ref.Service, &sub.rng)
+		gap = e.poll.NextGap(sub.ep.ref.Service, &sub.rng)
 	}
 	if e.cadenceHist != nil {
 		e.cadenceHist.Observe(gap.Seconds())

@@ -75,18 +75,19 @@ func timerCounts(tm simtime.Timer) (fires, resets int64) {
 	return ct.fires.Load(), ct.resets.Load()
 }
 
-// firstThen polls each subscription once after first, then at then.
+// firstThen polls each subscription once after first, then at then. A
+// subscription is known by its RNG stream, which is its own.
 type firstThen struct {
 	first, then time.Duration
 	mu          sync.Mutex
-	seen        map[string]bool
+	seen        map[*stats.RNG]bool
 }
 
-func (p *firstThen) NextGap(id, _ string, _ *stats.RNG) time.Duration {
+func (p *firstThen) NextGap(_ string, g *stats.RNG) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.seen[id] {
-		p.seen[id] = true
+	if !p.seen[g] {
+		p.seen[g] = true
 		return p.first
 	}
 	return p.then
@@ -175,7 +176,7 @@ func TestSchedulerActorsPerDuePoll(t *testing.T) {
 				doer := &inflightDoer{Doer: stubDoer{}, clock: cc}
 				eng := New(Config{
 					Clock: cc, RNG: stats.NewRNG(3), Doer: doer,
-					Poll:          &firstThen{first: 50 * time.Millisecond, then: time.Hour, seen: map[string]bool{}},
+					Poll:          &firstThen{first: 50 * time.Millisecond, then: time.Hour, seen: map[*stats.RNG]bool{}},
 					PollBudgetQPS: tc.qps, PollBudgetBurst: 1,
 					DispatchDelay: -1, Shards: 1, ShardWorkers: workers,
 				})
@@ -267,7 +268,7 @@ func TestSpareWorkersKeepTimeline(t *testing.T) {
 	doer := &inflightDoer{Doer: slowDoer{sim, time.Second}, clock: sim, base: sim.Now().Add(first)}
 	eng := New(Config{
 		Clock: cc, RNG: stats.NewRNG(3), Doer: doer,
-		Poll:          &firstThen{first: first, then: time.Hour, seen: map[string]bool{}},
+		Poll:          &firstThen{first: first, then: time.Hour, seen: map[*stats.RNG]bool{}},
 		DispatchDelay: -1, Shards: 1, ShardWorkers: workers,
 	})
 	apps := make([]Applet, due)
@@ -329,7 +330,7 @@ func TestFireSweepsCoincidingShards(t *testing.T) {
 		var polled []int
 		cfg := Config{
 			Clock: cc, RNG: stats.NewRNG(3), Doer: doer,
-			Poll:          &firstThen{first: first, then: time.Hour, seen: map[string]bool{}},
+			Poll:          &firstThen{first: first, then: time.Hour, seen: map[*stats.RNG]bool{}},
 			DispatchDelay: -1, Shards: shards, ShardWorkers: 4,
 			Trace: func(ev TraceEvent) {
 				if ev.Kind == TracePollSent {
@@ -407,7 +408,7 @@ func TestRemovedAfterAdmissionRefundsBudget(t *testing.T) {
 	sim := simtime.NewSimDefault()
 	eng := New(Config{
 		Clock: sim, RNG: stats.NewRNG(3), Doer: slowDoer{sim, time.Second},
-		Poll:          &firstThen{first: 50 * time.Millisecond, then: time.Hour, seen: map[string]bool{}},
+		Poll:          &firstThen{first: 50 * time.Millisecond, then: time.Hour, seen: map[*stats.RNG]bool{}},
 		PollBudgetQPS: 1e-6, PollBudgetBurst: 2,
 		DispatchDelay: -1, Shards: 1, ShardWorkers: 1,
 	})

@@ -302,6 +302,18 @@ func newShard(e *Engine, id int, rng *stats.RNG) *shard {
 	return s
 }
 
+// homeShard is the shard a subscription keyed key with lead leadID
+// lives on. Without coalescing, subscriptions shard by applet ID — the
+// exact placement (and therefore RNG stream assignment) of the
+// per-applet design. With coalescing they shard by key, so every member
+// of a subscription lands on the shard that owns it.
+func (e *Engine) homeShard(key, leadID string) *shard {
+	if e.coalesce {
+		return e.shardFor(key)
+	}
+	return e.shardFor(leadID)
+}
+
 // shardFor maps a scheduling key (applet ID, or subscription key under
 // coalescing) to its owning shard: FNV-32a of the key, modulo the shard
 // count.
@@ -357,7 +369,7 @@ func (s *shard) joinLocked(ra *runningApplet, key []byte) {
 		sub.rateAt = s.e.sinceEpoch(now)
 		gap = ap.initialGap(&sub.rng)
 	} else {
-		gap = s.e.poll.NextGap(ra.id, sub.ep.ref.Service, &sub.rng)
+		gap = s.e.poll.NextGap(sub.ep.ref.Service, &sub.rng)
 	}
 	s.scheduleLocked(sub, now.Add(gap))
 }
@@ -380,16 +392,7 @@ func (s *shard) leaveLocked(ra *runningApplet) (last bool) {
 		}
 	}
 	if len(sub.members) == 0 {
-		sub.removed = true
-		if sub.brState != brClosed {
-			// Retiring a tripped subscription settles the open-breaker
-			// gauge; nextPollDueLocked skips removed subscriptions, so
-			// this is the only closing path it can take.
-			sub.brState = brClosed
-			s.e.breakerOpen.Add(-1)
-		}
-		delete(s.subs, sub.key)
-		s.unscheduleLocked(sub)
+		s.retireLocked(sub)
 		return true
 	}
 	if wasLead {
@@ -399,6 +402,20 @@ func (s *shard) leaveLocked(ra *runningApplet) (last bool) {
 		s.subs[sub.key] = sub
 	}
 	return false
+}
+
+// retireLocked takes sub out of service: removed, pending poll
+// cancelled, unindexed. Retiring a tripped subscription settles the
+// open-breaker gauge; nextPollDueLocked skips removed subscriptions, so
+// this is the only closing path it can take. Caller holds s.mu.
+func (s *shard) retireLocked(sub *subscription) {
+	sub.removed = true
+	if sub.brState != brClosed {
+		sub.brState = brClosed
+		s.e.breakerOpen.Add(-1)
+	}
+	delete(s.subs, sub.key)
+	s.unscheduleLocked(sub)
 }
 
 // lockIdentity resolves a wire trigger identity to its live

@@ -221,9 +221,9 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 		}
 	}
 
-	// Retire the subscription under the shard lock, mirroring
-	// leaveLocked's last-member path, and capture the snapshot in the
-	// same critical section so no execution can interleave.
+	// Retire the subscription under the shard lock, as leaveLocked does
+	// its last member's, and capture the snapshot in the same critical
+	// section so no execution can interleave.
 	snap := e.snapshotSubLocked(sub)
 	if e.journaling() {
 		ids := make([]string, len(snap.Members))
@@ -238,13 +238,7 @@ func (e *Engine) DetachSubscription(key string) (*SubscriptionSnapshot, error) {
 		sh.dropPushLocked(sub)
 	}
 	members := sub.members
-	sub.removed = true
-	if sub.brState != brClosed {
-		sub.brState = brClosed
-		e.breakerOpen.Add(-1)
-	}
-	delete(sh.subs, key)
-	sh.unscheduleLocked(sub)
+	sh.retireLocked(sub)
 	sh.mu.Unlock()
 
 	// Unindex the members engine-side (lock order: e.mu is never taken
@@ -297,11 +291,7 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 		ras = append(ras[:i], ras[i+1:]...)
 	}
 	lead := ras[0]
-	shardKey := lead.id
-	if e.coalesce {
-		shardKey = snap.Key
-	}
-	sh := e.shardFor(shardKey)
+	sh := e.homeShard(snap.Key, lead.id)
 	sh.mu.Lock()
 	if sh.stopped {
 		sh.mu.Unlock()
@@ -338,13 +328,10 @@ func (e *Engine) AttachSubscription(snap *SubscriptionSnapshot) error {
 		e.breakerOpen.Add(1)
 	}
 	var gap time.Duration
-	switch {
-	case sub.brState == brOpen:
+	if sub.brState == brOpen {
 		gap = jitterDur(e.probeIvl, 0.1, &sub.rng)
-	case e.adaptive != nil:
-		gap = e.adaptive.nextGapLocked(sub)
-	default:
-		gap = e.poll.NextGap(lead.id, sub.ep.ref.Service, &sub.rng)
+	} else {
+		gap = sh.policyGapLocked(sub)
 	}
 	sh.scheduleLocked(sub, now.Add(gap))
 	if len(snap.PendingPush) > 0 {

@@ -15,7 +15,9 @@ import (
 // counter funcs read the same shard-local atomics Stats merges; the
 // scheduler gauges take each shard's mutex briefly, which is fine at
 // scrape frequency. One registry serves one engine: registering a
-// second engine on the same registry panics on the duplicate names.
+// second engine on the same registry panics on the duplicate names. A
+// cluster gives each node a child registry (Registry.AddChild) and sums
+// them, so every gauge here must add up across engines.
 func (e *Engine) registerMetrics(reg *obs.Registry) {
 	sum := func(pick func(*shardCounters) int64) func() int64 {
 		return func() int64 {
@@ -167,10 +169,18 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		}
 		return float64(n)
 	})
-	reg.GaugeFunc("ifttt_engine_shards", "Poll scheduler shards.",
-		func() float64 { return float64(len(e.shards)) })
-	reg.GaugeFunc("ifttt_engine_worker_cap", "Per-shard in-flight poll cap.",
-		func() float64 { return float64(e.workers) })
+	// A stopped engine (a failed cluster node) counts no capacity, so a
+	// cluster's sums are those of its live nodes.
+	shards := func() int {
+		if e.stopped.Load() {
+			return 0
+		}
+		return len(e.shards)
+	}
+	reg.GaugeFunc("ifttt_engine_shards", "Poll scheduler shards running.",
+		func() float64 { return float64(shards()) })
+	reg.GaugeFunc("ifttt_engine_worker_slots", "Executions that may run at once: running shards times the per-shard worker cap.",
+		func() float64 { return float64(shards() * e.workers) })
 
 	b := obs.DefaultLatencyBuckets
 	e.spanMetrics = &spanMetrics{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -46,17 +47,18 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// metricKind labels a registry entry for rendering.
-type metricKind int
+// metricKind is a registry entry's type, as rendered.
+type metricKind string
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindCounter   metricKind = "counter"
+	kindGauge     metricKind = "gauge"
+	kindHistogram metricKind = "histogram"
 )
 
 // metric is one registered entry. Exactly one of the value sources is
-// set, depending on kind and whether the metric is function-backed.
+// set, depending on kind and whether the metric is function-backed; a
+// roll-up has none and reads its parts.
 type metric struct {
 	name, help string
 	kind       metricKind
@@ -65,10 +67,20 @@ type metric struct {
 	gauge      *Gauge
 	gaugeFn    func() float64
 	hist       *Histogram
+	// parts, on a roll-up, holds the metric of this name in each child
+	// registry (AddChild). It is copied on write, so a scrape reads it
+	// without a lock.
+	parts atomic.Pointer[[]*metric]
 }
 
 func (m *metric) scalar() float64 {
-	switch {
+	switch ps := m.parts.Load(); {
+	case ps != nil:
+		var v float64
+		for _, p := range *ps {
+			v += p.scalar()
+		}
+		return v
 	case m.counterFn != nil:
 		return float64(m.counterFn())
 	case m.counter != nil:
@@ -80,6 +92,22 @@ func (m *metric) scalar() float64 {
 	}
 }
 
+// histogram returns the histogram m renders: a roll-up merges its parts
+// into a fresh one.
+func (m *metric) histogram() *Histogram {
+	ps := m.parts.Load()
+	if ps == nil {
+		return m.hist
+	}
+	h := NewHistogram((*ps)[0].histogram().bounds)
+	for _, p := range *ps {
+		if err := h.Merge(p.histogram()); err != nil {
+			panic(err) // add admits only parts with equal bounds
+		}
+	}
+	return h
+}
+
 // Registry holds named metrics and renders them as Prometheus text or a
 // JSON snapshot. Registration is cheap and normally happens once at
 // wiring time; reads (scrapes) take the registry lock but observations
@@ -88,6 +116,7 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []*metric
 	byName  map[string]*metric
+	parent  *Registry // set by the parent's AddChild
 }
 
 // NewRegistry returns an empty registry.
@@ -95,22 +124,64 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*metric)}
 }
 
-// register panics on duplicate names: metric names are a process-wide
-// contract and a duplicate is always a wiring bug.
-func (r *Registry) register(m *metric) {
+// add files m under its name. A metric from a child registry (fromChild)
+// joins the roll-up of its name, which add creates on the name's first
+// sight; any other clash panics: metric names are a process-wide
+// contract and a duplicate is always a wiring bug. What r files its
+// parent receives in turn.
+func (r *Registry) add(m *metric, fromChild bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[m.name]; dup {
-		panic(fmt.Sprintf("obs: metric %q registered twice", m.name))
+	if up := r.byName[m.name]; up != nil {
+		ps := up.parts.Load()
+		if !fromChild || ps == nil || up.kind != m.kind ||
+			(m.kind == kindHistogram && !slices.Equal(up.histogram().bounds, m.histogram().bounds)) {
+			r.mu.Unlock()
+			panic(fmt.Sprintf("obs: metric %q registered twice", m.name))
+		}
+		next := append(slices.Clip(*ps), m)
+		up.parts.Store(&next)
+		r.mu.Unlock()
+		return
+	}
+	if fromChild {
+		up := &metric{name: m.name, help: m.help, kind: m.kind}
+		up.parts.Store(&[]*metric{m})
+		m = up
 	}
 	r.byName[m.name] = m
 	r.metrics = append(r.metrics, m)
+	parent := r.parent
+	r.mu.Unlock()
+	if parent != nil {
+		parent.add(m, true)
+	}
+}
+
+// AddChild folds child into r. For every name child carries, now or
+// later, r renders one metric: counters and gauges summed over the
+// children that carry it, histograms merged as Histogram.Merge does.
+// It is how one registry serves the series of many engines. A name
+// registered on r itself and on a child panics, as a duplicate does,
+// and so do children that disagree on a name's type or bucket bounds.
+// A registry folds into one parent at most.
+func (r *Registry) AddChild(child *Registry) {
+	child.mu.Lock()
+	if child.parent != nil {
+		child.mu.Unlock()
+		panic("obs: registry folded into two parents")
+	}
+	child.parent = r
+	list := slices.Clone(child.metrics)
+	child.mu.Unlock()
+	for _, m := range list {
+		r.add(m, true)
+	}
 }
 
 // Counter registers and returns a new counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
-	r.register(&metric{name: name, help: help, kind: kindCounter, counter: c})
+	r.add(&metric{name: name, help: help, kind: kindCounter, counter: c}, false)
 	return c
 }
 
@@ -118,41 +189,42 @@ func (r *Registry) Counter(name, help string) *Counter {
 // time — the bridge for counters that already live elsewhere as
 // atomics (the engine's shard counters).
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.register(&metric{name: name, help: help, kind: kindCounter, counterFn: fn})
+	r.add(&metric{name: name, help: help, kind: kindCounter, counterFn: fn}, false)
 }
 
 // Gauge registers and returns a new settable gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{}
-	r.register(&metric{name: name, help: help, kind: kindGauge, gauge: g})
+	r.add(&metric{name: name, help: help, kind: kindGauge, gauge: g}, false)
 	return g
 }
 
 // GaugeFunc registers a gauge computed by fn at scrape time (scheduler
 // heap depth, worker occupancy, population size).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&metric{name: name, help: help, kind: kindGauge, gaugeFn: fn})
+	r.add(&metric{name: name, help: help, kind: kindGauge, gaugeFn: fn}, false)
 }
 
 // Histogram registers and returns a new histogram with the given bucket
 // bounds (nil = DefaultLatencyBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	h := NewHistogram(bounds)
-	r.register(&metric{name: name, help: help, kind: kindHistogram, hist: h})
+	r.add(&metric{name: name, help: help, kind: kindHistogram, hist: h}, false)
 	return h
 }
 
-// LookupHistogram returns a registered histogram by name, or nil.
+// LookupHistogram returns a registered histogram by name, or nil. For
+// a roll-up it is a merged copy of the children's.
 func (r *Registry) LookupHistogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m := r.byName[name]; m != nil && m.hist != nil {
-		return m.hist
+	if m := r.byName[name]; m != nil && m.kind == kindHistogram {
+		return m.histogram()
 	}
 	return nil
 }
 
-// snapshotLocked copies the metric list so rendering can run without
+// metricList copies the metric list so rendering can run without
 // holding the lock across value reads (GaugeFuncs may take other locks).
 func (r *Registry) metricList() []*metric {
 	r.mu.Lock()
@@ -173,19 +245,12 @@ func formatFloat(v float64) string {
 // exposition format (version 0.0.4), in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, m := range r.metricList() {
-		typ := "counter"
-		switch m.kind {
-		case kindGauge:
-			typ = "gauge"
-		case kindHistogram:
-			typ = "histogram"
-		}
 		if m.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, typ); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.kind); err != nil {
 			return err
 		}
 		if m.kind != kindHistogram {
@@ -194,7 +259,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			continue
 		}
-		s := m.hist.Snapshot()
+		s := m.histogram().Snapshot()
 		for _, b := range s.Buckets {
 			// Breaching buckets carry an OpenMetrics exemplar suffix:
 			//   name_bucket{le="x"} N # {trace_id="42"} 612.3 1500000000.000
@@ -234,17 +299,9 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	list := r.metricList()
 	out := make([]MetricSnapshot, 0, len(list))
 	for _, m := range list {
-		ms := MetricSnapshot{Name: m.name, Help: m.help}
-		switch m.kind {
-		case kindCounter:
-			ms.Type = "counter"
-		case kindGauge:
-			ms.Type = "gauge"
-		case kindHistogram:
-			ms.Type = "histogram"
-		}
+		ms := MetricSnapshot{Name: m.name, Type: string(m.kind), Help: m.help}
 		if m.kind == kindHistogram {
-			hs := m.hist.Snapshot()
+			hs := m.histogram().Snapshot()
 			ms.Histogram = &hs
 		} else {
 			v := m.scalar()

@@ -127,8 +127,8 @@ type Config struct {
 	// (internal/cluster): HostEngine serves the cluster router's
 	// handler, Testbed.Cluster is set, and Testbed.Engine is nil — use
 	// the InstallApplet/RemoveApplet/StopEngine helpers, which work in
-	// both modes. Metrics and SLO move to the cluster layer (per-node
-	// engines cannot share one registry).
+	// both modes. Metrics then carries every engine series summed over
+	// the nodes; SLO is off (cluster.New turns it off).
 	ClusterNodes int
 	// WALDir, when non-empty, roots a durable persistence layer
 	// (internal/durable) there: the engine journals installs, removes,
@@ -364,13 +364,7 @@ func New(cfg Config) *Testbed {
 	}
 	var engineHandler http.Handler
 	if cfg.ClusterNodes > 1 {
-		ecfg.Metrics = nil
-		ecfg.SLO = nil
-		ccfg := cluster.Config{
-			Nodes:   cfg.ClusterNodes,
-			Engine:  ecfg,
-			Metrics: cfg.Metrics,
-		}
+		ccfg := cluster.Config{Nodes: cfg.ClusterNodes, Engine: ecfg}
 		if cfg.WALDir != "" {
 			// Per-node stores; metrics stay off — every store would
 			// register the same series in the shared registry.

@@ -123,6 +123,11 @@ go test -run '^$' -fuzz '^FuzzPushBatchDecode$' -fuzztime=10s ./internal/proto/
 # gain may not touch: ROADMAP item 1(a), EXPERIMENTS.md "PR 16". What an
 # empty poll, a hot poll and an action allocate is pinned exactly by the
 # guards above (testing.AllocsPerRun).
+# Compile and vet bench/ on its own first, so a break of the API it
+# drives is reported as such and not hidden by the smoke's own failures.
+echo '== go -C bench vet ./...'
+go -C bench vet ./...
+
 echo '== benchmark smoke test (go -C bench test ./...)'
 GOMAXPROCS=1 GOGC=off go -C bench test -run '^TestSeedReproduces$' ./...
 GOMAXPROCS=1 GOGC=off go -C bench test -skip '^TestSeedReproduces$' ./...
@@ -157,7 +162,8 @@ kill "$IFTTTD_PID" 2>/dev/null || true
 IFTTTD_PID=""
 
 # Same smoke against a 4-node cluster daemon: the console must render
-# the per-node rows (GET /v1/cluster) and the aggregate metric mirrors.
+# the per-node rows (GET /v1/cluster) and the engine series summed over
+# the nodes' registries.
 echo '== iftttop console smoke (cluster mode, 4 nodes)'
 "$BIN/iftttd" -addr 127.0.0.1:18090 -cluster-nodes 4 -push &
 IFTTTD_PID=$!
