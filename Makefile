@@ -30,8 +30,8 @@ residency:
 		-test.memprofile "$$out/heap.pprof" -test.memprofilerate 1 | grep -e 'resident per applet' -e '^--- ' -e '^FAIL') && \
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 "$$out/engine.test" "$$out/heap.pprof" 2>/dev/null
 
-# Pre-merge superset: vet, build, race tests, flake slice, fuzz, the
-# bench/ smoke test and the daemon smokes.
+# Pre-merge superset: vet, build, race tests (the daemon smokes among
+# them, in cmd/iftttd), flake slice, fuzz and the bench/ smoke test.
 verify:
 	sh scripts/verify.sh
 

@@ -17,8 +17,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -41,61 +43,76 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "iftttd:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the daemon: it parses args, builds the engine or cluster
+// (recovering -wal-dir first), installs -applets, listens, writes the
+// bound address to stdout, and serves until ctx is done.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("iftttd", flag.ContinueOnError)
 	var (
-		addr     = flag.String("addr", ":8080", "listen address for the engine HTTP surface")
-		applets  = flag.String("applets", "", "path to a JSON file of applets to install")
-		interval = flag.Duration("poll", 0, "fixed polling interval (0 = paper-calibrated model)")
-		seed     = flag.Uint64("seed", 1, "RNG seed for polling jitter")
-		realtime = flag.String("realtime", "alexa", "comma-separated services whose realtime hints are honoured")
-		shards   = flag.Int("shards", 0, "poll-scheduler shards (0 = GOMAXPROCS)")
-		workers  = flag.Int("shard-workers", 0, "cap on concurrent executions (polls and pushes) per shard (0 = default)")
-		nodes    = flag.Int("cluster-nodes", 0, "run N engine nodes behind a consistent-hash ring instead of one engine (0/1 = single engine); adds GET /v1/cluster and ifttt_cluster_* metrics")
-		coalesce = flag.Bool("coalesce", true, "share one upstream poll across applets with identical triggers (disable for per-applet polling A/B runs)")
-		pprof    = flag.String("pprof", "", "optional listen address for net/http/pprof (e.g. localhost:6060)")
+		addr     = fs.String("addr", ":8080", "listen address for the engine HTTP surface")
+		applets  = fs.String("applets", "", "path to a JSON file of applets to install")
+		interval = fs.Duration("poll", 0, "fixed polling interval (0 = paper-calibrated model)")
+		seed     = fs.Uint64("seed", 1, "RNG seed for polling jitter")
+		realtime = fs.String("realtime", "alexa", "comma-separated services whose realtime hints are honoured")
+		shards   = fs.Int("shards", 0, "poll-scheduler shards (0 = GOMAXPROCS)")
+		workers  = fs.Int("shard-workers", 0, "cap on concurrent executions (polls and pushes) per shard (0 = default)")
+		nodes    = fs.Int("cluster-nodes", 0, "run N engine nodes behind a consistent-hash ring instead of one engine (0/1 = single engine); adds GET /v1/cluster and ifttt_cluster_* metrics")
+		coalesce = fs.Bool("coalesce", true, "share one upstream poll across applets with identical triggers (disable for per-applet polling A/B runs)")
+		pprof    = fs.String("pprof", "", "optional listen address for net/http/pprof (e.g. localhost:6060)")
 
 		// Durability: WAL + snapshot crash recovery (internal/durable).
-		walDir       = flag.String("wal-dir", "", "root directory for the durable applet store: installs/removes/checkpoints are write-ahead logged, state snapshots periodically, and a restart recovers everything the directory holds (cluster mode uses one subdirectory per node)")
-		snapInterval = flag.Duration("snapshot-interval", 0, "durable snapshot + WAL-compaction cadence (0 = 5m default; requires -wal-dir)")
-		walFsync     = flag.Bool("wal-fsync", false, "fsync every WAL append: survives machine crashes, not just process death, at a throughput cost")
+		walDir       = fs.String("wal-dir", "", "root directory for the durable applet store: installs/removes/checkpoints are write-ahead logged, state snapshots periodically, and a restart recovers everything the directory holds (cluster mode uses one subdirectory per node)")
+		snapInterval = fs.Duration("snapshot-interval", 0, "durable snapshot + WAL-compaction cadence (0 = 5m default; requires -wal-dir)")
+		walFsync     = fs.Bool("wal-fsync", false, "fsync every WAL append: survives machine crashes, not just process death, at a throughput cost")
 
 		// Push ingestion tier: partner services POST event batches to
 		// POST /v1/push and skip the poll round-trip entirely.
-		push         = flag.Bool("push", false, "mount the push ingress (POST /v1/push) with per-shard bounded queues")
-		ingressQueue = flag.Int("ingress-queue", 0, "per-shard bound on pending push deliveries (0 = 1024 default); overflow answers 429")
+		push         = fs.Bool("push", false, "mount the push ingress (POST /v1/push) with per-shard bounded queues")
+		ingressQueue = fs.Int("ingress-queue", 0, "per-shard bound on pending push deliveries (0 = 1024 default); overflow answers 429")
 
 		// Adaptive polling + global upstream-QPS budget.
-		adaptive     = flag.Bool("adaptive", false, "schedule each subscription by its observed event rate (EWMA) instead of a fixed policy")
-		ewmaHalfLife = flag.Duration("ewma-halflife", 0, "adaptive rate-estimate half-life (0 = 5m default)")
-		adaptiveFast = flag.Duration("adaptive-fast", 0, "fastest adaptive cadence a hot subscription reaches (0 = 10s default)")
-		adaptiveSlow = flag.Duration("adaptive-slow", 0, "slowest adaptive cadence a cold subscription decays to (0 = 15m default)")
-		pollQPS      = flag.Float64("poll-qps", 0, "per-upstream-service poll budget in QPS; empty budget defers polls (0 = unlimited)")
-		pollBurst    = flag.Float64("poll-burst", 0, "poll-budget bucket depth (0 = one second of refill)")
+		adaptive     = fs.Bool("adaptive", false, "schedule each subscription by its observed event rate (EWMA) instead of a fixed policy")
+		ewmaHalfLife = fs.Duration("ewma-halflife", 0, "adaptive rate-estimate half-life (0 = 5m default)")
+		adaptiveFast = fs.Duration("adaptive-fast", 0, "fastest adaptive cadence a hot subscription reaches (0 = 10s default)")
+		adaptiveSlow = fs.Duration("adaptive-slow", 0, "slowest adaptive cadence a cold subscription decays to (0 = 15m default)")
+		pollQPS      = fs.Float64("poll-qps", 0, "per-upstream-service poll budget in QPS; empty budget defers polls (0 = unlimited)")
+		pollBurst    = fs.Float64("poll-burst", 0, "poll-budget bucket depth (0 = one second of refill)")
 
 		// SLO tier: burn-rate tracking + tail-based span retention.
-		sloTarget = flag.Duration("slo-target", 0, "T2A objective threshold (e.g. 120s); 0 disables the SLO tier")
-		sloRatio  = flag.Float64("slo-ratio", 0, "fraction of executions that must meet -slo-target (0 = 0.99 default)")
-		sloWindow = flag.Duration("slo-window", 0, "fast burn-rate window; the slow window is 12x (0 = 5m default)")
+		sloTarget = fs.Duration("slo-target", 0, "T2A objective threshold (e.g. 120s); 0 disables the SLO tier")
+		sloRatio  = fs.Float64("slo-ratio", 0, "fraction of executions that must meet -slo-target (0 = 0.99 default)")
+		sloWindow = fs.Duration("slo-window", 0, "fast burn-rate window; the slow window is 12x (0 = 5m default)")
 
 		// Resilient polling (failure backoff + per-trigger circuit breaker).
-		resilience  = flag.Bool("resilience", true, "failure backoff and circuit breaking on trigger polls (false = paper-faithful fixed cadence)")
-		backoffBase = flag.Duration("backoff-base", 0, "first failure-backoff delay (0 = 30s default)")
-		backoffMax  = flag.Duration("backoff-max", 0, "failure-backoff ceiling (0 = 10m default)")
-		brThreshold = flag.Int("breaker-threshold", 0, "consecutive poll failures that open a trigger's breaker (0 = 5 default, negative = backoff only)")
-		brProbe     = flag.Duration("breaker-probe", 0, "half-open probe spacing while a breaker is open (0 = 5m default)")
+		resilience  = fs.Bool("resilience", true, "failure backoff and circuit breaking on trigger polls (false = paper-faithful fixed cadence)")
+		backoffBase = fs.Duration("backoff-base", 0, "first failure-backoff delay (0 = 30s default)")
+		backoffMax  = fs.Duration("backoff-max", 0, "failure-backoff ceiling (0 = 10m default)")
+		brThreshold = fs.Int("breaker-threshold", 0, "consecutive poll failures that open a trigger's breaker (0 = 5 default, negative = backoff only)")
+		brProbe     = fs.Duration("breaker-probe", 0, "half-open probe spacing while a breaker is open (0 = 5m default)")
 
 		// Fault injection (testing/chaos only): wraps the outbound client.
-		faultErrRate  = flag.Float64("fault-error-rate", 0, "inject transport errors on this fraction of outbound requests")
-		fault5xxRate  = flag.Float64("fault-5xx-rate", 0, "inject 503 responses on this fraction of outbound requests")
-		faultSlowRate = flag.Float64("fault-latency-rate", 0, "inject a latency spike on this fraction of outbound requests")
-		faultSlow     = flag.Duration("fault-latency", 2*time.Second, "duration of an injected latency spike")
-		faultTimeout  = flag.Duration("fault-timeout", 0, "stall before an injected transport error (models client timeouts)")
-		faultBlackout = flag.String("fault-blackout", "", "comma-separated start:end offsets from startup during which all matched requests fail (e.g. 10m:15m,1h:65m)")
-		faultHost     = flag.String("fault-host", "", "restrict injected faults to this host (empty = all hosts)")
-		faultSeed     = flag.Uint64("fault-seed", 0, "RNG seed for fault draws (0 = derive from -seed)")
+		faultErrRate  = fs.Float64("fault-error-rate", 0, "inject transport errors on this fraction of outbound requests")
+		fault5xxRate  = fs.Float64("fault-5xx-rate", 0, "inject 503 responses on this fraction of outbound requests")
+		faultSlowRate = fs.Float64("fault-latency-rate", 0, "inject a latency spike on this fraction of outbound requests")
+		faultSlow     = fs.Duration("fault-latency", 2*time.Second, "duration of an injected latency spike")
+		faultTimeout  = fs.Duration("fault-timeout", 0, "stall before an injected transport error (models client timeouts)")
+		faultBlackout = fs.String("fault-blackout", "", "comma-separated start:end offsets from startup during which all matched requests fail (e.g. 10m:15m,1h:65m)")
+		faultHost     = fs.String("fault-host", "", "restrict injected faults to this host (empty = all hosts)")
+		faultSeed     = fs.Uint64("fault-seed", 0, "RNG seed for fault draws (0 = derive from -seed)")
 
-		logFlags = obs.BindLogFlags(flag.CommandLine)
+		logFlags = obs.BindLogFlags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	log := logFlags.New()
 
 	var poll engine.PollPolicy
@@ -114,8 +131,7 @@ func main() {
 	if *faultErrRate > 0 || *fault5xxRate > 0 || *faultSlowRate > 0 || *faultBlackout != "" {
 		windows, err := parseBlackouts(*faultBlackout)
 		if err != nil {
-			log.Error("parse -fault-blackout", "err", err)
-			os.Exit(1)
+			return fmt.Errorf("-fault-blackout: %w", err)
 		}
 		fseed := *faultSeed
 		if fseed == 0 {
@@ -188,158 +204,133 @@ func main() {
 	}
 
 	// The daemon's host is either one engine or a cluster of them; both
-	// expose the same Install/Handler/Stop surface.
+	// expose the same Install/Handler/Stop surface. With -wal-dir every
+	// engine is opened by durable.OpenEngine (a node in the subdirectory
+	// named after it), so its store's series land in reg.
 	var host interface {
 		Install(engine.Applet) error
 		Handler() http.Handler
 		Stop()
 	}
-	// recoveredIDs lets the -applets bootstrap file coexist with -wal-dir
-	// recovery: definitions the store already brought back are skipped
-	// instead of failing the daemon on a duplicate install.
-	recoveredIDs := map[string]bool{}
 	var stores []*durable.Store
-	openStore := func(dir string, metrics *obs.Registry) *durable.Store {
-		st, err := durable.Open(durable.Options{
-			Dir:              dir,
-			Clock:            clock,
-			SnapshotInterval: *snapInterval,
-			Fsync:            *walFsync,
-			Logger:           log,
-			Metrics:          metrics,
-		})
+	defer func() {
+		for _, st := range stores {
+			if err := st.Close(); err != nil {
+				log.Warn("close durable store", "err", err)
+			}
+		}
+		log.Info("stopped")
+	}()
+	newEngine := func(cfg engine.Config, dir string) (*engine.Engine, error) {
+		if *walDir == "" {
+			return engine.New(cfg), nil
+		}
+		eng, st, err := durable.OpenEngine(cfg, durable.Options{Dir: dir, SnapshotInterval: *snapInterval, Fsync: *walFsync})
 		if err != nil {
-			log.Error("open durable store", "dir", dir, "err", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("durable store %s: %w", dir, err)
 		}
 		stores = append(stores, st)
-		return st
+		return eng, nil
 	}
 	if *nodes > 1 {
-		// The cluster serves reg: every engine series summed over its
-		// nodes, beside the ifttt_cluster_* family. It turns the SLO
-		// tier off and logs so: the tier's debug endpoints serve one
+		// The cluster serves reg: every engine and store series summed
+		// over its nodes, beside the ifttt_cluster_* family. It turns the
+		// SLO tier off and logs so: the tier's debug endpoints serve one
 		// engine.
-		ccfg := cluster.Config{
+		var nodeErr error
+		c := cluster.New(cluster.Config{
 			Nodes:  *nodes,
 			Engine: ecfg,
 			Logger: log,
-		}
-		if *walDir != "" {
-			// One store per node, in a subdirectory keyed by the
-			// deterministic node name; per-node store metrics stay off
-			// (they would collide in the shared registry).
-			nodeStores := map[string]*durable.Store{}
-			ccfg.Journal = func(node string) engine.Journal {
-				st := openStore(filepath.Join(*walDir, node), nil)
-				nodeStores[node] = st
-				return st
-			}
-			ccfg.Restore = func(node string, e *engine.Engine) error {
-				if err := nodeStores[node].Restore(e); err != nil {
-					return err
+			NewEngine: func(node string, cfg engine.Config) *engine.Engine {
+				if nodeErr == nil {
+					eng, err := newEngine(cfg, filepath.Join(*walDir, node))
+					if err == nil {
+						return eng
+					}
+					nodeErr = fmt.Errorf("node %s: %w", node, err)
 				}
-				nodeStores[node].Start()
-				for _, id := range e.Applets() {
-					recoveredIDs[id] = true
-				}
-				subs, applets := nodeStores[node].RecoveredCounts()
-				log.Info("node recovered", "node", node, "subscriptions", subs, "applets", applets)
-				return nil
-			}
+				// Start-up fails below; this engine is never served.
+				cfg.Metrics = nil
+				return engine.New(cfg)
+			},
+		})
+		defer c.Stop()
+		if nodeErr != nil {
+			return nodeErr
 		}
-		c := cluster.New(ccfg)
 		c.StartCoordinator(0)
 		log.Info("cluster mode", "nodes", *nodes)
 		host = c
-	} else if *walDir != "" {
-		st := openStore(*walDir, reg)
-		ecfg.Journal = st
-		eng := engine.New(ecfg)
-		if err := st.Restore(eng); err != nil {
-			log.Error("restore durable state", "dir", *walDir, "err", err)
-			os.Exit(1)
-		}
-		st.Start()
-		for _, id := range eng.Applets() {
-			recoveredIDs[id] = true
-		}
-		subs, applets := st.RecoveredCounts()
-		log.Info("recovered", "dir", *walDir, "subscriptions", subs, "applets", applets)
-		host = eng
 	} else {
-		host = engine.New(ecfg)
+		eng, err := newEngine(ecfg, *walDir)
+		if err != nil {
+			return err
+		}
+		defer eng.Stop()
+		host = eng
 	}
 
 	if *applets != "" {
 		data, err := os.ReadFile(*applets)
 		if err != nil {
-			log.Error("read applets", "err", err)
-			os.Exit(1)
+			return fmt.Errorf("read applets: %w", err)
 		}
 		var defs []engine.Applet
 		if err := json.Unmarshal(data, &defs); err != nil {
-			log.Error("parse applets", "err", err)
-			os.Exit(1)
+			return fmt.Errorf("parse applets: %w", err)
 		}
+		// Definitions -wal-dir recovery already brought back change
+		// nothing and are skipped.
 		for _, a := range defs {
-			if recoveredIDs[a.ID] {
-				log.Info("already recovered", "applet", a.ID, "name", a.Name)
-				continue
+			switch err := host.Install(a); {
+			case errors.Is(err, engine.ErrNoChange):
+				log.Info("already installed", "applet", a.ID, "name", a.Name)
+			case err != nil:
+				return fmt.Errorf("install %s: %w", a.ID, err)
+			default:
+				log.Info("installed", "applet", a.ID, "name", a.Name)
 			}
-			if err := host.Install(a); err != nil {
-				log.Error("install", "applet", a.ID, "err", err)
-				os.Exit(1)
-			}
-			log.Info("installed", "applet", a.ID, "name", a.Name)
 		}
 	}
 
 	if *pprof != "" {
 		// net/http/pprof registers its handlers on DefaultServeMux;
 		// serve it on its own listener so profiling stays off the
-		// engine's public surface. Listen synchronously so a bad
-		// address fails the daemon at startup instead of dying silently
-		// in a goroutine.
+		// engine's public surface.
 		ln, err := net.Listen("tcp", *pprof)
 		if err != nil {
-			log.Error("pprof listen", "addr", *pprof, "err", err)
-			os.Exit(1)
+			return fmt.Errorf("pprof listen: %w", err)
 		}
-		go func() {
-			log.Info("pprof listening", "addr", *pprof)
-			if err := http.Serve(ln, nil); err != nil {
-				log.Error("pprof serve", "err", err)
-			}
-		}()
+		psrv := &http.Server{}
+		defer psrv.Close()
+		go psrv.Serve(ln)
+		log.Info("pprof listening", "addr", ln.Addr())
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: host.Handler()}
-	go func() {
-		log.Info("iftttd listening", "addr", *addr)
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-			log.Error("serve", "err", err)
-			os.Exit(1)
-		}
-	}()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: host.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	log.Info("iftttd listening", "addr", ln.Addr())
+	fmt.Fprintf(stdout, "iftttd listening on %s\n", ln.Addr())
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
+	select {
+	case <-ctx.Done():
+	case err = <-served:
+	}
 	log.Info("shutting down")
-	// Drain in-flight HTTP first (bounded), then stop the engine.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	// Drain in-flight HTTP first (bounded); the deferred calls then stop
+	// the engine and close its stores.
+	drain, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Warn("http drain", "err", err)
+	if derr := srv.Shutdown(drain); derr != nil {
+		log.Warn("http drain", "err", derr)
 	}
-	host.Stop()
-	for _, st := range stores {
-		if err := st.Close(); err != nil {
-			log.Warn("close durable store", "err", err)
-		}
-	}
-	log.Info("stopped")
+	return err
 }
 
 // parseBlackouts parses "start:end,start:end" duration-offset pairs.

@@ -34,9 +34,10 @@ type Config struct {
 	// required; every node gets the template verbatim except RNG (split
 	// per node, so nodes draw independent deterministic streams),
 	// Metrics and SLO. Metrics, when non-nil, is the registry the
-	// cluster serves: each node's engine registers into a child of it,
-	// so it carries every engine series summed over the nodes, beside
-	// the ifttt_cluster_* family. Without it the nodes are unobserved.
+	// cluster serves: each node's engine, and its durable store when
+	// NewEngine opens one, registers into a child of it, so it carries
+	// every such series summed over the nodes, beside the
+	// ifttt_cluster_* family. Without it the nodes are unobserved.
 	// SLO is turned off: the tier's debug endpoints serve one engine.
 	Engine engine.Config
 	// Logger receives routing and migration warnings; nil disables.
@@ -47,20 +48,15 @@ type Config struct {
 	// Engine.OnSpan when the template sets one, so it must be safe for
 	// concurrent use.
 	OnSpan func(node string, sp obs.ExecSpan)
-	// Journal, when non-nil, supplies each node's durability journal
-	// (engine.Config.Journal), called once per node with its name.
-	// Node names are deterministic (node0, node1, ... in creation
-	// order), so a per-node WAL directory keyed by name survives a
+	// NewEngine, when non-nil, builds each node's engine from the
+	// per-node config the cluster prepared (split RNG, tagged OnSpan,
+	// child registry); nil means engine.New. It runs with the cluster's
+	// lock held, once per node. Node names are deterministic (node0,
+	// node1, ... in creation order) and so, with the same VirtualNodes,
+	// is ring placement: a per-node WAL directory keyed by the name
+	// (durable.OpenEngine) recovers each key on its ring owner after a
 	// whole-cluster restart.
-	Journal func(node string) engine.Journal
-	// Restore, when non-nil, runs right after each node's engine is
-	// built (journaling already wired): the durability tier replays
-	// the node's snapshot and WAL into it here. The restored engine is
-	// what routes the node's applets from then on; with the same node
-	// names and VirtualNodes, ring placement is deterministic, so each
-	// key recovers on its ring owner. A failed restore is logged and
-	// leaves that node empty.
-	Restore func(node string, e *engine.Engine) error
+	NewEngine func(node string, cfg engine.Config) *engine.Engine
 }
 
 // Node is one engine node: a full scheduler with its own shards and
@@ -90,12 +86,11 @@ type pendingOps struct {
 // held for installs/removes (serializing placement against
 // rebalancing) and outside it for the hot push/hint paths.
 type Cluster struct {
-	clock   simtime.Clock
-	tmpl    engine.Config
-	log     *slog.Logger
-	onSpan  func(node string, sp obs.ExecSpan)
-	journal func(node string) engine.Journal
-	restore func(node string, e *engine.Engine) error
+	clock     simtime.Clock
+	tmpl      engine.Config
+	log       *slog.Logger
+	onSpan    func(node string, sp obs.ExecSpan)
+	newEngine func(node string, cfg engine.Config) *engine.Engine
 
 	mu     sync.Mutex
 	ring   *Ring
@@ -131,16 +126,18 @@ func New(cfg Config) *Cluster {
 		n = DefaultNodes
 	}
 	c := &Cluster{
-		clock:   cfg.Engine.Clock,
-		tmpl:    cfg.Engine,
-		log:     cfg.Logger,
-		onSpan:  cfg.OnSpan,
-		journal: cfg.Journal,
-		restore: cfg.Restore,
-		ring:    NewRing(cfg.VirtualNodes),
-		byName:  make(map[string]*Node),
-		moving:  make(map[string]*pendingOps),
-		transit: make(map[string]string),
+		clock:     cfg.Engine.Clock,
+		tmpl:      cfg.Engine,
+		log:       cfg.Logger,
+		onSpan:    cfg.OnSpan,
+		newEngine: cfg.NewEngine,
+		ring:      NewRing(cfg.VirtualNodes),
+		byName:    make(map[string]*Node),
+		moving:    make(map[string]*pendingOps),
+		transit:   make(map[string]string),
+	}
+	if c.newEngine == nil {
+		c.newEngine = func(_ string, cfg engine.Config) *engine.Engine { return engine.New(cfg) }
 	}
 	if c.tmpl.SLO != nil {
 		c.warn("slo tier disabled: not supported on a cluster")
@@ -173,19 +170,11 @@ func (c *Cluster) newNodeLocked() *Node {
 			c.onSpan(node.Name, sp)
 		}
 	}
-	if c.journal != nil {
-		ecfg.Journal = c.journal(name)
-	}
 	if c.tmpl.Metrics != nil {
 		ecfg.Metrics = obs.NewRegistry()
 		c.tmpl.Metrics.AddChild(ecfg.Metrics)
 	}
-	node.Engine = engine.New(ecfg)
-	if c.restore != nil {
-		if err := c.restore(name, node.Engine); err != nil {
-			c.warn("node restore failed; starting empty", "node", name, "err", err)
-		}
-	}
+	node.Engine = c.newEngine(name, ecfg)
 	c.nodes = append(c.nodes, node)
 	c.byName[name] = node
 	c.ring.Add(name)
@@ -234,7 +223,7 @@ func (c *Cluster) Install(a engine.Applet) error {
 		return fmt.Errorf("cluster: stopped")
 	}
 	if _, _, dup := c.locateLocked(a.ID); dup {
-		return fmt.Errorf("cluster: applet %q already installed", a.ID)
+		return fmt.Errorf("cluster: applet %q already installed: %w", a.ID, engine.ErrNoChange)
 	}
 	if mv := c.moving[key]; mv != nil {
 		c.parkedOps.Add(1)

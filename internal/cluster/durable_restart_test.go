@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 )
@@ -18,46 +19,43 @@ import (
 // (Abandon, no final snapshots), and a second cluster built over the
 // same directories recovers every applet onto its ring owner — with
 // dedup windows intact, so events executed before the crash do not
-// execute again when the upstream re-serves them.
+// execute again when the upstream re-serves them. Each node is opened
+// by durable.OpenEngine through Config.NewEngine, so its store's series
+// roll up into the cluster registry beside the engine's.
 func TestClusterDurableRestart(t *testing.T) {
 	root := t.TempDir()
 	const n = 40
 
-	mk := func(clock *simtime.SimClock, col *ackCollector) (*Cluster, map[string]*durable.Store) {
+	// nodeRegs holds each node's child registry, where its store
+	// registers beside its engine.
+	mk := func(clock *simtime.SimClock, col *ackCollector) (c *Cluster, reg *obs.Registry,
+		stores map[string]*durable.Store, nodeRegs map[string]*obs.Registry) {
 		doer := &markerDoer{clock: clock, start: clock.Now(), period: time.Minute}
-		stores := make(map[string]*durable.Store)
-		c := New(Config{
+		stores, nodeRegs, reg = make(map[string]*durable.Store), make(map[string]*obs.Registry), obs.NewRegistry()
+		c = New(Config{
 			Nodes: 3,
 			Engine: engine.Config{
 				Clock: clock, RNG: stats.NewRNG(77), Doer: doer,
 				Poll: engine.FixedInterval{Interval: 2 * time.Minute}, DispatchDelay: -1,
 				Coalesce: true,
 				Trace:    col.observe,
+				Metrics:  reg,
 			},
-			Journal: func(node string) engine.Journal {
-				st, err := durable.Open(durable.Options{
-					Dir: filepath.Join(root, node), Clock: clock,
-				})
+			NewEngine: func(node string, cfg engine.Config) *engine.Engine {
+				eng, st, err := durable.OpenEngine(cfg, durable.Options{Dir: filepath.Join(root, node)})
 				if err != nil {
-					t.Fatalf("open store for %s: %v", node, err)
+					t.Fatalf("open engine for %s: %v", node, err)
 				}
-				stores[node] = st
-				return st
-			},
-			Restore: func(node string, e *engine.Engine) error {
-				if err := stores[node].Restore(e); err != nil {
-					return err
-				}
-				stores[node].Start()
-				return nil
+				stores[node], nodeRegs[node] = st, cfg.Metrics
+				return eng
 			},
 		})
-		return c, stores
+		return c, reg, stores, nodeRegs
 	}
 
 	var col ackCollector
 	clock1 := simtime.NewSimDefault()
-	c1, stores1 := mk(clock1, &col)
+	c1, _, stores1, _ := mk(clock1, &col)
 	clock1.Run(func() {
 		for j := 0; j < n; j++ {
 			if err := c1.Install(clusterApplet(j, "a")); err != nil {
@@ -83,7 +81,7 @@ func TestClusterDurableRestart(t *testing.T) {
 	// restarts at the same epoch, so the upstream re-serves the exact
 	// event IDs the first incarnation already executed.
 	clock2 := simtime.NewSimDefault()
-	c2, stores2 := mk(clock2, &col)
+	c2, reg2, stores2, nodeRegs2 := mk(clock2, &col)
 	total := 0
 	for _, node := range c2.Nodes() {
 		total += len(node.Engine.Applets())
@@ -100,6 +98,7 @@ func TestClusterDurableRestart(t *testing.T) {
 		}
 		clock2.Sleep(9 * time.Minute)
 		c2.Stop()
+		checkStoreSeries(t, reg2, nodeRegs2, stores2)
 		for _, st := range stores2 {
 			st.Abandon()
 		}
@@ -125,6 +124,52 @@ func TestClusterDurableRestart(t *testing.T) {
 	}
 	if len(counts) <= preCrash {
 		t.Errorf("no new executions after restart (%d before, %d total)", preCrash, len(counts))
+	}
+}
+
+// checkStoreSeries checks that the cluster registry carries each
+// durable-store series as the sum of the nodes' own, and that the sums
+// agree with what the stores report.
+func checkStoreSeries(t *testing.T, reg *obs.Registry, nodeRegs map[string]*obs.Registry, stores map[string]*durable.Store) {
+	t.Helper()
+	values := func(r *obs.Registry) map[string]float64 {
+		out := map[string]float64{}
+		for _, m := range r.Snapshot() {
+			if m.Value != nil {
+				out[m.Name] = *m.Value
+			}
+		}
+		return out
+	}
+	have := values(reg)
+	var snapshots, diskBytes float64
+	for _, st := range stores {
+		snapshots += float64(st.Snapshots())
+		diskBytes += float64(st.WALSizeOnDisk())
+	}
+	want := map[string]float64{"ifttt_snapshots_written_total": snapshots, "ifttt_wal_disk_bytes": diskBytes}
+	for _, name := range []string{"ifttt_wal_records_total", "ifttt_wal_appended_bytes_total",
+		"ifttt_snapshots_written_total", "ifttt_wal_replay_records", "ifttt_wal_disk_bytes"} {
+		var sum float64
+		for node, r := range nodeRegs {
+			v, ok := values(r)[name]
+			if !ok {
+				t.Errorf("%s: store series %s not registered", node, name)
+			}
+			sum += v
+		}
+		got, ok := have[name]
+		switch {
+		case !ok:
+			t.Errorf("store series %s missing from the cluster registry", name)
+		case got != sum:
+			t.Errorf("%s = %g, want the nodes' sum %g", name, got, sum)
+		case name != "ifttt_wal_replay_records" && got <= 0:
+			t.Errorf("%s = %g after a journaled run, want > 0", name, got)
+		}
+		if w, ok := want[name]; ok && got != w {
+			t.Errorf("%s = %g, the stores report %g", name, got, w)
+		}
 	}
 }
 

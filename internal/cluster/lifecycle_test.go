@@ -39,7 +39,8 @@ func holds(n *Node, id string) bool { return slices.Contains(n.Engine.Applets(),
 // the source and the target has not committed it, and (c) the target
 // refused it, so its applets are gone. In (a) and (b) a remove parks
 // and is applied on the winner, and a duplicate install is refused; in
-// (c) the lost applets can be installed again.
+// (c) the lost applets can be installed again. A duplicate install,
+// settled or mid-move, wraps engine.ErrNoChange as the engine's does.
 func TestClusterLifecycleDuringMigration(t *testing.T) {
 	clock := simtime.NewSimDefault()
 	doer := &markerDoer{clock: clock, start: clock.Now(), period: time.Hour}
@@ -50,7 +51,10 @@ func TestClusterLifecycleDuringMigration(t *testing.T) {
 			Clock: clock, RNG: stats.NewRNG(43), Doer: doer,
 			Poll: engine.FixedInterval{Interval: time.Hour}, DispatchDelay: -1, Coalesce: true,
 		},
-		Journal: func(string) engine.Journal { return j },
+		NewEngine: func(_ string, cfg engine.Config) *engine.Engine {
+			cfg.Journal = j
+			return engine.New(cfg)
+		},
 	})
 	const N = 60
 	clock.Run(func() {
@@ -63,6 +67,11 @@ func TestClusterLifecycleDuringMigration(t *testing.T) {
 			}
 		}
 		installed := 2 * N
+		// A duplicate of a settled applet is refused as the engine
+		// refuses one: it changes nothing.
+		if err := c.Install(clusterApplet(1, "a")); !errors.Is(err, engine.ErrNoChange) {
+			t.Errorf("duplicate install = %v, want ErrNoChange", err)
+		}
 
 		// (a) Marked moving, not yet detached: the applet is still on
 		// its source engine.
@@ -81,8 +90,8 @@ func TestClusterLifecycleDuringMigration(t *testing.T) {
 		if !holds(from, a.ID) {
 			t.Errorf("(a) parked remove ran before the move ended")
 		}
-		if err := c.Install(a); err == nil {
-			t.Errorf("(a) duplicate install of a moving applet accepted")
+		if err := c.Install(a); !errors.Is(err, engine.ErrNoChange) {
+			t.Errorf("(a) duplicate install of a moving applet = %v, want ErrNoChange", err)
 		}
 		c.migrateKey(key, from, mv)
 		installed--
@@ -109,8 +118,8 @@ func TestClusterLifecycleDuringMigration(t *testing.T) {
 				if got := c.parkedOps.Load() - before; got != 1 {
 					t.Errorf("(b) remove of an applet in transit parked %d ops, want 1", got)
 				}
-				if err := c.Install(m); err == nil {
-					t.Errorf("(b) duplicate install of an applet in transit accepted")
+				if err := c.Install(m); !errors.Is(err, engine.ErrNoChange) {
+					t.Errorf("(b) duplicate install of an applet in transit = %v, want ErrNoChange", err)
 				}
 			}()
 			select {

@@ -11,9 +11,12 @@ import (
 	"runtime/metrics"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/simtime"
+	"repro/internal/stats"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/v3 from testdata/v1")
@@ -268,6 +271,67 @@ func TestUnknownVersionFailsOpen(t *testing.T) {
 				t.Fatal("a failed Open changed the directory")
 			}
 		})
+	}
+}
+
+// TestOpenEngineReleasesOnError: when OpenEngine fails — Open on a
+// snapshot of an unknown version, or Restore on an image of the other
+// coalesce mode — it returns the error and keeps no file of the
+// directory open.
+func TestOpenEngineReleasesOnError(t *testing.T) {
+	cfg := engine.Config{Clock: simtime.NewSimDefault(), RNG: stats.NewRNG(1), Doer: &staticDoer{},
+		Poll: engine.FixedInterval{Interval: time.Hour}}
+	t.Run("version", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := writeSnapshot(dir, &Snapshot{}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "snap-00000000000000000000.bin")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[4:], 9)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := cfg
+		cfg.Metrics = obs.NewRegistry()
+		eng, st, err := OpenEngine(cfg, Options{Dir: dir})
+		if fe := (*formatError)(nil); !errors.As(err, &fe) || eng != nil || st != nil {
+			t.Fatalf("OpenEngine = %v, %v, %v; want a format error alone", eng, st, err)
+		}
+		if n := len(cfg.Metrics.Snapshot()); n != 0 {
+			t.Errorf("a failed Open registered %d series", n)
+		}
+		checkNoOpenFiles(t, dir)
+	})
+	t.Run("coalesce", func(t *testing.T) {
+		dir := t.TempDir()
+		a := soakApplet("p")
+		if err := writeSnapshot(dir, &Snapshot{Coalesce: true, Subs: []*engine.SubscriptionSnapshot{
+			{Key: a.TriggerIdentity(), Members: []engine.MemberSnapshot{{Applet: a}}},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenEngine(cfg, Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), "coalesce") {
+			t.Fatalf("OpenEngine of a coalesce=true image into a coalesce=false engine: err = %v", err)
+		}
+		checkNoOpenFiles(t, dir)
+	})
+}
+
+// checkNoOpenFiles fails when this process holds a file under dir open.
+func checkNoOpenFiles(t *testing.T, dir string) {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+"/") {
+			t.Errorf("fd %s still open on %s", fd.Name(), target)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Store glues the WAL and snapshot halves into the pluggable
 // persistence layer the engine journals to (it implements
-// engine.Journal) and recovers from:
+// engine.Journal) and recovers from. OpenEngine stands a durable engine
+// up in one call; it runs these steps:
 //
 //	store, _ := durable.Open(durable.Options{Dir: dir, Clock: clock})
 //	eng := engine.New(engine.Config{..., Journal: store})
@@ -117,14 +118,41 @@ func Open(opts Options) (*Store, error) {
 		reg.CounterFunc("ifttt_snapshots_written_total",
 			"Durability snapshots written.",
 			s.snapshots.Load)
-		reg.GaugeFunc("ifttt_snapshot_wal_seq",
-			"WAL sequence number covered by the newest durability snapshot.",
-			func() float64 { return float64(s.snapSeq.Load()) })
+		reg.GaugeFunc("ifttt_wal_replay_records",
+			"WAL records after the newest durability snapshot: what a restart replays.",
+			func() float64 {
+				// Read the snapshot's seq first: the log's only grows
+				// past it, so the difference cannot wrap.
+				snap := uint64(s.snapSeq.Load())
+				return float64(s.wal.lastSeq() - snap)
+			})
 		reg.GaugeFunc("ifttt_wal_disk_bytes",
 			"Current size of the live WAL segments on disk.",
 			func() float64 { return float64(s.wal.sizeOnDisk()) })
 	}
 	return s, nil
+}
+
+// OpenEngine opens the store at opts.Dir, builds an engine from cfg
+// journaling to it, replays the directory into that engine, and starts
+// the snapshot loop. The store's Clock, Metrics and Logger are cfg's, so
+// its series land in the engine's registry. On error it releases what it
+// opened, though the registry keeps any series already registered.
+func OpenEngine(cfg engine.Config, opts Options) (*engine.Engine, *Store, error) {
+	opts.Clock, opts.Metrics, opts.Logger = cfg.Clock, cfg.Metrics, cfg.Logger
+	st, err := Open(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Journal = st
+	eng := engine.New(cfg)
+	if err := st.Restore(eng); err != nil {
+		eng.Stop()
+		st.Abandon()
+		return nil, nil, err
+	}
+	st.Start()
+	return eng, st, nil
 }
 
 // Image is a persistence directory as recovery reads it, read without

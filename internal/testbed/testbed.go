@@ -14,13 +14,11 @@ package testbed
 
 import (
 	"net/http"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/devices"
-	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/homenet"
@@ -62,7 +60,9 @@ const (
 	OAuthSecret = "engine-secret"
 )
 
-// Config tunes a testbed build.
+// Config tunes a testbed build. The testbed's engine journals nothing:
+// crash recovery is studied on an engine of its own (durable.OpenEngine,
+// core.RunDurableChurn).
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed uint64
@@ -130,18 +130,6 @@ type Config struct {
 	// both modes. Metrics then carries every engine series summed over
 	// the nodes; SLO is off (cluster.New turns it off).
 	ClusterNodes int
-	// WALDir, when non-empty, roots a durable persistence layer
-	// (internal/durable) there: the engine journals installs, removes,
-	// and execution checkpoints to a WAL, snapshots periodically, and —
-	// before taking any traffic — recovers whatever state a previous
-	// testbed left in the directory. In cluster mode each node journals
-	// to its own subdirectory keyed by the deterministic node name. The
-	// stores appear as Testbed.Stores; StopEngine closes them (final
-	// snapshot) — crash experiments call Stores[i].Abandon() first.
-	WALDir string
-	// SnapshotInterval forwards to durable.Options.SnapshotInterval
-	// (zero = durable.DefaultSnapshotInterval).
-	SnapshotInterval time.Duration
 }
 
 // DefaultShards is the testbed's pinned engine shard count. Experiments
@@ -189,10 +177,6 @@ type Testbed struct {
 	// Faults is the injector built from Config.FaultRules (nil when no
 	// rules were given).
 	Faults *faults.Injector
-	// Stores are the durability stores opened for Config.WALDir: one
-	// for a single engine, one per node in cluster mode (nil without
-	// WALDir). StopEngine closes them.
-	Stores []*durable.Store
 
 	mu     sync.Mutex
 	traces []engine.TraceEvent
@@ -349,54 +333,13 @@ func New(cfg Config) *Testbed {
 			tb.mu.Unlock()
 		},
 	}
-	openStore := func(dir string, metrics *obs.Registry) *durable.Store {
-		st, err := durable.Open(durable.Options{
-			Dir:              dir,
-			Clock:            clock,
-			SnapshotInterval: cfg.SnapshotInterval,
-			Metrics:          metrics,
-		})
-		if err != nil {
-			panic("testbed: open durable store: " + err.Error())
-		}
-		tb.Stores = append(tb.Stores, st)
-		return st
-	}
 	var engineHandler http.Handler
 	if cfg.ClusterNodes > 1 {
-		ccfg := cluster.Config{Nodes: cfg.ClusterNodes, Engine: ecfg}
-		if cfg.WALDir != "" {
-			// Per-node stores; metrics stay off — every store would
-			// register the same series in the shared registry.
-			stores := make(map[string]*durable.Store)
-			ccfg.Journal = func(node string) engine.Journal {
-				st := openStore(filepath.Join(cfg.WALDir, node), nil)
-				stores[node] = st
-				return st
-			}
-			ccfg.Restore = func(node string, e *engine.Engine) error {
-				if err := stores[node].Restore(e); err != nil {
-					return err
-				}
-				stores[node].Start()
-				return nil
-			}
-		}
-		tb.Cluster = cluster.New(ccfg)
+		tb.Cluster = cluster.New(cluster.Config{Nodes: cfg.ClusterNodes, Engine: ecfg})
 		tb.Cluster.StartCoordinator(0)
 		engineHandler = tb.Cluster.Handler()
 	} else {
-		if cfg.WALDir != "" {
-			st := openStore(cfg.WALDir, cfg.Metrics)
-			ecfg.Journal = st
-			tb.Engine = engine.New(ecfg)
-			if err := st.Restore(tb.Engine); err != nil {
-				panic("testbed: restore durable state: " + err.Error())
-			}
-			st.Start()
-		} else {
-			tb.Engine = engine.New(ecfg)
-		}
+		tb.Engine = engine.New(ecfg)
 		engineHandler = tb.Engine.Handler()
 	}
 
@@ -457,18 +400,13 @@ func (tb *Testbed) RemoveApplet(id string) {
 	tb.Engine.Remove(id)
 }
 
-// StopEngine stops the engine or every cluster node, then closes any
-// durability stores (final snapshot). Crash experiments Abandon the
-// stores before calling this.
+// StopEngine stops the engine or every cluster node.
 func (tb *Testbed) StopEngine() {
 	if tb.Cluster != nil {
 		tb.Cluster.Stop()
-	} else {
-		tb.Engine.Stop()
+		return
 	}
-	for _, st := range tb.Stores {
-		st.Close()
-	}
+	tb.Engine.Stop()
 }
 
 // Traces returns a snapshot of the engine trace, for timeline assembly.
